@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -93,12 +95,73 @@ struct QueryBatch {
   std::uint64_t partition_base = 0;
 };
 
+/// Ground truth for one target against one epoch's membership, from a
+/// single scan over the members on clean latencies. Both answers skip
+/// a member equal to the target and break latency ties toward the
+/// lowest id, so `closest` is exactly TrueClosestMember.
+struct TargetTruth {
+  NodeId closest = kInvalidNode;
+  LatencyMs closest_latency = kInfiniteLatency;
+  /// Closest member of the target's component under the active
+  /// partition window; kInvalidNode when the component holds no member
+  /// or no window is active.
+  NodeId reachable = kInvalidNode;
+  LatencyMs reachable_latency = kInfiniteLatency;
+};
+
+/// Scans `members` once for `target`'s truth; `window` (nullable) adds
+/// the nearest-reachable answer.
+TargetTruth ScanTruth(const LatencySpace& space,
+                      const std::vector<NodeId>& members, NodeId target,
+                      const matrix::PartitionWindow* window);
+
+/// Exact per-epoch memo of TargetTruth by target: Zipf targets repeat
+/// within an epoch and membership does not change, so only the first
+/// query for a target pays the O(members) scan. A memo belongs to one
+/// epoch and one contiguous chunk of query indices — created fresh per
+/// epoch, used by one thread, never iterated — so it needs no lock and
+/// its contents never reach a report.
+class TruthMemo {
+ public:
+  /// The truth for `target`, scanned on first use. Every call on one
+  /// memo must pass the same epoch's space, members and window.
+  const TargetTruth& Get(const LatencySpace& space,
+                         const std::vector<NodeId>& members, NodeId target,
+                         const matrix::PartitionWindow* window);
+  /// The stored truth, or nullptr when `target` was never scored.
+  const TargetTruth* Find(NodeId target) const;
+
+ private:
+  std::unordered_map<NodeId, TargetTruth> by_target_;
+};
+
 /// Runs query `q` of the batch against `algo` (charging its attached
-/// probe counter/policy) and returns the scored outcome. Thread-safe
-/// for ParallelQuerySafe algorithms: every mutable stream (rng, noise,
-/// fault, meter) is query-private.
+/// probe counter/policy) and returns the scored outcome, reading the
+/// target's truth through `memo`. Thread-safe for ParallelQuerySafe
+/// algorithms when each thread owns its memo: every other mutable
+/// stream (rng, noise, fault, meter) is query-private.
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
-                           std::size_t q);
+                           std::size_t q, TruthMemo& memo);
+
+/// Half-open range [begin, end) of query indices.
+struct QueryRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Chunk `chunk` of the static contiguous split of `queries` indices
+/// into `chunks` slices (the split util::ParallelFor makes).
+QueryRange ChunkRange(std::size_t queries, std::size_t chunks,
+                      std::size_t chunk);
+
+/// The per-worker query loop both engines share: runs chunk `chunk` of
+/// `chunks` in query order into `outcomes[q]`, with `memo` private to
+/// the chunk. `after_query` (optional) runs after each query; serving
+/// uses it to time the service wall clock.
+void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
+                   std::size_t chunk, std::size_t chunks, TruthMemo& memo,
+                   std::vector<QueryOutcome>& outcomes,
+                   const std::function<void(std::size_t)>& after_query = {});
 
 /// Serially reduces a batch's outcomes — in query order — into the
 /// query-section fields of `er` (accuracy, latency tail, messages per

@@ -190,8 +190,13 @@ ScenarioReport RunScenario(const LatencySpace& space,
 
     std::vector<QueryOutcome> outcomes(
         static_cast<std::size_t>(config.queries_per_epoch));
-    util::ParallelFor(0, outcomes.size(), query_threads, [&](std::size_t q) {
-      outcomes[q] = RunBatchQuery(batch, algo, q);
+    // One contiguous chunk per worker, each with a fresh truth memo of
+    // its own: the same split and chunk loop serving readers run.
+    const auto workers = static_cast<std::size_t>(query_threads);
+    const std::size_t chunks = std::min(workers, outcomes.size());
+    std::vector<TruthMemo> memos(chunks);
+    util::ParallelFor(0, chunks, query_threads, [&](std::size_t c) {
+      RunQueryChunk(batch, algo, c, chunks, memos[c], outcomes);
     });
 
     ReduceQueryOutcomes(outcomes, er, &report.failed_queries);

@@ -51,16 +51,22 @@ struct EpochSlot {
   std::unique_ptr<ProbePolicy> reader_policy;
   std::vector<double> zipf_cdf;
   QueryBatch batch;
+  /// One truth memo per reader's query chunk, each written only by its
+  /// reader; the staleness pass reads them after the join.
+  std::vector<TruthMemo> memos;
   std::vector<QueryOutcome> outcomes;
   /// Wall-clock per-query service time, microseconds.
   std::vector<double> latency_us;
 };
 
-double ElapsedUs(std::chrono::steady_clock::time_point since) {
+/// Microseconds since `since`, which then moves to now.
+double LapUs(std::chrono::steady_clock::time_point& since) {
   NP_LINT_SUPPRESS("banned-call", "wall_* quarantine: qps/p99 only");
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - since)
-      .count();
+  const auto now = std::chrono::steady_clock::now();
+  const double us =
+      std::chrono::duration<double, std::micro>(now - since).count();
+  since = now;
+  return us;
 }
 
 }  // namespace
@@ -166,6 +172,8 @@ ServingReport RunServing(const LatencySpace& space,
   const int n_readers = config.reader_threads;
   const std::size_t queries =
       static_cast<std::size_t>(sc.queries_per_epoch);
+  // Reader t runs query chunk t.
+  const auto chunks = static_cast<std::size_t>(n_readers);
   std::vector<EpochSlot> slots(static_cast<std::size_t>(sc.epochs));
   SnapshotPublisher publisher;
 
@@ -181,7 +189,7 @@ ServingReport RunServing(const LatencySpace& space,
   std::string reader_error;
 
   NP_LINT_SUPPRESS("banned-call", "wall_* quarantine: qps/p99 only");
-  const auto serve_start = std::chrono::steady_clock::now();
+  auto serve_start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> readers;
   readers.reserve(static_cast<std::size_t>(n_readers));
@@ -204,19 +212,14 @@ ServingReport RunServing(const LatencySpace& space,
           // Static partition into disjoint outcome slots; the serial
           // post-join reduction in query order restores thread-count
           // invariance.
-          const std::size_t chunk =
-              (queries + static_cast<std::size_t>(n_readers) - 1) /
-              static_cast<std::size_t>(n_readers);
-          const std::size_t begin =
-              std::min(static_cast<std::size_t>(t) * chunk, queries);
-          const std::size_t end = std::min(begin + chunk, queries);
-          for (std::size_t q = begin; q < end; ++q) {
-            NP_LINT_SUPPRESS("banned-call",
-                             "wall_* quarantine: qps/p99 only");
-            const auto q_start = std::chrono::steady_clock::now();
-            slot.outcomes[q] = RunBatchQuery(slot.batch, *snap->algo, q);
-            slot.latency_us[q] = ElapsedUs(q_start);
-          }
+          const auto chunk = static_cast<std::size_t>(t);
+          NP_LINT_SUPPRESS("banned-call", "wall_* quarantine: qps/p99 only");
+          auto q_start = std::chrono::steady_clock::now();
+          const auto time_query = [&](std::size_t q) {
+            slot.latency_us[q] = LapUs(q_start);
+          };
+          RunQueryChunk(slot.batch, *snap->algo, chunk, chunks,
+                        slot.memos[chunk], slot.outcomes, time_query);
         }
       } catch (const std::exception& e) {
         std::lock_guard<std::mutex> lock(pin_mu);
@@ -276,6 +279,7 @@ ServingReport RunServing(const LatencySpace& space,
     snap->algo->AttachProbeCounter(slot.reader_counter.get());
     snap->algo->AttachProbePolicy(slot.reader_policy.get());
 
+    slot.memos.resize(chunks);
     slot.outcomes.resize(queries);
     slot.latency_us.resize(queries);
     slot.batch.space = &space;
@@ -324,7 +328,7 @@ ServingReport RunServing(const LatencySpace& space,
   for (std::thread& reader : readers) {
     reader.join();
   }
-  sr.wall_ms = ElapsedUs(serve_start) / 1000.0;
+  sr.wall_ms = LapUs(serve_start) / 1000.0;
   {
     std::lock_guard<std::mutex> lock(pin_mu);
     NP_ENSURE(!reader_failed && !writer_aborted,
@@ -372,10 +376,13 @@ ServingReport RunServing(const LatencySpace& space,
   // --- Staleness: epoch k scored against epoch k+1's membership ----------
   for (std::size_t k = 0; k < slots.size(); ++k) {
     const EpochSlot& slot = slots[k];
-    const std::vector<NodeId>& next_members =
-        k + 1 < slots.size() ? slots[k + 1].members : slot.members;
+    const EpochSlot& next = k + 1 < slots.size() ? slots[k + 1] : slot;
+    const std::vector<NodeId>& next_members = next.members;
     const std::unordered_set<NodeId> next_set(next_members.begin(),
                                               next_members.end());
+    // The next epoch's readers already scored the targets they drew
+    // against exactly this membership; only the rest are scanned.
+    TruthMemo misses;
     std::int64_t exact_live = 0;
     std::int64_t departed = 0;
     for (const QueryOutcome& out : slot.outcomes) {
@@ -386,10 +393,17 @@ ServingReport RunServing(const LatencySpace& space,
         ++departed;
         continue;
       }
-      const NodeId truth =
-          TrueClosestMember(space, next_members, out.target);
-      const LatencyMs truth_latency = space.Latency(truth, out.target);
-      if (out.found_latency <= truth_latency + sc.tie_epsilon_ms) {
+      const TargetTruth* truth = nullptr;
+      for (const TruthMemo& memo : next.memos) {
+        truth = memo.Find(out.target);
+        if (truth != nullptr) {
+          break;
+        }
+      }
+      if (truth == nullptr) {
+        truth = &misses.Get(space, next_members, out.target, nullptr);
+      }
+      if (out.found_latency <= truth->closest_latency + sc.tie_epsilon_ms) {
         ++exact_live;
       }
     }

@@ -169,6 +169,38 @@ TEST(Serving, MatchesSerialReplayUnderProbeLoss) {
   }
 }
 
+// --- Equivalence with repeated targets under faults ----------------------
+
+TEST(Serving, MatchesSerialReplayWithRepeatTargetsUnderFaults) {
+  // Zipf targets repeat within every reader's chunk, so each reader's
+  // truth memo serves hits while the chunk split (and so which memo
+  // scores a target first) changes with the reader count; the partition
+  // window exercises the memoized reachable truth too.
+  const auto world = SmallClusteredWorld(4);
+  const MatrixSpace space(world.matrix);
+  const ChurnSchedule schedule = LognormalSchedule();
+  ScenarioConfig config = BaseScenario();
+  config.queries_per_epoch = 240;
+  config.query_zipf_s = 1.0;
+  config.fault.loss_rate = 0.05;
+  config.fault.max_attempts = 3;
+  config.fault.grey_node_frac = 0.1;
+  config.fault.grey_loss_rate = 0.5;
+  config.fault.asymmetric_loss = 0.02;
+  config.fault.suspicion.strikes = 3;
+  FaultConfig::Partition window;
+  window.start_epoch = 1;
+  window.end_epoch = 2;
+  window.groups = {{0, 1}, {2, 3}};
+  config.fault.partitions.push_back(window);
+  for (const std::string name : {"meridian", "karger-ruhl", "tiers"}) {
+    SCOPED_TRACE(name);
+    ExpectServingMatchesReplay(
+        space, &world.layout, [&] { return MakeAlgo(name); }, schedule,
+        config);
+  }
+}
+
 // --- Equivalence: the §5 hybrids -----------------------------------------
 
 TEST(Serving, HybridMatchesSerialReplay) {
