@@ -19,6 +19,8 @@ KargerRuhlNearest::KargerRuhlNearest(KargerRuhlConfig config)
   NP_ENSURE(config_.samples_per_scale >= 1, "need samples per scale");
   NP_ENSURE(config_.scale_window >= 0, "scale window must be >= 0");
   NP_ENSURE(config_.max_hops >= 1, "positive hop cap required");
+  log_growth_ = std::log(config_.growth);
+  stride_ = SlotOffset(config_.num_scales);  // one past the last slot
 }
 
 int KargerRuhlNearest::ScaleFor(LatencyMs distance_ms) const {
@@ -27,7 +29,7 @@ int KargerRuhlNearest::ScaleFor(LatencyMs distance_ms) const {
   }
   const int scale = 1 + static_cast<int>(std::floor(
                             std::log(distance_ms / config_.alpha_ms) /
-                            std::log(config_.growth)));
+                            log_growth_));
   return std::min(scale, config_.num_scales - 1);
 }
 
@@ -51,12 +53,11 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
   const std::size_t n = members_.size();
   const std::vector<NodeId>& ids = members_.members();
 
-  samples_.assign(n, {});
-  occ_.assign(n, {});
-  occ_floor_.assign(n, kOccCompactMin / 2);
+  samples_.assign(n * stride_, 0);
+  occ_.assign(n, OccList{});
   // One base draw, then a private stream per member keyed by its node
-  // id: iteration i touches only samples_[i], so any thread count
-  // produces the serial result bit for bit.
+  // id: iteration i writes only block i, so any thread count produces
+  // the serial result bit for bit.
   const std::uint64_t base = rng();
   const core::ProbePolicy& policy = probe_policy();
   util::ParallelFor(0, n, num_threads, [&](std::size_t i) {
@@ -78,39 +79,41 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
       const int scale = ScaleFor(*d);
       balls[static_cast<std::size_t>(scale)].push_back(other);
     }
-    samples_[i].resize(static_cast<std::size_t>(config_.num_scales));
+    NodeId* block = Block(i);
     std::vector<NodeId> cumulative;
     for (int s = 0; s < config_.num_scales; ++s) {
       cumulative.insert(cumulative.end(),
                         balls[static_cast<std::size_t>(s)].begin(),
                         balls[static_cast<std::size_t>(s)].end());
-      auto& chosen = samples_[i][static_cast<std::size_t>(s)];
+      NodeId* chosen = block + SlotOffset(s);
       const std::size_t k = std::min<std::size_t>(
           static_cast<std::size_t>(config_.samples_per_scale),
           cumulative.size());
       if (k == cumulative.size()) {
-        chosen = cumulative;
+        std::copy(cumulative.begin(), cumulative.end(), chosen);
       } else {
         for (std::size_t pick : mrng.Sample(cumulative.size(), k)) {
-          chosen.push_back(cumulative[pick]);
+          *chosen++ = cumulative[pick];
         }
       }
+      block[s] = static_cast<NodeId>(k);
     }
   });
 
   // Occurrence pass (serial: a sampled member's list is appended from
   // every owner, so fan-out here would race).
   for (std::size_t i = 0; i < n; ++i) {
+    const NodeId* block = Block(i);
     for (int s = 0; s < config_.num_scales; ++s) {
-      for (const NodeId sampled :
-           samples_[i][static_cast<std::size_t>(s)]) {
-        occ_[members_.PositionOf(sampled)].push_back(
+      const NodeId* slots = block + SlotOffset(s);
+      for (NodeId j = 0; j < block[s]; ++j) {
+        occ_[members_.PositionOf(slots[j])].entries.push_back(
             PackOccurrence(ids[i], s));
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    occ_floor_[i] = std::max(occ_[i].size(), kOccCompactMin / 2);
+  for (OccList& occ : occ_) {
+    occ.floor = std::max(occ.entries.size(), kOccCompactMin / 2);
   }
 }
 
@@ -118,19 +121,26 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   NP_ENSURE(space_ != nullptr, "Build must run before AddMember");
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
-  samples_.emplace_back(static_cast<std::size_t>(config_.num_scales));
+  samples_.resize(samples_.size() + stride_, 0);  // every count starts at 0
   occ_.emplace_back();
-  occ_floor_.push_back(kOccCompactMin / 2);
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
+  const auto per_scale = static_cast<NodeId>(config_.samples_per_scale);
 
   // The joiner probes a bounded random subset of the overlay — enough
   // to fill every scale in expectation, far less than a full scan.
   const std::size_t budget = std::min<std::size_t>(
       existing, static_cast<std::size_t>(config_.samples_per_scale) *
                     static_cast<std::size_t>(config_.num_scales));
-  std::vector<std::pair<int, NodeId>> probed;  // (scale, member)
+  struct Probed {
+    int scale;
+    NodeId id;
+    std::size_t position;
+  };
+  std::vector<Probed> probed;
   probed.reserve(budget);
+  OccList& own_occ = occ_[position];
+  own_occ.entries.reserve(budget);
   for (std::size_t pick : rng.Sample(existing, budget)) {
     const NodeId other = ids[pick];
     const auto measured = policy.Probe(*space_, other, node);
@@ -139,58 +149,72 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
     }
     const LatencyMs d = *measured;
     const int scale = ScaleFor(d);
-    probed.push_back({scale, other});
+    probed.push_back({scale, other, pick});
 
     // The probed member learns about the joiner from the same
     // handshake: keep it when the scale has room, otherwise replace a
     // random entry (membership refresh keeps samples live under
     // churn).
-    auto& theirs = samples_[pick][static_cast<std::size_t>(scale)];
-    if (theirs.size() <
-        static_cast<std::size_t>(config_.samples_per_scale)) {
-      theirs.push_back(node);
+    NodeId* theirs = Block(pick);
+    NodeId& count = theirs[scale];
+    NodeId* slots = theirs + SlotOffset(scale);
+    if (count < per_scale) {
+      slots[count++] = node;
     } else {
-      theirs[rng.Index(theirs.size())] = node;
+      slots[rng.Index(static_cast<std::size_t>(count))] = node;
     }
-    occ_[position].push_back(PackOccurrence(other, scale));
-    MaybeCompactOcc(position);
+    own_occ.entries.push_back(PackOccurrence(other, scale));
   }
+  // Every entry just appended is live and unique: each pick is a
+  // distinct owner whose list now holds the joiner. So the list needs
+  // no compaction; its floor is set as BuildImpl sets it.
+  own_occ.floor = std::max(own_occ.entries.size(), kOccCompactMin / 2);
 
   // Cumulative-ball semantics (as in Build): a member whose smallest
   // containing ball is s is eligible for every scale >= s.
-  std::sort(probed.begin(), probed.end());
-  std::vector<NodeId> cumulative;
+  const auto by_scale_then_id = [](const Probed& a, const Probed& b) {
+    return a.scale != b.scale ? a.scale < b.scale : a.id < b.id;
+  };
+  std::sort(probed.begin(), probed.end(), by_scale_then_id);
+  NodeId* own = Block(position);
+  std::vector<Probed> cumulative;
   cumulative.reserve(probed.size());
+  std::vector<std::size_t> chosen_pos;
+  chosen_pos.reserve(static_cast<std::size_t>(config_.samples_per_scale));
   std::size_t consumed = 0;
   for (int s = 0; s < config_.num_scales; ++s) {
-    while (consumed < probed.size() && probed[consumed].first <= s) {
-      cumulative.push_back(probed[consumed].second);
+    while (consumed < probed.size() && probed[consumed].scale <= s) {
+      cumulative.push_back(probed[consumed]);
       ++consumed;
     }
-    auto& chosen = samples_[position][static_cast<std::size_t>(s)];
+    NodeId* chosen = own + SlotOffset(s);
+    chosen_pos.clear();
     const std::size_t k = std::min<std::size_t>(
         static_cast<std::size_t>(config_.samples_per_scale),
         cumulative.size());
     if (k == cumulative.size()) {
-      chosen = cumulative;
+      for (const Probed& p : cumulative) {
+        *chosen++ = p.id;
+        chosen_pos.push_back(p.position);
+      }
     } else {
-      chosen.clear();
       for (std::size_t pick : rng.Sample(cumulative.size(), k)) {
-        chosen.push_back(cumulative[pick]);
+        *chosen++ = cumulative[pick].id;
+        chosen_pos.push_back(cumulative[pick].position);
       }
     }
-    for (const NodeId sampled : chosen) {
-      const std::size_t sampled_pos = members_.PositionOf(sampled);
-      occ_[sampled_pos].push_back(PackOccurrence(node, s));
+    own[s] = static_cast<NodeId>(k);
+    for (const std::size_t sampled_pos : chosen_pos) {
+      occ_[sampled_pos].entries.push_back(PackOccurrence(node, s));
       MaybeCompactOcc(sampled_pos);
     }
   }
 }
 
 void KargerRuhlNearest::MaybeCompactOcc(std::size_t position) {
-  auto& list = occ_[position];
-  if (list.size() < kOccCompactMin ||
-      list.size() < 2 * occ_floor_[position]) {
+  OccList& occ = occ_[position];
+  auto& list = occ.entries;
+  if (list.size() < kOccCompactMin || list.size() < 2 * occ.floor) {
     return;
   }
   // Verify-scan: keep an entry only if the named sample list still
@@ -205,14 +229,15 @@ void KargerRuhlNearest::MaybeCompactOcc(std::size_t position) {
   std::size_t kept = 0;
   for (const std::uint64_t packed : list) {
     const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const auto scale = static_cast<std::size_t>(packed & 0xFF);
+    const int scale = static_cast<int>(packed & 0xFF);
     const std::size_t owner_pos = members_.PositionOf(owner);
     if (owner_pos == core::MemberIndex::kNoPosition ||
         owner_pos == position) {
       continue;
     }
-    const auto& samples = samples_[owner_pos][scale];
-    if (std::find(samples.begin(), samples.end(), self) == samples.end()) {
+    const NodeId* block = Block(owner_pos);
+    const NodeId* slots = block + SlotOffset(scale);
+    if (std::find(slots, slots + block[scale], self) == slots + block[scale]) {
       continue;
     }
     list[kept++] = packed;
@@ -220,14 +245,14 @@ void KargerRuhlNearest::MaybeCompactOcc(std::size_t position) {
   list.resize(kept);
   list.shrink_to_fit();
   // Next compaction only once the list doubles again: amortized O(1)
-  // per append, and length stays <= 2 * live + O(1).
-  occ_floor_[position] = std::max(kept, kOccCompactMin / 2);
+  // per append, and length stays < max(kOccCompactMin, 2 * kept).
+  occ.floor = std::max(kept, kOccCompactMin / 2);
 }
 
 std::size_t KargerRuhlNearest::OccurrenceEntries(NodeId member) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
-  return occ_[position].size();
+  return occ_[position].entries.size();
 }
 
 void KargerRuhlNearest::RemoveMember(NodeId node) {
@@ -239,8 +264,9 @@ void KargerRuhlNearest::RemoveMember(NodeId node) {
   // name (failure detection). Stale entries — the list replaced the
   // leaver earlier, or the owner itself left — erase nothing and are
   // skipped; erasing the leaver is always correct where it *is* found.
-  // Cost: O(entries naming the leaver), independent of overlay size.
-  for (const std::uint64_t packed : occ_[position]) {
+  // The erase keeps the survivors' order. Cost: O(entries naming the
+  // leaver), independent of overlay size.
+  for (const std::uint64_t packed : occ_[position].entries) {
     const NodeId owner = static_cast<NodeId>(packed >> 8);
     const int scale = static_cast<int>(packed & 0xFF);
     const std::size_t owner_pos = members_.PositionOf(owner);
@@ -248,27 +274,64 @@ void KargerRuhlNearest::RemoveMember(NodeId node) {
         owner_pos == position) {
       continue;
     }
-    auto& list = samples_[owner_pos][static_cast<std::size_t>(scale)];
-    list.erase(std::remove(list.begin(), list.end(), node), list.end());
+    NodeId* block = Block(owner_pos);
+    NodeId* slots = block + SlotOffset(scale);
+    block[scale] = static_cast<NodeId>(
+        std::remove(slots, slots + block[scale], node) - slots);
   }
 
   const auto removed = members_.Remove(node);
   if (removed.swapped) {
-    samples_[removed.position] = std::move(samples_.back());
+    std::copy_n(Block(members_.size()), stride_, Block(removed.position));
     occ_[removed.position] = std::move(occ_.back());
-    occ_floor_[removed.position] = occ_floor_.back();
   }
-  samples_.pop_back();
+  samples_.resize(samples_.size() - stride_);
   occ_.pop_back();
-  occ_floor_.pop_back();
 }
 
-const std::vector<NodeId>& KargerRuhlNearest::SamplesOf(NodeId member,
-                                                        int scale) const {
+std::vector<NodeId> KargerRuhlNearest::SamplesOf(NodeId member,
+                                                 int scale) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
   NP_ENSURE(scale >= 0 && scale < config_.num_scales, "scale out of range");
-  return samples_[position][static_cast<std::size_t>(scale)];
+  const NodeId* block = Block(position);
+  const NodeId* slots = block + SlotOffset(scale);
+  return std::vector<NodeId>(slots, slots + block[scale]);
+}
+
+void KargerRuhlNearest::CheckInvariants() const {
+  NP_ENSURE(space_ != nullptr, "Build must run before CheckInvariants");
+  const std::size_t n = members_.size();
+  NP_ENSURE(samples_.size() == n * stride_ && occ_.size() == n,
+            "per-member arrays disagree with the membership");
+  std::vector<std::vector<std::uint64_t>> sorted_occ(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const OccList& occ = occ_[p];
+    NP_ENSURE(occ.floor >= kOccCompactMin / 2, "occurrence floor too low");
+    NP_ENSURE(occ.entries.size() < std::max(kOccCompactMin, 2 * occ.floor),
+              "occurrence list past its compaction trigger");
+    sorted_occ[p] = occ.entries;
+    std::sort(sorted_occ[p].begin(), sorted_occ[p].end());
+  }
+  for (std::size_t owner_pos = 0; owner_pos < n; ++owner_pos) {
+    const NodeId owner = members_.at(owner_pos);
+    const NodeId* block = Block(owner_pos);
+    for (int s = 0; s < config_.num_scales; ++s) {
+      NP_ENSURE(block[s] >= 0 && block[s] <= config_.samples_per_scale,
+                "sample count out of range");
+      const NodeId* slots = block + SlotOffset(s);
+      for (NodeId j = 0; j < block[s]; ++j) {
+        const std::size_t held = members_.PositionOf(slots[j]);
+        NP_ENSURE(held != core::MemberIndex::kNoPosition,
+                  "sample list holds a departed member");
+        NP_ENSURE(held != owner_pos, "sample list holds its owner");
+        NP_ENSURE(std::binary_search(sorted_occ[held].begin(),
+                                     sorted_occ[held].end(),
+                                     PackOccurrence(owner, s)),
+                  "held sample has no occurrence entry");
+      }
+    }
+  }
 }
 
 core::QueryResult KargerRuhlNearest::FindNearest(
@@ -302,7 +365,7 @@ core::QueryResult KargerRuhlNearest::FindNearest(
   result.found_latency_ms = current_distance;
 
   for (int hop = 0; hop < config_.max_hops; ++hop) {
-    const std::size_t pos = members_.PositionOf(current);
+    const NodeId* block = Block(members_.PositionOf(current));
     const int scale = ScaleFor(current_distance);
     NodeId best = kInvalidNode;
     LatencyMs best_distance = current_distance;
@@ -310,8 +373,9 @@ core::QueryResult KargerRuhlNearest::FindNearest(
          s <= std::min(config_.num_scales - 1,
                        scale + config_.scale_window);
          ++s) {
-      for (const NodeId candidate :
-           samples_[pos][static_cast<std::size_t>(s)]) {
+      const NodeId* slots = block + SlotOffset(s);
+      for (NodeId j = 0; j < block[s]; ++j) {
+        const NodeId candidate = slots[j];
         if (probed.count(candidate) > 0 && candidate != current) {
           continue;
         }

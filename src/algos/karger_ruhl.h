@@ -74,19 +74,28 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
     return members_.members();
   }
 
-  /// All state is value-semantic (index, per-scale sample lists) plus
-  /// the borrowed immutable space.
+  /// All state is value-semantic (index, flat sample blocks,
+  /// occurrence lists) plus the borrowed immutable space.
   bool SupportsSnapshot() const override { return true; }
   std::unique_ptr<core::NearestPeerAlgorithm> Clone() const override {
     return core::DetachedClone(std::make_unique<KargerRuhlNearest>(*this));
   }
 
-  /// Samples of one member at one scale (for tests).
-  const std::vector<NodeId>& SamplesOf(NodeId member, int scale) const;
+  /// Samples of one member at one scale, in list order (for tests).
+  std::vector<NodeId> SamplesOf(NodeId member, int scale) const;
 
   /// Length of one member's occurrence list (for tests asserting the
   /// compaction bound: length stays O(live entries)).
   std::size_t OccurrenceEntries(NodeId member) const;
+
+  /// Structural invariants (tests): every per-scale count is within
+  /// [0, samples_per_scale]; every held id is a live member other
+  /// than its owner; every held (owner, scale, member) has a matching
+  /// entry in the member's occurrence list (what the RemoveMember
+  /// purge relies on); and every occurrence list is below its
+  /// compaction trigger, max(kOccCompactMin, 2 x its floor). Throws
+  /// util::Error on violation.
+  void CheckInvariants() const;
 
   int ScaleFor(LatencyMs distance_ms) const;
 
@@ -104,31 +113,60 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
            static_cast<std::uint64_t>(scale);
   }
 
+  /// Sample block of the member at `position`: `num_scales` counts,
+  /// then `num_scales` runs of `samples_per_scale` id slots (only the
+  /// first `count` slots of a run are meaningful).
+  NodeId* Block(std::size_t position) {
+    return samples_.data() + position * stride_;
+  }
+  const NodeId* Block(std::size_t position) const {
+    return samples_.data() + position * stride_;
+  }
+  std::size_t SlotOffset(int scale) const {
+    return static_cast<std::size_t>(config_.num_scales) +
+           static_cast<std::size_t>(scale) *
+               static_cast<std::size_t>(config_.samples_per_scale);
+  }
+
   /// Compacts one member's occurrence list when it has doubled since
   /// the last compaction (and exceeds kOccCompactMin): sorts, dedupes,
   /// and drops entries whose named sample list no longer holds the
-  /// member. Amortized O(1) per insertion; bounds the list length at
-  /// 2 x live entries + O(1) under arbitrary churn.
+  /// member. Amortized O(1) per insertion; the list stays below
+  /// max(kOccCompactMin, 2 x the live entries kept at the last
+  /// compaction) under arbitrary churn.
   void MaybeCompactOcc(std::size_t position);
 
   static constexpr std::size_t kOccCompactMin = 64;
 
-  KargerRuhlConfig config_;
-  const core::LatencySpace* space_ = nullptr;
-  core::MemberIndex members_;
-  /// samples_[member_pos][scale] -> sampled member ids.
-  std::vector<std::vector<std::vector<NodeId>>> samples_;
-  /// occ_[member_pos] -> packed (owner, scale) sample lists that may
-  /// hold this member. Append-only per insertion; entries go stale
-  /// when a list drops the member for another reason (random
+  /// One member's occurrence list: packed (owner, scale) sample lists
+  /// that may hold the member. Append-only per insertion; entries go
+  /// stale when a list drops the member for another reason (random
   /// replacement, the owner leaving), so consumers re-check the named
   /// list — RemoveMember's purge treats a no-op erase as stale. This
-  /// is what replaces the old O(overlay * scales) purge scan.
-  std::vector<std::vector<std::uint64_t>> occ_;
-  /// occ_floor_[member_pos] -> occurrence-list length at the last
-  /// compaction (floored at kOccCompactMin / 2); the next compaction
-  /// triggers when the list doubles past it.
-  std::vector<std::size_t> occ_floor_;
+  /// is what replaces an O(overlay * scales) purge scan. `floor` is
+  /// the length when every entry was last known live — after Build,
+  /// the member's own join, or a compaction — and at least
+  /// kOccCompactMin / 2; the next compaction triggers when the list
+  /// doubles past it. It sits next to its list so one touch loads
+  /// both.
+  struct OccList {
+    std::vector<std::uint64_t> entries;
+    std::size_t floor = kOccCompactMin / 2;
+  };
+
+  KargerRuhlConfig config_;
+  /// std::log(growth), computed once: ScaleFor divides by it.
+  double log_growth_ = 0.0;
+  /// Sample block length per member: num_scales counts plus
+  /// num_scales * samples_per_scale id slots.
+  std::size_t stride_ = 0;
+  const core::LatencySpace* space_ = nullptr;
+  core::MemberIndex members_;
+  /// Flat per-member sample blocks, block i at [i * stride_, (i + 1) *
+  /// stride_) for the member at position i (see Block()).
+  std::vector<NodeId> samples_;
+  /// occ_[member_pos] -> that member's occurrence list.
+  std::vector<OccList> occ_;
 };
 
 }  // namespace np::algos

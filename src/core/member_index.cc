@@ -34,7 +34,7 @@ std::size_t MemberIndex::Add(NodeId node) {
   NP_ENSURE(slot_of_[id] < 0, "node is already a member");
   const std::size_t position = members_.size();
   members_.push_back(node);
-  slot_of_[id] = static_cast<std::int64_t>(position);
+  slot_of_[id] = static_cast<std::int32_t>(position);
   return position;
 }
 
@@ -47,7 +47,7 @@ MemberIndex::RemoveResult MemberIndex::Remove(NodeId node) {
   if (position != last) {
     members_[position] = members_[last];
     slot_of_[static_cast<std::size_t>(members_[position])] =
-        static_cast<std::int64_t>(position);
+        static_cast<std::int32_t>(position);
     result.swapped = true;
   }
   members_.pop_back();

@@ -78,8 +78,10 @@ class MemberIndex {
   std::vector<NodeId> members_;
   /// slot_of_[id] = position of id in members_, -1 when absent. Sized
   /// to the largest id seen (ids are space indices, so this is O(n)
-  /// for the world, not O(overlay^2)).
-  std::vector<std::int64_t> slot_of_;
+  /// for the world, not O(overlay^2)). Positions fit 32 bits: there
+  /// are at most as many members as distinct NodeIds, and NodeId is
+  /// 32-bit (static-asserted in util/types.h).
+  std::vector<std::int32_t> slot_of_;
 };
 
 }  // namespace np::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 namespace np::util {
 
@@ -142,15 +141,23 @@ std::vector<std::size_t> Rng::Sample(std::size_t n, std::size_t k) {
   // For small k relative to n, rejection sampling; otherwise a partial
   // Fisher-Yates over an index vector.
   if (k * 4 <= n) {
-    std::unordered_set<std::size_t> chosen;
-    std::vector<std::size_t> out;
-    out.reserve(k);
-    while (out.size() < k) {
-      std::size_t candidate = Index(n);
-      if (chosen.insert(candidate).second) {
-        out.push_back(candidate);
+    // One buffer of 2k: the first k slots take the draws in draw
+    // order (the result), the last k keep them sorted (the seen-set).
+    std::vector<std::size_t> out(2 * k);
+    const auto seen = out.begin() + static_cast<std::ptrdiff_t>(k);
+    std::size_t taken = 0;
+    while (taken < k) {
+      const std::size_t candidate = Index(n);
+      const auto seen_end = seen + static_cast<std::ptrdiff_t>(taken);
+      const auto at = std::lower_bound(seen, seen_end, candidate);
+      if (at != seen_end && *at == candidate) {
+        continue;
       }
+      std::move_backward(at, seen_end, seen_end + 1);
+      *at = candidate;
+      out[taken++] = candidate;
     }
+    out.resize(k);
     return out;
   }
   std::vector<std::size_t> indices(n);

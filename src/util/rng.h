@@ -108,6 +108,10 @@ class Rng {
   }
 
   /// k distinct indices drawn uniformly from [0, n). Requires k <= n.
+  /// When k * 4 <= n, draws with rejection against a sorted seen-set
+  /// kept in the result's own buffer: no allocation beyond the result,
+  /// O(k^2) word moves, which suits the small k (at most a few hundred)
+  /// callers draw. Otherwise a partial Fisher-Yates over [0, n).
   std::vector<std::size_t> Sample(std::size_t n, std::size_t k);
 
  private:

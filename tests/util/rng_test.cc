@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 namespace np::util {
@@ -221,6 +222,65 @@ TEST(Rng, SampleFullRangeIsPermutation) {
   const auto sample = rng.Sample(20, 20);
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 20u);
+}
+
+/// The hash-set rejection sampler Rng::Sample used before its seen-set
+/// became a sorted buffer, kept verbatim (Fisher-Yates branch
+/// included) as the golden reference for the draws and their order.
+std::vector<std::size_t> HashSetSample(Rng& rng, std::size_t n,
+                                       std::size_t k) {
+  if (k * 4 <= n) {
+    std::unordered_set<std::size_t> chosen;
+    std::vector<std::size_t> out;
+    out.reserve(k);
+    while (out.size() < k) {
+      std::size_t candidate = rng.Index(n);
+      if (chosen.insert(candidate).second) {
+        out.push_back(candidate);
+      }
+    }
+    return out;
+  }
+  std::vector<std::size_t> indices(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    indices[i] = i;
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    std::size_t j = i + rng.Index(n - i);
+    std::swap(indices[i], indices[j]);
+  }
+  indices.resize(k);
+  return indices;
+}
+
+TEST(Rng, SampleMatchesHashSetReference) {
+  // Sizes around the k * 4 == n switch between the two branches, k = 0,
+  // and the 128-of-many draw of a Karger-Ruhl join.
+  for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL, 0xdeadbeefULL}) {
+    for (const std::size_t n : {0, 1, 4, 5, 20, 64, 100, 512, 513, 100000}) {
+      const std::size_t ks[] = {0, 1, n / 4, n / 4 + 1, n / 2, n, 128};
+      for (const std::size_t k : ks) {
+        if (k > n) {
+          continue;
+        }
+        Rng actual(seed ^ (n * 131 + k));
+        Rng expected(seed ^ (n * 131 + k));
+        // Two rounds from one stream: the second starts from the state
+        // the first left behind, so a differing draw count shows too.
+        for (int round = 0; round < 2; ++round) {
+          const auto got = actual.Sample(n, k);
+          const auto want = HashSetSample(expected, n, k);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "n=" << n << " k=" << k << " seed=" << seed
+                << " round=" << round << " i=" << i;
+          }
+        }
+        EXPECT_EQ(actual(), expected()) << "n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
