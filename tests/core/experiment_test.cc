@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "algos/tiers.h"
 #include "core/nearest_algorithm.h"
 #include "matrix/generators.h"
 #include "meridian/meridian.h"
@@ -229,6 +234,152 @@ TEST(GenericExperimentRun, RandomHasStretchAboveOne) {
   const auto metrics = RunGenericExperiment(space, algo, config, rng);
   EXPECT_LT(metrics.p_exact_closest, 0.2);
   EXPECT_GT(metrics.mean_stretch, 1.5);
+}
+
+// --- Golden pins ------------------------------------------------------------
+// Fixed values, not self-consistency: every metric of both runners on a
+// grid of thread counts x probe noise, recorded with %.17g. A change to
+// the split, the build-noise seed, the per-query streams, the scoring
+// or the reduction moves at least one of them.
+
+/// Query-order-dependent scheme: each query probes a window of members
+/// at a cursor that every query advances, so its answers depend on the
+/// order queries run in. It keeps the base's ParallelQuerySafe() ==
+/// false, which is what pins the runners' one-thread clamp.
+class CursorNearest final : public NearestPeerAlgorithm {
+ public:
+  std::string name() const override { return "cursor"; }
+  void Build(const LatencySpace& /*space*/, std::vector<NodeId> members,
+             util::Rng& /*rng*/) override {
+    members_ = std::move(members);
+  }
+  QueryResult FindNearest(NodeId target, const MeteredSpace& metered,
+                          util::Rng& rng) override {
+    cursor_ += rng.Index(7);
+    QueryResult result;
+    for (int i = 0; i < 6; ++i) {
+      const NodeId m = members_[cursor_++ % members_.size()];
+      const LatencyMs l = metered.Latency(m, target);
+      if (result.found == kInvalidNode || l < result.found_latency_ms) {
+        result.found = m;
+        result.found_latency_ms = l;
+      }
+      ++result.hops;
+    }
+    return result;
+  }
+  const std::vector<NodeId>& members() const override { return members_; }
+
+ private:
+  std::vector<NodeId> members_;
+  std::size_t cursor_ = 0;
+};
+
+/// {p_exact_closest, p_correct_cluster, p_same_net,
+///  median_wrong_hub_latency_ms, mean_found_latency_ms, mean_probes,
+///  mean_hops} at num_queries = 150.
+using ClusteredPin = std::array<double, 7>;
+
+void ExpectPinned(const ClusteredMetrics& m, const ClusteredPin& want) {
+  EXPECT_EQ(m.num_queries, 150);
+  EXPECT_EQ(m.p_exact_closest, want[0]);
+  EXPECT_EQ(m.p_correct_cluster, want[1]);
+  EXPECT_EQ(m.p_same_net, want[2]);
+  EXPECT_EQ(m.median_wrong_hub_latency_ms, want[3]);
+  EXPECT_EQ(m.mean_found_latency_ms, want[4]);
+  EXPECT_EQ(m.mean_probes, want[5]);
+  EXPECT_EQ(m.mean_hops, want[6]);
+}
+
+TEST(ExperimentGolden, ClusteredMetricsArePinned) {
+  matrix::ClusteredConfig wconfig;
+  wconfig.num_clusters = 4;
+  wconfig.nets_per_cluster = 8;
+  wconfig.peers_per_net = 2;
+  util::Rng world_rng(30);
+  const auto world = matrix::GenerateClustered(wconfig, world_rng);
+  struct Pin {
+    bool meridian;
+    double noise;
+    ClusteredPin want;
+  };
+  const Pin pins[] = {
+      {true, 0.0, {1, 1, 0.78000000000000003, 0, 2.0814014331807598,
+                   22.086666666666666, 0.97999999999999998}},
+      {true, 0.05, {0.97999999999999998, 1, 0.78000000000000003,
+                    5.1544666627308953, 2.1064738828866401,
+                    23.566666666666666, 0.97999999999999998}},
+      {false, 0.0, {0.15333333333333332, 0.8666666666666667,
+                    0.10000000000000001, 4.1840392159493991,
+                    19.95834868799146, 6, 6}},
+      {false, 0.05, {0.15333333333333332, 0.8666666666666667,
+                     0.10000000000000001, 4.2083105112857524,
+                     20.014133120741466, 6, 6}},
+  };
+  for (const Pin& pin : pins) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(pin.meridian ? "meridian" : "cursor") +
+                   " noise=" + std::to_string(pin.noise) +
+                   " threads=" + std::to_string(threads));
+      std::unique_ptr<NearestPeerAlgorithm> algo;
+      if (pin.meridian) {
+        algo = std::make_unique<meridian::MeridianOverlay>(
+            meridian::MeridianConfig{});
+      } else {
+        algo = std::make_unique<CursorNearest>();
+      }
+      ExperimentConfig config;
+      config.overlay_size = world.layout.peer_count() - 8;
+      config.num_queries = 150;
+      config.measurement_noise_frac = pin.noise;
+      config.num_threads = threads;
+      util::Rng rng(31);
+      ExpectPinned(RunClusteredExperiment(world, *algo, config, rng),
+                   pin.want);
+    }
+  }
+}
+
+TEST(ExperimentGolden, GenericMetricsArePinned) {
+  util::Rng world_rng(32);
+  const auto world = matrix::GenerateEuclidean(150, {}, world_rng);
+  const MatrixSpace space(world.matrix);
+  struct Pin {
+    double noise;
+    /// {p_exact_closest, mean_stretch, mean_abs_error_ms, mean_probes,
+    ///  mean_hops} at num_queries = 150.
+    std::array<double, 5> want;
+  };
+  const Pin pins[] = {
+      {0.0, {0.69333333333333336, 1.2023109508630376, 2.1521172140342126,
+             24.34, 2}},
+      {0.05, {0.56000000000000005, 1.3703319313212918, 3.4347990504602741,
+              25.166666666666668, 2}},
+  };
+  for (const Pin& pin : pins) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("noise=" + std::to_string(pin.noise) +
+                   " threads=" + std::to_string(threads));
+      // A 10 ms base radius gives the 120-member overlay a real
+      // hierarchy (the 2 ms default leaves it flat).
+      algos::TiersConfig tconfig;
+      tconfig.base_radius_ms = 10.0;
+      algos::TiersNearest algo{tconfig};
+      ExperimentConfig config;
+      config.overlay_size = 120;
+      config.num_queries = 150;
+      config.measurement_noise_frac = pin.noise;
+      config.num_threads = threads;
+      util::Rng rng(33);
+      const GenericMetrics m = RunGenericExperiment(space, algo, config, rng);
+      EXPECT_EQ(m.num_queries, 150);
+      EXPECT_EQ(m.p_exact_closest, pin.want[0]);
+      EXPECT_EQ(m.mean_stretch, pin.want[1]);
+      EXPECT_EQ(m.mean_abs_error_ms, pin.want[2]);
+      EXPECT_EQ(m.mean_probes, pin.want[3]);
+      EXPECT_EQ(m.mean_hops, pin.want[4]);
+    }
+  }
 }
 
 }  // namespace
