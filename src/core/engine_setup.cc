@@ -1,0 +1,192 @@
+#include "core/engine_setup.h"
+
+#include <utility>
+
+#include "util/error.h"
+
+namespace np::core {
+
+namespace {
+
+/// The workload checks both engines share; runs before anything is
+/// split or built.
+const ScenarioConfig& Checked(const ScenarioConfig& config,
+                              const matrix::ClusterLayout* layout) {
+  NP_ENSURE(config.epochs >= 1, "need at least one epoch");
+  NP_ENSURE(config.queries_per_epoch >= 1, "need queries per epoch");
+  NP_ENSURE(config.query_zipf_s >= 0.0, "zipf exponent must be >= 0");
+  NP_ENSURE(config.blackouts.empty() || layout != nullptr,
+            "blackouts need a clustered layout");
+  return config;
+}
+
+}  // namespace
+
+FaultDeltas FaultDeltas::Between(const ProbeCounter::Snapshot& from,
+                                 const ProbeCounter::Snapshot& to) {
+  FaultDeltas d;
+  d.failed_probes = to.failed_probes - from.failed_probes;
+  d.retries = to.retries - from.retries;
+  d.suspicion_skips = to.suspicion_skips - from.suspicion_skips;
+  d.probation_probes = to.probation_probes - from.probation_probes;
+  return d;
+}
+
+void FaultDeltas::AddTo(EpochReport& er) const {
+  er.failed_probes += failed_probes;
+  er.retries += retries;
+  er.suspicion_skips += suspicion_skips;
+  er.probation_probes += probation_probes;
+}
+
+EngineSetup::EngineSetup(const LatencySpace& space,
+                         const matrix::ClusterLayout* layout,
+                         NearestPeerAlgorithm& algo,
+                         const ChurnSchedule& schedule,
+                         const ScenarioConfig& config,
+                         const std::vector<NodeId>& population)
+    : space_(space),
+      layout_(layout),
+      config_(Checked(config, layout)),
+      rng_(util::Mix64(config.seed)),
+      split_(SplitScenarioPopulation(space, population, config.initial_overlay,
+                                     rng_)),
+      // Fault streams derive straight from config.seed, NOT from rng_:
+      // enabling faults must not shift any draw of the pre-existing
+      // streams, or disabled-fault runs would stop being byte-identical.
+      fault_root_(util::Mix64(config.seed ^ 0xFA177ULL)),
+      partition_schedule_(BuildPartitionSchedule(config.fault, layout,
+                                                 space.size(), fault_root_)),
+      ledger_(config.fault.track_load ? static_cast<std::size_t>(space.size())
+                                      : 0),
+      maint_(space,
+             ProbeFaults{config.measurement_noise_frac,
+                         config.measurement_noise_floor_ms,
+                         config.fault.loss_rate, &partition_schedule_},
+             ProbeSeeds{rng_(), util::Mix64(fault_root_ ^ 0x6),
+                        util::Mix64(fault_root_ ^ 0x1)},
+             nullptr, config.fault.track_load ? &ledger_ : nullptr),
+      attach_counter_(algo, counter_),
+      suspicion_(config.fault.suspicion),
+      policy_(ProbePolicyConfig{config.fault.max_attempts}, &counter_,
+              config.fault.suspicion.Enabled() ? &suspicion_ : nullptr),
+      attach_policy_(algo, policy_) {
+  header_.algorithm = algo.name();
+  header_.clustered = layout != nullptr;
+  header_.initial_members = static_cast<NodeId>(split_.members.size());
+
+  // Builds (and epoch rebuilds) run through ParallelBuild: bit-identical
+  // to the serial Build by contract, so only the wall clock moves.
+  // Noisy or lossy maintenance views are stateful (per-pair counters),
+  // so they clamp to one thread.
+  const bool noisy_maintenance = config.measurement_noise_frac > 0.0 ||
+                                 config.measurement_noise_floor_ms > 0.0 ||
+                                 config.fault.loss_rate > 0.0 ||
+                                 partition_schedule_.GreyActive();
+  const int build_threads = noisy_maintenance ? 1 : config.num_threads;
+  algo.ParallelBuild(maint_.metered(), split_.members, rng_, build_threads);
+  header_.build_messages = maint_.metered().probes();
+  counter_.AddBuildProbes(header_.build_messages);
+  if (config.fault.track_load) {
+    // Epoch load snapshots measure steady-state traffic; the one-time
+    // build storm would drown them out.
+    ledger_.Reset();
+  }
+
+  const bool incremental = algo.SupportsChurn();
+  driver_.emplace(incremental ? &algo : nullptr, std::move(split_.members),
+                  std::move(split_.targets), rng_());
+  // The crashed set is driver-owned and only grows during the serial
+  // churn/blackout phases, so pointing the maintenance stack at it is
+  // race-free.
+  maint_.set_crashed(&driver_->crashed());
+  noise_root_ = rng_();
+  query_root_ = rng_();
+  const std::uint64_t rebuild_root = rng_();
+  query_fault_root_ = util::Mix64(fault_root_ ^ 0x2);
+  partition_root_ = util::Mix64(fault_root_ ^ 0x7);
+
+  bool has_crash_events = !config.blackouts.empty();
+  for (const ChurnEvent& event : schedule.events()) {
+    if (event.type == ChurnEventType::kCrash) {
+      has_crash_events = true;
+      break;
+    }
+  }
+  header_.partition_mode = partition_schedule_.Any();
+  header_.suspicion_mode = config.fault.suspicion.Enabled();
+  header_.fault_mode = config.fault.loss_rate > 0.0 ||
+                       config.fault.max_attempts > 1 || has_crash_events ||
+                       header_.partition_mode || header_.suspicion_mode;
+  header_.load_tracking = config.fault.track_load;
+
+  WindowFaultHooks hooks;
+  hooks.partition = maint_.partition();
+  hooks.suspicion = header_.suspicion_mode ? &suspicion_ : nullptr;
+  hooks.policy = &policy_;
+  hooks.rejoin_root = util::Mix64(fault_root_ ^ 0x3);
+  windows_.emplace(algo, *driver_, schedule, layout, maint_.metered(),
+                   counter_, config.blackouts, rebuild_root, build_threads,
+                   config.epochs, incremental, header_.build_messages, hooks);
+}
+
+std::vector<double> EngineSetup::TargetCdf(
+    const std::vector<NodeId>& pool) const {
+  // Rank = position in the (deterministically evolved) pool vector,
+  // so the CDF is rebuilt per epoch as the pool changes.
+  if (config_.query_zipf_s > 0.0) {
+    return ZipfCdf(pool.size(), config_.query_zipf_s);
+  }
+  return {};
+}
+
+QueryBatch EngineSetup::Batch(int epoch, const std::vector<NodeId>& members,
+                              const std::vector<NodeId>& pool,
+                              const std::unordered_set<NodeId>& crashed,
+                              const std::vector<double>& zipf_cdf) {
+  NP_ENSURE(!pool.empty(), "no query targets left outside the overlay");
+  const auto e = static_cast<std::uint64_t>(epoch);
+  QueryBatch batch;
+  batch.space = &space_;
+  batch.layout = layout_;
+  batch.members = &members;
+  batch.pool = &pool;
+  batch.crashed = &crashed;
+  batch.zipf_cdf = &zipf_cdf;
+  batch.ledger = config_.fault.track_load ? &ledger_ : nullptr;
+  batch.noise_frac = config_.measurement_noise_frac;
+  batch.noise_floor_ms = config_.measurement_noise_floor_ms;
+  batch.loss_rate = config_.fault.loss_rate;
+  batch.tie_epsilon_ms = config_.tie_epsilon_ms;
+  batch.fault_mode = header_.fault_mode;
+  if (header_.partition_mode) {
+    batch.partition = &partition_schedule_;
+    batch.active_window = partition_schedule_.WindowFor(epoch);
+    batch.epoch = epoch;
+    batch.partition_base = util::Mix64(partition_root_ ^ e);
+  }
+  batch.query_base = util::Mix64(query_root_ ^ e);
+  batch.noise_base = util::Mix64(noise_root_ ^ e);
+  batch.fault_base = util::Mix64(query_fault_root_ ^ e);
+  return batch;
+}
+
+FaultDeltas EngineSetup::TakeFaultDeltas() {
+  const ProbeCounter::Snapshot now = counter_.Read();
+  const FaultDeltas deltas = FaultDeltas::Between(charged_, now);
+  charged_ = now;
+  return deltas;
+}
+
+void EngineSetup::Finish(ScenarioReport& report) const {
+  report.final_members = static_cast<NodeId>(driver_->members().size());
+  report.totals = counter_.Read();
+  report.messages_per_query = report.totals.MessagesPerQuery();
+  report.maintenance_per_event = report.totals.MaintenancePerEvent();
+  if (config_.fault.track_load) {
+    report.load =
+        PerNodeSnapshot::Over(ledger_.Counts(), nullptr, driver_->members());
+  }
+}
+
+}  // namespace np::core

@@ -1,14 +1,15 @@
-// Engine-shared plumbing for the scenario and serving drivers: the
-// population split, the scoped probe-counter/policy attachments, and
-// the per-epoch churn window.
+// The pieces EngineSetup (core/engine_setup) assembles for the
+// scenario and serving engines: the population split, the partition
+// schedule, the scoped probe-counter/policy attachments, and the
+// per-epoch churn window.
 //
 // The serving engine's correctness oracle is bit-identical agreement
 // with serial replay, and the maintenance side of that equation —
 // pending crash repairs, blackout ordering, churn application, the
 // rebuild path, and the probe billing around them — is exactly the
 // code that must not fork into two copies. ChurnWindowRunner is that
-// code, extracted verbatim from the original RunScenario loop; both
-// engines drive it one epoch at a time.
+// code; EngineSetup owns the one instance an engine drives, one epoch
+// at a time.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,8 @@ OverlaySplit SplitScenarioPopulation(const LatencySpace& space,
 /// PartitionedSpace decorators consume. Validates window sanity (no
 /// overlap, start < end) and that partitions only appear on clustered
 /// worlds. `fault_root` seeds the schedule-level grey/asym membership
-/// draws; both engines derive it identically, which is what makes
-/// scenario and serving replays agree.
+/// draws; EngineSetup derives it once for both engines, which is what
+/// makes scenario and serving replays agree.
 matrix::PartitionSchedule BuildPartitionSchedule(
     const FaultConfig& fault, const matrix::ClusterLayout* layout,
     NodeId space_size, std::uint64_t fault_root);

@@ -5,191 +5,47 @@
 #include <cstdint>
 #include <utility>
 
+#include "core/probe_stack.h"
+#include "core/query_batch.h"
 #include "util/contract.h"
-#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace np::core {
 
 namespace {
 
-/// Per-query record filled by the (possibly parallel) query loop and
-/// reduced serially in query order, so aggregate metrics do not depend
-/// on the thread count.
-struct QueryOutcome {
-  LatencyMs found_latency = 0.0;
-  LatencyMs hub_latency = 0.0;
-  std::uint64_t probes = 0;
-  int hops = 0;
-  bool exact = false;
-  bool correct_cluster = false;
-  bool same_net = false;
-};
+/// The §4 protocol shared by both runners: a random overlay split, a
+/// build whose measurements carry the same noise as query probes (no
+/// real overlay gets to memorize exact latencies, which matters for
+/// triangulation schemes like Beaconing), then a fault-free query batch
+/// on the engines' kernel. Query q draws its RNG and noise from seeds
+/// `base ^ q`, so outcomes are thread-count invariant and come back in
+/// query order.
+std::vector<QueryOutcome> RunStaticQueries(const LatencySpace& space,
+                                           const matrix::ClusterLayout* layout,
+                                           NearestPeerAlgorithm& algo,
+                                           const ExperimentConfig& config,
+                                           util::Rng& rng) {
+  NP_ENSURE(config.num_queries >= 1, "num_queries must be >= 1");
+  const OverlaySplit split =
+      SplitOverlay(space.size(), config.overlay_size, rng);
+  const ProbeFaults noise{config.measurement_noise_frac,
+                          config.measurement_noise_floor_ms};
+  const ProbeStack build(space, noise, ProbeSeeds{rng()});
+  algo.Build(build.metered(), split.members, rng);
 
-/// Thread count for the query loop: the config knob, clamped to 1 for
-/// algorithms whose FindNearest mutates state.
-int QueryThreads(const ExperimentConfig& config,
-                 const NearestPeerAlgorithm& algo) {
-  return algo.ParallelQuerySafe() ? util::ResolveThreadCount(
-                                        config.num_threads)
-                                  : 1;
-}
-
-/// The shared per-query scaffolding of both runners: query q draws its
-/// RNG and its noise from seeds `base ^ q`, so a query's outcome is a
-/// pure function of the runner seed and q — the loop parallelizes with
-/// bit-identical results for any thread count, and callers reduce the
-/// returned outcomes in query order. `score(out, target, truth,
-/// result)` fills the runner-specific fields; probes/hops are filled
-/// here.
-template <typename Outcome, typename Score>
-std::vector<Outcome> RunQueryLoop(const LatencySpace& space,
-                                  NearestPeerAlgorithm& algo,
-                                  const ExperimentConfig& config,
-                                  const OverlaySplit& split, util::Rng& rng,
-                                  const Score& score) {
-  const std::uint64_t noise_base = rng();
-  const std::uint64_t query_base = rng();
-  std::vector<Outcome> outcomes(static_cast<std::size_t>(config.num_queries));
-  util::ParallelFor(
-      0, outcomes.size(), QueryThreads(config, algo), [&](std::size_t q) {
-        util::Rng qrng(query_base ^ static_cast<std::uint64_t>(q));
-        const NoisySpace noisy(space, config.measurement_noise_frac,
-                               noise_base ^ static_cast<std::uint64_t>(q),
-                               config.measurement_noise_floor_ms);
-        const MeteredSpace metered(noisy);
-        const NodeId target = split.targets[qrng.Index(split.targets.size())];
-        const NodeId truth = TrueClosestMember(space, split.members, target);
-
-        const QueryResult result = algo.Query(target, metered, qrng);
-        NP_ENSURE(result.found != kInvalidNode, "algorithm returned no peer");
-
-        Outcome& out = outcomes[q];
-        out.probes = metered.probes();
-        out.hops = result.hops;
-        score(out, target, truth, result);
-      });
-  return outcomes;
-}
-
-/// Reduction shared by the static and churn-driven clustered runners.
-ClusteredMetrics ReduceClusteredOutcomes(
-    const std::vector<QueryOutcome>& outcomes,
-    const ExperimentConfig& config) {
-  ClusteredMetrics metrics;
-  metrics.num_queries = config.num_queries;
-  int exact = 0;
-  int correct_cluster = 0;
-  int same_net = 0;
-  double total_latency = 0.0;
-  double total_hops = 0.0;
-  std::uint64_t total_probes = 0;
-  std::vector<double> wrong_hub_latencies;
-  wrong_hub_latencies.reserve(outcomes.size());
-  for (const QueryOutcome& out : outcomes) {
-    total_probes += out.probes;
-    total_hops += out.hops;
-    total_latency += out.found_latency;
-    if (out.exact) {
-      ++exact;
-    } else {
-      wrong_hub_latencies.push_back(out.hub_latency);
-    }
-    correct_cluster += out.correct_cluster ? 1 : 0;
-    same_net += out.same_net ? 1 : 0;
-  }
-  const double n = static_cast<double>(config.num_queries);
-  metrics.p_exact_closest = exact / n;
-  metrics.p_correct_cluster = correct_cluster / n;
-  metrics.p_same_net = same_net / n;
-  metrics.mean_found_latency_ms = total_latency / n;
-  metrics.mean_probes = static_cast<double>(total_probes) / n;
-  metrics.mean_hops = total_hops / n;
-  metrics.median_wrong_hub_latency_ms =
-      wrong_hub_latencies.empty()
-          ? 0.0
-          : util::Percentile(std::move(wrong_hub_latencies), 50.0);
-  return metrics;
-}
-
-struct GenericOutcome {
-  LatencyMs found_latency = 0.0;
-  LatencyMs truth_latency = 0.0;
-  std::uint64_t probes = 0;
-  int hops = 0;
-  bool exact = false;
-};
-
-GenericMetrics ReduceGenericOutcomes(const std::vector<GenericOutcome>& outcomes,
-                                     const ExperimentConfig& config) {
-  GenericMetrics metrics;
-  metrics.num_queries = config.num_queries;
-  int exact = 0;
-  double total_stretch = 0.0;
-  double total_abs_error = 0.0;
-  double total_hops = 0.0;
-  std::uint64_t total_probes = 0;
-  for (const GenericOutcome& out : outcomes) {
-    total_probes += out.probes;
-    total_hops += out.hops;
-    if (out.exact) {
-      ++exact;
-    }
-    total_abs_error += out.found_latency - out.truth_latency;
-    // Stretch is undefined when the optimum is ~0; floor the
-    // denominator at 1 us.
-    total_stretch += out.found_latency / std::max(out.truth_latency, 1e-3);
-  }
-  const double n = static_cast<double>(config.num_queries);
-  metrics.p_exact_closest = exact / n;
-  metrics.mean_stretch = total_stretch / n;
-  metrics.mean_abs_error_ms = total_abs_error / n;
-  metrics.mean_probes = static_cast<double>(total_probes) / n;
-  metrics.mean_hops = total_hops / n;
-  return metrics;
-}
-
-/// The churn phase of the dynamic runners: drives the whole schedule
-/// through the overlay (incremental maintenance when supported, one
-/// final rebuild otherwise) and bills the measurement traffic.
-struct ChurnPhaseResult {
-  OverlaySplit live;
-  std::int64_t events = 0;
-  std::uint64_t maintenance = 0;
-};
-
-/// Copies the churn-phase bill into the metrics struct (shared by the
-/// clustered and generic overloads).
-template <typename Metrics>
-void FillChurnMetrics(Metrics& metrics, const ChurnPhaseResult& churn) {
-  metrics.churn_events = churn.events;
-  metrics.maintenance_messages = churn.maintenance;
-  metrics.maintenance_per_event =
-      churn.events == 0 ? 0.0
-                        : static_cast<double>(churn.maintenance) /
-                              static_cast<double>(churn.events);
-  metrics.final_members = static_cast<NodeId>(churn.live.members.size());
-}
-
-ChurnPhaseResult DriveSchedule(const MeteredSpace& maint,
-                               NearestPeerAlgorithm& algo,
-                               const ChurnSchedule& schedule,
-                               OverlaySplit split, util::Rng& rng) {
-  const std::uint64_t build_probes = maint.probes();
-  const bool incremental = algo.SupportsChurn();
-  ChurnDriver driver(incremental ? &algo : nullptr,
-                     std::move(split.members), std::move(split.targets),
-                     rng());
-  const ChurnStats stats = driver.ApplyAll(schedule);
-  if (!incremental && stats.joins + stats.leaves > 0) {
-    algo.Build(maint, driver.members(), rng);
-  }
-  ChurnPhaseResult result;
-  result.live.members = driver.members();
-  result.live.targets = driver.pool();
-  result.events = stats.joins + stats.leaves;
-  result.maintenance = maint.probes() - build_probes;
-  return result;
+  QueryBatch batch;
+  batch.space = &space;
+  batch.layout = layout;
+  batch.members = &split.members;
+  batch.pool = &split.targets;
+  batch.noise_frac = config.measurement_noise_frac;
+  batch.noise_floor_ms = config.measurement_noise_floor_ms;
+  batch.tie_epsilon_ms = config.tie_epsilon_ms;
+  batch.noise_base = rng();
+  batch.query_base = rng();
+  return RunQueryBatch(batch, algo, config.num_threads,
+                       static_cast<std::size_t>(config.num_queries));
 }
 
 }  // namespace
@@ -216,32 +72,43 @@ ClusteredMetrics RunClusteredExperiment(const LatencySpace& space,
                                         const ExperimentConfig& config,
                                         util::Rng& rng) {
   NP_REPORT_AFFECTING();
-  NP_ENSURE(config.num_queries >= 1, "num_queries must be >= 1");
-  OverlaySplit split = SplitOverlay(space.size(), config.overlay_size, rng);
-  // Build-time measurements carry the same noise as query probes: no
-  // real overlay gets to memorize exact latencies (this matters for
-  // triangulation schemes like Beaconing). The space must outlive the
-  // algorithm, which may hold a pointer through its lifetime.
-  const NoisySpace build_noisy(space, config.measurement_noise_frac, rng(),
-                               config.measurement_noise_floor_ms);
-  algo.Build(build_noisy, split.members, rng);
+  const std::vector<QueryOutcome> outcomes =
+      RunStaticQueries(space, &layout, algo, config, rng);
 
-  const auto outcomes = RunQueryLoop<QueryOutcome>(
-      space, algo, config, split, rng,
-      [&](QueryOutcome& out, NodeId target, NodeId truth,
-          const QueryResult& result) {
-        // Score with the true (noise-free) latency of the returned peer.
-        const LatencyMs truth_latency = space.Latency(truth, target);
-        out.found_latency = space.Latency(result.found, target);
-        out.exact = out.found_latency <= truth_latency + config.tie_epsilon_ms;
-        if (!out.exact) {
-          out.hub_latency = layout.HubLatencyOfPeer(result.found);
-        }
-        out.correct_cluster = layout.SameCluster(result.found, target);
-        out.same_net = layout.SameNet(result.found, target);
-      });
-
-  return ReduceClusteredOutcomes(outcomes, config);
+  ClusteredMetrics metrics;
+  metrics.num_queries = config.num_queries;
+  int exact = 0;
+  int correct_cluster = 0;
+  int same_net = 0;
+  double total_latency = 0.0;
+  double total_hops = 0.0;
+  std::uint64_t total_probes = 0;
+  std::vector<double> wrong_hub_latencies;
+  wrong_hub_latencies.reserve(outcomes.size());
+  for (const QueryOutcome& out : outcomes) {
+    total_probes += out.probes;
+    total_hops += out.hops;
+    total_latency += out.found_latency;
+    if (out.exact) {
+      ++exact;
+    } else {
+      wrong_hub_latencies.push_back(layout.HubLatencyOfPeer(out.found));
+    }
+    correct_cluster += out.correct_cluster ? 1 : 0;
+    same_net += out.same_net ? 1 : 0;
+  }
+  const double n = static_cast<double>(config.num_queries);
+  metrics.p_exact_closest = exact / n;
+  metrics.p_correct_cluster = correct_cluster / n;
+  metrics.p_same_net = same_net / n;
+  metrics.mean_found_latency_ms = total_latency / n;
+  metrics.mean_probes = static_cast<double>(total_probes) / n;
+  metrics.mean_hops = total_hops / n;
+  metrics.median_wrong_hub_latency_ms =
+      wrong_hub_latencies.empty()
+          ? 0.0
+          : util::Percentile(std::move(wrong_hub_latencies), 50.0);
+  return metrics;
 }
 
 ClusteredMetrics RunClusteredExperiment(const matrix::ClusteredWorld& world,
@@ -252,107 +119,38 @@ ClusteredMetrics RunClusteredExperiment(const matrix::ClusteredWorld& world,
   return RunClusteredExperiment(space, world.layout, algo, config, rng);
 }
 
-ClusteredMetrics RunClusteredExperiment(const LatencySpace& space,
-                                        const matrix::ClusterLayout& layout,
-                                        NearestPeerAlgorithm& algo,
-                                        const ExperimentConfig& config,
-                                        const ChurnSchedule& schedule,
-                                        util::Rng& rng) {
-  NP_REPORT_AFFECTING();
-  NP_ENSURE(config.num_queries >= 1, "num_queries must be >= 1");
-  OverlaySplit split = SplitOverlay(space.size(), config.overlay_size, rng);
-  // Maintenance traffic (build, churn handling, rebuilds) is metered
-  // so the runner can bill it; noise applies to every build-time and
-  // churn-time measurement just like the static runner's build.
-  const NoisySpace build_noisy(space, config.measurement_noise_frac, rng(),
-                               config.measurement_noise_floor_ms);
-  const MeteredSpace maint(build_noisy);
-  algo.Build(maint, split.members, rng);
-
-  const ChurnPhaseResult churn =
-      DriveSchedule(maint, algo, schedule, std::move(split), rng);
-
-  const auto outcomes = RunQueryLoop<QueryOutcome>(
-      space, algo, config, churn.live, rng,
-      [&](QueryOutcome& out, NodeId target, NodeId truth,
-          const QueryResult& result) {
-        const LatencyMs truth_latency = space.Latency(truth, target);
-        out.found_latency = space.Latency(result.found, target);
-        out.exact = out.found_latency <= truth_latency + config.tie_epsilon_ms;
-        if (!out.exact) {
-          out.hub_latency = layout.HubLatencyOfPeer(result.found);
-        }
-        out.correct_cluster = layout.SameCluster(result.found, target);
-        out.same_net = layout.SameNet(result.found, target);
-      });
-
-  ClusteredMetrics metrics = ReduceClusteredOutcomes(outcomes, config);
-  FillChurnMetrics(metrics, churn);
-  return metrics;
-}
-
-ClusteredMetrics RunClusteredExperiment(const matrix::ClusteredWorld& world,
-                                        NearestPeerAlgorithm& algo,
-                                        const ExperimentConfig& config,
-                                        const ChurnSchedule& schedule,
-                                        util::Rng& rng) {
-  const MatrixSpace space(world.matrix);
-  return RunClusteredExperiment(space, world.layout, algo, config, schedule,
-                                rng);
-}
-
 GenericMetrics RunGenericExperiment(const LatencySpace& space,
                                     NearestPeerAlgorithm& algo,
                                     const ExperimentConfig& config,
                                     util::Rng& rng) {
   NP_REPORT_AFFECTING();
-  NP_ENSURE(config.num_queries >= 1, "num_queries must be >= 1");
-  OverlaySplit split = SplitOverlay(space.size(), config.overlay_size, rng);
-  const NoisySpace build_noisy(space, config.measurement_noise_frac, rng(),
-                               config.measurement_noise_floor_ms);
-  algo.Build(build_noisy, split.members, rng);
+  const std::vector<QueryOutcome> outcomes =
+      RunStaticQueries(space, nullptr, algo, config, rng);
 
-  const auto outcomes = RunQueryLoop<GenericOutcome>(
-      space, algo, config, split, rng,
-      [&](GenericOutcome& out, NodeId target, NodeId truth,
-          const QueryResult& result) {
-        out.truth_latency = space.Latency(truth, target);
-        out.found_latency = space.Latency(result.found, target);
-        out.exact =
-            out.found_latency <= out.truth_latency + config.tie_epsilon_ms;
-      });
-
-  return ReduceGenericOutcomes(outcomes, config);
-}
-
-GenericMetrics RunGenericExperiment(const LatencySpace& space,
-                                    NearestPeerAlgorithm& algo,
-                                    const ExperimentConfig& config,
-                                    const ChurnSchedule& schedule,
-                                    util::Rng& rng) {
-  NP_REPORT_AFFECTING();
-  NP_ENSURE(config.num_queries >= 1, "num_queries must be >= 1");
-  OverlaySplit split = SplitOverlay(space.size(), config.overlay_size, rng);
-  const NoisySpace build_noisy(space, config.measurement_noise_frac, rng(),
-                               config.measurement_noise_floor_ms);
-  const MeteredSpace maint(build_noisy);
-  algo.Build(maint, split.members, rng);
-
-  const ChurnPhaseResult churn =
-      DriveSchedule(maint, algo, schedule, std::move(split), rng);
-
-  const auto outcomes = RunQueryLoop<GenericOutcome>(
-      space, algo, config, churn.live, rng,
-      [&](GenericOutcome& out, NodeId target, NodeId truth,
-          const QueryResult& result) {
-        out.truth_latency = space.Latency(truth, target);
-        out.found_latency = space.Latency(result.found, target);
-        out.exact =
-            out.found_latency <= out.truth_latency + config.tie_epsilon_ms;
-      });
-
-  GenericMetrics metrics = ReduceGenericOutcomes(outcomes, config);
-  FillChurnMetrics(metrics, churn);
+  GenericMetrics metrics;
+  metrics.num_queries = config.num_queries;
+  int exact = 0;
+  double total_stretch = 0.0;
+  double total_abs_error = 0.0;
+  double total_hops = 0.0;
+  std::uint64_t total_probes = 0;
+  for (const QueryOutcome& out : outcomes) {
+    total_probes += out.probes;
+    total_hops += out.hops;
+    if (out.exact) {
+      ++exact;
+    }
+    total_abs_error += out.found_latency - out.truth_latency;
+    // Stretch is undefined when the optimum is ~0; floor the
+    // denominator at 1 us.
+    total_stretch += out.found_latency / std::max(out.truth_latency, 1e-3);
+  }
+  const double n = static_cast<double>(config.num_queries);
+  metrics.p_exact_closest = exact / n;
+  metrics.mean_stretch = total_stretch / n;
+  metrics.mean_abs_error_ms = total_abs_error / n;
+  metrics.mean_probes = static_cast<double>(total_probes) / n;
+  metrics.mean_hops = total_hops / n;
   return metrics;
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/churn.h"
 #include "core/nearest_algorithm.h"
 #include "matrix/generators.h"
 #include "util/rng.h"
@@ -62,13 +61,6 @@ struct ClusteredMetrics {
   /// Mean query-time probe count and overlay hops.
   double mean_probes = 0.0;
   double mean_hops = 0.0;
-  /// Filled by the ChurnSchedule overload (0 on static runs): churn
-  /// events applied pre-query, maintenance messages they cost, and the
-  /// resulting live overlay size.
-  std::int64_t churn_events = 0;
-  std::uint64_t maintenance_messages = 0;
-  double maintenance_per_event = 0.0;
-  NodeId final_members = 0;
 };
 
 /// Runs `algo` over any latency space with clustered scoring metadata.
@@ -89,25 +81,6 @@ ClusteredMetrics RunClusteredExperiment(const matrix::ClusteredWorld& world,
                                         const ExperimentConfig& config,
                                         util::Rng& rng);
 
-/// Dynamic-overlay variant: after the build, drives the whole
-/// `schedule` through the overlay (incrementally for churn-capable
-/// algorithms, otherwise one final rebuild), charging the maintenance
-/// cost into the metrics, then runs the query batch against the live
-/// membership. Deterministic for every thread count.
-ClusteredMetrics RunClusteredExperiment(const LatencySpace& space,
-                                        const matrix::ClusterLayout& layout,
-                                        NearestPeerAlgorithm& algo,
-                                        const ExperimentConfig& config,
-                                        const ChurnSchedule& schedule,
-                                        util::Rng& rng);
-
-/// Matrix-backed convenience for the churn-driven variant.
-ClusteredMetrics RunClusteredExperiment(const matrix::ClusteredWorld& world,
-                                        NearestPeerAlgorithm& algo,
-                                        const ExperimentConfig& config,
-                                        const ChurnSchedule& schedule,
-                                        util::Rng& rng);
-
 struct GenericMetrics {
   /// See ClusteredMetrics::num_queries for the 64-bit rationale.
   std::int64_t num_queries = 0;
@@ -118,11 +91,6 @@ struct GenericMetrics {
   double mean_abs_error_ms = 0.0;
   double mean_probes = 0.0;
   double mean_hops = 0.0;
-  /// See ClusteredMetrics: filled by the ChurnSchedule overload.
-  std::int64_t churn_events = 0;
-  std::uint64_t maintenance_messages = 0;
-  double maintenance_per_event = 0.0;
-  NodeId final_members = 0;
 };
 
 /// Same protocol on an arbitrary space (no cluster labels) — used for
@@ -130,13 +98,6 @@ struct GenericMetrics {
 GenericMetrics RunGenericExperiment(const LatencySpace& space,
                                     NearestPeerAlgorithm& algo,
                                     const ExperimentConfig& config,
-                                    util::Rng& rng);
-
-/// Dynamic-overlay variant; see the clustered overload.
-GenericMetrics RunGenericExperiment(const LatencySpace& space,
-                                    NearestPeerAlgorithm& algo,
-                                    const ExperimentConfig& config,
-                                    const ChurnSchedule& schedule,
                                     util::Rng& rng);
 
 /// Splits [0, space_size) into a random overlay of `overlay_size`

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 
-#include "matrix/faulty_space.h"
+#include "core/probe_stack.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace np::core {
@@ -78,26 +78,20 @@ const TargetTruth* TruthMemo::Find(NodeId target) const {
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                            std::size_t q, TruthMemo& memo) {
   const std::vector<NodeId>& pool = *batch.pool;
-  util::Rng qrng(batch.query_base ^ static_cast<std::uint64_t>(q));
-  const NoisySpace noisy(*batch.space, batch.noise_frac,
-                         batch.noise_base ^ static_cast<std::uint64_t>(q),
-                         batch.noise_floor_ms);
-  // Correlated faults slot in between noise and i.i.d. loss; the
-  // decorator is query-private (grey loss is stateful) and pinned at
-  // the batch's epoch. Absent a schedule the stack is byte-identical
-  // to the pre-partition build.
-  std::optional<matrix::PartitionedSpace> partitioned;
-  const LatencySpace* upstream = &noisy;
-  if (batch.partition != nullptr && batch.partition->Any()) {
-    partitioned.emplace(noisy, *batch.partition,
-                        batch.partition_base ^ static_cast<std::uint64_t>(q));
+  const auto qi = static_cast<std::uint64_t>(q);
+  util::Rng qrng(batch.query_base ^ qi);
+  // Query-private probe stack (its noise, grey and loss trackers are
+  // stateful); the partition layer is pinned at the batch's epoch.
+  ProbeStack stack(*batch.space,
+                   ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
+                               batch.loss_rate, batch.partition},
+                   ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
+                              batch.fault_base ^ qi},
+                   batch.crashed, batch.ledger);
+  if (matrix::PartitionedSpace* partitioned = stack.partition()) {
     partitioned->set_epoch(batch.epoch);
-    upstream = &*partitioned;
   }
-  const matrix::FaultySpace faulty(
-      *upstream, batch.loss_rate,
-      batch.fault_base ^ static_cast<std::uint64_t>(q), batch.crashed);
-  const MeteredSpace metered(faulty, batch.ledger);
+  const MeteredSpace& metered = stack.metered();
   // The uniform path must keep the exact pre-fault draw (Index, not
   // NextDouble) for byte-identity at zipf 0.
   const bool uniform = batch.zipf_cdf == nullptr || batch.zipf_cdf->empty();
@@ -170,6 +164,21 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
       after_query(q);
     }
   }
+}
+
+std::vector<QueryOutcome> RunQueryBatch(const QueryBatch& batch,
+                                        NearestPeerAlgorithm& algo,
+                                        int num_threads, std::size_t queries) {
+  const int threads =
+      algo.ParallelQuerySafe() ? util::ResolveThreadCount(num_threads) : 1;
+  std::vector<QueryOutcome> outcomes(queries);
+  const std::size_t chunks =
+      std::min(static_cast<std::size_t>(threads), outcomes.size());
+  std::vector<TruthMemo> memos(chunks);
+  util::ParallelFor(0, chunks, threads, [&](std::size_t c) {
+    RunQueryChunk(batch, algo, c, chunks, memos[c], outcomes);
+  });
+  return outcomes;
 }
 
 void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,

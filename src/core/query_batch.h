@@ -1,5 +1,6 @@
 // Per-query machinery shared by the deterministic scenario engine
-// (core/scenario) and the concurrent serving engine (core/serving).
+// (core/scenario), the concurrent serving engine (core/serving) and
+// the static §4 runners (core/experiment).
 //
 // Both engines must issue bit-identical queries — the serving mode's
 // correctness oracle is "a snapshot pinned at epoch k answers exactly
@@ -80,8 +81,8 @@ struct QueryBatch {
   LatencyMs tie_epsilon_ms = 0.0;
   /// When false, a query returning no peer is a hard error.
   bool fault_mode = false;
-  /// Nullable: correlated-fault plan. When set (and Any()), each query
-  /// wraps its space stack in a private PartitionedSpace seeded
+  /// Nullable: correlated-fault plan. When set (and Any()), each
+  /// query's ProbeStack carries a partition layer seeded
   /// partition_base ^ q, pinned at `epoch`.
   const matrix::PartitionSchedule* partition = nullptr;
   /// Nullable: the partition window active this epoch (drives the
@@ -162,6 +163,14 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                    std::size_t chunk, std::size_t chunks, TruthMemo& memo,
                    std::vector<QueryOutcome>& outcomes,
                    const std::function<void(std::size_t)>& after_query = {});
+
+/// Runs a whole batch of `queries` on up to `num_threads` workers (0 =
+/// hardware_concurrency; 1 for algorithms that are not
+/// ParallelQuerySafe): one RunQueryChunk per worker, each with a fresh
+/// memo. Outcomes are in query order and thread-count invariant.
+std::vector<QueryOutcome> RunQueryBatch(const QueryBatch& batch,
+                                        NearestPeerAlgorithm& algo,
+                                        int num_threads, std::size_t queries);
 
 /// Serially reduces a batch's outcomes — in query order — into the
 /// query-section fields of `er` (accuracy, latency tail, messages per

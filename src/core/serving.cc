@@ -11,12 +11,10 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/epoch_window.h"
-#include "core/experiment.h"
+#include "core/engine_setup.h"
 #include "core/overlay_snapshot.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
-#include "matrix/faulty_space.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -32,12 +30,9 @@ namespace {
 struct EpochSlot {
   /// Churn/maintenance fields, filled by the writer.
   EpochReport er;
-  /// Maintenance-side failed/retry/suspicion deltas over this epoch's
-  /// window (main counter); query-side deltas live in reader_counter.
-  std::uint64_t maint_failed = 0;
-  std::uint64_t maint_retries = 0;
-  std::uint64_t maint_skips = 0;
-  std::uint64_t maint_probation = 0;
+  /// Maintenance-side fault deltas over this epoch's window (main
+  /// counter); query-side deltas live in reader_counter.
+  FaultDeltas maint_faults;
   /// Membership copy for post-run staleness scoring (kept out of the
   /// snapshot so holding it does not extend snapshot lifetime).
   std::vector<NodeId> members;
@@ -79,11 +74,6 @@ ServingReport RunServing(const LatencySpace& space,
                          const std::vector<NodeId>& population) {
   NP_REPORT_AFFECTING();
   const ScenarioConfig& sc = config.scenario;
-  NP_ENSURE(sc.epochs >= 1, "need at least one epoch");
-  NP_ENSURE(sc.queries_per_epoch >= 1, "need queries per epoch");
-  NP_ENSURE(sc.query_zipf_s >= 0.0, "zipf exponent must be >= 0");
-  NP_ENSURE(sc.blackouts.empty() || layout != nullptr,
-            "blackouts need a clustered layout");
   NP_ENSURE(config.reader_threads >= 1, "need at least one reader thread");
   NP_ENSURE(!sc.fault.track_load,
             "serving mode cannot attribute per-node load: reader probes "
@@ -93,80 +83,14 @@ ServingReport RunServing(const LatencySpace& space,
   NP_ENSURE(config.reader_threads == 1 || algo.ParallelQuerySafe(),
             "multiple reader threads require a ParallelQuerySafe algorithm");
 
-  // --- Setup: identical to RunScenario, stream for stream ---------------
-  util::Rng rng(util::Mix64(sc.seed));
-  OverlaySplit split =
-      SplitScenarioPopulation(space, population, sc.initial_overlay, rng);
-
-  const std::uint64_t fault_root = util::Mix64(sc.seed ^ 0xFA177ULL);
-
-  const NoisySpace maint_noisy(space, sc.measurement_noise_frac, rng(),
-                               sc.measurement_noise_floor_ms);
-  const matrix::PartitionSchedule partition_schedule =
-      BuildPartitionSchedule(sc.fault, layout, space.size(), fault_root);
-  matrix::PartitionedSpace maint_part(maint_noisy, partition_schedule,
-                                      util::Mix64(fault_root ^ 0x6));
-  matrix::FaultySpace maint_faulty(maint_part, sc.fault.loss_rate,
-                                   util::Mix64(fault_root ^ 0x1));
-  const MeteredSpace maint(maint_faulty, nullptr);
-
-  ProbeCounter counter;
-  const ScopedProbeCounter attach(algo, counter);
-  const bool suspicion_mode = sc.fault.suspicion.Enabled();
-  SuspicionLedger suspicion(sc.fault.suspicion);
-  const ProbePolicy policy(ProbePolicyConfig{sc.fault.max_attempts},
-                           &counter, suspicion_mode ? &suspicion : nullptr);
-  const ScopedProbePolicy attach_policy(algo, policy);
-
+  // --- Setup: the same EngineSetup serial replay runs ------------------
+  EngineSetup setup(space, layout, algo, schedule, sc, population);
   ServingReport sr;
   sr.reader_threads = config.reader_threads;
   ScenarioReport& report = sr.scenario;
-  report.algorithm = algo.name();
-  report.clustered = layout != nullptr;
-  report.initial_members = static_cast<NodeId>(split.members.size());
-
-  const bool noisy_maintenance = sc.measurement_noise_frac > 0.0 ||
-                                 sc.measurement_noise_floor_ms > 0.0 ||
-                                 sc.fault.loss_rate > 0.0 ||
-                                 partition_schedule.GreyActive();
-  const int build_threads = noisy_maintenance ? 1 : sc.num_threads;
-  algo.ParallelBuild(maint, split.members, rng, build_threads);
-  report.build_messages = maint.probes();
-  counter.AddBuildProbes(report.build_messages);
-
-  const bool incremental = algo.SupportsChurn();
-  ChurnDriver driver(incremental ? &algo : nullptr, split.members,
-                     split.targets, rng());
-  maint_faulty.set_crashed(&driver.crashed());
-  const std::uint64_t noise_root = rng();
-  const std::uint64_t query_root = rng();
-  const std::uint64_t rebuild_root = rng();
-  const std::uint64_t query_fault_root = util::Mix64(fault_root ^ 0x2);
-
-  bool has_crash_events = !sc.blackouts.empty();
-  for (const ChurnEvent& event : schedule.events()) {
-    if (event.type == ChurnEventType::kCrash) {
-      has_crash_events = true;
-      break;
-    }
-  }
-  report.partition_mode = partition_schedule.Any();
-  report.suspicion_mode = suspicion_mode;
-  report.fault_mode = sc.fault.loss_rate > 0.0 || sc.fault.max_attempts > 1 ||
-                      has_crash_events || report.partition_mode ||
-                      suspicion_mode;
-  report.load_tracking = false;
-
-  WindowFaultHooks hooks;
-  hooks.partition = report.partition_mode ? &maint_part : nullptr;
-  hooks.suspicion = suspicion_mode ? &suspicion : nullptr;
-  hooks.policy = &policy;
-  hooks.rejoin_root = util::Mix64(fault_root ^ 0x3);
-  ChurnWindowRunner windows(algo, driver, schedule, layout, maint, counter,
-                            sc.blackouts, rebuild_root, build_threads,
-                            sc.epochs, incremental, report.build_messages,
-                            hooks);
-  const std::uint64_t partition_root = util::Mix64(fault_root ^ 0x7);
+  report = setup.header();
+  const ChurnDriver& driver = setup.driver();
+  ProbeCounter& counter = setup.counter();
 
   // --- Writer/reader rendezvous ------------------------------------------
   const int n_readers = config.reader_threads;
@@ -235,23 +159,11 @@ ServingReport RunServing(const LatencySpace& space,
   // --- Writer loop (this thread) -----------------------------------------
   // Window k+1 is applied to the live overlay while readers still
   // query snapshot k — the concurrency the mode exists to exercise.
-  std::uint64_t charged_failed = 0;
-  std::uint64_t charged_retries = 0;
-  std::uint64_t charged_skips = 0;
-  std::uint64_t charged_probation = 0;
   bool writer_aborted = false;
   for (int epoch = 0; epoch < sc.epochs; ++epoch) {
     EpochSlot& slot = slots[static_cast<std::size_t>(epoch)];
-    windows.RunWindow(epoch, slot.er);
-    const ProbeCounter::Snapshot maint_snap = counter.Read();
-    slot.maint_failed = maint_snap.failed_probes - charged_failed;
-    slot.maint_retries = maint_snap.retries - charged_retries;
-    charged_failed = maint_snap.failed_probes;
-    charged_retries = maint_snap.retries;
-    slot.maint_skips = maint_snap.suspicion_skips - charged_skips;
-    slot.maint_probation = maint_snap.probation_probes - charged_probation;
-    charged_skips = maint_snap.suspicion_skips;
-    charged_probation = maint_snap.probation_probes;
+    setup.RunWindow(epoch, slot.er);
+    slot.maint_faults = setup.TakeFaultDeltas();
 
     auto snap = std::make_shared<OverlaySnapshot>();
     snap->epoch = epoch;
@@ -259,18 +171,15 @@ ServingReport RunServing(const LatencySpace& space,
     snap->members = driver.members();
     snap->pool = driver.pool();
     snap->crashed = driver.crashed();
-    NP_ENSURE(!snap->pool.empty(),
-              "no query targets left outside the overlay");
 
     slot.members = snap->members;
-    if (sc.query_zipf_s > 0.0) {
-      slot.zipf_cdf = ZipfCdf(snap->pool.size(), sc.query_zipf_s);
-    }
+    slot.zipf_cdf = setup.TargetCdf(snap->pool);
     slot.reader_counter = std::make_unique<ProbeCounter>();
-    if (suspicion_mode) {
+    if (report.suspicion_mode) {
       // Copied after the window closed, so the frozen quarantine set is
       // exactly what serial replay's queries consult.
-      slot.reader_suspicion = std::make_unique<SuspicionLedger>(suspicion);
+      slot.reader_suspicion =
+          std::make_unique<SuspicionLedger>(setup.suspicion());
       slot.reader_suspicion->set_recording(false);
     }
     slot.reader_policy = std::make_unique<ProbePolicy>(
@@ -282,31 +191,8 @@ ServingReport RunServing(const LatencySpace& space,
     slot.memos.resize(chunks);
     slot.outcomes.resize(queries);
     slot.latency_us.resize(queries);
-    slot.batch.space = &space;
-    slot.batch.layout = layout;
-    slot.batch.members = &snap->members;
-    slot.batch.pool = &snap->pool;
-    slot.batch.crashed = &snap->crashed;
-    slot.batch.zipf_cdf = &slot.zipf_cdf;
-    slot.batch.ledger = nullptr;
-    slot.batch.noise_frac = sc.measurement_noise_frac;
-    slot.batch.noise_floor_ms = sc.measurement_noise_floor_ms;
-    slot.batch.loss_rate = sc.fault.loss_rate;
-    slot.batch.tie_epsilon_ms = sc.tie_epsilon_ms;
-    slot.batch.fault_mode = report.fault_mode;
-    if (report.partition_mode) {
-      slot.batch.partition = &partition_schedule;
-      slot.batch.active_window = partition_schedule.WindowFor(epoch);
-      slot.batch.epoch = epoch;
-      slot.batch.partition_base =
-          util::Mix64(partition_root ^ static_cast<std::uint64_t>(epoch));
-    }
-    slot.batch.query_base =
-        util::Mix64(query_root ^ static_cast<std::uint64_t>(epoch));
-    slot.batch.noise_base =
-        util::Mix64(noise_root ^ static_cast<std::uint64_t>(epoch));
-    slot.batch.fault_base =
-        util::Mix64(query_fault_root ^ static_cast<std::uint64_t>(epoch));
+    slot.batch = setup.Batch(epoch, snap->members, snap->pool, snap->crashed,
+                             slot.zipf_cdf);
 
     if (epoch > 0) {
       // Epoch rendezvous: don't outrun readers by more than one epoch.
@@ -357,21 +243,15 @@ ServingReport RunServing(const LatencySpace& space,
     counter.AddProbationProbes(reader_snap.probation_probes);
     // Serial replay's per-epoch delta spans the window plus the
     // queries; here the two halves are ledgered apart and recombined.
-    slot.er.failed_probes = slot.maint_failed + reader_snap.failed_probes;
-    slot.er.retries = slot.maint_retries + reader_snap.retries;
-    slot.er.suspicion_skips = slot.maint_skips + reader_snap.suspicion_skips;
-    slot.er.probation_probes =
-        slot.maint_probation + reader_snap.probation_probes;
+    slot.maint_faults.AddTo(slot.er);
+    FaultDeltas::Between({}, reader_snap).AddTo(slot.er);
 
     report.epochs.push_back(slot.er);
     all_latency_us.insert(all_latency_us.end(), slot.latency_us.begin(),
                           slot.latency_us.end());
   }
 
-  report.final_members = static_cast<NodeId>(driver.members().size());
-  report.totals = counter.Read();
-  report.messages_per_query = report.totals.MessagesPerQuery();
-  report.maintenance_per_event = report.totals.MaintenancePerEvent();
+  setup.Finish(report);
 
   // --- Staleness: epoch k scored against epoch k+1's membership ----------
   for (std::size_t k = 0; k < slots.size(); ++k) {
@@ -440,7 +320,9 @@ bool ScenarioReportsIdentical(const ScenarioReport& a,
       a.fault_mode != b.fault_mode || a.load_tracking != b.load_tracking ||
       a.partition_mode != b.partition_mode ||
       a.suspicion_mode != b.suspicion_mode ||
-      a.failed_queries != b.failed_queries) {
+      a.failed_queries != b.failed_queries || a.load.total != b.load.total ||
+      a.load.max != b.load.max || a.load.max_node != b.load.max_node ||
+      a.load.median != b.load.median || a.load.gini != b.load.gini) {
     return false;
   }
   const ProbeCounter::Snapshot& ta = a.totals;

@@ -321,58 +321,5 @@ TEST(Scenario, ProbeCounterIsDetachedAfterTheRun) {
   EXPECT_EQ(algo.probe_counter(), nullptr);
 }
 
-// --- Experiment-runner churn overloads -------------------------------------
-
-TEST(Scenario, ClusteredExperimentWithScheduleIsDeterministic) {
-  const auto world = SmallClusteredWorld(5);
-  const ChurnSchedule schedule = SmallSchedule();
-  ExperimentConfig config;
-  config.overlay_size = 80;
-  config.num_queries = 100;
-
-  ClusteredMetrics first;
-  ClusteredMetrics second;
-  for (ClusteredMetrics* out : {&first, &second}) {
-    meridian::MeridianOverlay algo(SmallMeridian());
-    util::Rng rng(42);
-    *out = RunClusteredExperiment(world, algo, config, schedule, rng);
-  }
-  EXPECT_EQ(first.p_exact_closest, second.p_exact_closest);
-  EXPECT_EQ(first.mean_probes, second.mean_probes);
-  EXPECT_EQ(first.maintenance_messages, second.maintenance_messages);
-  EXPECT_EQ(first.churn_events, second.churn_events);
-  EXPECT_EQ(first.final_members, second.final_members);
-
-  EXPECT_GT(first.churn_events, 0);
-  EXPECT_GT(first.maintenance_messages, 0u);
-  EXPECT_GT(first.maintenance_per_event, 0.0);
-  EXPECT_GT(first.final_members, 0);
-  EXPECT_GT(first.p_exact_closest, 0.0);
-}
-
-TEST(Scenario, GenericExperimentWithScheduleFillsChurnFields) {
-  util::Rng world_rng(11);
-  const auto world = matrix::GenerateEuclidean(200, {}, world_rng);
-  const MatrixSpace space(world.matrix);
-  const ChurnSchedule schedule = SmallSchedule();
-  ExperimentConfig config;
-  config.overlay_size = 100;
-  config.num_queries = 100;
-
-  // Rebuild-mode Tiers: the overload pays one final rebuild and still
-  // reports the live membership.
-  algos::TiersConfig tconfig;
-  tconfig.incremental = false;
-  algos::TiersNearest algo{tconfig};
-  util::Rng rng(43);
-  const GenericMetrics metrics =
-      RunGenericExperiment(space, algo, config, schedule, rng);
-  EXPECT_GT(metrics.churn_events, 0);
-  EXPECT_GT(metrics.maintenance_messages, 0u);
-  EXPECT_GT(metrics.final_members, 0);
-  EXPECT_GT(metrics.p_exact_closest, 0.0);
-  EXPECT_GE(metrics.mean_stretch, 1.0);
-}
-
 }  // namespace
 }  // namespace np::core

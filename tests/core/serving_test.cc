@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -343,6 +344,48 @@ TEST(Serving, RejectsMultipleReadersWithoutParallelQuerySafety) {
       RunServing(space, &world.layout, algo, schedule, serving);
   EXPECT_EQ(report.snapshots_published,
             static_cast<std::size_t>(serving.scenario.epochs));
+}
+
+// --- The identity oracle ----------------------------------------------------
+
+/// A karger-ruhl run with the per-node load ledger on.
+ScenarioReport TrackedLoadRun(int threads) {
+  const auto world = SmallClusteredWorld(12);
+  const MatrixSpace space(world.matrix);
+  ScenarioConfig config = BaseScenario();
+  config.fault.track_load = true;
+  config.num_threads = threads;
+  const auto algo = MakeAlgo("karger-ruhl");
+  return RunScenario(space, &world.layout, *algo, LognormalSchedule(),
+                     config);
+}
+
+TEST(ScenarioReportsIdenticalFn, ComparesEveryLoadField) {
+  const ScenarioReport base = TrackedLoadRun(1);
+  ASSERT_TRUE(base.load_tracking);
+  ASSERT_GT(base.load.total, 0u);
+  ASSERT_TRUE(ScenarioReportsIdentical(base, base));
+  const std::function<void(PerNodeSnapshot&)> edits[] = {
+      [](PerNodeSnapshot& l) { ++l.total; },
+      [](PerNodeSnapshot& l) { ++l.max; },
+      [](PerNodeSnapshot& l) { ++l.max_node; },
+      [](PerNodeSnapshot& l) { l.median += 0.5; },
+      [](PerNodeSnapshot& l) { l.gini += 1e-12; },
+  };
+  for (std::size_t i = 0; i < std::size(edits); ++i) {
+    SCOPED_TRACE(i);
+    ScenarioReport edited = base;
+    edits[i](edited.load);
+    EXPECT_FALSE(ScenarioReportsIdentical(base, edited));
+    EXPECT_FALSE(ScenarioReportsIdentical(edited, base));
+  }
+}
+
+TEST(ScenarioReportsIdenticalFn, TrackedLoadIsThreadCountInvariant) {
+  const ScenarioReport one = TrackedLoadRun(1);
+  const ScenarioReport eight = TrackedLoadRun(8);
+  EXPECT_GT(one.load.total, 0u);
+  EXPECT_TRUE(ScenarioReportsIdentical(one, eight));
 }
 
 }  // namespace
