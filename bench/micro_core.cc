@@ -2,7 +2,9 @@
 // the hot building blocks of the §4 simulation pipeline — Floyd-Warshall
 // metric repair (serial reference vs blocked/parallel), the triangle
 //-violation scan, allocation-free nearest-neighbour queries, Meridian
-// build/query, and the full clustered experiment serial vs parallel.
+// build/query, the full clustered experiment serial vs parallel, and
+// truth scoring on the embedded backend (generic per-pair scan vs the
+// pruned EmbeddedSpace::ClosestOf kernel).
 //
 // The derived speedup_* metrics are the acceptance numbers for the
 // parallel simulation core: on an N-core box, metric_repair and the
@@ -25,6 +27,7 @@
 #include "coord/vivaldi.h"
 #include "core/experiment.h"
 #include "dht/chord.h"
+#include "matrix/embedded_space.h"
 #include "matrix/generators.h"
 #include "matrix/latency_matrix.h"
 #include "measure/path_graph.h"
@@ -272,6 +275,75 @@ void BenchMeridian(np::bench::Reporter& reporter, NodeId n, int queries) {
   }
 }
 
+/// Forwards Latency and keeps the generic ClosestOf: the per-pair path
+/// every decorator of a backend takes.
+class GenericSpace final : public np::core::LatencySpace {
+ public:
+  explicit GenericSpace(const np::core::LatencySpace& inner) : inner_(&inner) {}
+  NodeId size() const override { return inner_->size(); }
+  LatencyMs Latency(NodeId a, NodeId b) const override {
+    return inner_->Latency(a, b);
+  }
+
+ private:
+  const np::core::LatencySpace* inner_;
+};
+
+// Truth scoring: one ClosestOf over the members per target, on the
+// serving_faults world shape (n = 2e4, 3-D, distortion 0.1, ~1,300
+// members). Phases count members scanned, so ns per member is
+// 1e9 / ops_per_sec; truth_scan_match = 1 iff both paths return the
+// same member and latency bits for every target.
+void BenchTruthScan(np::bench::Reporter& reporter, bool quick) {
+  np::matrix::EmbeddedSpaceConfig config;
+  config.num_nodes = 20000;
+  config.dimensions = 3;
+  config.distortion = 0.1;
+  config.seed = 16;
+  const np::matrix::EmbeddedSpace kernel(config);
+  const GenericSpace generic(kernel);
+  np::util::Rng rng(17);
+  std::vector<NodeId> members;
+  for (NodeId n = 0; n < config.num_nodes; ++n) {
+    if (rng.Index(15) == 0) {
+      members.push_back(n);
+    }
+  }
+  std::vector<NodeId> targets(quick ? 500 : 4000);
+  for (NodeId& t : targets) {
+    t = static_cast<NodeId>(
+        rng.Index(static_cast<std::size_t>(config.num_nodes)));
+  }
+  const double scanned =
+      static_cast<double>(targets.size()) * static_cast<double>(members.size());
+  std::vector<NodeId> found(targets.size());
+  std::vector<LatencyMs> found_ms(targets.size());
+  {
+    auto phase = reporter.Phase("truth_scan_generic", scanned);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      found[i] = generic.ClosestOf(targets[i], members, &found_ms[i]);
+    }
+  }
+  bool match = true;
+  {
+    auto phase = reporter.Phase("truth_scan_kernel", scanned);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      LatencyMs ms = 0.0;
+      const NodeId best = kernel.ClosestOf(targets[i], members, &ms);
+      match = match && best == found[i] && ms == found_ms[i];
+    }
+  }
+  const double per_member_ms = 1.0 / scanned;
+  reporter.Derive("truth_scan_generic_ns_per_member",
+                  reporter.PhaseMs("truth_scan_generic") * 1e6 * per_member_ms);
+  reporter.Derive("truth_scan_kernel_ns_per_member",
+                  reporter.PhaseMs("truth_scan_kernel") * 1e6 * per_member_ms);
+  reporter.Derive("speedup_truth_scan_kernel",
+                  reporter.PhaseMs("truth_scan_generic") /
+                      reporter.PhaseMs("truth_scan_kernel"));
+  reporter.Derive("truth_scan_match", match ? 1.0 : 0.0);
+}
+
 // Raw costs of the remaining building blocks (kept from the original
 // micro suite so their perf trajectory stays tracked): clustered world
 // generation, Chord lookups, Vivaldi training, topology latency
@@ -373,7 +445,8 @@ int main() {
       "micro_core",
       "raw costs of the simulation core: blocked/parallel Floyd-Warshall "
       "vs serial, triangle scan, allocation-free nearest queries, "
-      "Meridian build/query, clustered experiment serial vs parallel.");
+      "Meridian build/query, clustered experiment serial vs parallel, "
+      "truth scoring generic vs the embedded kernel.");
   const bool quick = np::bench::QuickScale();
 
   np::bench::Reporter reporter("core");
@@ -383,6 +456,7 @@ int main() {
   BenchNearestQueries(reporter, quick ? 256 : 1024, quick ? 3 : 10);
   BenchClusteredExperiment(reporter, quick);
   BenchMeridian(reporter, quick ? 400 : 2400, quick ? 200 : 1000);
+  BenchTruthScan(reporter, quick);
   BenchBuildingBlocks(reporter, quick);
 
   reporter.Derive("total_wall_ms", total.ElapsedMs());

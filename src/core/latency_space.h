@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "core/probe_counter.h"
@@ -28,6 +29,19 @@ class LatencySpace {
 
   /// Round-trip latency in ms between two nodes; 0 for a == b.
   virtual LatencyMs Latency(NodeId a, NodeId b) const = 0;
+
+  /// The member of `members` closest to `target`: skips `target`
+  /// itself, breaks latency ties toward the lowest id, and stores the
+  /// winner's latency in `*latency`. With no other candidate it returns
+  /// kInvalidNode and kInfiniteLatency.
+  ///
+  /// The default probes Latency(m, target) for every candidate, in
+  /// order, so a decorator that bills, perturbs or drops probes keeps
+  /// doing so per pair. Only a backend whose answer is bit-identical to
+  /// that loop may override it (EmbeddedSpace prunes candidates by a
+  /// lower bound on their latency).
+  virtual NodeId ClosestOf(NodeId target, std::span<const NodeId> members,
+                           LatencyMs* latency) const;
 };
 
 /// Non-owning view over a LatencyMatrix. The matrix must outlive the

@@ -148,20 +148,8 @@ QueryResult RandomNearest::FindNearest(NodeId target,
 NodeId TrueClosestMember(const LatencySpace& space,
                          const std::vector<NodeId>& members, NodeId target) {
   NP_ENSURE(!members.empty(), "no members");
-  NodeId best = kInvalidNode;
-  LatencyMs best_latency = kInfiniteLatency;
-  for (NodeId member : members) {
-    if (member == target) {
-      continue;
-    }
-    const LatencyMs latency = space.Latency(member, target);
-    if (latency < best_latency ||
-        (latency == best_latency && member < best)) {
-      best_latency = latency;
-      best = member;
-    }
-  }
-  return best;
+  LatencyMs latency = kInfiniteLatency;
+  return space.ClosestOf(target, members, &latency);
 }
 
 }  // namespace np::core

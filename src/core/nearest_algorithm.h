@@ -221,8 +221,8 @@ class RandomNearest final : public NearestPeerAlgorithm {
   MemberIndex members_;
 };
 
-/// True closest member to `target` by exhaustive scan (unmetered).
-/// Ties broken by lower id.
+/// True closest member to `target` (space.ClosestOf: every member
+/// considered, unmetered). Ties broken by lower id.
 NodeId TrueClosestMember(const LatencySpace& space,
                          const std::vector<NodeId>& members, NodeId target);
 

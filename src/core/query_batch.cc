@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
+#include <utility>
 
 #include "core/probe_stack.h"
 #include "util/error.h"
@@ -30,30 +32,87 @@ std::size_t ZipfIndex(const std::vector<double>& cdf, double u) {
   return std::min(idx, cdf.size() - 1);
 }
 
+MemberDelta::MemberDelta(const std::vector<NodeId>& prev,
+                         const std::vector<NodeId>& next, NodeId num_nodes)
+    : live_(static_cast<std::size_t>(num_nodes), false) {
+  std::vector<bool> was(live_.size(), false);
+  for (const NodeId m : prev) {
+    was[static_cast<std::size_t>(m)] = true;
+  }
+  for (const NodeId m : next) {
+    live_[static_cast<std::size_t>(m)] = true;
+    if (!was[static_cast<std::size_t>(m)]) {
+      joined_.push_back(m);
+    }
+  }
+}
+
+namespace {
+
+/// Fills the reachable answer of `truth`, whose `closest` is already
+/// scored. A closest member on the target's side beats every member
+/// there too; otherwise the answer is the closest of `seed` (a member
+/// on that side, or kInvalidNode) and the `candidates` on that side.
+void ScoreReachable(const LatencySpace& space, NodeId target,
+                    const matrix::PartitionWindow& window, NodeId seed,
+                    std::span<const NodeId> candidates, TargetTruth& truth,
+                    std::vector<NodeId>& scratch) {
+  const int side = matrix::ComponentOf(window, target);
+  if (truth.closest != kInvalidNode &&
+      matrix::ComponentOf(window, truth.closest) == side) {
+    truth.reachable = truth.closest;
+    truth.reachable_latency = truth.closest_latency;
+    return;
+  }
+  scratch.clear();
+  if (seed != kInvalidNode) {
+    scratch.push_back(seed);
+  }
+  for (const NodeId m : candidates) {
+    if (matrix::ComponentOf(window, m) == side) {
+      scratch.push_back(m);
+    }
+  }
+  truth.reachable = space.ClosestOf(target, scratch, &truth.reachable_latency);
+}
+
+}  // namespace
+
 TargetTruth ScanTruth(const LatencySpace& space,
                       const std::vector<NodeId>& members, NodeId target,
                       const matrix::PartitionWindow* window) {
   NP_ENSURE(!members.empty(), "no members");
-  const int target_component =
-      window != nullptr ? matrix::ComponentOf(*window, target) : 0;
   TargetTruth truth;
-  for (const NodeId m : members) {
-    if (m == target) {
-      continue;
-    }
-    const LatencyMs l = space.Latency(m, target);
-    if (l < truth.closest_latency ||
-        (l == truth.closest_latency && m < truth.closest)) {
-      truth.closest = m;
-      truth.closest_latency = l;
-    }
-    if (window != nullptr &&
-        matrix::ComponentOf(*window, m) == target_component &&
-        (l < truth.reachable_latency ||
-         (l == truth.reachable_latency && m < truth.reachable))) {
-      truth.reachable = m;
-      truth.reachable_latency = l;
-    }
+  truth.closest = space.ClosestOf(target, members, &truth.closest_latency);
+  if (window != nullptr) {
+    std::vector<NodeId> side;
+    ScoreReachable(space, target, *window, kInvalidNode, members, truth, side);
+  }
+  return truth;
+}
+
+std::optional<TargetTruth> TruthMemo::Carry(const LatencySpace& space,
+                                            NodeId target,
+                                            const TruthMemo& prev,
+                                            const MemberDelta& delta) {
+  const TargetTruth* old = prev.Find(target);
+  if (old == nullptr || old->closest == kInvalidNode ||
+      !delta.Live(old->closest)) {
+    return std::nullopt;
+  }
+  if (window_ != nullptr &&
+      (window_ != prev.window_ ||
+       (old->reachable != kInvalidNode && !delta.Live(old->reachable)))) {
+    return std::nullopt;
+  }
+  TargetTruth truth;
+  scratch_.assign(1, old->closest);
+  scratch_.insert(scratch_.end(), delta.joined().begin(),
+                  delta.joined().end());
+  truth.closest = space.ClosestOf(target, scratch_, &truth.closest_latency);
+  if (window_ != nullptr) {
+    ScoreReachable(space, target, *window_, old->reachable, delta.joined(),
+                   truth, scratch_);
   }
   return truth;
 }
@@ -61,13 +120,22 @@ TargetTruth ScanTruth(const LatencySpace& space,
 const TargetTruth& TruthMemo::Get(const LatencySpace& space,
                                   const std::vector<NodeId>& members,
                                   NodeId target,
-                                  const matrix::PartitionWindow* window) {
+                                  const matrix::PartitionWindow* window,
+                                  const TruthMemo* prev,
+                                  const MemberDelta* delta) {
+  window_ = window;
   const auto it = by_target_.find(target);
   if (it != by_target_.end()) {
     return it->second;
   }
-  return by_target_.emplace(target, ScanTruth(space, members, target, window))
-      .first->second;
+  std::optional<TargetTruth> truth;
+  if (prev != nullptr && delta != nullptr) {
+    truth = Carry(space, target, *prev, *delta);
+  }
+  if (!truth) {
+    truth = ScanTruth(space, members, target, window);
+  }
+  return by_target_.emplace(target, *truth).first->second;
 }
 
 const TargetTruth* TruthMemo::Find(NodeId target) const {
@@ -76,7 +144,8 @@ const TargetTruth* TruthMemo::Find(NodeId target) const {
 }
 
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
-                           std::size_t q, TruthMemo& memo) {
+                           std::size_t q, TruthMemo& memo,
+                           const TruthMemo* prev) {
   const std::vector<NodeId>& pool = *batch.pool;
   const auto qi = static_cast<std::uint64_t>(q);
   util::Rng qrng(batch.query_base ^ qi);
@@ -101,8 +170,9 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
   // Scored before the algorithm runs: a first sighting's scan loads
   // the sparse backend's LRU row for `target` just ahead of the
   // algorithm's probes to it (see ARCHITECTURE.md, truth memo).
-  const TargetTruth& truth = memo.Get(*batch.space, *batch.members, target,
-                                      batch.active_window);
+  const TargetTruth& truth =
+      memo.Get(*batch.space, *batch.members, target, batch.active_window, prev,
+               batch.delta);
 
   const QueryResult result = algo.Query(target, metered, qrng);
   if (!batch.fault_mode) {
@@ -156,10 +226,11 @@ QueryRange ChunkRange(std::size_t queries, std::size_t chunks,
 void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                    std::size_t chunk, std::size_t chunks, TruthMemo& memo,
                    std::vector<QueryOutcome>& outcomes,
-                   const std::function<void(std::size_t)>& after_query) {
+                   const std::function<void(std::size_t)>& after_query,
+                   const TruthMemo* prev) {
   const QueryRange range = ChunkRange(outcomes.size(), chunks, chunk);
   for (std::size_t q = range.begin; q < range.end; ++q) {
-    outcomes[q] = RunBatchQuery(batch, algo, q, memo);
+    outcomes[q] = RunBatchQuery(batch, algo, q, memo, prev);
     if (after_query) {
       after_query(q);
     }
@@ -168,16 +239,22 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
 
 std::vector<QueryOutcome> RunQueryBatch(const QueryBatch& batch,
                                         NearestPeerAlgorithm& algo,
-                                        int num_threads, std::size_t queries) {
+                                        int num_threads, std::size_t queries,
+                                        std::vector<TruthMemo>* memos) {
   const int threads =
       algo.ParallelQuerySafe() ? util::ResolveThreadCount(num_threads) : 1;
   std::vector<QueryOutcome> outcomes(queries);
   const std::size_t chunks =
       std::min(static_cast<std::size_t>(threads), outcomes.size());
-  std::vector<TruthMemo> memos(chunks);
+  const bool carry = memos != nullptr && memos->size() == chunks;
+  std::vector<TruthMemo> fresh(chunks);
   util::ParallelFor(0, chunks, threads, [&](std::size_t c) {
-    RunQueryChunk(batch, algo, c, chunks, memos[c], outcomes);
+    RunQueryChunk(batch, algo, c, chunks, fresh[c], outcomes, {},
+                  carry ? &(*memos)[c] : nullptr);
   });
+  if (memos != nullptr) {
+    *memos = std::move(fresh);
+  }
   return outcomes;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -58,6 +59,27 @@ struct QueryOutcome {
 std::vector<double> ZipfCdf(std::size_t n, double s);
 std::size_t ZipfIndex(const std::vector<double>& cdf, double u);
 
+/// What changed in the membership between two consecutive epochs,
+/// computed once per epoch by the engine: who joined, and who is live
+/// now. It is what lets a truth memo carry the previous epoch's answers
+/// instead of rescanning (see TruthMemo::Get).
+class MemberDelta {
+ public:
+  /// `prev` and `next` are consecutive epochs' member lists over ids in
+  /// [0, num_nodes).
+  MemberDelta(const std::vector<NodeId>& prev, const std::vector<NodeId>& next,
+              NodeId num_nodes);
+
+  /// Members of `next` that are not in `prev`, in `next` order.
+  const std::vector<NodeId>& joined() const { return joined_; }
+  /// True iff `n` is a member of `next`.
+  bool Live(NodeId n) const { return live_[static_cast<std::size_t>(n)]; }
+
+ private:
+  std::vector<NodeId> joined_;
+  std::vector<bool> live_;
+};
+
 /// Immutable inputs of one epoch's query batch. Pointers are borrowed
 /// views owned by the engine (for serving, by the pinned snapshot);
 /// nullable ones are marked.
@@ -88,6 +110,9 @@ struct QueryBatch {
   /// Nullable: the partition window active this epoch (drives the
   /// nearest-reachable scoring); nullptr when the population is whole.
   const matrix::PartitionWindow* active_window = nullptr;
+  /// Nullable: the membership change since the previous epoch; set, it
+  /// lets each chunk carry its previous memo's truth forward.
+  const MemberDelta* delta = nullptr;
   int epoch = 0;
   /// Per-epoch stream bases; query q xors its index in.
   std::uint64_t query_base = 0;
@@ -96,10 +121,10 @@ struct QueryBatch {
   std::uint64_t partition_base = 0;
 };
 
-/// Ground truth for one target against one epoch's membership, from a
-/// single scan over the members on clean latencies. Both answers skip
-/// a member equal to the target and break latency ties toward the
-/// lowest id, so `closest` is exactly TrueClosestMember.
+/// Ground truth for one target against one epoch's membership, on
+/// clean latencies. Both answers skip a member equal to the target and
+/// break latency ties toward the lowest id, so `closest` is exactly
+/// TrueClosestMember.
 struct TargetTruth {
   NodeId closest = kInvalidNode;
   LatencyMs closest_latency = kInfiniteLatency;
@@ -110,39 +135,63 @@ struct TargetTruth {
   LatencyMs reachable_latency = kInfiniteLatency;
 };
 
-/// Scans `members` once for `target`'s truth; `window` (nullable) adds
-/// the nearest-reachable answer.
+/// Scores `target` against all of `members` (space.ClosestOf); `window`
+/// (nullable) adds the nearest-reachable answer, which is `closest`
+/// itself whenever that sits on the target's side.
 TargetTruth ScanTruth(const LatencySpace& space,
                       const std::vector<NodeId>& members, NodeId target,
                       const matrix::PartitionWindow* window);
 
-/// Exact per-epoch memo of TargetTruth by target: Zipf targets repeat
-/// within an epoch and membership does not change, so only the first
-/// query for a target pays the O(members) scan. A memo belongs to one
-/// epoch and one contiguous chunk of query indices — created fresh per
-/// epoch, used by one thread, never iterated — so it needs no lock and
-/// its contents never reach a report.
+/// Exact memo of TargetTruth by target for one epoch and one contiguous
+/// chunk of query indices. Zipf targets repeat within an epoch and
+/// membership does not change, so only the first query for a target
+/// pays for its truth. A memo is used by one thread and never iterated,
+/// so it needs no lock and its contents never reach a report.
+///
+/// That first query need not rescan either. When `prev` (the same
+/// chunk's memo of the previous epoch) scored the target and its
+/// closest member is still live, every other member that stayed lost
+/// to it, or tied it with a higher id; so the new closest is the
+/// closest of {previous closest} and `delta->joined()`. The same holds
+/// for the reachable answer while the partition window is unchanged.
+/// Anything else — the previous closest (or, under a window, the
+/// previous reachable answer) left, or the window opened, closed or
+/// changed — is rescanned in full.
 class TruthMemo {
  public:
-  /// The truth for `target`, scanned on first use. Every call on one
-  /// memo must pass the same epoch's space, members and window.
+  /// The truth for `target`, computed on first use: carried from
+  /// `prev` across `delta` when both are set and the rule above allows,
+  /// scanned otherwise. Every call on one memo must pass the same
+  /// epoch's space, members, window, prev and delta.
   const TargetTruth& Get(const LatencySpace& space,
                          const std::vector<NodeId>& members, NodeId target,
-                         const matrix::PartitionWindow* window);
+                         const matrix::PartitionWindow* window,
+                         const TruthMemo* prev = nullptr,
+                         const MemberDelta* delta = nullptr);
   /// The stored truth, or nullptr when `target` was never scored.
   const TargetTruth* Find(NodeId target) const;
 
  private:
+  std::optional<TargetTruth> Carry(const LatencySpace& space, NodeId target,
+                                   const TruthMemo& prev,
+                                   const MemberDelta& delta);
+
   std::unordered_map<NodeId, TargetTruth> by_target_;
+  /// The partition window every entry was scored under.
+  const matrix::PartitionWindow* window_ = nullptr;
+  /// Candidate buffer for carries, reused across targets.
+  std::vector<NodeId> scratch_;
 };
 
 /// Runs query `q` of the batch against `algo` (charging its attached
 /// probe counter/policy) and returns the scored outcome, reading the
-/// target's truth through `memo`. Thread-safe for ParallelQuerySafe
+/// target's truth through `memo` (carried from `prev` across
+/// batch.delta when both are set). Thread-safe for ParallelQuerySafe
 /// algorithms when each thread owns its memo: every other mutable
 /// stream (rng, noise, fault, meter) is query-private.
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
-                           std::size_t q, TruthMemo& memo);
+                           std::size_t q, TruthMemo& memo,
+                           const TruthMemo* prev = nullptr);
 
 /// Half-open range [begin, end) of query indices.
 struct QueryRange {
@@ -158,19 +207,25 @@ QueryRange ChunkRange(std::size_t queries, std::size_t chunks,
 /// The per-worker query loop both engines share: runs chunk `chunk` of
 /// `chunks` in query order into `outcomes[q]`, with `memo` private to
 /// the chunk. `after_query` (optional) runs after each query; serving
-/// uses it to time the service wall clock.
+/// uses it to time the service wall clock. `prev` (nullable) is the
+/// same chunk's memo from the previous epoch, which must not be
+/// written while this chunk runs.
 void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                    std::size_t chunk, std::size_t chunks, TruthMemo& memo,
                    std::vector<QueryOutcome>& outcomes,
-                   const std::function<void(std::size_t)>& after_query = {});
+                   const std::function<void(std::size_t)>& after_query = {},
+                   const TruthMemo* prev = nullptr);
 
 /// Runs a whole batch of `queries` on up to `num_threads` workers (0 =
 /// hardware_concurrency; 1 for algorithms that are not
 /// ParallelQuerySafe): one RunQueryChunk per worker, each with a fresh
 /// memo. Outcomes are in query order and thread-count invariant.
-std::vector<QueryOutcome> RunQueryBatch(const QueryBatch& batch,
-                                        NearestPeerAlgorithm& algo,
-                                        int num_threads, std::size_t queries);
+/// `memos` (nullable) links consecutive epochs: on entry it holds the
+/// previous epoch's memo per chunk, carried from when batch.delta is
+/// set and the chunk count is unchanged; on return, this epoch's.
+std::vector<QueryOutcome> RunQueryBatch(
+    const QueryBatch& batch, NearestPeerAlgorithm& algo, int num_threads,
+    std::size_t queries, std::vector<TruthMemo>* memos = nullptr);
 
 /// Serially reduces a batch's outcomes — in query order — into the
 /// query-section fields of `er` (accuracy, latency tail, messages per

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/engine_setup.h"
 #include "core/query_batch.h"
@@ -26,6 +27,10 @@ ScenarioReport RunScenario(const LatencySpace& space,
   if (track_load) {
     ledger_prev = ledger.Counts();
   }
+  // The previous epoch's members and truth memos, which this epoch's
+  // scoring carries forward (TruthMemo).
+  std::vector<NodeId> prev_members;
+  std::vector<TruthMemo> memos;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     EpochReport er;
 
@@ -35,11 +40,14 @@ ScenarioReport RunScenario(const LatencySpace& space,
     // --- Measurement epoch ------------------------------------------------
     const std::vector<NodeId>& members = driver.members();
     const std::vector<double> zipf_cdf = setup.TargetCdf(driver.pool());
-    const QueryBatch batch = setup.Batch(epoch, members, driver.pool(),
-                                         driver.crashed(), zipf_cdf);
+    QueryBatch batch = setup.Batch(epoch, members, driver.pool(),
+                                   driver.crashed(), zipf_cdf);
+    const MemberDelta delta(prev_members, members, space.size());
+    batch.delta = &delta;
     const std::vector<QueryOutcome> outcomes = RunQueryBatch(
         batch, algo, config.num_threads,
-        static_cast<std::size_t>(config.queries_per_epoch));
+        static_cast<std::size_t>(config.queries_per_epoch), &memos);
+    prev_members = members;
 
     ReduceQueryOutcomes(outcomes, er, &report.failed_queries);
     if (batch.active_window != nullptr) {

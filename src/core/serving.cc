@@ -6,9 +6,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/engine_setup.h"
@@ -45,9 +45,13 @@ struct EpochSlot {
   std::unique_ptr<SuspicionLedger> reader_suspicion;
   std::unique_ptr<ProbePolicy> reader_policy;
   std::vector<double> zipf_cdf;
+  /// Membership change since the previous epoch (from nothing at
+  /// epoch 0); its liveness test is this epoch's membership.
+  std::optional<MemberDelta> delta;
   QueryBatch batch;
   /// One truth memo per reader's query chunk, each written only by its
-  /// reader; the staleness pass reads them after the join.
+  /// reader, which carries it into the next epoch's chunk; the
+  /// staleness pass reads them after the join.
   std::vector<TruthMemo> memos;
   std::vector<QueryOutcome> outcomes;
   /// Wall-clock per-query service time, microseconds.
@@ -142,8 +146,14 @@ ServingReport RunServing(const LatencySpace& space,
           const auto time_query = [&](std::size_t q) {
             slot.latency_us[q] = LapUs(q_start);
           };
+          // This reader filled the previous epoch's memo for its chunk
+          // itself, so carrying from it races no one.
+          const TruthMemo* prev =
+              epoch > 0 ? &slots[static_cast<std::size_t>(epoch - 1)]
+                               .memos[chunk]
+                        : nullptr;
           RunQueryChunk(slot.batch, *snap->algo, chunk, chunks,
-                        slot.memos[chunk], slot.outcomes, time_query);
+                        slot.memos[chunk], slot.outcomes, time_query, prev);
         }
       } catch (const std::exception& e) {
         std::lock_guard<std::mutex> lock(pin_mu);
@@ -193,6 +203,11 @@ ServingReport RunServing(const LatencySpace& space,
     slot.latency_us.resize(queries);
     slot.batch = setup.Batch(epoch, snap->members, snap->pool, snap->crashed,
                              slot.zipf_cdf);
+    const std::vector<NodeId> none;
+    slot.delta.emplace(
+        epoch > 0 ? slots[static_cast<std::size_t>(epoch - 1)].members : none,
+        slot.members, space.size());
+    slot.batch.delta = &*slot.delta;
 
     if (epoch > 0) {
       // Epoch rendezvous: don't outrun readers by more than one epoch.
@@ -257,11 +272,10 @@ ServingReport RunServing(const LatencySpace& space,
   for (std::size_t k = 0; k < slots.size(); ++k) {
     const EpochSlot& slot = slots[k];
     const EpochSlot& next = k + 1 < slots.size() ? slots[k + 1] : slot;
-    const std::vector<NodeId>& next_members = next.members;
-    const std::unordered_set<NodeId> next_set(next_members.begin(),
-                                              next_members.end());
+    const MemberDelta& next_delta = *next.delta;
     // The next epoch's readers already scored the targets they drew
-    // against exactly this membership; only the rest are scanned.
+    // against exactly this membership; the rest carry their epoch-k
+    // truth across the next epoch's delta (or, failing that, rescan).
     TruthMemo misses;
     std::int64_t exact_live = 0;
     std::int64_t departed = 0;
@@ -269,7 +283,7 @@ ServingReport RunServing(const LatencySpace& space,
       if (out.failed) {
         continue;  // counts as not exact-live, not as departed
       }
-      if (next_set.find(out.found) == next_set.end()) {
+      if (!next_delta.Live(out.found)) {
         ++departed;
         continue;
       }
@@ -281,7 +295,15 @@ ServingReport RunServing(const LatencySpace& space,
         }
       }
       if (truth == nullptr) {
-        truth = &misses.Get(space, next_members, out.target, nullptr);
+        const TruthMemo* scored = nullptr;
+        for (const TruthMemo& memo : slot.memos) {
+          if (memo.Find(out.target) != nullptr) {
+            scored = &memo;
+            break;
+          }
+        }
+        truth = &misses.Get(space, next.members, out.target, nullptr, scored,
+                            &next_delta);
       }
       if (out.found_latency <= truth->closest_latency + sc.tie_epsilon_ms) {
         ++exact_live;

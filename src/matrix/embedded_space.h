@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/latency_space.h"
@@ -54,6 +55,15 @@ class EmbeddedSpace final : public core::LatencySpace {
   /// written, so concurrent probes from the query loop are safe.
   LatencyMs Latency(NodeId a, NodeId b) const override;
 
+  /// Bit-identical to the per-pair scan, at a fraction of its cost: a
+  /// candidate whose lower bound max(base * (1 - distortion), 1e-6)
+  /// already exceeds the best latency so far is skipped without its
+  /// distortion hash. Rounding is monotone, so that bound never exceeds
+  /// the latency Latency() computes, and ties still reach the exact
+  /// comparison.
+  NodeId ClosestOf(NodeId target, std::span<const NodeId> members,
+                   LatencyMs* latency) const override;
+
   const EmbeddedSpaceConfig& config() const { return config_; }
 
   /// Row-major num_nodes x dimensions coordinates.
@@ -65,6 +75,13 @@ class EmbeddedSpace final : public core::LatencySpace {
   LatencyMatrix Materialize() const;
 
  private:
+  /// Squared L2 distance between the coordinates of a and b: the one
+  /// summation both Latency and ClosestOf run, so their answers agree
+  /// bit for bit.
+  double SquaredDistance(NodeId a, NodeId b) const;
+  /// The latency of a != b from its base distance: distortion, floor.
+  LatencyMs Distort(NodeId a, NodeId b, double base) const;
+
   EmbeddedSpaceConfig config_;
   std::vector<double> coords_;
 };

@@ -3,13 +3,19 @@
 // scoring of every query, field for field — under latency ties,
 // repeated Zipf targets, membership that changes between epochs, and a
 // partition window that leaves a target's component without members.
+// Truth carried from the previous epoch's memo across a MemberDelta
+// must equal a full ScanTruth in every epoch of a long membership walk.
 // The engine-level cases check the same through RunScenario/RunServing
-// with the oracle, whose every answer is the true closest member.
+// with the oracle, whose every answer is the true closest member, and
+// pin serving staleness values recorded before truth was carried.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/churn.h"
@@ -18,8 +24,10 @@
 #include "core/query_batch.h"
 #include "core/scenario.h"
 #include "core/serving.h"
+#include "matrix/embedded_space.h"
 #include "matrix/latency_matrix.h"
 #include "matrix/partitioned_space.h"
+#include "algos/karger_ruhl.h"
 #include "util/rng.h"
 
 namespace np::core {
@@ -305,6 +313,264 @@ TEST(TruthMemo, FreshMemoPerEpochFollowsMembership) {
   ASSERT_NE(epoch0_memo.Find(0), nullptr);
   EXPECT_EQ(epoch0_memo.Find(0)->closest, 1);
   EXPECT_EQ(TrueClosestMember(space, members[1], 0), 4);
+}
+
+// --- Truth carried across epochs ------------------------------------------
+
+/// How often the membership walk hit each case the carry rule tells
+/// apart.
+struct WalkCoverage {
+  int closest_left = 0;
+  int target_joined = 0;
+  int rejoined = 0;
+  int carried = 0;
+  int rescanned = 0;
+};
+
+void ExpectSameTruth(const TargetTruth& a, const TargetTruth& b) {
+  EXPECT_EQ(a.closest, b.closest);
+  EXPECT_EQ(a.closest_latency, b.closest_latency);
+  EXPECT_EQ(a.reachable, b.reachable);
+  EXPECT_EQ(a.reachable_latency, b.reachable_latency);
+}
+
+/// Walks 200 epochs over `space` (180 nodes) and checks, every epoch and
+/// for every target, that the memo carried from the previous epoch
+/// across the MemberDelta equals a full ScanTruth. Members are drawn
+/// from ids below 60 and 120..139; each epoch a few random joins and
+/// leaves land, plus the forced events below.
+WalkCoverage WalkAndCompare(const LatencySpace& space, std::uint64_t seed) {
+  constexpr NodeId kNodes = 180;
+  util::Rng rng(seed);
+  // Two different windows over the same nodes: A splits by id parity,
+  // B puts ids below 90 on side 1 and leaves side 2 without members.
+  matrix::PartitionWindow window_a;
+  matrix::PartitionWindow window_b;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    window_a.component.push_back(static_cast<int>(n % 2));
+    window_b.component.push_back(n < 90 ? 1 : (n < 170 ? 0 : 2));
+  }
+  const auto window_at = [&](int epoch) -> const matrix::PartitionWindow* {
+    if ((epoch >= 40 && epoch < 70) || (epoch >= 120 && epoch < 140)) {
+      return &window_a;
+    }
+    if (epoch >= 70 && epoch < 90) {
+      return &window_b;  // the window changes without closing
+    }
+    return nullptr;
+  };
+  // Targets: hot ones that are never members, ones that come and go,
+  // and the nodes of side 2, which no member ever reaches.
+  const std::vector<NodeId> targets = {150, 151, 160, 171, 175, 3, 8, 17, 29};
+  const NodeId joining_target = 3;
+
+  std::vector<NodeId> members;
+  for (NodeId n = 0; n < 60; n += 2) {
+    members.push_back(n);
+  }
+  std::vector<NodeId> prev_members;
+  TruthMemo prev_memo;
+  NodeId rejoin_pending = kInvalidNode;
+  WalkCoverage coverage;
+  for (int epoch = 0; epoch < 200; ++epoch) {
+    SCOPED_TRACE(epoch);
+    if (epoch > 0) {
+      const auto is_member = [&](NodeId n) {
+        return std::find(members.begin(), members.end(), n) != members.end();
+      };
+      const auto leave = [&](NodeId n) {
+        members.erase(std::find(members.begin(), members.end(), n));
+      };
+      // Random churn; ids 120..139 sit on side 0 of window B.
+      for (std::size_t k = rng.Index(4); k > 0 && members.size() > 3; --k) {
+        leave(members[rng.Index(members.size())]);
+      }
+      for (std::size_t k = rng.Index(4); k > 0; --k) {
+        const auto pick = static_cast<NodeId>(rng.Index(80));
+        const NodeId n = pick < 60 ? pick : 60 + pick;
+        if (!is_member(n)) {
+          members.push_back(n);
+        }
+      }
+      // Forced: target 150's previous closest leaves.
+      if (epoch % 7 == 0) {
+        const TargetTruth* old = prev_memo.Find(150);
+        if (old != nullptr && is_member(old->closest) && members.size() > 3) {
+          leave(old->closest);
+          ++coverage.closest_left;
+        }
+      }
+      // Forced: a target joins (and later leaves again).
+      if (epoch % 11 == 0) {
+        if (is_member(joining_target)) {
+          leave(joining_target);
+        } else {
+          members.push_back(joining_target);
+          ++coverage.target_joined;
+        }
+      }
+      // Forced: a member leaves and rejoins one epoch later.
+      if (rejoin_pending != kInvalidNode) {
+        if (!is_member(rejoin_pending)) {
+          members.push_back(rejoin_pending);
+          ++coverage.rejoined;
+        }
+        rejoin_pending = kInvalidNode;
+      } else if (epoch % 13 == 0 && members.size() > 3) {
+        rejoin_pending = members[rng.Index(members.size())];
+        leave(rejoin_pending);
+      }
+    }
+    const matrix::PartitionWindow* window = window_at(epoch);
+    std::optional<MemberDelta> delta;
+    if (epoch > 0) {
+      delta.emplace(prev_members, members, kNodes);
+    }
+    TruthMemo memo;
+    for (const NodeId target : targets) {
+      SCOPED_TRACE(target);
+      const bool had = prev_memo.Find(target) != nullptr;
+      const TargetTruth& carried = memo.Get(
+          space, members, target, window, epoch > 0 ? &prev_memo : nullptr,
+          delta ? &*delta : nullptr);
+      ExpectSameTruth(carried, ScanTruth(space, members, target, window));
+      if (had && delta && delta->Live(prev_memo.Find(target)->closest) &&
+          (window == nullptr || window == window_at(epoch - 1))) {
+        ++coverage.carried;
+      } else {
+        ++coverage.rescanned;
+      }
+    }
+    prev_memo = std::move(memo);
+    prev_members = members;
+  }
+  return coverage;
+}
+
+TEST(TruthCarry, EqualsAFullScanInEveryEpochOfAMembershipWalk) {
+  // A tie-heavy matrix (latencies on a 1 ms grid, so the lowest-id
+  // rule decides often) and the embedded backend, whose ClosestOf is
+  // the pruned kernel.
+  matrix::LatencyMatrix grid(180);
+  util::Rng grid_rng(41);
+  for (NodeId a = 0; a < 180; ++a) {
+    for (NodeId b = a + 1; b < 180; ++b) {
+      grid.Set(a, b, 1.0 + static_cast<double>(grid_rng.Index(6)));
+    }
+  }
+  const MatrixSpace tied(grid);
+  matrix::EmbeddedSpaceConfig config;
+  config.num_nodes = 180;
+  config.dimensions = 2;
+  config.distortion = 0.3;
+  config.seed = 43;
+  const matrix::EmbeddedSpace embedded(config);
+
+  const LatencySpace* spaces[] = {&tied, &embedded};
+  for (const LatencySpace* space : spaces) {
+    const WalkCoverage coverage = WalkAndCompare(*space, 47);
+    // The walk reaches every case the carry rule distinguishes.
+    EXPECT_GT(coverage.closest_left, 5);
+    EXPECT_GT(coverage.target_joined, 5);
+    EXPECT_GT(coverage.rejoined, 5);
+    EXPECT_GT(coverage.carried, 900);
+    EXPECT_GT(coverage.rescanned, 50);
+  }
+}
+
+TEST(TruthCarry, CarriesOnlyFromALiveClosestAndTheSameWindow) {
+  // Target 0: members 1 (1 ms), 2 (3 ms), 3 (5 ms). Node 4 joins at
+  // 2 ms. A carried answer costs one call per candidate — the old
+  // closest plus the joiners — and a rescan one per member.
+  matrix::LatencyMatrix m(8, 10.0);
+  m.Set(0, 1, 1.0);
+  m.Set(0, 2, 3.0);
+  m.Set(0, 3, 5.0);
+  m.Set(0, 4, 2.0);
+  const MatrixSpace backend(m);
+  const std::vector<NodeId> before = {1, 2, 3};
+  matrix::PartitionWindow window;
+  window.component = {0, 1, 0, 0, 0, 0, 0, 0};
+
+  TruthMemo prev;
+  prev.Get(backend, before, 0, nullptr);
+  {
+    const std::vector<NodeId> after = {1, 2, 3, 4};
+    const MemberDelta delta(before, after, 8);
+    EXPECT_EQ(delta.joined(), std::vector<NodeId>{4});
+    const CountingSpace counting(backend);
+    TruthMemo memo;
+    EXPECT_EQ(memo.Get(counting, after, 0, nullptr, &prev, &delta).closest, 1);
+    EXPECT_EQ(counting.calls(), 2u);
+  }
+  {
+    // The old closest left: rescan all three members.
+    const std::vector<NodeId> after = {2, 3, 4};
+    const MemberDelta delta(before, after, 8);
+    const CountingSpace counting(backend);
+    TruthMemo memo;
+    const TargetTruth& truth =
+        memo.Get(counting, after, 0, nullptr, &prev, &delta);
+    EXPECT_EQ(truth.closest, 4);
+    EXPECT_EQ(truth.closest_latency, 2.0);
+    EXPECT_EQ(counting.calls(), 3u);
+  }
+  {
+    // A window opened: rescan, and 1 is across the cut.
+    const std::vector<NodeId> after = {1, 2, 3, 4};
+    const MemberDelta delta(before, after, 8);
+    const CountingSpace counting(backend);
+    TruthMemo memo;
+    const TargetTruth& truth =
+        memo.Get(counting, after, 0, &window, &prev, &delta);
+    EXPECT_EQ(truth.closest, 1);
+    EXPECT_EQ(truth.reachable, 4);
+    EXPECT_GE(counting.calls(), 4u);
+  }
+}
+
+TEST(TruthCarry, ServingStalenessMatchesValuesRecordedBeforeTheCarry) {
+  // Recorded with %.17g before truth was carried across epochs (every
+  // staleness miss scanned in full): an embedded world whose scoring
+  // runs the ClosestOf kernel, Zipf targets repeating across epochs,
+  // and readers that do not divide the batch evenly.
+  matrix::EmbeddedSpaceConfig world;
+  world.num_nodes = 1500;
+  world.dimensions = 3;
+  world.distortion = 0.1;
+  world.seed = 61;
+  const matrix::EmbeddedSpace space(world);
+  ChurnScheduleConfig churn;
+  churn.duration_s = 300.0;
+  churn.events_per_s = 0.8;
+  churn.join_fraction = 0.5;
+  churn.seed = 67;
+  const ChurnSchedule schedule = ChurnSchedule::Poisson(churn);
+  ServingConfig serving;
+  serving.scenario.initial_overlay = 150;
+  serving.scenario.epochs = 6;
+  serving.scenario.queries_per_epoch = 400;
+  serving.scenario.query_zipf_s = 1.0;
+  serving.scenario.seed = 71;
+  const double p_exact_live[] = {0.70250000000000001, 0.72750000000000004,
+                                 0.65749999999999997, 0.55249999999999999,
+                                 0.73250000000000004, 0.70999999999999996};
+  const double p_found_departed[] = {
+      0.072499999999999995, 0.092499999999999999, 0.1225,
+      0.17749999999999999,  0.070000000000000007, 0.0};
+  for (const int readers : {1, 3}) {
+    SCOPED_TRACE(readers);
+    serving.reader_threads = readers;
+    algos::KargerRuhlNearest algo{algos::KargerRuhlConfig{}};
+    const ServingReport report =
+        RunServing(space, nullptr, algo, schedule, serving, {});
+    ASSERT_EQ(report.staleness.size(), 6u);
+    for (std::size_t k = 0; k < 6; ++k) {
+      EXPECT_EQ(report.staleness[k].epoch, static_cast<int>(k));
+      EXPECT_EQ(report.staleness[k].p_exact_live, p_exact_live[k]);
+      EXPECT_EQ(report.staleness[k].p_found_departed, p_found_departed[k]);
+    }
+  }
 }
 
 // --- Partition window with an empty component ------------------------------

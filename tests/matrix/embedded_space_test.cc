@@ -1,16 +1,20 @@
 // EmbeddedSpace: determinism, symmetry, tunable triangle violations,
-// and the equivalence suite — a materialized LatencyMatrix built from
-// the space's own latencies and the implicit backend must produce
+// the pruned ClosestOf kernel (bit-identical to the generic per-pair
+// scan, and still billed per pair through MeteredSpace), and the
+// equivalence suite — a materialized LatencyMatrix built from the
+// space's own latencies and the implicit backend must produce
 // bit-identical experiment metrics at small n, for every thread count.
 #include "matrix/embedded_space.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "algos/karger_ruhl.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "util/rng.h"
 
 namespace np::matrix {
 namespace {
@@ -83,6 +87,127 @@ TEST(EmbeddedSpace, MaterializeIsBitIdentical) {
       EXPECT_EQ(dense.At(i, j), space.Latency(i, j));
     }
   }
+}
+
+// --- ClosestOf kernel -------------------------------------------------------
+
+/// Forwards Latency and nothing else, so ClosestOf takes the generic
+/// per-pair scan every decorator runs.
+class PerPairSpace final : public core::LatencySpace {
+ public:
+  explicit PerPairSpace(const core::LatencySpace& inner) : inner_(&inner) {}
+  NodeId size() const override { return inner_->size(); }
+  LatencyMs Latency(NodeId a, NodeId b) const override {
+    return inner_->Latency(a, b);
+  }
+
+ private:
+  const core::LatencySpace* inner_;
+};
+
+/// The kernel and the per-pair scan agree on the member and on the
+/// latency bits for `target` against `members`.
+void ExpectKernelMatchesPerPair(const EmbeddedSpace& space, NodeId target,
+                                const std::vector<NodeId>& members) {
+  const PerPairSpace generic(space);
+  LatencyMs want = -1.0;
+  LatencyMs got = -2.0;
+  const NodeId expected = generic.ClosestOf(target, members, &want);
+  EXPECT_EQ(space.ClosestOf(target, members, &got), expected);
+  EXPECT_EQ(got, want);
+}
+
+TEST(EmbeddedSpaceClosestOf, MatchesPerPairScanAcrossDistortionAndDimensions) {
+  for (const double distortion : {0.0, 0.1, 0.5, 0.9}) {
+    for (const int dims : {1, 2, 3, 5}) {
+      SCOPED_TRACE(testing::Message() << "distortion " << distortion
+                                      << " dims " << dims);
+      EmbeddedSpaceConfig config = SmallConfig();
+      config.num_nodes = 400;
+      config.dimensions = dims;
+      config.distortion = distortion;
+      const EmbeddedSpace space(config);
+      util::Rng rng(static_cast<std::uint64_t>(dims) * 31 +
+                    static_cast<std::uint64_t>(distortion * 10.0));
+      for (int round = 0; round < 150; ++round) {
+        const auto target = static_cast<NodeId>(rng.Index(400));
+        // Drawn with replacement, so ids repeat; every other round
+        // lists the target itself too.
+        std::vector<NodeId> members(1 + rng.Index(90));
+        for (NodeId& m : members) {
+          m = static_cast<NodeId>(rng.Index(400));
+        }
+        if (round % 2 == 0) {
+          members.insert(members.begin() +
+                             static_cast<std::ptrdiff_t>(
+                                 rng.Index(members.size() + 1)),
+                         target);
+        }
+        ExpectKernelMatchesPerPair(space, target, members);
+      }
+    }
+  }
+}
+
+TEST(EmbeddedSpaceClosestOf, TargetDuplicatesAndEmptyCandidateSets) {
+  const EmbeddedSpace space(SmallConfig());
+  ExpectKernelMatchesPerPair(space, 7, {7, 7});
+  ExpectKernelMatchesPerPair(space, 7, {});
+  ExpectKernelMatchesPerPair(space, 7, {3, 3, 7, 9, 9, 3});
+  LatencyMs latency = 0.0;
+  EXPECT_EQ(space.ClosestOf(7, std::vector<NodeId>{7}, &latency),
+            kInvalidNode);
+  EXPECT_EQ(latency, kInfiniteLatency);
+  EXPECT_EQ(space.ClosestOf(7, std::vector<NodeId>{9, 7, 9}, &latency), 9);
+  EXPECT_EQ(latency, space.Latency(9, 7));
+}
+
+TEST(EmbeddedSpaceClosestOf, CoincidentPointsTieAtTheFloorTowardLowestId) {
+  // A side far below 1e-6 ms puts every point on top of every other:
+  // all latencies sit on the 1e-6 floor, the bound equals the best
+  // latency rather than exceeding it, and the lowest id must win. A
+  // side near the floor mixes floored and unfloored pairs.
+  for (const double side : {1e-9, 2e-6}) {
+    for (const int dims : {1, 3}) {
+      for (const double distortion : {0.0, 0.5}) {
+        SCOPED_TRACE(testing::Message() << "side " << side << " dims "
+                                        << dims << " distortion "
+                                        << distortion);
+        EmbeddedSpaceConfig config = SmallConfig();
+        config.side_ms = side;
+        config.dimensions = dims;
+        config.distortion = distortion;
+        const EmbeddedSpace space(config);
+        std::vector<NodeId> members;
+        for (NodeId n = 119; n >= 0; n -= 3) {
+          members.push_back(n);
+        }
+        for (const NodeId target : {0, 2, 5, 119}) {
+          ExpectKernelMatchesPerPair(space, target, members);
+        }
+        if (side < 1e-6) {
+          LatencyMs latency = 0.0;
+          EXPECT_EQ(space.ClosestOf(119, members, &latency), 2);
+          EXPECT_EQ(latency, 1e-6);
+        }
+      }
+    }
+  }
+}
+
+TEST(EmbeddedSpaceClosestOf, MeteredDecoratorBillsEveryCandidate) {
+  // Only the bare backend prunes: through MeteredSpace every candidate
+  // other than the target is probed (and billed) once per listing, and
+  // the answer is still the kernel's.
+  const EmbeddedSpace space(SmallConfig());
+  const core::MeteredSpace metered(space);
+  const std::vector<NodeId> members = {4, 11, 7, 11, 90, 7, 63};
+  LatencyMs billed = 0.0;
+  LatencyMs bare = 0.0;
+  const NodeId found = metered.ClosestOf(7, members, &billed);
+  EXPECT_EQ(metered.probes(), 5u);
+  EXPECT_EQ(found, space.ClosestOf(7, members, &bare));
+  EXPECT_EQ(billed, bare);
 }
 
 // --- Equivalence suite -----------------------------------------------------
