@@ -11,10 +11,10 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 #include "core/probe_counter.h"
 #include "matrix/latency_matrix.h"
+#include "util/pair_stream.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -76,13 +76,10 @@ class MatrixSpace final : public LatencySpace {
 /// pairs from one sequential stream, which silently tied measured
 /// values to probe order and broke within-query symmetry.
 ///
-/// Caveat: the per-pair tracker is bounded at kMaxTrackedPairs
-/// distinct pairs; crossing it starts a new generation (fresh stream
-/// seed), so order-robustness is guaranteed *within a generation*.
-/// Query-scale instances probe a few thousand pairs and never flush;
-/// only a long-lived maintenance instance over a very large noisy
-/// build can, and there the generation boundary — not the values
-/// inside one — is what probe order can move.
+/// Caveat: the per-pair tracker is util::PairStream's, bounded at
+/// PairStream::kMaxTrackedPairs distinct pairs; crossing it starts a
+/// new generation (fresh stream seed), so order-robustness is
+/// guaranteed *within a generation* (see util/pair_stream.h).
 ///
 /// Not thread-safe: the per-pair counters mutate under Latency().
 /// Every call site owns a private instance (one per query, or one for
@@ -99,7 +96,7 @@ class NoisySpace final : public LatencySpace {
       : inner_(&inner),
         jitter_frac_(jitter_frac),
         floor_ms_(floor_ms),
-        stream_seed_(seed) {}
+        stream_(seed) {}
 
   NodeId size() const override { return inner_->size(); }
 
@@ -108,20 +105,7 @@ class NoisySpace final : public LatencySpace {
     if (a == b || (jitter_frac_ <= 0.0 && floor_ms_ <= 0.0)) {
       return true_ms;
     }
-    // Bound the tracker: a query probes a few thousand pairs at most,
-    // but one long-lived maintenance instance can cross O(overlay^2)
-    // distinct pairs during a large noisy build. Flushing re-mixes the
-    // stream seed (a pure function of the probe sequence, so still
-    // deterministic) and keeps memory at ~kMaxTrackedPairs entries;
-    // probe-order robustness holds within a generation — i.e. always,
-    // for every query-scale instance.
-    if (pair_probe_count_.size() >= kMaxTrackedPairs) {
-      pair_probe_count_.clear();
-      stream_seed_ = util::Mix64(stream_seed_);
-    }
-    const std::uint64_t pair = util::PairKey(a, b);
-    const std::uint64_t count = pair_probe_count_[pair]++;
-    util::Rng rng(util::Mix64(util::Mix64(stream_seed_ ^ pair) ^ count));
+    util::Rng rng(stream_.Next(a, b));
     double noisy = true_ms;
     if (jitter_frac_ > 0.0) {
       noisy += true_ms * rng.Gaussian(0.0, jitter_frac_);
@@ -133,17 +117,10 @@ class NoisySpace final : public LatencySpace {
   }
 
  private:
-  /// ~48 MB of tracking at the cap — small next to the O(n * d)
-  /// implicit backends, unreachable for per-query instances.
-  static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
-
   const LatencySpace* inner_;
   double jitter_frac_;
   double floor_ms_;
-  mutable std::uint64_t stream_seed_;
-  /// Probes already issued per unordered pair in this generation.
-  mutable std::unordered_map<std::uint64_t, std::uint64_t>
-      pair_probe_count_;
+  mutable util::PairStream stream_;
 };
 
 /// Probe-counting decorator. Algorithms receive a MeteredSpace so that

@@ -10,7 +10,7 @@ FaultySpace::FaultySpace(const core::LatencySpace& inner, double loss_rate,
                          const std::unordered_set<NodeId>* crashed)
     : inner_(&inner),
       loss_rate_(loss_rate),
-      stream_seed_(seed),
+      stream_(seed),
       crashed_(crashed) {
   NP_ENSURE(loss_rate >= 0.0 && loss_rate < 1.0,
             "FaultySpace loss_rate must be in [0, 1)");
@@ -29,15 +29,7 @@ LatencyMs FaultySpace::Latency(NodeId a, NodeId b) const {
   if (loss_rate_ <= 0.0 || a == b) {
     return inner_->Latency(a, b);
   }
-  if (pair_attempts_.size() >= kMaxTrackedPairs) {
-    pair_attempts_.clear();
-    stream_seed_ = util::Mix64(stream_seed_);
-  }
-  const std::uint64_t pair = util::PairKey(a, b);
-  const std::uint64_t attempt = pair_attempts_[pair]++;
-  const double u =
-      util::MixToUnit(util::Mix64(util::Mix64(stream_seed_ ^ pair) ^ attempt));
-  if (u < loss_rate_) {
+  if (util::MixToUnit(stream_.Next(a, b)) < loss_rate_) {
     return kLostProbeMs;
   }
   return inner_->Latency(a, b);

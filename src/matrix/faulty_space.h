@@ -33,10 +33,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/latency_space.h"
+#include "util/pair_stream.h"
 #include "util/types.h"
 
 namespace np::matrix {
@@ -71,17 +71,11 @@ class FaultySpace final : public core::LatencySpace {
   }
 
  private:
-  /// Same bound and generation-flush scheme as NoisySpace: memory stays
-  /// at ~kMaxTrackedPairs entries and order-robustness holds within a
-  /// generation.
-  static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
-
   const core::LatencySpace* inner_;
   double loss_rate_;
-  mutable std::uint64_t stream_seed_;
+  /// Per-pair attempt stream, bounded like NoisySpace's.
+  mutable util::PairStream stream_;
   const std::unordered_set<NodeId>* crashed_;
-  /// Probes already issued per unordered pair in this generation.
-  mutable std::unordered_map<std::uint64_t, std::uint64_t> pair_attempts_;
 };
 
 }  // namespace np::matrix

@@ -55,7 +55,7 @@ int ComponentOf(const PartitionWindow& w, NodeId n) {
 PartitionedSpace::PartitionedSpace(const core::LatencySpace& inner,
                                    const PartitionSchedule& schedule,
                                    std::uint64_t seed)
-    : inner_(&inner), schedule_(&schedule), stream_seed_(seed) {
+    : inner_(&inner), schedule_(&schedule), stream_(seed) {
   NP_ENSURE(
       schedule.grey_node_frac >= 0.0 && schedule.grey_node_frac <= 1.0 &&
           schedule.grey_loss_rate >= 0.0 && schedule.grey_loss_rate < 1.0,
@@ -90,15 +90,7 @@ LatencyMs PartitionedSpace::Latency(NodeId a, NodeId b) const {
     // get through.
     if (schedule_->GreyActive() &&
         (schedule_->IsGrey(a) || schedule_->IsGrey(b))) {
-      if (pair_attempts_.size() >= kMaxTrackedPairs) {
-        pair_attempts_.clear();
-        stream_seed_ = util::Mix64(stream_seed_);
-      }
-      const std::uint64_t pair = util::PairKey(a, b);
-      const std::uint64_t attempt = pair_attempts_[pair]++;
-      const double u = util::MixToUnit(
-          util::Mix64(util::Mix64(stream_seed_ ^ pair) ^ attempt));
-      if (u < schedule_->grey_loss_rate) {
+      if (util::MixToUnit(stream_.Next(a, b)) < schedule_->grey_loss_rate) {
         return kLostProbeMs;
       }
     }

@@ -22,8 +22,8 @@
 //   3. Grey nodes: a deterministic node_frac of nodes (keyed off the
 //      schedule-level grey_seed) lose probes touching them at
 //      grey loss_rate per attempt. Unlike 1 and 2 this is re-rolled per
-//      attempt with FaultySpace's per-pair attempt-counter scheme (same
-//      kMaxTrackedPairs generation flush), so retries can get through —
+//      attempt with FaultySpace's per-pair attempt stream (the same
+//      util::PairStream generation flush), so retries can get through —
 //      that is what makes it "grey" rather than dead.
 //
 // Thread-safety mirrors FaultySpace: with grey failure active the
@@ -35,10 +35,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/latency_space.h"
+#include "util/pair_stream.h"
 #include "util/types.h"
 
 namespace np::matrix {
@@ -119,17 +119,13 @@ class PartitionedSpace final : public core::LatencySpace {
   const PartitionSchedule& schedule() const { return *schedule_; }
 
  private:
-  /// Same bound and generation-flush scheme as FaultySpace.
-  static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
-
   const core::LatencySpace* inner_;
   const PartitionSchedule* schedule_;
-  mutable std::uint64_t stream_seed_;
+  /// Grey-loss attempt stream, bounded like FaultySpace's; untouched
+  /// unless GreyActive().
+  mutable util::PairStream stream_;
   int epoch_ = -1;
   const PartitionWindow* active_ = nullptr;
-  /// Grey-loss probes already issued per unordered pair this
-  /// generation; untouched unless GreyActive().
-  mutable std::unordered_map<std::uint64_t, std::uint64_t> pair_attempts_;
 };
 
 }  // namespace np::matrix

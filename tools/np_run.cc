@@ -34,6 +34,7 @@
 #include "core/space_factory.h"
 #include "matrix/embedded_space.h"
 #include "matrix/generators.h"
+#include "matrix/sparse_space.h"
 #include "mech/hybrid.h"
 #include "mech/topology_space.h"
 #include "meridian/meridian.h"
@@ -96,6 +97,21 @@ struct World {
   std::vector<NodeId> population;
 };
 
+np::matrix::SparseTopologyConfig ParseSparseConfig(const JsonValue& spec) {
+  np::matrix::SparseTopologyConfig config;
+  config.num_nodes =
+      static_cast<NodeId>(spec.GetInt("num_nodes", config.num_nodes));
+  config.extra_edges_per_node = static_cast<int>(
+      spec.GetInt("extra_edges_per_node", config.extra_edges_per_node));
+  config.min_edge_ms = spec.GetDouble("min_edge_ms", config.min_edge_ms);
+  config.max_edge_ms = spec.GetDouble("max_edge_ms", config.max_edge_ms);
+  config.row_cache_capacity = static_cast<std::size_t>(spec.GetInt(
+      "row_cache_capacity",
+      static_cast<std::int64_t>(config.row_cache_capacity)));
+  config.seed = spec.GetUint64("seed", 7);
+  return config;
+}
+
 World BuildWorld(const JsonValue& spec) {
   World world;
   world.type = spec.GetString("type", "clustered");
@@ -146,19 +162,8 @@ World BuildWorld(const JsonValue& spec) {
     // Implicit shortest-path backend: O(n * degree) memory plus an LRU
     // row cache whose hit/miss/eviction counters land in the report —
     // the data that makes row_cache_capacity tunable at n = 10^5.
-    np::matrix::SparseTopologyConfig config;
-    config.num_nodes =
-        static_cast<NodeId>(spec.GetInt("num_nodes", config.num_nodes));
-    config.extra_edges_per_node = static_cast<int>(
-        spec.GetInt("extra_edges_per_node", config.extra_edges_per_node));
-    config.min_edge_ms = spec.GetDouble("min_edge_ms", config.min_edge_ms);
-    config.max_edge_ms = spec.GetDouble("max_edge_ms", config.max_edge_ms);
-    config.row_cache_capacity = static_cast<std::size_t>(spec.GetInt(
-        "row_cache_capacity",
-        static_cast<std::int64_t>(config.row_cache_capacity)));
-    config.seed = seed;
     world.factory = std::make_unique<np::core::SpaceFactory>(
-        np::core::SpaceFactory::MakeSparse(config));
+        np::core::SpaceFactory::MakeSparse(ParseSparseConfig(spec)));
     return world;
   }
   if (world.type == "topology") {
@@ -369,6 +374,9 @@ void ValidateSpec(const JsonValue& spec) {
     RequireKeys(world, "world (sparse)",
                 {"type", "seed", "num_nodes", "extra_edges_per_node",
                  "min_edge_ms", "max_edge_ms", "row_cache_capacity"});
+    // Weight ranges the exact shortest-path kernel cannot cover fail
+    // here, before any world is generated.
+    np::matrix::ValidateSparseConfig(ParseSparseConfig(world));
   } else if (world_type == "topology") {
     RequireKeys(world, "world (topology)",
                 {"type", "seed", "num_cities", "num_ases", "azureus_hosts"});
