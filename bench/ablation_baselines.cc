@@ -10,15 +10,11 @@
 #include <functional>
 #include <memory>
 
-#include "algos/beaconing.h"
-#include "algos/karger_ruhl.h"
-#include "algos/tapestry.h"
-#include "algos/tiers.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "coord/pic.h"
 #include "core/experiment.h"
 #include "matrix/generators.h"
-#include "meridian/meridian.h"
 
 #include "util/contract.h"
 
@@ -49,40 +45,15 @@ int main() {
 
   using Factory =
       std::function<std::unique_ptr<np::core::NearestPeerAlgorithm>()>;
-  const std::vector<std::pair<std::string, Factory>> schemes = {
-      {"oracle", [] { return std::make_unique<np::core::OracleNearest>(); }},
-      {"random", [] { return std::make_unique<np::core::RandomNearest>(); }},
-      {"meridian",
-       [] {
-         return std::make_unique<np::meridian::MeridianOverlay>(
-             np::meridian::MeridianConfig{});
-       }},
-      {"karger-ruhl",
-       [] {
-         return std::make_unique<np::algos::KargerRuhlNearest>(
-             np::algos::KargerRuhlConfig{});
-       }},
-      {"tapestry",
-       [] {
-         return std::make_unique<np::algos::TapestryNearest>(
-             np::algos::TapestryConfig{});
-       }},
-      {"tiers",
-       [] {
-         return std::make_unique<np::algos::TiersNearest>(
-             np::algos::TiersConfig{});
-       }},
-      {"beaconing",
-       [] {
-         return std::make_unique<np::algos::BeaconingNearest>(
-             np::algos::BeaconingConfig{});
-       }},
-      {"pic",
-       [] {
-         return std::make_unique<np::coord::PicNearest>(
-             np::coord::PicConfig{});
-       }},
-  };
+  std::vector<std::pair<std::string, Factory>> schemes;
+  for (const char* name : {"oracle", "random", "meridian", "karger-ruhl",
+                           "tapestry", "tiers", "beaconing"}) {
+    const Factory make = [name] { return np::algos::MakeAlgorithm(name); };
+    schemes.emplace_back(name, make);
+  }
+  schemes.emplace_back("pic", [] {
+    return std::make_unique<np::coord::PicNearest>(np::coord::PicConfig{});
+  });
 
   np::util::Table table({"scheme", "clustered_p_exact",
                          "clustered_p_cluster", "clustered_probes",

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -116,7 +116,7 @@ int main() {
     double repair_bill = 0.0;
     double rebuild_bill = 0.0;
     for (const std::string& name : algorithms) {
-      const auto algo = np::bench::MakeBenchAlgorithm(name);
+      const auto algo = np::algos::MakeAlgorithm(name);
       ScenarioReport report;
       {
         auto phase = reporter.Phase(

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -39,7 +39,7 @@
 namespace {
 
 using np::NodeId;
-using np::bench::MakeBenchAlgorithm;
+using np::algos::MakeAlgorithm;
 using np::core::ChurnSchedule;
 using np::core::ChurnScheduleConfig;
 using np::core::ScenarioConfig;
@@ -124,7 +124,7 @@ int main() {
       for (const std::string& name : algorithms) {
         const std::string key =
             "n" + std::to_string(n) + "_" + model.name + "_" + name;
-        const auto algo = MakeBenchAlgorithm(name);
+        const auto algo = MakeAlgorithm(name);
         ScenarioReport report;
         {
           auto phase = reporter.Phase(

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -105,7 +105,7 @@ int main() {
     for (const std::string& name : algorithms) {
       ScenarioConfig run = sconfig;
       run.fault.loss_rate = loss;
-      const auto algo = np::bench::MakeBenchAlgorithm(name);
+      const auto algo = np::algos::MakeAlgorithm(name);
       ScenarioReport report;
       {
         auto phase = reporter.Phase(
@@ -137,7 +137,7 @@ int main() {
   double tiers_gini = 0.0;
   for (const std::string& name : {std::string("meridian"),
                                   std::string("tiers")}) {
-    const auto algo = np::bench::MakeBenchAlgorithm(name);
+    const auto algo = np::algos::MakeAlgorithm(name);
     ScenarioReport report;
     {
       auto phase = reporter.Phase(

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -119,7 +119,7 @@ int main() {
 
     const std::string dur = "dur" + std::to_string(duration);
     for (const std::string& name : algorithms) {
-      const auto algo = np::bench::MakeBenchAlgorithm(name);
+      const auto algo = np::algos::MakeAlgorithm(name);
       ScenarioReport report;
       {
         auto phase = reporter.Phase(

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -48,7 +48,7 @@ namespace {
 
 using np::LatencyMs;
 using np::NodeId;
-using np::bench::MakeBenchAlgorithm;
+using np::algos::MakeAlgorithm;
 using np::core::ChurnSchedule;
 using np::core::ChurnScheduleConfig;
 using np::core::MeteredSpace;
@@ -209,7 +209,7 @@ int main() {
 
       // --- grown: incremental joins from a seed overlay ------------------
       {
-        const auto algo = MakeBenchAlgorithm(name);
+        const auto algo = MakeAlgorithm(name);
         ScenarioReport report;
         {
           auto phase = reporter.Phase(
@@ -234,7 +234,7 @@ int main() {
 
       // --- churn: leave-heavy session schedule ---------------------------
       {
-        const auto algo = MakeBenchAlgorithm(name);
+        const auto algo = MakeAlgorithm(name);
         ScenarioReport report;
         {
           auto phase = reporter.Phase(
@@ -261,7 +261,7 @@ int main() {
       }
 
       // --- batch: one-shot construction + per-leave micro-bench ----------
-      const auto batch_algo = MakeBenchAlgorithm(name);
+      const auto batch_algo = MakeAlgorithm(name);
       if (!batch_algo->SupportsParallelBuild()) {
         continue;  // trivial builds (oracle/random) have nothing to time
       }
@@ -272,7 +272,7 @@ int main() {
       const MeteredSpace batch_metered(world.space());
       double serial_ms = 0.0;
       {
-        const auto serial_algo = MakeBenchAlgorithm(name);
+        const auto serial_algo = MakeAlgorithm(name);
         np::util::Rng rng(np::util::Mix64(43));
         auto phase = reporter.Phase(
             "build_serial_n" + std::to_string(n) + "_" + name,

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/algo_factory.h"
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/scenario.h"
@@ -39,7 +39,7 @@
 namespace {
 
 using np::NodeId;
-using np::bench::MakeBenchAlgorithm;
+using np::algos::MakeAlgorithm;
 using np::core::ChurnSchedule;
 using np::core::ChurnScheduleConfig;
 using np::core::RunScenario;
@@ -136,7 +136,7 @@ int main() {
     // reader count must reproduce bit-for-bit.
     for (const double churn : churn_sweep) {
       const ChurnSchedule schedule = SessionSchedule(churn);
-      const auto replay_algo = MakeBenchAlgorithm(name);
+      const auto replay_algo = MakeAlgorithm(name);
       ScenarioReport replay;
       {
         auto phase = reporter.Phase(
@@ -155,7 +155,7 @@ int main() {
         ServingConfig serving;
         serving.scenario = sconfig;
         serving.reader_threads = r;
-        const auto algo = MakeBenchAlgorithm(name);
+        const auto algo = MakeAlgorithm(name);
         ServingReport report;
         {
           auto phase = reporter.Phase(

@@ -10,9 +10,12 @@
 #include "bench/common.h"
 #include "util/contract.h"
 #include "util/error.h"
+#include "util/json.h"
 
 namespace np::bench {
 namespace {
+
+using util::JsonEscape;
 
 /// JSON-safe number formatting: fixed notation with enough digits for
 /// ms-resolution timings and ratios; never locale-dependent. inf/nan
@@ -27,26 +30,6 @@ std::string FormatNumber(double v) {
   out.precision(6);
   out << std::fixed << v;
   return out.str();
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      // RFC 8259: control characters must be \u-escaped.
-      constexpr char kHex[] = "0123456789abcdef";
-      out += "\\u00";
-      out.push_back(kHex[(c >> 4) & 0xF]);
-      out.push_back(kHex[c & 0xF]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -112,14 +95,14 @@ std::string Reporter::ToJson() const {
   // report locale-independent, not just the FormatNumber doubles.
   out.imbue(std::locale::classic());
   out << "{\n";
-  out << "  \"bench\": \"" << EscapeJson(name_) << "\",\n";
+  out << "  \"bench\": \"" << JsonEscape(name_) << "\",\n";
   out << "  \"scale\": \"" << (QuickScale() ? "quick" : "full") << "\",\n";
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n";
   out << "  \"phases\": [\n";
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     const PhaseRecord& p = phases_[i];
-    out << "    {\"name\": \"" << EscapeJson(p.name) << "\", \"wall_ms\": "
+    out << "    {\"name\": \"" << JsonEscape(p.name) << "\", \"wall_ms\": "
         << FormatNumber(p.wall_ms) << ", \"ops\": " << FormatNumber(p.ops)
         << ", \"ops_per_sec\": "
         << FormatNumber(p.wall_ms > 0.0 ? p.ops / (p.wall_ms / 1000.0) : 0.0)
@@ -128,7 +111,7 @@ std::string Reporter::ToJson() const {
   out << "  ],\n";
   out << "  \"derived\": {";
   for (std::size_t i = 0; i < derived_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << EscapeJson(derived_[i].first)
+    out << (i == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(derived_[i].first)
         << "\": " << FormatNumber(derived_[i].second);
   }
   out << (derived_.empty() ? "}" : "\n  }") << "\n";

@@ -409,51 +409,21 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::entries()
   return object_;
 }
 
-bool JsonValue::GetBool(const std::string& key, bool fallback) const {
-  const JsonValue* value = Find(key);
-  return value == nullptr ? fallback : value->AsBool();
-}
-
-double JsonValue::GetDouble(const std::string& key, double fallback) const {
-  const JsonValue* value = Find(key);
-  return value == nullptr ? fallback : value->AsDouble();
-}
-
-std::int64_t JsonValue::GetInt(const std::string& key,
-                               std::int64_t fallback) const {
-  const JsonValue* value = Find(key);
-  return value == nullptr ? fallback : value->AsInt();
-}
-
-std::uint64_t JsonValue::GetUint64(const std::string& key,
-                                   std::uint64_t fallback) const {
-  const JsonValue* value = Find(key);
-  if (value == nullptr) {
-    return fallback;
-  }
-  const std::int64_t v = value->AsInt();
-  if (v < 0) {
-    throw Error("json: key \"" + key + "\" must be non-negative");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-std::string JsonValue::GetString(const std::string& key,
-                                 const std::string& fallback) const {
-  const JsonValue* value = Find(key);
-  return value == nullptr ? fallback : value->AsString();
-}
-
-std::vector<double> JsonValue::GetDoubleArray(
-    const std::string& key, std::vector<double> fallback) const {
-  const JsonValue* value = Find(key);
-  if (value == nullptr) {
-    return fallback;
-  }
-  std::vector<double> out;
-  out.reserve(value->items().size());
-  for (const JsonValue& item : value->items()) {
-    out.push_back(item.AsDouble());
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      constexpr char kHex[] = "0123456789abcdef";
+      out += "\\u00";
+      out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xF]);
+      out.push_back(kHex[static_cast<unsigned char>(c) & 0xF]);
+    } else {
+      out.push_back(c);
+    }
   }
   return out;
 }

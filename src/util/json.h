@@ -51,20 +51,6 @@ class JsonValue {
   const JsonValue& at(const std::string& key) const;
   const std::vector<std::pair<std::string, JsonValue>>& entries() const;
 
-  /// Typed object lookups with defaults (absent key -> fallback;
-  /// present key of the wrong type still throws).
-  bool GetBool(const std::string& key, bool fallback) const;
-  double GetDouble(const std::string& key, double fallback) const;
-  std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
-  std::uint64_t GetUint64(const std::string& key,
-                          std::uint64_t fallback) const;
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const;
-  /// Array-of-numbers lookup (e.g. diurnal multipliers); a present key
-  /// must be an array whose every element is a number.
-  std::vector<double> GetDoubleArray(const std::string& key,
-                                     std::vector<double> fallback) const;
-
  private:
   friend class JsonParser;
 
@@ -75,5 +61,10 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/// `text` escaped for the inside of a JSON string literal: quotes and
+/// backslashes get a backslash, control bytes become \u00XX. The
+/// writer-side counterpart of Parse, shared by every JSON report.
+std::string JsonEscape(std::string_view text);
 
 }  // namespace np::util

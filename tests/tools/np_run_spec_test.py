@@ -63,7 +63,7 @@ ALLOWED = {
                         "join_fraction", "mean_session_s", "session_model",
                         "lognormal_sigma", "pareto_alpha", "crash_frac",
                         "diurnal", "blackouts", "seed"},
-    "churn (trace)": {"mode", "trace", "blackouts", "seed"},
+    "churn (trace)": {"mode", "trace", "blackouts"},
     "churn.trace entry": {"t", "op", "join_of", "node"},
     "churn.diurnal": {"day_s", "amplitude", "peak_frac", "multipliers"},
     "churn.blackouts entry": {"t", "cluster"},
@@ -245,6 +245,16 @@ def other_cases():
     cases["hybrid on a non-topology world"] = rejects(
         set_key(["algorithms"], ["hybrid-ucl"]),
         r"algorithm hybrid-ucl needs a topology world")
+    cases["trace churn with a seed"] = rejects(
+        then(trace, set_key(["churn", "seed"], 3)),
+        r'unknown key "seed" in churn \(trace\)')
+    cases["epochs beyond int"] = rejects(
+        set_key(["scenario", "epochs"], 4294967297),
+        r'"epochs" in scenario is out of range: 4294967297')
+    cases["num_nodes beyond NodeId"] = rejects(
+        then(lambda spec: world(spec, "embedded"),
+             set_key(["world", "num_nodes"], 3000000000)),
+        r'"num_nodes" in world \(embedded\) is out of range: 3000000000')
     cases["sparse max_edge_ms too large"] = rejects(
         then(lambda spec: world(spec, "sparse"),
              set_key(["world", "num_nodes"], 1000),
@@ -253,30 +263,39 @@ def other_cases():
     return cases
 
 
-def run_case(np_run, workdir, name, case):
-    mutate, want_code, pattern, section = case
+def validate(np_run, workdir, mutate):
+    """Runs np_run --validate on the base spec after `mutate`."""
     spec = copy.deepcopy(BASE)
     mutate(spec)
     path = os.path.join(workdir, "spec.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(spec, f)
-    proc = subprocess.run([np_run, path, "--validate"], capture_output=True,
+    return subprocess.run([np_run, path, "--validate"], capture_output=True,
                           text=True, encoding="utf-8")
+
+
+def unknown_key_report(stderr):
+    """(section, allowed-key set) from an unknown-key error, or None."""
+    m = ALLOWED_RE.search(stderr)
+    return None if m is None else (m.group(1), set(m.group(2).split(", ")))
+
+
+def run_case(np_run, workdir, name, case):
+    mutate, want_code, pattern, section = case
+    proc = validate(np_run, workdir, mutate)
     errors = []
     if proc.returncode != want_code:
         errors.append("exit %d, want %d" % (proc.returncode, want_code))
     if section is not None:
-        m = ALLOWED_RE.search(proc.stderr)
-        if m is None:
+        report = unknown_key_report(proc.stderr)
+        if report is None:
             errors.append("no unknown-key message")
-        elif m.group(1) != section:
-            errors.append("section %r, want %r" % (m.group(1), section))
-        else:
-            got = set(m.group(2).split(", "))
-            if got != ALLOWED[section]:
-                errors.append("allowed: extra %s, missing %s" % (
-                    sorted(got - ALLOWED[section]),
-                    sorted(ALLOWED[section] - got)))
+        elif report[0] != section:
+            errors.append("section %r, want %r" % (report[0], section))
+        elif report[1] != ALLOWED[section]:
+            errors.append("allowed: extra %s, missing %s" % (
+                sorted(report[1] - ALLOWED[section]),
+                sorted(ALLOWED[section] - report[1])))
     elif not re.search(pattern, proc.stderr):
         errors.append("stderr does not match /%s/" % pattern)
     if errors:
@@ -289,13 +308,7 @@ def run_case(np_run, workdir, name, case):
 
 def unknown_algorithm_case(np_run, workdir):
     """The hint lists every accepted name; pin it as a set."""
-    spec = copy.deepcopy(BASE)
-    spec["algorithms"] = ["bogus"]
-    path = os.path.join(workdir, "spec.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec, f)
-    proc = subprocess.run([np_run, path, "--validate"], capture_output=True,
-                          text=True, encoding="utf-8")
+    proc = validate(np_run, workdir, set_key(["algorithms"], ["bogus"]))
     m = re.search(r"unknown algorithm: bogus \(expected (.*) \| "
                   r"hybrid-\{([^}]*)\}\)", proc.stderr)
     ok = (proc.returncode == 1 and m is not None and

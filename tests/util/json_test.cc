@@ -48,23 +48,6 @@ TEST(Json, StringEscapes) {
             "\xf0\x9f\x98\x80");
 }
 
-TEST(Json, TypedLookupsWithDefaults) {
-  const JsonValue doc =
-      JsonValue::Parse(R"({"a": 2, "b": "x", "c": true, "d": 1.5})");
-  EXPECT_EQ(doc.GetInt("a", 9), 2);
-  EXPECT_EQ(doc.GetInt("missing", 9), 9);
-  EXPECT_EQ(doc.GetString("b", "y"), "x");
-  EXPECT_EQ(doc.GetString("missing", "y"), "y");
-  EXPECT_TRUE(doc.GetBool("c", false));
-  EXPECT_FALSE(doc.GetBool("missing", false));
-  EXPECT_DOUBLE_EQ(doc.GetDouble("d", 0.0), 1.5);
-  EXPECT_EQ(doc.GetUint64("a", 0), 2u);
-  EXPECT_EQ(doc.Find("missing"), nullptr);
-  // A present key of the wrong type fails loudly, never defaults.
-  EXPECT_THROW(doc.GetInt("b", 9), Error);
-  EXPECT_THROW(doc.GetUint64("d", 0), Error);  // non-integer
-}
-
 TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::Parse(""), Error);
   EXPECT_THROW(JsonValue::Parse("{"), Error);

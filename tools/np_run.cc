@@ -10,25 +10,24 @@
 // accuracy *and* traffic metrics (messages/query, maintenance
 // messages/churn-event). See docs/SCENARIOS.md for the full schema.
 //
-// Every run starts with a strict schema pass: unknown keys anywhere in
-// the spec are errors, so the parser and the documentation cannot
-// silently drift apart. `--validate` stops after that pass (plus a
-// cheap churn-schedule construction), which is what the CI docs job
-// runs over every scenarios/*.json.
+// Every run starts with ParseSpec, which reads each key of the spec
+// exactly once into plain structs and rejects any key it did not read,
+// so the parser is the schema. `--validate` stops after that pass (plus
+// a cheap churn-schedule construction); tests/tools/spec_docs_test.py
+// checks docs/SCENARIOS.md's key tables against it.
+#include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <initializer_list>
+#include <iomanip>
 #include <iostream>
-#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "algos/beaconing.h"
-#include "algos/coord_nearest.h"
-#include "algos/karger_ruhl.h"
-#include "algos/tapestry.h"
-#include "algos/tiers.h"
+#include "algos/registry.h"
 #include "core/scenario.h"
 #include "core/serving.h"
 #include "core/space_factory.h"
@@ -60,19 +59,468 @@ using np::core::ScenarioConfig;
 using np::core::ScenarioReport;
 using np::core::ServingConfig;
 using np::core::ServingReport;
+using np::util::Error;
+using np::util::JsonEscape;
 using np::util::JsonValue;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    throw np::util::Error("cannot open scenario spec: " + path);
+    throw Error("cannot open scenario spec: " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
-// --- World construction -----------------------------------------------------
+// --- Spec reader ------------------------------------------------------------
+
+/// `value` as a T, or an error naming `what` when it is not an integer
+/// T can hold (a silent narrowing would run a different experiment).
+template <typename T>
+T CheckedInt(const JsonValue& value, const std::string& what) {
+  // Bound the double first: converting one outside int64 is undefined.
+  const double d = value.AsDouble();
+  if (std::fabs(d) < 0x1p63 && std::in_range<T>(value.AsInt())) {
+    return static_cast<T>(value.AsInt());
+  }
+  std::ostringstream text;
+  text << what << " is out of range: " << std::setprecision(17) << d
+       << " (allowed " << std::numeric_limits<T>::min() << ".."
+       << std::numeric_limits<T>::max() << ")";
+  throw Error(text.str());
+}
+
+/// Reads one JSON object of the spec. Every getter records the key it
+/// is asked for, and Done() rejects any key of the object that no
+/// getter asked for, listing the ones that were. A key is therefore
+/// allowed exactly where it is read, and the parse pass is the schema.
+class SpecReader {
+ public:
+  SpecReader(const JsonValue& object, std::string section)
+      : object_(object), section_(std::move(section)) {
+    if (!object_.IsObject()) {
+      throw Error(section_ + " must be a JSON object");
+    }
+  }
+
+  /// Names the variant whose keys follow: "world" -> "world (sparse)".
+  void Qualify(const std::string& variant) { section_ += " (" + variant + ")"; }
+
+  template <typename T>
+  T Int(const char* key, T fallback) {
+    const JsonValue* value = Get(key);
+    return value == nullptr ? fallback : CheckedInt<T>(*value, Where(key));
+  }
+  double Double(const char* key, double fallback) {
+    const JsonValue* value = Get(key);
+    return value == nullptr ? fallback : value->AsDouble();
+  }
+  bool Bool(const char* key, bool fallback) {
+    const JsonValue* value = Get(key);
+    return value == nullptr ? fallback : value->AsBool();
+  }
+  std::string String(const char* key, const std::string& fallback) {
+    const JsonValue* value = Get(key);
+    return value == nullptr ? fallback : value->AsString();
+  }
+  /// Nested values: nullptr when absent, unless `required`.
+  const JsonValue* Object(const char* key, bool required = false) {
+    return Nested(key, required, JsonValue::Type::kObject, "an object");
+  }
+  const JsonValue* Array(const char* key, bool required = false) {
+    return Nested(key, required, JsonValue::Type::kArray, "an array");
+  }
+
+  /// How many of the keys asked for so far the object carries.
+  std::size_t found() const { return found_; }
+
+  void Done() const {
+    for (const auto& [key, value] : object_.entries()) {
+      if (std::find(asked_.begin(), asked_.end(), key) == asked_.end()) {
+        std::string allowed;
+        for (const std::string& asked : asked_) {
+          allowed += (allowed.empty() ? "" : ", ") + asked;
+        }
+        throw Error("unknown key \"" + key + "\" in " + section_ +
+                    " (allowed: " + allowed + ")");
+      }
+    }
+  }
+
+ private:
+  const JsonValue* Get(const char* key) {
+    asked_.emplace_back(key);
+    const JsonValue* value = object_.Find(key);
+    found_ += value != nullptr ? 1 : 0;
+    return value;
+  }
+  const JsonValue* Nested(const char* key, bool required,
+                          JsonValue::Type type, const char* type_name) {
+    const JsonValue* value = Get(key);
+    if (value == nullptr && required) {
+      throw Error("missing " + Where(key));
+    }
+    if (value != nullptr && value->type() != type) {
+      throw Error(Where(key) + " must be " + type_name);
+    }
+    return value;
+  }
+  std::string Where(const char* key) const {
+    return "\"" + std::string(key) + "\" in " + section_;
+  }
+
+  const JsonValue& object_;
+  std::string section_;
+  std::vector<std::string> asked_;
+  std::size_t found_ = 0;
+};
+
+/// A spec string that selects one of a fixed set of values.
+template <typename T>
+struct Named {
+  const char* name;
+  T value;
+};
+
+template <typename T, std::size_t N>
+std::string Names(const Named<T> (&table)[N], const char* separator) {
+  std::string names;
+  for (const Named<T>& entry : table) {
+    names += (names.empty() ? "" : separator) + std::string(entry.name);
+  }
+  return names;
+}
+
+template <typename T, std::size_t N>
+T Lookup(const Named<T> (&table)[N], const std::string& name,
+         const std::string& what) {
+  for (const Named<T>& entry : table) {
+    if (name == entry.name) {
+      return entry.value;
+    }
+  }
+  throw Error("unknown " + what + ": " + name + " (expected " +
+              Names(table, " | ") + ")");
+}
+
+constexpr Named<bool> kChurnModes[] = {{"poisson", false}, {"trace", true}};
+constexpr Named<bool> kEngineModes[] = {
+    {"scenario", false},
+    {"serving", true},
+};
+constexpr Named<ChurnEventType> kTraceOps[] = {
+    {"join", ChurnEventType::kJoin},
+    {"leave", ChurnEventType::kLeave},
+    {"crash", ChurnEventType::kCrash},
+};
+constexpr Named<np::core::SessionModel> kSessionModels[] = {
+    {"exponential", np::core::SessionModel::kExponential},
+    {"lognormal", np::core::SessionModel::kLogNormal},
+    {"pareto", np::core::SessionModel::kPareto},
+};
+constexpr Named<np::mech::Mechanism> kHybridMechanisms[] = {
+    {"ucl", np::mech::Mechanism::kUcl},
+    {"prefix", np::mech::Mechanism::kPrefix},
+    {"multicast", np::mech::Mechanism::kMulticast},
+    {"registry", np::mech::Mechanism::kRegistry},
+};
+
+// --- Parsed spec ------------------------------------------------------------
+
+/// The world section: `type` selects which one of the configs is live.
+struct WorldSpec {
+  std::string type;
+  std::uint64_t seed = 7;
+  np::matrix::ClusteredConfig clustered;
+  np::matrix::EuclideanConfig euclidean;
+  NodeId num_nodes = 1000;  // euclidean only; the others carry their own
+  np::matrix::EmbeddedSpaceConfig embedded;
+  np::matrix::SparseTopologyConfig sparse;
+  np::net::TopologyConfig topology = np::net::SmallTestConfig();
+};
+
+struct ChurnSpec {
+  bool trace = false;
+  ChurnScheduleConfig poisson;
+  std::vector<ChurnEvent> events;
+};
+
+struct AlgorithmSpec {
+  std::string name;
+  /// nullptr for the world-dependent hybrid-* algorithms.
+  const np::algos::RegisteredAlgorithm* registered = nullptr;
+  np::mech::Mechanism mechanism = np::mech::Mechanism::kUcl;
+};
+
+struct Spec {
+  std::string name;
+  WorldSpec world;
+  ChurnSpec churn;
+  /// Includes churn.blackouts, which the engine applies.
+  ScenarioConfig scenario;
+  bool serving = false;
+  int reader_threads = 4;
+  bool check_replay = true;
+  std::vector<AlgorithmSpec> algorithms;
+};
+
+// --- Parsing ----------------------------------------------------------------
+
+WorldSpec ParseWorld(const JsonValue& json) {
+  SpecReader in(json, "world");
+  WorldSpec world;
+  world.type = in.String("type", "clustered");
+  in.Qualify(world.type);
+  world.seed = in.Int("seed", world.seed);
+  if (world.type == "clustered") {
+    np::matrix::ClusteredConfig& config = world.clustered;
+    config.num_clusters = in.Int("num_clusters", config.num_clusters);
+    config.nets_per_cluster =
+        in.Int("nets_per_cluster", config.nets_per_cluster);
+    config.peers_per_net = in.Int("peers_per_net", config.peers_per_net);
+    config.delta = in.Double("delta", config.delta);
+    config.same_net_latency_ms =
+        in.Double("same_net_latency_ms", config.same_net_latency_ms);
+  } else if (world.type == "euclidean") {
+    np::matrix::EuclideanConfig& config = world.euclidean;
+    world.num_nodes = in.Int("num_nodes", world.num_nodes);
+    config.dimensions = in.Int("dimensions", config.dimensions);
+    config.side_ms = in.Double("side_ms", config.side_ms);
+    config.jitter = in.Double("jitter", config.jitter);
+  } else if (world.type == "embedded") {
+    // Implicit backend: O(n * d) memory, latencies recomputed per
+    // probe — the world type the 10^3..10^5 scale sweep runs on.
+    np::matrix::EmbeddedSpaceConfig& config = world.embedded;
+    config.num_nodes = in.Int("num_nodes", config.num_nodes);
+    config.dimensions = in.Int("dimensions", config.dimensions);
+    config.side_ms = in.Double("side_ms", config.side_ms);
+    config.distortion = in.Double("distortion", config.distortion);
+    config.seed = world.seed;
+  } else if (world.type == "sparse") {
+    // Implicit shortest-path backend: O(n * degree) memory plus an LRU
+    // row cache whose hit/miss/eviction counters land in the report.
+    np::matrix::SparseTopologyConfig& config = world.sparse;
+    config.num_nodes = in.Int("num_nodes", config.num_nodes);
+    config.extra_edges_per_node =
+        in.Int("extra_edges_per_node", config.extra_edges_per_node);
+    config.min_edge_ms = in.Double("min_edge_ms", config.min_edge_ms);
+    config.max_edge_ms = in.Double("max_edge_ms", config.max_edge_ms);
+    config.row_cache_capacity =
+        in.Int("row_cache_capacity", config.row_cache_capacity);
+    config.seed = world.seed;
+  } else if (world.type == "topology") {
+    np::net::TopologyConfig& config = world.topology;
+    config.num_cities = in.Int("num_cities", config.num_cities);
+    config.num_ases = in.Int("num_ases", config.num_ases);
+    config.azureus_hosts = in.Int("azureus_hosts", 2000);
+    config.dns_recursive_hosts = 0;
+    // Overlay participants cooperate: they answer probes.
+    config.azureus_tcp_respond_prob = 1.0;
+    config.azureus_trace_respond_prob = 1.0;
+  } else {
+    throw Error(
+        "unknown world type: " + world.type +
+        " (expected clustered | euclidean | embedded | sparse | topology)");
+  }
+  in.Done();
+  if (world.type == "sparse") {
+    // Weight ranges the exact shortest-path kernel cannot cover fail
+    // here, before any world is generated.
+    np::matrix::ValidateSparseConfig(world.sparse);
+  }
+  return world;
+}
+
+ChurnSpec ParseChurn(const JsonValue& json, bool clustered,
+                     std::vector<ScenarioConfig::Blackout>& blackouts) {
+  SpecReader in(json, "churn");
+  ChurnSpec churn;
+  const std::string mode = in.String("mode", "poisson");
+  churn.trace = Lookup(kChurnModes, mode, "churn mode");
+  in.Qualify(mode);
+  if (const JsonValue* list = in.Array("blackouts")) {
+    if (!clustered) {
+      throw Error(
+          "churn.blackouts needs a clustered world (victims are a cluster)");
+    }
+    for (const JsonValue& entry : list->items()) {
+      SpecReader item(entry, "churn.blackouts entry");
+      ScenarioConfig::Blackout& blackout = blackouts.emplace_back();
+      blackout.time_s = item.Double("t", blackout.time_s);
+      blackout.cluster = item.Int("cluster", blackout.cluster);
+      item.Done();
+    }
+  }
+  if (churn.trace) {
+    for (const JsonValue& entry : in.Array("trace", true)->items()) {
+      SpecReader item(entry, "churn.trace entry");
+      ChurnEvent& event = churn.events.emplace_back();
+      event.time_s = item.Double("t", 0.0);
+      event.type = Lookup(kTraceOps, item.String("op", ""), "trace op");
+      event.join_of = item.Int("join_of", event.join_of);
+      event.node = item.Int("node", event.node);
+      item.Done();
+    }
+  } else {
+    ChurnScheduleConfig& config = churn.poisson;
+    config.duration_s = in.Double("duration_s", config.duration_s);
+    config.events_per_s = in.Double("events_per_s", config.events_per_s);
+    config.join_fraction = in.Double("join_fraction", config.join_fraction);
+    config.mean_session_s = in.Double("mean_session_s", config.mean_session_s);
+    const std::string model = in.String("session_model", "exponential");
+    config.session_model = Lookup(kSessionModels, model, "session_model");
+    config.lognormal_sigma =
+        in.Double("lognormal_sigma", config.lognormal_sigma);
+    config.pareto_alpha = in.Double("pareto_alpha", config.pareto_alpha);
+    config.crash_fraction = in.Double("crash_frac", config.crash_fraction);
+    if (const JsonValue* object = in.Object("diurnal")) {
+      SpecReader diurnal(*object, "churn.diurnal");
+      np::core::DiurnalConfig& wave = config.diurnal;
+      wave.day_s = diurnal.Double("day_s", wave.day_s);
+      wave.amplitude = diurnal.Double("amplitude", wave.amplitude);
+      wave.peak_frac = diurnal.Double("peak_frac", wave.peak_frac);
+      if (const JsonValue* multipliers = diurnal.Array("multipliers")) {
+        for (const JsonValue& multiplier : multipliers->items()) {
+          wave.multipliers.push_back(multiplier.AsDouble());
+        }
+      }
+      diurnal.Done();
+    }
+    config.seed = in.Int("seed", config.seed);
+  }
+  in.Done();
+  return churn;
+}
+
+np::core::FaultConfig ParseFault(const JsonValue& json, bool clustered) {
+  SpecReader in(json, "scenario.fault");
+  np::core::FaultConfig fault;
+  fault.loss_rate = in.Double("loss_rate", fault.loss_rate);
+  fault.max_attempts = in.Int("retry", fault.max_attempts);
+  fault.track_load = in.Bool("track_load", fault.track_load);
+  if (const JsonValue* list = in.Array("partitions")) {
+    if (!clustered) {
+      throw Error(
+          "fault.partitions splits cluster groups and needs a clustered "
+          "world");
+    }
+    for (const JsonValue& entry : list->items()) {
+      SpecReader item(entry, "fault.partitions entry");
+      np::core::FaultConfig::Partition& partition =
+          fault.partitions.emplace_back();
+      partition.start_epoch = item.Int("start_epoch", 0);
+      partition.end_epoch = item.Int("end_epoch", 0);
+      for (const JsonValue& group : item.Array("groups", true)->items()) {
+        std::vector<int>& clusters = partition.groups.emplace_back();
+        for (const JsonValue& cluster : group.items()) {
+          clusters.push_back(CheckedInt<int>(cluster, "a partition cluster"));
+        }
+      }
+      item.Done();
+      if (partition.groups.size() < 2) {
+        throw Error("fault.partitions entry needs at least two groups");
+      }
+    }
+  }
+  if (const JsonValue* object = in.Object("grey_nodes")) {
+    SpecReader grey(*object, "fault.grey_nodes");
+    fault.grey_node_frac = grey.Double("frac", 0.0);
+    fault.grey_loss_rate = grey.Double("loss_rate", 0.0);
+    grey.Done();
+  }
+  fault.asymmetric_loss = in.Double("asymmetric_loss", fault.asymmetric_loss);
+  if (const JsonValue* object = in.Object("suspicion")) {
+    SpecReader suspicion(*object, "fault.suspicion");
+    np::core::SuspicionConfig& config = fault.suspicion;
+    config.strikes = suspicion.Int("strikes", 3);
+    config.probation_epochs =
+        suspicion.Int("probation_epochs", config.probation_epochs);
+    config.probation_backoff =
+        suspicion.Double("probation_backoff", config.probation_backoff);
+    suspicion.Done();
+  }
+  in.Done();
+  return fault;
+}
+
+/// The scenario section: engine parameters plus the serving fields.
+void ParseEngine(const JsonValue& json, bool clustered, Spec& spec) {
+  SpecReader in(json, "scenario");
+  ScenarioConfig& config = spec.scenario;
+  config.initial_overlay = in.Int("initial_overlay", config.initial_overlay);
+  config.epochs = in.Int("epochs", config.epochs);
+  config.queries_per_epoch =
+      in.Int("queries_per_epoch", config.queries_per_epoch);
+  config.num_threads = in.Int("num_threads", config.num_threads);
+  config.tie_epsilon_ms = in.Double("tie_epsilon_ms", config.tie_epsilon_ms);
+  config.measurement_noise_frac =
+      in.Double("measurement_noise_frac", config.measurement_noise_frac);
+  config.measurement_noise_floor_ms = in.Double(
+      "measurement_noise_floor_ms", config.measurement_noise_floor_ms);
+  if (const JsonValue* fault = in.Object("fault")) {
+    config.fault = ParseFault(*fault, clustered);
+  }
+  config.query_zipf_s = in.Double("query_zipf_s", config.query_zipf_s);
+  config.seed = in.Int("seed", config.seed);
+  spec.serving = Lookup(kEngineModes, in.String("mode", "scenario"),
+                        "scenario.mode");
+  const std::size_t found = in.found();
+  spec.reader_threads = in.Int("reader_threads", spec.reader_threads);
+  // Replay check defaults on: the deterministic loop stays the
+  // correctness oracle unless the spec explicitly opts out.
+  spec.check_replay = in.Bool("check_replay", spec.check_replay);
+  if (!spec.serving && in.found() != found) {
+    throw Error("scenario.reader_threads / scenario.check_replay require "
+                "\"mode\": \"serving\"");
+  }
+  in.Done();
+}
+
+AlgorithmSpec ParseAlgorithm(const std::string& name, bool topology) {
+  AlgorithmSpec algo{name, np::algos::FindAlgorithm(name)};
+  if (algo.registered != nullptr) {
+    return algo;
+  }
+  if (name.rfind("hybrid-", 0) != 0) {
+    throw Error("unknown algorithm: " + name + " (expected " +
+                np::algos::AlgorithmNames() + " | hybrid-{" +
+                Names(kHybridMechanisms, ",") + "})");
+  }
+  algo.mechanism =
+      Lookup(kHybridMechanisms, name.substr(7), "hybrid mechanism");
+  if (!topology) {
+    throw Error("algorithm " + name +
+                " needs a topology world (the §5 mechanisms use routers/IPs)");
+  }
+  return algo;
+}
+
+/// Reads the whole spec once and runs every cross-section check; the
+/// build steps below take the result and never touch JSON.
+Spec ParseSpec(const JsonValue& json) {
+  SpecReader in(json, "the scenario spec");
+  Spec spec;
+  spec.name = in.String("name", "scenario");
+  in.String("description", "");  // free-form, ignored by the runner
+  const JsonValue& world = *in.Object("world", true);
+  const JsonValue& churn = *in.Object("churn", true);
+  const JsonValue& engine = *in.Object("scenario", true);
+  const JsonValue& algorithms = *in.Array("algorithms", true);
+  in.Done();
+
+  spec.world = ParseWorld(world);
+  const bool clustered = spec.world.type == "clustered";
+  spec.churn = ParseChurn(churn, clustered, spec.scenario.blackouts);
+  ParseEngine(engine, clustered, spec);
+  for (const JsonValue& entry : algorithms.items()) {
+    spec.algorithms.push_back(
+        ParseAlgorithm(entry.AsString(), spec.world.type == "topology"));
+  }
+  return spec;
+}
+
+// --- Building ---------------------------------------------------------------
 
 /// Owns whichever world variant the spec asked for, and exposes the
 /// pieces the engine needs. Matrix-backed and implicit worlds go
@@ -97,484 +545,55 @@ struct World {
   std::vector<NodeId> population;
 };
 
-np::matrix::SparseTopologyConfig ParseSparseConfig(const JsonValue& spec) {
-  np::matrix::SparseTopologyConfig config;
-  config.num_nodes =
-      static_cast<NodeId>(spec.GetInt("num_nodes", config.num_nodes));
-  config.extra_edges_per_node = static_cast<int>(
-      spec.GetInt("extra_edges_per_node", config.extra_edges_per_node));
-  config.min_edge_ms = spec.GetDouble("min_edge_ms", config.min_edge_ms);
-  config.max_edge_ms = spec.GetDouble("max_edge_ms", config.max_edge_ms);
-  config.row_cache_capacity = static_cast<std::size_t>(spec.GetInt(
-      "row_cache_capacity",
-      static_cast<std::int64_t>(config.row_cache_capacity)));
-  config.seed = spec.GetUint64("seed", 7);
-  return config;
-}
-
-World BuildWorld(const JsonValue& spec) {
+World BuildWorld(const WorldSpec& spec) {
+  using np::core::SpaceFactory;
   World world;
-  world.type = spec.GetString("type", "clustered");
-  const std::uint64_t seed = spec.GetUint64("seed", 7);
-
-  if (world.type == "clustered") {
-    np::matrix::ClusteredConfig config;
-    config.num_clusters =
-        static_cast<int>(spec.GetInt("num_clusters", config.num_clusters));
-    config.nets_per_cluster = static_cast<int>(
-        spec.GetInt("nets_per_cluster", config.nets_per_cluster));
-    config.peers_per_net =
-        static_cast<int>(spec.GetInt("peers_per_net", config.peers_per_net));
-    config.delta = spec.GetDouble("delta", config.delta);
-    config.same_net_latency_ms =
-        spec.GetDouble("same_net_latency_ms", config.same_net_latency_ms);
-    world.factory = std::make_unique<np::core::SpaceFactory>(
-        np::core::SpaceFactory::MakeClustered(config, seed));
-    return world;
-  }
-  if (world.type == "euclidean") {
-    np::matrix::EuclideanConfig config;
-    config.dimensions =
-        static_cast<int>(spec.GetInt("dimensions", config.dimensions));
-    config.side_ms = spec.GetDouble("side_ms", config.side_ms);
-    config.jitter = spec.GetDouble("jitter", config.jitter);
-    const NodeId n = static_cast<NodeId>(spec.GetInt("num_nodes", 1000));
-    world.factory = std::make_unique<np::core::SpaceFactory>(
-        np::core::SpaceFactory::MakeEuclidean(n, config, seed));
-    return world;
-  }
-  if (world.type == "embedded") {
-    // Implicit backend: O(n * d) memory, latencies recomputed per
-    // probe — the world type the 10^3..10^5 scale sweep runs on.
-    np::matrix::EmbeddedSpaceConfig config;
-    config.num_nodes =
-        static_cast<NodeId>(spec.GetInt("num_nodes", config.num_nodes));
-    config.dimensions =
-        static_cast<int>(spec.GetInt("dimensions", config.dimensions));
-    config.side_ms = spec.GetDouble("side_ms", config.side_ms);
-    config.distortion = spec.GetDouble("distortion", config.distortion);
-    config.seed = seed;
-    world.factory = std::make_unique<np::core::SpaceFactory>(
-        np::core::SpaceFactory::MakeEmbedded(config));
-    return world;
-  }
-  if (world.type == "sparse") {
-    // Implicit shortest-path backend: O(n * degree) memory plus an LRU
-    // row cache whose hit/miss/eviction counters land in the report —
-    // the data that makes row_cache_capacity tunable at n = 10^5.
-    world.factory = std::make_unique<np::core::SpaceFactory>(
-        np::core::SpaceFactory::MakeSparse(ParseSparseConfig(spec)));
-    return world;
-  }
-  if (world.type == "topology") {
-    np::util::Rng rng(seed);
-    np::net::TopologyConfig config = np::net::SmallTestConfig();
-    config.num_cities =
-        static_cast<int>(spec.GetInt("num_cities", config.num_cities));
-    config.num_ases =
-        static_cast<int>(spec.GetInt("num_ases", config.num_ases));
-    config.azureus_hosts =
-        static_cast<int>(spec.GetInt("azureus_hosts", 2000));
-    config.dns_recursive_hosts = 0;
-    // Overlay participants cooperate: they answer probes.
-    config.azureus_tcp_respond_prob = 1.0;
-    config.azureus_trace_respond_prob = 1.0;
+  world.type = spec.type;
+  if (spec.type == "topology") {
+    np::util::Rng rng(spec.seed);
     world.topology = std::make_unique<np::net::Topology>(
-        np::net::Topology::Generate(config, rng));
+        np::net::Topology::Generate(spec.topology, rng));
     world.topology_space =
         std::make_unique<np::mech::TopologySpace>(*world.topology);
     world.population =
         world.topology->HostsOfKind(np::net::HostKind::kAzureusPeer);
     return world;
   }
-  throw np::util::Error(
-      "unknown world type: " + world.type +
-      " (expected clustered | euclidean | embedded | sparse | topology)");
-}
-
-// --- Churn schedule ---------------------------------------------------------
-
-np::core::SessionModel ParseSessionModel(const std::string& name) {
-  if (name == "exponential") {
-    return np::core::SessionModel::kExponential;
-  }
-  if (name == "lognormal") {
-    return np::core::SessionModel::kLogNormal;
-  }
-  if (name == "pareto") {
-    return np::core::SessionModel::kPareto;
-  }
-  throw np::util::Error("unknown session_model: " + name +
-                        " (expected exponential | lognormal | pareto)");
-}
-
-ChurnSchedule BuildSchedule(const JsonValue& spec) {
-  const std::string mode = spec.GetString("mode", "poisson");
-  if (mode == "trace") {
-    std::vector<ChurnEvent> events;
-    for (const JsonValue& entry : spec.at("trace").items()) {
-      ChurnEvent event;
-      event.time_s = entry.GetDouble("t", 0.0);
-      const std::string op = entry.at("op").AsString();
-      if (op == "join") {
-        event.type = ChurnEventType::kJoin;
-      } else if (op == "leave") {
-        event.type = ChurnEventType::kLeave;
-      } else if (op == "crash") {
-        event.type = ChurnEventType::kCrash;
-      } else {
-        throw np::util::Error("trace op must be join|leave|crash, got: " +
-                              op);
-      }
-      event.join_of = entry.GetInt("join_of", -1);
-      event.node = static_cast<NodeId>(entry.GetInt("node", np::kInvalidNode));
-      events.push_back(event);
-    }
-    return ChurnSchedule::FromTrace(std::move(events));
-  }
-  if (mode == "poisson") {
-    ChurnScheduleConfig config;
-    config.duration_s = spec.GetDouble("duration_s", config.duration_s);
-    config.events_per_s = spec.GetDouble("events_per_s", config.events_per_s);
-    config.join_fraction =
-        spec.GetDouble("join_fraction", config.join_fraction);
-    config.mean_session_s =
-        spec.GetDouble("mean_session_s", config.mean_session_s);
-    config.session_model =
-        ParseSessionModel(spec.GetString("session_model", "exponential"));
-    config.lognormal_sigma =
-        spec.GetDouble("lognormal_sigma", config.lognormal_sigma);
-    config.pareto_alpha = spec.GetDouble("pareto_alpha", config.pareto_alpha);
-    config.crash_fraction =
-        spec.GetDouble("crash_frac", config.crash_fraction);
-    if (const JsonValue* diurnal = spec.Find("diurnal")) {
-      config.diurnal.day_s =
-          diurnal->GetDouble("day_s", config.diurnal.day_s);
-      config.diurnal.amplitude =
-          diurnal->GetDouble("amplitude", config.diurnal.amplitude);
-      config.diurnal.peak_frac =
-          diurnal->GetDouble("peak_frac", config.diurnal.peak_frac);
-      config.diurnal.multipliers =
-          diurnal->GetDoubleArray("multipliers", {});
-    }
-    config.seed = spec.GetUint64("seed", config.seed);
-    return ChurnSchedule::Poisson(config);
-  }
-  throw np::util::Error("unknown churn mode: " + mode +
-                        " (expected poisson | trace)");
-}
-
-// --- Spec validation --------------------------------------------------------
-//
-// Strict schema checking: every object in the spec may only carry keys
-// the runner actually reads. A typo'd or stale key fails loudly here
-// instead of silently falling back to a default — and the allowed-key
-// tables below are exactly what docs/SCENARIOS.md documents, which the
-// CI docs job keeps honest by running `--validate` over every
-// committed scenario.
-
-void RequireKeys(const JsonValue& object, const std::string& where,
-                 std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : object.entries()) {
-    bool known = false;
-    for (const char* candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string hint;
-      for (const char* candidate : allowed) {
-        if (!hint.empty()) {
-          hint += ", ";
-        }
-        hint += candidate;
-      }
-      throw np::util::Error("unknown key \"" + key + "\" in " + where +
-                            " (allowed: " + hint + ")");
-    }
-  }
-}
-
-/// Single source of truth for the accepted algorithm names: the
-/// validator, the factory's fallthrough, and both error hints derive
-/// from these (the factory's dispatch chain is necessarily separate,
-/// but an entry missing there now throws instead of drifting).
-constexpr const char* kSimpleAlgorithms[] = {
-    "oracle",        "random",        "meridian",
-    "karger-ruhl",   "tiers",         "tiers-rebuild",
-    "beaconing",     "tapestry",      "coord-vivaldi",
-    "coord-pic",     "coord-landmark"};
-constexpr const char* kHybridMechanisms[] = {"ucl", "prefix", "multicast",
-                                             "registry"};
-
-std::string AlgorithmHint() {
-  std::string hint;
-  for (const char* name : kSimpleAlgorithms) {
-    if (!hint.empty()) {
-      hint += " | ";
-    }
-    hint += name;
-  }
-  hint += " | hybrid-{";
-  for (std::size_t i = 0; i < std::size(kHybridMechanisms); ++i) {
-    hint += i == 0 ? "" : ",";
-    hint += kHybridMechanisms[i];
-  }
-  hint += "}";
-  return hint;
-}
-
-void ValidateAlgorithmName(const std::string& name,
-                           const std::string& world_type) {
-  for (const char* known : kSimpleAlgorithms) {
-    if (name == known) {
-      return;
-    }
-  }
-  if (name.rfind("hybrid-", 0) == 0) {
-    const std::string mechanism = name.substr(7);
-    for (const char* known : kHybridMechanisms) {
-      if (mechanism == known) {
-        if (world_type != "topology") {
-          throw np::util::Error(
-              "algorithm " + name +
-              " needs a topology world (the §5 mechanisms use routers/IPs)");
-        }
-        return;
-      }
-    }
-    throw np::util::Error("unknown hybrid mechanism: " + mechanism);
-  }
-  throw np::util::Error("unknown algorithm: " + name +
-                        " (expected " + AlgorithmHint() + ")");
-}
-
-void ValidateSpec(const JsonValue& spec) {
-  RequireKeys(spec, "the scenario spec",
-              {"name", "description", "world", "churn", "scenario",
-               "algorithms"});
-
-  const JsonValue& world = spec.at("world");
-  const std::string world_type = world.GetString("type", "clustered");
-  if (world_type == "clustered") {
-    RequireKeys(world, "world (clustered)",
-                {"type", "seed", "num_clusters", "nets_per_cluster",
-                 "peers_per_net", "delta", "same_net_latency_ms"});
-  } else if (world_type == "euclidean") {
-    RequireKeys(world, "world (euclidean)",
-                {"type", "seed", "num_nodes", "dimensions", "side_ms",
-                 "jitter"});
-  } else if (world_type == "embedded") {
-    RequireKeys(world, "world (embedded)",
-                {"type", "seed", "num_nodes", "dimensions", "side_ms",
-                 "distortion"});
-  } else if (world_type == "sparse") {
-    RequireKeys(world, "world (sparse)",
-                {"type", "seed", "num_nodes", "extra_edges_per_node",
-                 "min_edge_ms", "max_edge_ms", "row_cache_capacity"});
-    // Weight ranges the exact shortest-path kernel cannot cover fail
-    // here, before any world is generated.
-    np::matrix::ValidateSparseConfig(ParseSparseConfig(world));
-  } else if (world_type == "topology") {
-    RequireKeys(world, "world (topology)",
-                {"type", "seed", "num_cities", "num_ases", "azureus_hosts"});
+  if (spec.type == "clustered") {
+    world.factory = std::make_unique<SpaceFactory>(
+        SpaceFactory::MakeClustered(spec.clustered, spec.seed));
+  } else if (spec.type == "euclidean") {
+    world.factory = std::make_unique<SpaceFactory>(
+        SpaceFactory::MakeEuclidean(spec.num_nodes, spec.euclidean, spec.seed));
+  } else if (spec.type == "embedded") {
+    world.factory = std::make_unique<SpaceFactory>(
+        SpaceFactory::MakeEmbedded(spec.embedded));
   } else {
-    throw np::util::Error(
-        "unknown world type: " + world_type +
-        " (expected clustered | euclidean | embedded | sparse | topology)");
+    world.factory = std::make_unique<SpaceFactory>(
+        SpaceFactory::MakeSparse(spec.sparse));
   }
-
-  const JsonValue& churn = spec.at("churn");
-  const std::string mode = churn.GetString("mode", "poisson");
-  if (mode == "poisson") {
-    RequireKeys(churn, "churn (poisson)",
-                {"mode", "duration_s", "events_per_s", "join_fraction",
-                 "mean_session_s", "session_model", "lognormal_sigma",
-                 "pareto_alpha", "crash_frac", "diurnal", "blackouts",
-                 "seed"});
-    ParseSessionModel(churn.GetString("session_model", "exponential"));
-    if (const JsonValue* diurnal = churn.Find("diurnal")) {
-      RequireKeys(*diurnal, "churn.diurnal",
-                  {"day_s", "amplitude", "peak_frac", "multipliers"});
-    }
-  } else if (mode == "trace") {
-    RequireKeys(churn, "churn (trace)", {"mode", "trace", "blackouts",
-                                         "seed"});
-    for (const JsonValue& entry : churn.at("trace").items()) {
-      RequireKeys(entry, "churn.trace entry", {"t", "op", "join_of", "node"});
-    }
-  } else {
-    throw np::util::Error("unknown churn mode: " + mode +
-                          " (expected poisson | trace)");
-  }
-  if (const JsonValue* blackouts = churn.Find("blackouts")) {
-    if (world_type != "clustered") {
-      throw np::util::Error(
-          "churn.blackouts needs a clustered world (victims are a cluster)");
-    }
-    for (const JsonValue& entry : blackouts->items()) {
-      RequireKeys(entry, "churn.blackouts entry", {"t", "cluster"});
-    }
-  }
-
-  const JsonValue& engine = spec.at("scenario");
-  RequireKeys(engine, "scenario",
-              {"initial_overlay", "epochs", "queries_per_epoch",
-               "num_threads", "tie_epsilon_ms", "measurement_noise_frac",
-               "measurement_noise_floor_ms", "fault", "query_zipf_s",
-               "mode", "reader_threads", "check_replay", "seed"});
-  const std::string engine_mode = engine.GetString("mode", "scenario");
-  if (engine_mode != "scenario" && engine_mode != "serving") {
-    throw np::util::Error("unknown scenario.mode: " + engine_mode +
-                          " (expected scenario | serving)");
-  }
-  if (engine_mode != "serving" &&
-      (engine.Find("reader_threads") != nullptr ||
-       engine.Find("check_replay") != nullptr)) {
-    throw np::util::Error(
-        "scenario.reader_threads / scenario.check_replay require "
-        "\"mode\": \"serving\"");
-  }
-  if (const JsonValue* fault = engine.Find("fault")) {
-    RequireKeys(*fault, "scenario.fault",
-                {"loss_rate", "retry", "track_load", "partitions",
-                 "grey_nodes", "asymmetric_loss", "suspicion"});
-    if (const JsonValue* partitions = fault->Find("partitions")) {
-      if (world_type != "clustered") {
-        throw np::util::Error(
-            "fault.partitions splits cluster groups and needs a clustered "
-            "world");
-      }
-      for (const JsonValue& entry : partitions->items()) {
-        RequireKeys(entry, "fault.partitions entry",
-                    {"start_epoch", "end_epoch", "groups"});
-        if (entry.at("groups").items().size() < 2) {
-          throw np::util::Error(
-              "fault.partitions entry needs at least two groups");
-        }
-      }
-    }
-    if (const JsonValue* grey = fault->Find("grey_nodes")) {
-      RequireKeys(*grey, "fault.grey_nodes", {"frac", "loss_rate"});
-    }
-    if (const JsonValue* suspicion = fault->Find("suspicion")) {
-      RequireKeys(*suspicion, "fault.suspicion",
-                  {"strikes", "probation_epochs", "probation_backoff"});
-    }
-  }
-
-  for (const JsonValue& entry : spec.at("algorithms").items()) {
-    ValidateAlgorithmName(entry.AsString(), world_type);
-  }
+  return world;
 }
 
-// --- Algorithm factory ------------------------------------------------------
+ChurnSchedule BuildSchedule(const ChurnSpec& churn) {
+  return churn.trace ? ChurnSchedule::FromTrace(churn.events)
+                     : ChurnSchedule::Poisson(churn.poisson);
+}
 
-std::unique_ptr<NearestPeerAlgorithm> MakeAlgorithm(const std::string& name,
+std::unique_ptr<NearestPeerAlgorithm> MakeAlgorithm(const AlgorithmSpec& algo,
                                                     const World& world) {
-  ValidateAlgorithmName(name, world.type);
-  if (name == "oracle") {
-    return std::make_unique<np::core::OracleNearest>();
+  if (algo.registered != nullptr) {
+    return algo.registered->make();
   }
-  if (name == "random") {
-    return std::make_unique<np::core::RandomNearest>();
-  }
-  if (name == "meridian") {
-    return std::make_unique<np::meridian::MeridianOverlay>(
-        np::meridian::MeridianConfig{});
-  }
-  if (name == "karger-ruhl") {
-    return std::make_unique<np::algos::KargerRuhlNearest>(
-        np::algos::KargerRuhlConfig{});
-  }
-  if (name == "tapestry") {
-    return std::make_unique<np::algos::TapestryNearest>(
-        np::algos::TapestryConfig{});
-  }
-  if (name == "tiers") {
-    return std::make_unique<np::algos::TiersNearest>(
-        np::algos::TiersConfig{});
-  }
-  if (name == "tiers-rebuild") {
-    // Incremental repair disabled: the engine rebuilds the hierarchy
-    // per epoch and bills it — the pre-repair cost model, kept for
-    // head-to-head comparisons.
-    np::algos::TiersConfig config;
-    config.incremental = false;
-    return std::make_unique<np::algos::TiersNearest>(config);
-  }
-  if (name == "beaconing") {
-    return std::make_unique<np::algos::BeaconingNearest>(
-        np::algos::BeaconingConfig{});
-  }
-  if (name == "coord-vivaldi") {
-    return std::make_unique<np::algos::CoordNearest>(
-        np::algos::CoordConfig{});
-  }
-  if (name == "coord-pic") {
-    np::algos::CoordConfig config;
-    config.scheme = np::algos::CoordScheme::kPic;
-    return std::make_unique<np::algos::CoordNearest>(config);
-  }
-  if (name == "coord-landmark") {
-    np::algos::CoordConfig config;
-    config.scheme = np::algos::CoordScheme::kLandmark;
-    return std::make_unique<np::algos::CoordNearest>(config);
-  }
-  if (name.rfind("hybrid-", 0) == 0) {
-    if (world.topology == nullptr) {
-      throw np::util::Error(
-          "algorithm " + name +
-          " needs a topology world (the §5 mechanisms use routers/IPs)");
-    }
-    np::mech::HybridConfig config;
-    const std::string mechanism = name.substr(7);
-    if (mechanism == "ucl") {
-      config.mechanism = np::mech::Mechanism::kUcl;
-    } else if (mechanism == "prefix") {
-      config.mechanism = np::mech::Mechanism::kPrefix;
-    } else if (mechanism == "multicast") {
-      config.mechanism = np::mech::Mechanism::kMulticast;
-    } else if (mechanism == "registry") {
-      config.mechanism = np::mech::Mechanism::kRegistry;
-    } else {
-      throw np::util::Error("unknown hybrid mechanism: " + mechanism);
-    }
-    return std::make_unique<np::mech::HybridNearest>(
-        *world.topology, config,
-        std::make_unique<np::meridian::MeridianOverlay>(
-            np::meridian::MeridianConfig{}));
-  }
-  // Unreachable for names ValidateAlgorithmName accepts — hitting this
-  // means the dispatch chain above lost an entry.
-  throw np::util::Error("algorithm accepted by validation but not "
-                        "constructible: " +
-                        name + " (known: " + AlgorithmHint() + ")");
+  np::mech::HybridConfig config;
+  config.mechanism = algo.mechanism;
+  return std::make_unique<np::mech::HybridNearest>(
+      *world.topology, config,
+      std::make_unique<np::meridian::MeridianOverlay>(
+          np::meridian::MeridianConfig{}));
 }
 
 // --- Report output ----------------------------------------------------------
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      // Control characters are illegal raw inside JSON strings (our
-      // own parser rejects them); emit \u00XX.
-      constexpr char kHex[] = "0123456789abcdef";
-      out += "\\u00";
-      out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-      out.push_back(kHex[static_cast<unsigned char>(c) & 0xF]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /// Scenario names come from the spec; keep the derived report filename
 /// to a safe character set (no path separators or control bytes).
@@ -587,6 +606,14 @@ std::string SanitizeFileStem(const std::string& name) {
     out.push_back(safe ? c : '_');
   }
   return out.empty() ? std::string("scenario") : out;
+}
+
+double HitRate(const np::matrix::SparseTopologySpace::CacheStats& stats) {
+  const std::uint64_t lookups = stats.hits + stats.misses;
+  if (lookups == 0) {
+    return 0.0;
+  }
+  return static_cast<double>(stats.hits) / static_cast<double>(lookups);
 }
 
 /// Serving-mode sidecar for one algorithm's report; inactive (and
@@ -620,17 +647,12 @@ void WriteReportJson(std::ostream& out, const std::string& scenario_name,
     // `wall` block that --strip-wallclock drops; latencies themselves
     // are cache-state independent.
     const auto stats = sparse->cache_stats();
-    const std::uint64_t lookups = stats.hits + stats.misses;
     out << "  \"wall\": {\"sparse_cache\": {\"capacity\": "
         << sparse->config().row_cache_capacity
         << ", \"cached_rows\": " << sparse->cached_rows()
         << ", \"hits\": " << stats.hits << ", \"misses\": " << stats.misses
         << ", \"evictions\": " << stats.evictions << ", \"hit_rate\": "
-        << (lookups == 0
-                ? 0.0
-                : static_cast<double>(stats.hits) /
-                      static_cast<double>(lookups))
-        << "}},\n";
+        << HitRate(stats) << "}},\n";
   }
   out << "  \"algorithms\": [\n";
   for (std::size_t a = 0; a < reports.size(); ++a) {
@@ -804,111 +826,36 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  const JsonValue spec = JsonValue::Parse(ReadFile(spec_path));
-  ValidateSpec(spec);
-  const std::string name = spec.GetString("name", "scenario");
+  const Spec spec = ParseSpec(JsonValue::Parse(ReadFile(spec_path)));
 
   if (validate_only) {
     // Schema passed; constructing the schedule additionally checks the
     // churn parameter constraints (rates, shapes, diurnal bounds)
     // without paying for world generation.
-    const ChurnSchedule schedule = BuildSchedule(spec.at("churn"));
-    std::cout << "valid: " << spec_path << " (" << name << ", "
+    const ChurnSchedule schedule = BuildSchedule(spec.churn);
+    std::cout << "valid: " << spec_path << " (" << spec.name << ", "
               << schedule.size() << " churn events over "
               << schedule.duration_s() << " s)\n";
     return 0;
   }
 
-  const World world = BuildWorld(spec.at("world"));
-  const ChurnSchedule schedule = BuildSchedule(spec.at("churn"));
+  const World world = BuildWorld(spec.world);
+  const ChurnSchedule schedule = BuildSchedule(spec.churn);
 
-  const JsonValue& engine = spec.at("scenario");
-  ScenarioConfig config;
-  config.initial_overlay = static_cast<NodeId>(
-      engine.GetInt("initial_overlay", config.initial_overlay));
-  config.epochs = static_cast<int>(engine.GetInt("epochs", config.epochs));
-  config.queries_per_epoch = static_cast<int>(
-      engine.GetInt("queries_per_epoch", config.queries_per_epoch));
-  config.num_threads =
-      static_cast<int>(engine.GetInt("num_threads", config.num_threads));
-  config.tie_epsilon_ms =
-      engine.GetDouble("tie_epsilon_ms", config.tie_epsilon_ms);
-  config.measurement_noise_frac = engine.GetDouble(
-      "measurement_noise_frac", config.measurement_noise_frac);
-  config.measurement_noise_floor_ms = engine.GetDouble(
-      "measurement_noise_floor_ms", config.measurement_noise_floor_ms);
-  if (const JsonValue* fault = engine.Find("fault")) {
-    config.fault.loss_rate =
-        fault->GetDouble("loss_rate", config.fault.loss_rate);
-    config.fault.max_attempts = static_cast<int>(
-        fault->GetInt("retry", config.fault.max_attempts));
-    config.fault.track_load =
-        fault->GetBool("track_load", config.fault.track_load);
-    if (const JsonValue* partitions = fault->Find("partitions")) {
-      for (const JsonValue& entry : partitions->items()) {
-        np::core::FaultConfig::Partition partition;
-        partition.start_epoch =
-            static_cast<int>(entry.GetInt("start_epoch", 0));
-        partition.end_epoch = static_cast<int>(entry.GetInt("end_epoch", 0));
-        for (const JsonValue& group : entry.at("groups").items()) {
-          std::vector<int> clusters;
-          for (const JsonValue& cluster : group.items()) {
-            clusters.push_back(static_cast<int>(cluster.AsInt()));
-          }
-          partition.groups.push_back(std::move(clusters));
-        }
-        config.fault.partitions.push_back(std::move(partition));
-      }
-    }
-    if (const JsonValue* grey = fault->Find("grey_nodes")) {
-      config.fault.grey_node_frac = grey->GetDouble("frac", 0.0);
-      config.fault.grey_loss_rate = grey->GetDouble("loss_rate", 0.0);
-    }
-    config.fault.asymmetric_loss =
-        fault->GetDouble("asymmetric_loss", config.fault.asymmetric_loss);
-    if (const JsonValue* suspicion = fault->Find("suspicion")) {
-      config.fault.suspicion.strikes =
-          static_cast<int>(suspicion->GetInt("strikes", 3));
-      config.fault.suspicion.probation_epochs = static_cast<int>(
-          suspicion->GetInt("probation_epochs",
-                            config.fault.suspicion.probation_epochs));
-      config.fault.suspicion.probation_backoff = suspicion->GetDouble(
-          "probation_backoff", config.fault.suspicion.probation_backoff);
-    }
-  }
-  config.query_zipf_s =
-      engine.GetDouble("query_zipf_s", config.query_zipf_s);
-  if (const JsonValue* blackouts = spec.at("churn").Find("blackouts")) {
-    for (const JsonValue& entry : blackouts->items()) {
-      ScenarioConfig::Blackout blackout;
-      blackout.time_s = entry.GetDouble("t", 0.0);
-      blackout.cluster = static_cast<int>(entry.GetInt("cluster", 0));
-      config.blackouts.push_back(blackout);
-    }
-  }
-  config.seed = engine.GetUint64("seed", config.seed);
+  ScenarioConfig config = spec.scenario;
   if (threads_override >= 0) {
     config.num_threads = threads_override;
   }
-
   // --mode lets CI drive one spec both ways (t1/t2/t8 scenario
   // byte-diffs AND serving replay) without duplicating the file.
-  const std::string engine_mode =
-      mode_override.empty() ? engine.GetString("mode", "scenario")
-                            : mode_override;
-  const bool serving_mode = engine_mode == "serving";
+  const bool serving_mode =
+      mode_override.empty() ? spec.serving : mode_override == "serving";
   ServingConfig serving_config;
   serving_config.scenario = config;
   serving_config.reader_threads =
-      static_cast<int>(engine.GetInt("reader_threads", 4));
-  if (readers_override >= 0) {
-    serving_config.reader_threads = readers_override;
-  }
-  // Replay check defaults on: the deterministic loop stays the
-  // correctness oracle unless the spec explicitly opts out.
-  const bool check_replay = engine.GetBool("check_replay", true);
+      readers_override >= 0 ? readers_override : spec.reader_threads;
 
-  std::cout << "scenario: " << name << " (world " << world.type << ", "
+  std::cout << "scenario: " << spec.name << " (world " << world.type << ", "
             << schedule.size() << " churn events over "
             << schedule.duration_s() << " s, " << config.epochs
             << " epochs";
@@ -920,18 +867,17 @@ int Run(int argc, char** argv) {
 
   std::vector<ScenarioReport> reports;
   std::vector<ServingResult> serving;
-  for (const JsonValue& entry : spec.at("algorithms").items()) {
-    const std::string algo_name = entry.AsString();
-    const auto algo = MakeAlgorithm(algo_name, world);
+  for (const AlgorithmSpec& algo_spec : spec.algorithms) {
+    const auto algo = MakeAlgorithm(algo_spec, world);
     ServingResult sr;
     if (serving_mode) {
       sr.active = true;
       sr.report = RunServing(world.space(), world.layout(), *algo, schedule,
                              serving_config, world.population);
-      if (check_replay) {
+      if (spec.check_replay) {
         // The oracle: serial replay on a fresh instance must agree
         // bit-for-bit with the concurrent run's deterministic block.
-        const auto replay_algo = MakeAlgorithm(algo_name, world);
+        const auto replay_algo = MakeAlgorithm(algo_spec, world);
         const ScenarioReport replay =
             RunScenario(world.space(), world.layout(), *replay_algo,
                         schedule, config, world.population);
@@ -939,8 +885,8 @@ int Run(int argc, char** argv) {
         sr.replay_identical =
             np::core::ScenarioReportsIdentical(sr.report.scenario, replay);
         if (!sr.replay_identical) {
-          throw np::util::Error(
-              "serving/replay divergence for " + algo_name +
+          throw Error(
+              "serving/replay divergence for " + algo_spec.name +
               ": concurrent snapshot run is not bit-identical to serial "
               "replay");
         }
@@ -1016,8 +962,9 @@ int Run(int argc, char** argv) {
     }
     std::cout << ")\n";
     std::cout << table.Render();
-    if (serving[serving.size() - 1].active) {
-      const ServingReport& sv = serving[serving.size() - 1].report;
+    const ServingResult& result = serving.back();
+    if (result.active) {
+      const ServingReport& sv = result.report;
       const np::core::StalenessReport& last = sv.staleness.back();
       std::cout << "serving: readers " << sv.reader_threads << ", qps "
                 << np::util::FormatDouble(sv.qps, 0) << ", p50 "
@@ -1028,10 +975,8 @@ int Run(int argc, char** argv) {
                 << ", p_exact_live[last] "
                 << np::util::FormatDouble(last.p_exact_live, 3)
                 << ", replay "
-                << (serving[serving.size() - 1].replay_checked
-                        ? (serving[serving.size() - 1].replay_identical
-                               ? "identical"
-                               : "DIVERGED")
+                << (result.replay_checked
+                        ? (result.replay_identical ? "identical" : "DIVERGED")
                         : "unchecked")
                 << "\n";
     }
@@ -1040,27 +985,21 @@ int Run(int argc, char** argv) {
   if (const auto* sparse =
           world.factory ? world.factory->sparse() : nullptr) {
     const auto stats = sparse->cache_stats();
-    const std::uint64_t lookups = stats.hits + stats.misses;
     std::cout << "sparse row cache: capacity "
               << sparse->config().row_cache_capacity << ", hits "
               << stats.hits << ", misses " << stats.misses << ", evictions "
               << stats.evictions << ", hit rate "
-              << np::util::FormatDouble(
-                     lookups == 0 ? 0.0
-                                  : static_cast<double>(stats.hits) /
-                                        static_cast<double>(lookups),
-                     3)
-              << "\n";
+              << np::util::FormatDouble(HitRate(stats), 3) << "\n";
   }
 
   const std::string report_path =
-      out_path.empty() ? "NP_RUN_" + SanitizeFileStem(name) + ".json"
+      out_path.empty() ? "NP_RUN_" + SanitizeFileStem(spec.name) + ".json"
                        : out_path;
   std::ofstream out(report_path, std::ios::binary);
   if (!out) {
-    throw np::util::Error("cannot write report: " + report_path);
+    throw Error("cannot write report: " + report_path);
   }
-  WriteReportJson(out, name, world, schedule, reports, serving,
+  WriteReportJson(out, spec.name, world, schedule, reports, serving,
                   strip_wallclock);
   std::cout << "report: " << report_path << "\n";
   return 0;
