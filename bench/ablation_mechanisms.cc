@@ -8,11 +8,12 @@
 // exact-closest rate, same-end-network rate, mean latency of the found
 // peer, probe cost, and the mechanism hit rate.
 #include <memory>
+#include <utility>
 
+#include "algos/registry.h"
 #include "bench/common.h"
 #include "core/experiment.h"
 #include "mech/hybrid.h"
-#include "meridian/meridian.h"
 
 #include "util/contract.h"
 
@@ -61,11 +62,6 @@ Score Evaluate(np::core::NearestPeerAlgorithm& algo,
   score.mean_found_ms /= n;
   score.mean_probes /= n;
   return score;
-}
-
-std::unique_ptr<np::core::NearestPeerAlgorithm> MakeMeridian() {
-  return std::make_unique<np::meridian::MeridianOverlay>(
-      np::meridian::MeridianConfig{});
 }
 
 }  // namespace
@@ -117,7 +113,7 @@ int main() {
   };
 
   {
-    auto meridian = MakeMeridian();
+    auto meridian = np::algos::MakeAlgorithm("meridian");
     add_row("meridian",
             Evaluate(*meridian, space, members, targets, 100), 0.0);
   }
@@ -133,7 +129,8 @@ int main() {
               alone.mechanism_hit_rate());
     }
     {
-      np::mech::HybridNearest hybrid(topology, hconfig, MakeMeridian());
+      auto fallback = np::algos::MakeAlgorithm("meridian");
+      np::mech::HybridNearest hybrid(topology, hconfig, std::move(fallback));
       const Score s = Evaluate(hybrid, space, members, targets, 300);
       add_row(std::string(np::mech::MechanismName(mechanism)) + "+meridian",
               s, hybrid.mechanism_hit_rate());

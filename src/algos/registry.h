@@ -72,7 +72,8 @@ inline const RegisteredAlgorithm* FindAlgorithm(std::string_view name) {
 inline std::string AlgorithmNames() {
   std::string names;
   for (const RegisteredAlgorithm& entry : kAlgorithms) {
-    names += (names.empty() ? "" : " | ") + std::string(entry.name);
+    names += names.empty() ? "" : " | ";
+    names += entry.name;
   }
   return names;
 }

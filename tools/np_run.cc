@@ -140,7 +140,8 @@ class SpecReader {
       if (std::find(asked_.begin(), asked_.end(), key) == asked_.end()) {
         std::string allowed;
         for (const std::string& asked : asked_) {
-          allowed += (allowed.empty() ? "" : ", ") + asked;
+          allowed += allowed.empty() ? "" : ", ";
+          allowed += asked;
         }
         throw Error("unknown key \"" + key + "\" in " + section_ +
                     " (allowed: " + allowed + ")");
@@ -187,7 +188,8 @@ template <typename T, std::size_t N>
 std::string Names(const Named<T> (&table)[N], const char* separator) {
   std::string names;
   for (const Named<T>& entry : table) {
-    names += (names.empty() ? "" : separator) + std::string(entry.name);
+    names += names.empty() ? "" : separator;
+    names += entry.name;
   }
   return names;
 }
