@@ -8,9 +8,12 @@
 //  * Low dimensionality: Vivaldi embedding error at 5 dimensions —
 //    stays high under clustering regardless of cluster size, versus a
 //    Euclidean control that embeds cleanly.
+// Every table cell is a derived key <world>_<column>, CI-gated against
+// bench/baselines/BENCH_ablation_condition_quick.json.
 #include <cmath>
 
 #include "bench/common.h"
+#include "bench/reporter.h"
 #include "coord/vivaldi.h"
 #include "core/condition_analyzer.h"
 #include "matrix/generators.h"
@@ -19,7 +22,6 @@
 #include "util/contract.h"
 
 using np::NodeId;
-using np::kInvalidNode;
 
 int main() {
   NP_REPORT_AFFECTING();
@@ -31,6 +33,7 @@ int main() {
 
   const bool quick = np::bench::QuickScale();
 
+  np::bench::Reporter reporter("ablation_condition");
   np::util::Table table({"world", "growth_ratio_med", "doubling_cover_max",
                          "vivaldi5d_nn_err_p50"});
 
@@ -54,23 +57,32 @@ int main() {
     for (int s = 0; s < 300; ++s) {
       const NodeId node = static_cast<NodeId>(
           eval_rng.Index(static_cast<std::size_t>(space.size())));
-      NodeId nearest = kInvalidNode;
-      double nearest_d = 1e18;
-      for (NodeId other = 0; other < space.size(); ++other) {
-        if (other == node) {
-          continue;
-        }
-        const double d = space.Latency(node, other);
-        if (d < nearest_d) {
-          nearest_d = d;
-          nearest = other;
-        }
-      }
+      double nearest_d = 0.0;
+      const NodeId nearest = space.ClosestOf(node, members, &nearest_d);
       const double predicted = embedding.PredictedLatency(node, nearest);
       errors.push_back(std::abs(predicted - nearest_d) /
                        std::max(nearest_d, 1e-6));
     }
     return np::util::Percentile(std::move(errors), 50.0);
+  };
+
+  const auto analyze = [&](const std::string& world,
+                           const np::core::LatencySpace& space,
+                           const np::core::DoublingConfig& dconfig) {
+    np::util::Rng growth_rng(1);
+    const auto growth =
+        np::core::AnalyzeGrowth(space, np::core::GrowthConfig{}, growth_rng);
+    np::util::Rng doubling_rng(2);
+    const auto doubling =
+        np::core::AnalyzeDoubling(space, dconfig, doubling_rng);
+    const double nn_err = nn_embed_error(space);
+    reporter.Derive(world + "_growth_ratio_med", growth.median_ratio);
+    reporter.Derive(world + "_doubling_cover_max",
+                    static_cast<double>(doubling.max_half_cover));
+    reporter.Derive(world + "_vivaldi5d_nn_err_p50", nn_err);
+    table.AddRow({world, np::util::FormatDouble(growth.median_ratio, 1),
+                  std::to_string(doubling.max_half_cover),
+                  np::util::FormatDouble(nn_err, 3)});
   };
 
   for (const int nets : {10, 25, 50, 100}) {
@@ -79,39 +91,20 @@ int main() {
     config.num_clusters = 4;
     np::util::Rng world_rng(static_cast<std::uint64_t>(nets));
     const auto world = np::matrix::GenerateClustered(config, world_rng);
-    const np::core::MatrixSpace space(world.matrix);
-
-    np::util::Rng growth_rng(1);
-    const auto growth =
-        np::core::AnalyzeGrowth(space, np::core::GrowthConfig{}, growth_rng);
-    np::util::Rng doubling_rng(2);
     np::core::DoublingConfig dconfig;
     dconfig.radius_quantile = 0.15;
-    const auto doubling =
-        np::core::AnalyzeDoubling(space, dconfig, doubling_rng);
-
-    table.AddRow({"clustered_" + std::to_string(nets) + "nets",
-                  np::util::FormatDouble(growth.median_ratio, 1),
-                  std::to_string(doubling.max_half_cover),
-                  np::util::FormatDouble(nn_embed_error(space), 3)});
+    analyze("clustered_" + std::to_string(nets) + "nets",
+            np::core::MatrixSpace(world.matrix), dconfig);
   }
   {
     np::util::Rng world_rng(99);
     np::matrix::EuclideanConfig config;
     config.dimensions = 3;
     const auto world = np::matrix::GenerateEuclidean(800, config, world_rng);
-    const np::core::MatrixSpace space(world.matrix);
-    np::util::Rng growth_rng(1);
-    const auto growth =
-        np::core::AnalyzeGrowth(space, np::core::GrowthConfig{}, growth_rng);
-    np::util::Rng doubling_rng(2);
-    const auto doubling = np::core::AnalyzeDoubling(
-        space, np::core::DoublingConfig{}, doubling_rng);
-    table.AddRow({"euclidean_control",
-                  np::util::FormatDouble(growth.median_ratio, 1),
-                  std::to_string(doubling.max_half_cover),
-                  np::util::FormatDouble(nn_embed_error(space), 3)});
+    analyze("euclidean_control", np::core::MatrixSpace(world.matrix),
+            np::core::DoublingConfig{});
   }
   np::bench::PrintTable(table);
+  reporter.Write();
   return 0;
 }

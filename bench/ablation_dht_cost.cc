@@ -5,9 +5,13 @@
 // quantifies it: Chord lookup hops vs ring size, plus the total
 // routing hops a UCL or prefix directory spends registering a peer
 // population and answering joins.
+// Every table cell is a derived key (ring<n>_<column>,
+// <directory>_chord_<column>), CI-gated against
+// bench/baselines/BENCH_ablation_dht_cost_quick.json.
 #include <cmath>
 
 #include "bench/common.h"
+#include "bench/reporter.h"
 #include "dht/chord.h"
 #include "mech/prefix_dir.h"
 #include "mech/ucl.h"
@@ -28,6 +32,7 @@ int main() {
       "exactly one.");
 
   const bool quick = np::bench::QuickScale();
+  np::bench::Reporter reporter("ablation_dht_cost");
 
   // Part 1: lookup hops vs ring size.
   {
@@ -49,9 +54,12 @@ int main() {
         hops.push_back(static_cast<double>(ring.Lookup(rng(), rng).hops));
       }
       const auto s = np::util::Summary::Of(hops);
-      table.AddNumericRow({static_cast<double>(n), s.mean, s.p95,
-                           std::log2(static_cast<double>(n))},
-                          2);
+      const double log2_n = std::log2(static_cast<double>(n));
+      const std::string key = "ring" + std::to_string(n);
+      reporter.Derive(key + "_mean_hops", s.mean);
+      reporter.Derive(key + "_p95_hops", s.p95);
+      reporter.Derive(key + "_log2_n", log2_n);
+      table.AddNumericRow({static_cast<double>(n), s.mean, s.p95, log2_n}, 2);
     }
     np::bench::PrintTable(table);
   }
@@ -69,6 +77,21 @@ int main() {
 
     np::util::Table table({"directory", "peers", "map_ops", "total_hops",
                            "hops_per_op"});
+    const auto add_row = [&](const std::string& directory,
+                             const np::mech::ChordMap& map) {
+      const double peer_count = static_cast<double>(peers.size());
+      const double ops = static_cast<double>(map.operation_count());
+      const double total_hops = static_cast<double>(map.total_hops());
+      const std::string key = directory + "_chord";
+      reporter.Derive(key + "_peers", peer_count);
+      reporter.Derive(key + "_map_ops", ops);
+      reporter.Derive(key + "_total_hops", total_hops);
+      reporter.Derive(key + "_hops_per_op", total_hops / ops);
+      table.AddRow({directory + "(chord)", std::to_string(peers.size()),
+                    std::to_string(map.operation_count()),
+                    std::to_string(map.total_hops()),
+                    np::util::FormatDouble(total_hops / ops, 2)});
+    };
     {
       np::mech::ChordMap map(peers, 0xD1);
       np::mech::UclDirectory dir(map, np::mech::UclOptions{});
@@ -80,13 +103,7 @@ int main() {
         (void)dir.Candidates(topology, peers[rng.Index(peers.size())], rng,
                              kInfiniteLatency);
       }
-      table.AddRow({"ucl(chord)", std::to_string(peers.size()),
-                    std::to_string(map.operation_count()),
-                    std::to_string(map.total_hops()),
-                    np::util::FormatDouble(
-                        static_cast<double>(map.total_hops()) /
-                            static_cast<double>(map.operation_count()),
-                        2)});
+      add_row("ucl", map);
     }
     {
       np::mech::ChordMap map(peers, 0xD2);
@@ -98,15 +115,10 @@ int main() {
       for (int join = 0; join < 200; ++join) {
         (void)dir.Candidates(topology, peers[rng.Index(peers.size())], rng);
       }
-      table.AddRow({"prefix24(chord)", std::to_string(peers.size()),
-                    std::to_string(map.operation_count()),
-                    std::to_string(map.total_hops()),
-                    np::util::FormatDouble(
-                        static_cast<double>(map.total_hops()) /
-                            static_cast<double>(map.operation_count()),
-                        2)});
+      add_row("prefix24", map);
     }
     np::bench::PrintTable(table);
   }
+  reporter.Write();
   return 0;
 }

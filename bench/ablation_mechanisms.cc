@@ -7,11 +7,16 @@
 // Meridian alone, each mechanism alone, and mechanism+Meridian hybrids:
 // exact-closest rate, same-end-network rate, mean latency of the found
 // peer, probe cost, and the mechanism hit rate.
+// Every table cell is a derived key <scheme>_<column>, CI-gated against
+// bench/baselines/BENCH_ablation_mechanisms_quick.json. Evaluate walks
+// every held-out target once and scores same-end-network on the router
+// topology, which the shared query kernel does not express.
 #include <memory>
 #include <utility>
 
 #include "algos/registry.h"
 #include "bench/common.h"
+#include "bench/reporter.h"
 #include "core/experiment.h"
 #include "mech/hybrid.h"
 
@@ -100,11 +105,17 @@ int main() {
   std::vector<NodeId> targets(peers.end() - num_targets, peers.end());
   std::vector<NodeId> members(peers.begin(), peers.end() - num_targets);
 
+  np::bench::Reporter reporter("ablation_mechanisms");
   np::util::Table table({"scheme", "p_exact", "p_same_net", "found_ms",
                          "probes", "mech_hit_rate"});
 
   const auto add_row = [&](const std::string& name, const Score& s,
                            double hit_rate) {
+    reporter.Derive(name + "_p_exact", s.p_exact);
+    reporter.Derive(name + "_p_same_net", s.p_same_net);
+    reporter.Derive(name + "_found_ms", s.mean_found_ms);
+    reporter.Derive(name + "_probes", s.mean_probes);
+    reporter.Derive(name + "_mech_hit_rate", hit_rate);
     table.AddRow({name, np::util::FormatDouble(s.p_exact, 3),
                   np::util::FormatDouble(s.p_same_net, 3),
                   np::util::FormatDouble(s.mean_found_ms, 3),
@@ -140,5 +151,6 @@ int main() {
   np::bench::PrintNote(
       "mech_hit_rate = queries answered by the mechanism without "
       "falling back (candidate within 1 ms).");
+  reporter.Write();
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -151,87 +150,6 @@ GenericMetrics RunGenericExperiment(const LatencySpace& space,
   metrics.mean_abs_error_ms = total_abs_error / n;
   metrics.mean_probes = static_cast<double>(total_probes) / n;
   metrics.mean_hops = total_hops / n;
-  return metrics;
-}
-
-namespace {
-
-/// P(exact closest) of `algo` over `queries` random targets drawn from
-/// the non-member pool.
-double MeasureExactRate(const LatencySpace& space,
-                        NearestPeerAlgorithm& algo,
-                        const std::vector<NodeId>& members,
-                        const std::vector<NodeId>& pool, int queries,
-                        LatencyMs tie_epsilon_ms, util::Rng& rng) {
-  NP_ENSURE(!pool.empty(), "no targets left outside the overlay");
-  const MeteredSpace metered(space);
-  int exact = 0;
-  for (int q = 0; q < queries; ++q) {
-    const NodeId target = pool[rng.Index(pool.size())];
-    const NodeId truth = TrueClosestMember(space, members, target);
-    const QueryResult result = algo.Query(target, metered, rng);
-    NP_ENSURE(result.found != kInvalidNode, "algorithm returned no peer");
-    if (space.Latency(result.found, target) <=
-        space.Latency(truth, target) + tie_epsilon_ms) {
-      ++exact;
-    }
-  }
-  return static_cast<double>(exact) / queries;
-}
-
-}  // namespace
-
-ChurnMetrics RunChurnExperiment(const LatencySpace& space,
-                                NearestPeerAlgorithm& algo,
-                                NearestPeerAlgorithm& fresh,
-                                const ChurnConfig& config, util::Rng& rng) {
-  NP_ENSURE(algo.SupportsChurn(), "algorithm does not support churn");
-  NP_ENSURE(config.waves >= 1 && config.events >= config.waves,
-            "invalid wave schedule");
-  NP_ENSURE(config.join_fraction >= 0.0 && config.join_fraction <= 1.0,
-            "join fraction must be a probability");
-
-  OverlaySplit split =
-      SplitOverlay(space.size(), config.initial_overlay, rng);
-  algo.Build(space, split.members, rng);
-  std::vector<NodeId> members = split.members;
-  std::vector<NodeId> pool = split.targets;  // joinable + targets
-
-  ChurnMetrics metrics;
-  const int per_wave = config.events / config.waves;
-  for (int wave = 0; wave < config.waves; ++wave) {
-    for (int e = 0; e < per_wave; ++e) {
-      const bool join = rng.Bernoulli(config.join_fraction);
-      if (join && pool.size() > 1) {
-        const std::size_t pick = rng.Index(pool.size());
-        const NodeId node = pool[pick];
-        pool[pick] = pool.back();
-        pool.pop_back();
-        algo.AddMember(node, rng);
-        members.push_back(node);
-      } else if (!join && members.size() > 2) {
-        const std::size_t pick = rng.Index(members.size());
-        const NodeId node = members[pick];
-        members[pick] = members.back();
-        members.pop_back();
-        algo.RemoveMember(node);
-        pool.push_back(node);
-      }
-    }
-    util::Rng wave_rng = rng.Fork(static_cast<std::uint64_t>(wave));
-    metrics.p_exact_per_wave.push_back(
-        MeasureExactRate(space, algo, members, pool,
-                         config.queries_per_wave, config.tie_epsilon_ms,
-                         wave_rng));
-  }
-
-  // Rebuild comparison on the final membership, same query seed stream.
-  fresh.Build(space, members, rng);
-  util::Rng rebuild_rng = rng.Fork(0xFE5);
-  metrics.p_exact_rebuilt = MeasureExactRate(
-      space, fresh, members, pool, config.queries_per_wave,
-      config.tie_epsilon_ms, rebuild_rng);
-  metrics.final_members = static_cast<NodeId>(members.size());
   return metrics;
 }
 

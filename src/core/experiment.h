@@ -109,41 +109,4 @@ struct OverlaySplit {
 OverlaySplit SplitOverlay(NodeId space_size, NodeId overlay_size,
                           util::Rng& rng);
 
-// ---------------------------------------------------------------------------
-// Churn: the paper's systems run under continuous joins/leaves; this
-// runner drives an algorithm's incremental maintenance (AddMember /
-// RemoveMember) through churn waves and measures accuracy after each,
-// then compares against an overlay rebuilt from scratch on the final
-// membership (the maintenance quality bound).
-
-struct ChurnConfig {
-  /// Initial overlay size (members drawn from the space; the rest are
-  /// the join pool / query targets).
-  NodeId initial_overlay = 600;
-  /// Total join/leave events, processed in `waves` equal chunks.
-  int events = 400;
-  /// Probability an event is a join (the rest are leaves).
-  double join_fraction = 0.5;
-  int waves = 4;
-  /// Queries evaluated after each wave.
-  int queries_per_wave = 200;
-  LatencyMs tie_epsilon_ms = 1e-9;
-};
-
-struct ChurnMetrics {
-  /// P(exact closest) measured after each wave, under incremental
-  /// maintenance.
-  std::vector<double> p_exact_per_wave;
-  /// Same queries against `fresh` rebuilt on the final membership.
-  double p_exact_rebuilt = 0.0;
-  NodeId final_members = 0;
-};
-
-/// `algo` must support churn; `fresh` is an equivalent, unbuilt
-/// instance used for the end-state rebuild comparison.
-ChurnMetrics RunChurnExperiment(const LatencySpace& space,
-                                NearestPeerAlgorithm& algo,
-                                NearestPeerAlgorithm& fresh,
-                                const ChurnConfig& config, util::Rng& rng);
-
 }  // namespace np::core

@@ -5,6 +5,7 @@
 
 #include "algos/tiers.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
 #include "matrix/generators.h"
 #include "meridian/meridian.h"
 
@@ -131,35 +132,34 @@ TEST(MeridianChurn, ChurnExperimentTracksRebuildAccuracy) {
   const auto world = matrix::GenerateEuclidean(500, econfig, world_rng);
   const MatrixSpace space(world.matrix);
 
-  MeridianOverlay maintained{MeridianConfig{}};
-  MeridianOverlay rebuilt{MeridianConfig{}};
-  core::ChurnConfig config;
+  // ~200 fixed-mix events over four measurement epochs.
+  core::ChurnScheduleConfig churn;
+  churn.join_fraction = 0.5;
+  churn.events_per_s = 200 / churn.duration_s;
+  churn.seed = 10;
+  core::ScenarioConfig config;
   config.initial_overlay = 400;
-  config.events = 200;
-  config.waves = 4;
-  config.queries_per_wave = 150;
-  util::Rng rng(10);
-  const auto metrics = core::RunChurnExperiment(space, maintained, rebuilt,
-                                                config, rng);
-  ASSERT_EQ(metrics.p_exact_per_wave.size(), 4u);
-  EXPECT_GT(metrics.final_members, 100);
-  EXPECT_GT(metrics.p_exact_rebuilt, 0.4);
-  // Incremental maintenance must stay within reach of the rebuild:
-  // the final wave's accuracy at >= 60% of the fresh overlay's.
-  EXPECT_GT(metrics.p_exact_per_wave.back(),
-            0.6 * metrics.p_exact_rebuilt);
-}
+  config.epochs = 4;
+  config.queries_per_epoch = 150;
+  config.seed = 10;
+  MeridianOverlay maintained{MeridianConfig{}};
+  const auto report = core::RunScenario(
+      space, nullptr, maintained, core::ChurnSchedule::Poisson(churn), config);
+  ASSERT_EQ(report.epochs.size(), 4u);
+  EXPECT_GT(report.final_members, 100);
 
-TEST(MeridianChurn, UnsupportedAlgorithmRejectedByRunner) {
-  util::Rng world_rng(11);
-  const auto world = matrix::GenerateEuclidean(100, {}, world_rng);
-  const MatrixSpace space(world.matrix);
-  core::OracleNearest a;
-  core::OracleNearest b;
-  util::Rng rng(12);
-  EXPECT_THROW(
-      core::RunChurnExperiment(space, a, b, core::ChurnConfig{}, rng),
-      util::Error);
+  // The rebuild bound: a fresh overlay of the final size, same world.
+  MeridianOverlay fresh{MeridianConfig{}};
+  core::ExperimentConfig rebuild;
+  rebuild.overlay_size = report.final_members;
+  rebuild.num_queries = 150;
+  util::Rng rng(10);
+  const auto rebuilt = core::RunGenericExperiment(space, fresh, rebuild, rng);
+  EXPECT_GT(rebuilt.p_exact_closest, 0.4);
+  // Incremental maintenance must stay within reach of the rebuild:
+  // the final epoch's accuracy at >= 60% of the fresh overlay's.
+  EXPECT_GT(report.epochs.back().p_exact_closest,
+            0.6 * rebuilt.p_exact_closest);
 }
 
 }  // namespace
