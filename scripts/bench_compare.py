@@ -33,6 +33,11 @@ AND a current metric missing from the baseline are both hard failures
 set and silently disarm the gate (regenerate the baseline with
 --update after an intentional schema change).
 
+Malformed reports exit 2 and name the offending key: a duplicate key
+anywhere in either file (json.load would silently keep the last one),
+or a gated derived value that is not a number (Reporter writes null
+for NaN/inf).
+
 --require (repeatable) asserts an absolute bound on a derived metric
 of the CURRENT report: "name>=value", "name>value", "name<=value" or
 "name<value". Unlike --derived this gates a property, not drift — use
@@ -59,16 +64,48 @@ load_gini, p_exact_reachable, ...). Only --require composes with
 
 import argparse
 import json
+import numbers
 import sys
+
+
+class MalformedReport(Exception):
+    """A report the gate cannot trust; main() exits 2 with its message."""
+
+
+def reject_duplicate_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedReport(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f, object_pairs_hook=reject_duplicate_keys)
+        except MalformedReport as e:
+            raise MalformedReport(f"{path}: {e}") from None
+
+
+def check_numeric(derived, names, source):
+    """Raises on a non-numeric value (Reporter writes null for NaN/inf)."""
+    for name in names:
+        value = derived[name]
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise MalformedReport(
+                f"{source} derived metric {name!r} is not a number: "
+                f"{value!r}")
 
 
 def phases_by_name(report):
     return {phase["name"]: phase for phase in report.get("phases", [])}
+
+
+def percent(fraction):
+    """0.001 -> '0.1%': a tolerance must never print as 0%."""
+    return f"{fraction * 100:g}%"
 
 
 def compare_derived(baseline, current, args):
@@ -88,10 +125,17 @@ def compare_derived(baseline, current, args):
         )
         return 2
 
+    check_numeric(base, watched, "baseline")
+    check_numeric(
+        cur,
+        [n for n in cur if any(n.startswith(prefix) for prefix in prefixes)],
+        "current",
+    )
+
     failures = []
     width = max(len(name) for name in watched)
-    print(f"bench_compare: derived metrics, tolerance ±{args.threshold:.0%}, "
-          f"{len(watched)} watched metric(s)")
+    print(f"bench_compare: derived metrics, tolerance "
+          f"±{percent(args.threshold)}, {len(watched)} watched metric(s)")
     for name in watched:
         base_value = base[name]
         if name not in cur:
@@ -174,6 +218,7 @@ def check_requirements(current, specs):
             failures.append(f"{name}: missing from current report")
             print(f"  {name} {op} {bound:g}  MISSING")
             continue
+        check_numeric(derived, [name], "current")
         value = derived[name]
         ok = ops[op](value, bound)
         print(f"  {name} = {value:.6g}  (required {op} {bound:g})  "
@@ -219,6 +264,14 @@ def flatten_np_run(report):
 
 
 def main():
+    try:
+        return run()
+    except MalformedReport as e:
+        print(f"bench_compare: malformed report: {e}", file=sys.stderr)
+        return 2
+
+
+def run():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
     parser.add_argument("current", nargs="?", default=None)
@@ -333,7 +386,7 @@ def main():
 
     failures = []
     width = max(len(name) for name in watched)
-    print(f"bench_compare: threshold +{args.threshold:.0%}, "
+    print(f"bench_compare: threshold +{percent(args.threshold)}, "
           f"{len(watched)} watched phase(s)")
     for name in watched:
         base_ms = base_phases[name]["wall_ms"]

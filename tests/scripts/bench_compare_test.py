@@ -82,6 +82,34 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("NOT-IN-BASELINE", proc.stdout)
 
+    def test_derived_duplicate_key_is_malformed(self):
+        base_path = self.write("baseline.json", report(derived={"fig_a": 1.0}))
+        cur_path = os.path.join(self.tmp.name, "current.json")
+        with open(cur_path, "w", encoding="utf-8") as f:
+            f.write('{"bench": "fixture", "scale": "quick", '
+                    '"derived": {"fig_a": 5.0, "fig_a": 1.0}}')
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, base_path, cur_path,
+             "--derived", "fig"],
+            capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("duplicate key 'fig_a'", proc.stderr)
+
+    def test_derived_null_value_is_malformed(self):
+        base = report(derived={"fig_a": 1.0, "fig_b": 2.0})
+        cur = report(derived={"fig_a": 1.0, "fig_b": None})
+        proc = self.run_compare(base, cur, "--derived", "fig")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("'fig_b' is not a number", proc.stderr)
+        self.assertNotIn("Traceback", proc.stderr)
+
+    def test_derived_tolerance_prints_its_precision(self):
+        base = report(derived={"fig_a": 1.0})
+        proc = self.run_compare(base, base, "--derived", "fig",
+                                "--threshold", "0.001")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("tolerance ±0.1%", proc.stdout)
+
     def test_derived_no_watched_prefix_is_usage_error(self):
         base = report(derived={"other": 1.0})
         cur = report(derived={"other": 1.0})
