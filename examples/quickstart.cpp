@@ -1,7 +1,7 @@
 // Quickstart: build a clustered latency world, run a Meridian
 // closest-peer search, and watch the clustering condition defeat it.
 //
-//   $ ./build/examples/quickstart
+//   $ ./build/example_quickstart
 //
 // Walks through the library's three core steps:
 //   1. generate the paper's §4 world (clusters of end-networks),

@@ -1,5 +1,7 @@
 #include "core/engine_setup.h"
 
+#include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "util/error.h"
@@ -47,6 +49,8 @@ EngineSetup::EngineSetup(const LatencySpace& space,
                          const std::vector<NodeId>& population)
     : space_(space),
       layout_(layout),
+      algo_(algo),
+      schedule_(schedule),
       config_(Checked(config, layout)),
       rng_(util::Mix64(config.seed)),
       split_(SplitScenarioPopulation(space, population, config.initial_overlay,
@@ -83,8 +87,8 @@ EngineSetup::EngineSetup(const LatencySpace& space,
                                  config.measurement_noise_floor_ms > 0.0 ||
                                  config.fault.loss_rate > 0.0 ||
                                  partition_schedule_.GreyActive();
-  const int build_threads = noisy_maintenance ? 1 : config.num_threads;
-  algo.ParallelBuild(maint_.metered(), split_.members, rng_, build_threads);
+  build_threads_ = noisy_maintenance ? 1 : config.num_threads;
+  algo.ParallelBuild(maint_.metered(), split_.members, rng_, build_threads_);
   header_.build_messages = maint_.metered().probes();
   counter_.AddBuildProbes(header_.build_messages);
   if (config.fault.track_load) {
@@ -93,8 +97,8 @@ EngineSetup::EngineSetup(const LatencySpace& space,
     ledger_.Reset();
   }
 
-  const bool incremental = algo.SupportsChurn();
-  driver_.emplace(incremental ? &algo : nullptr, std::move(split_.members),
+  incremental_ = algo.SupportsChurn();
+  driver_.emplace(incremental_ ? &algo : nullptr, std::move(split_.members),
                   std::move(split_.targets), rng_());
   // The crashed set is driver-owned and only grows during the serial
   // churn/blackout phases, so pointing the maintenance stack at it is
@@ -102,7 +106,7 @@ EngineSetup::EngineSetup(const LatencySpace& space,
   maint_.set_crashed(&driver_->crashed());
   noise_root_ = rng_();
   query_root_ = rng_();
-  const std::uint64_t rebuild_root = rng_();
+  rebuild_root_ = rng_();
   query_fault_root_ = util::Mix64(fault_root_ ^ 0x2);
   partition_root_ = util::Mix64(fault_root_ ^ 0x7);
 
@@ -120,14 +124,138 @@ EngineSetup::EngineSetup(const LatencySpace& space,
                        header_.partition_mode || header_.suspicion_mode;
   header_.load_tracking = config.fault.track_load;
 
-  WindowFaultHooks hooks;
-  hooks.partition = maint_.partition();
-  hooks.suspicion = header_.suspicion_mode ? &suspicion_ : nullptr;
-  hooks.policy = &policy_;
-  hooks.rejoin_root = util::Mix64(fault_root_ ^ 0x3);
-  windows_.emplace(algo, *driver_, schedule, layout, maint_.metered(),
-                   counter_, config.blackouts, rebuild_root, build_threads,
-                   config.epochs, incremental, header_.build_messages, hooks);
+  rejoin_root_ = util::Mix64(fault_root_ ^ 0x3);
+  blackouts_ = config.blackouts;
+  std::sort(blackouts_.begin(), blackouts_.end(),
+            [](const ScenarioConfig::Blackout& a,
+               const ScenarioConfig::Blackout& b) {
+              return a.time_s < b.time_s;
+            });
+  charged_maintenance_ = header_.build_messages;
+}
+
+void EngineSetup::RunWindow(int epoch, EpochReport& er) {
+  er.epoch = epoch;
+  er.time_s = schedule_.duration_s() * (static_cast<double>(epoch + 1) /
+                                        static_cast<double>(config_.epochs));
+
+  // Advance the correlated-fault clock before anything probes: a
+  // window ending at this epoch heals now, so this window's probation
+  // re-probes can get through — heal repair lands the epoch after the
+  // partition, symmetric with crash detection's one-epoch delay.
+  if (matrix::PartitionedSpace* partition = maint_.partition()) {
+    partition->set_epoch(epoch);
+  }
+  const bool suspicion = header_.suspicion_mode;
+  if (suspicion) {
+    suspicion_.set_epoch(epoch);
+    // Strike recording is on only inside this serial window; queries
+    // consult the quarantine set read-only.
+    suspicion_.set_recording(true);
+  }
+
+  // Crashes from the previous window are detected now (their probes
+  // kept failing all epoch) and purged with billed RemoveMember
+  // repairs — one detection delay, before this window's churn.
+  if (incremental_) {
+    for (const NodeId dead : driver_->TakePendingRepairs()) {
+      algo_.RemoveMember(dead);
+    }
+  }
+  if (suspicion) {
+    DrainProbation(epoch);
+  }
+  const bool last_epoch = epoch + 1 == config_.epochs;
+  ChurnStats stats;
+  while (next_blackout_ < blackouts_.size() &&
+         (blackouts_[next_blackout_].time_s <= er.time_s || last_epoch)) {
+    // Advance ordinary churn to the blackout instant, then drop
+    // every live member of the cluster at once.
+    const ScenarioConfig::Blackout& b = blackouts_[next_blackout_++];
+    stats += driver_->ApplyUntil(schedule_, b.time_s);
+    const std::vector<NodeId> snapshot = driver_->members();
+    for (const NodeId member : snapshot) {
+      if (layout_->ClusterOf(member) == b.cluster &&
+          driver_->ForceCrash(member)) {
+        ++stats.crashes;
+      }
+    }
+  }
+  stats += last_epoch ? driver_->ApplyAll(schedule_)
+                      : driver_->ApplyUntil(schedule_, er.time_s);
+  er.joins = stats.joins;
+  er.leaves = stats.leaves;
+  er.crashes = stats.crashes;
+  er.skipped_events = stats.skipped;
+
+  const std::int64_t churn_events = stats.joins + stats.leaves + stats.crashes;
+  const MeteredSpace& maint = maint_.metered();
+  if (!incremental_ && churn_events > 0) {
+    // No incremental maintenance: pay for a full rebuild on the live
+    // membership. The per-epoch rebuild rng is independent of the
+    // churn streams so resumed and straight-through schedules agree.
+    // Strike recording pauses here: ParallelBuild probes from many
+    // threads and the ledger is serial-only — scratch-rebuild overlays'
+    // repair story is the rebuild itself, not the detector.
+    if (suspicion) {
+      suspicion_.set_recording(false);
+    }
+    util::Rng brng(
+        util::Mix64(rebuild_root_ ^ static_cast<std::uint64_t>(epoch)));
+    algo_.ParallelBuild(maint, driver_->members(), brng, build_threads_);
+    er.rebuilt = true;
+    // The rebuild was over live members only, so every lingering
+    // crashed entry is already gone.
+    driver_->TakePendingRepairs();
+  }
+  if (suspicion) {
+    suspicion_.set_recording(false);
+    er.quarantined_peers =
+        static_cast<std::uint64_t>(suspicion_.quarantined_count());
+  }
+  er.maintenance_messages = maint.probes() - charged_maintenance_;
+  charged_maintenance_ = maint.probes();
+  counter_.AddMaintenanceProbes(er.maintenance_messages);
+  counter_.AddChurnEvents(static_cast<std::uint64_t>(churn_events));
+  er.maintenance_per_event =
+      churn_events == 0
+          ? 0.0
+          : static_cast<double>(er.maintenance_messages) /
+                static_cast<double>(churn_events);
+  er.live_members = static_cast<NodeId>(driver_->members().size());
+}
+
+void EngineSetup::DrainProbation(int epoch) {
+  // Departed peers need no detector state (and must not be re-probed).
+  const std::vector<NodeId>& members = driver_->members();
+  const std::unordered_set<NodeId> live(members.begin(), members.end());
+  suspicion_.PruneTo(live);
+  for (const NodeId peer : suspicion_.ProbationDue(epoch)) {
+    // One billed re-probe from an arbitrary-but-deterministic live
+    // anchor; heal detection is metered traffic like everything else.
+    NodeId anchor = kInvalidNode;
+    for (const NodeId m : members) {
+      if (m != peer) {
+        anchor = m;
+        break;
+      }
+    }
+    if (anchor == kInvalidNode) {
+      continue;  // nobody left to probe from
+    }
+    const bool ok =
+        policy_.ProbationProbe(maint_.metered(), peer, anchor).has_value();
+    if (suspicion_.ResolveProbation(peer, epoch, ok) && incremental_) {
+      // Released: the peer's overlay entries went stale while it was
+      // quarantined; refresh them with a billed leave + rejoin, the
+      // same shape as crash repair plus re-admission.
+      util::Rng rrng(util::Mix64(rejoin_root_ ^
+                                 (static_cast<std::uint64_t>(epoch) << 32) ^
+                                 static_cast<std::uint64_t>(peer)));
+      algo_.RemoveMember(peer);
+      algo_.AddMember(peer, rrng);
+    }
+  }
 }
 
 std::vector<double> EngineSetup::TargetCdf(

@@ -6,17 +6,23 @@
 // setup, written once: validation, the population split, the
 // maintenance probe stack, the initial build, the churn driver, the
 // per-epoch stream roots, the fault plumbing (partition schedule,
-// suspicion ledger, probe policy) and the churn-window runner. Draw
+// suspicion ledger, probe policy) and the per-epoch churn window. Draw
 // order from the engine rng: split -> maintenance noise seed -> build
 // -> driver seed -> noise, query and rebuild roots. Fault streams
 // derive from the seed directly, never from the engine rng, so turning
 // faults on shifts no other stream.
+//
+// The churn window is the maintenance side of the replay equation:
+// pending crash repairs, blackout ordering, churn application, the
+// rebuild path and the probe billing around them must not fork into
+// two copies, so both engines drive this one, an epoch at a time.
 //
 // What is left to each engine is how it runs an epoch's queries:
 // RunScenario in-line on worker threads, RunServing on reader threads
 // against published snapshots.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_set>
@@ -71,8 +77,16 @@ class EngineSetup {
   /// initial_members and the four mode flags.
   const ScenarioReport& header() const { return header_; }
 
-  /// Applies epoch `epoch`'s churn window (see ChurnWindowRunner).
-  void RunWindow(int epoch, EpochReport& er) { windows_->RunWindow(epoch, er); }
+  /// Applies epoch `epoch`'s churn window: crash repairs pending from
+  /// the previous window, probation re-probes of quarantined peers
+  /// (heal repair), blackouts due by the boundary, scheduled churn, the
+  /// no-incremental-churn rebuild path, and the maintenance billing
+  /// around all of it. Fills the churn/maintenance fields of `er`
+  /// (epoch, time_s, joins/leaves/crashes/skipped, rebuilt,
+  /// maintenance, live_members, quarantined_peers). Stateful across
+  /// epochs (blackout cursor, charged maintenance watermark); call it
+  /// with consecutive epoch indices.
+  void RunWindow(int epoch, EpochReport& er);
 
   /// Zipf target CDF over `pool`; empty (the uniform draw) at zipf 0.
   std::vector<double> TargetCdf(const std::vector<NodeId>& pool) const;
@@ -97,8 +111,15 @@ class EngineSetup {
   PerNodeLedger& ledger() { return ledger_; }
 
  private:
+  /// Probation re-probes for quarantined peers due this epoch; a
+  /// success releases the peer and (for incremental overlays) refreshes
+  /// its entries with a billed leave+rejoin.
+  void DrainProbation(int epoch);
+
   const LatencySpace& space_;
   const matrix::ClusterLayout* layout_;
+  NearestPeerAlgorithm& algo_;
+  const ChurnSchedule& schedule_;
   const ScenarioConfig& config_;
   util::Rng rng_;
   /// Moved into the churn driver once the overlay is built.
@@ -121,7 +142,17 @@ class EngineSetup {
   std::uint64_t query_root_ = 0;
   std::uint64_t query_fault_root_ = 0;
   std::uint64_t partition_root_ = 0;
-  std::optional<ChurnWindowRunner> windows_;
+  std::uint64_t rebuild_root_ = 0;
+  /// Seed root for the post-release rejoin-refresh rng streams.
+  std::uint64_t rejoin_root_ = 0;
+  int build_threads_ = 1;
+  bool incremental_ = false;
+  /// config.blackouts in time order, and the next one not yet applied.
+  std::vector<ScenarioConfig::Blackout> blackouts_;
+  std::size_t next_blackout_ = 0;
+  /// Maintenance probes already billed (build, then earlier windows);
+  /// each window bills the delta above it.
+  std::uint64_t charged_maintenance_ = 0;
   ProbeCounter::Snapshot charged_;
 };
 

@@ -1,21 +1,12 @@
 // The pieces EngineSetup (core/engine_setup) assembles for the
 // scenario and serving engines: the population split, the partition
-// schedule, the scoped probe-counter/policy attachments, and the
-// per-epoch churn window.
-//
-// The serving engine's correctness oracle is bit-identical agreement
-// with serial replay, and the maintenance side of that equation —
-// pending crash repairs, blackout ordering, churn application, the
-// rebuild path, and the probe billing around them — is exactly the
-// code that must not fork into two copies. ChurnWindowRunner is that
-// code; EngineSetup owns the one instance an engine drives, one epoch
-// at a time.
+// schedule and the scoped probe-counter/policy attachments. The
+// per-epoch churn window itself is EngineSetup::RunWindow.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/churn.h"
 #include "core/experiment.h"
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
@@ -77,72 +68,6 @@ class ScopedProbePolicy {
 
  private:
   NearestPeerAlgorithm& algo_;
-};
-
-/// Correlated-fault hooks threaded through the churn window, all
-/// nullable/optional. Both engines pass the same hooks, so the
-/// partition clock, suspicion recording, and probation/heal repair stay
-/// replay-identical by construction.
-struct WindowFaultHooks {
-  /// Maintenance-stack partition decorator; its epoch clock is advanced
-  /// at each window start (serial).
-  matrix::PartitionedSpace* partition = nullptr;
-  /// Failure-detector ledger; recording is enabled only inside the
-  /// serial window (never while query threads run), and probation
-  /// re-probes drain here with billed maintenance traffic.
-  SuspicionLedger* suspicion = nullptr;
-  /// Policy used for probation re-probes (the engine's policy).
-  const ProbePolicy* policy = nullptr;
-  /// Seed root for the post-release rejoin-refresh rng streams.
-  std::uint64_t rejoin_root = 0;
-};
-
-/// One epoch's churn window: crash repairs pending from the previous
-/// window, probation re-probes of quarantined peers (heal repair),
-/// blackouts due by the boundary, scheduled churn, the
-/// no-incremental-churn rebuild path, and the maintenance billing
-/// around all of it. Stateful across epochs (blackout cursor, charged
-/// maintenance watermark); drive it with consecutive epoch indices.
-class ChurnWindowRunner {
- public:
-  /// Borrows everything; the caller keeps all of it alive for the
-  /// runner's lifetime. `charged_build` is the build-probe watermark
-  /// already on `maint` (maintenance deltas are billed above it).
-  ChurnWindowRunner(NearestPeerAlgorithm& algo, ChurnDriver& driver,
-                    const ChurnSchedule& schedule,
-                    const matrix::ClusterLayout* layout,
-                    const MeteredSpace& maint, ProbeCounter& counter,
-                    std::vector<ScenarioConfig::Blackout> blackouts,
-                    std::uint64_t rebuild_root, int build_threads,
-                    int total_epochs, bool incremental,
-                    std::uint64_t charged_build,
-                    WindowFaultHooks hooks = {});
-
-  /// Applies epoch `epoch`'s window and fills the churn/maintenance
-  /// fields of `er` (epoch, time_s, joins/leaves/crashes/skipped,
-  /// rebuilt, maintenance, live_members, quarantined_peers).
-  void RunWindow(int epoch, EpochReport& er);
-
- private:
-  /// Probation re-probes for quarantined peers due this epoch; a
-  /// success releases the peer and (for incremental overlays) refreshes
-  /// its entries with a billed leave+rejoin.
-  void DrainProbation(int epoch);
-
-  NearestPeerAlgorithm& algo_;
-  ChurnDriver& driver_;
-  const ChurnSchedule& schedule_;
-  const matrix::ClusterLayout* layout_;
-  const MeteredSpace& maint_;
-  ProbeCounter& counter_;
-  std::vector<ScenarioConfig::Blackout> blackouts_;
-  std::size_t next_blackout_ = 0;
-  const std::uint64_t rebuild_root_;
-  const int build_threads_;
-  const int total_epochs_;
-  const bool incremental_;
-  std::uint64_t charged_maintenance_;
-  WindowFaultHooks hooks_;
 };
 
 }  // namespace np::core

@@ -63,6 +63,8 @@ class ProbeCounter {
     /// Mean maintenance messages per churn event; 0 when no event has
     /// been charged.
     double MaintenancePerEvent() const;
+
+    bool operator==(const Snapshot&) const = default;
   };
 
   ProbeCounter() = default;
@@ -156,6 +158,8 @@ struct PerNodeSnapshot {
   double median = 0.0;
   /// Gini coefficient of per-member load, in [0, 1].
   double gini = 0.0;
+
+  bool operator==(const PerNodeSnapshot&) const = default;
 
   /// Distribution of counts[m] - baseline[m] over `members`. baseline
   /// may be nullptr (taken as all-zero) or must be the same size as

@@ -183,6 +183,8 @@ struct EpochReport {
     std::int64_t failed_queries = 0;
     /// Load Gini across this component's members (track_load only).
     double load_gini = 0.0;
+
+    bool operator==(const ComponentStats&) const = default;
   };
   std::vector<ComponentStats> components;
 
@@ -200,6 +202,8 @@ struct EpochReport {
   std::uint64_t load_max = 0;
   double load_median = 0.0;
   double load_gini = 0.0;
+
+  bool operator==(const EpochReport&) const = default;
 };
 
 struct ScenarioReport {
@@ -234,6 +238,8 @@ struct ScenarioReport {
   /// Whole-run per-node load over final members (post-build traffic:
   /// maintenance + queries), under load_tracking.
   PerNodeSnapshot load;
+
+  bool operator==(const ScenarioReport&) const = default;
 };
 
 /// Runs `algo` through `schedule` over `space`. `layout` enables the

@@ -332,73 +332,7 @@ ServingReport RunServing(const LatencySpace& space,
 
 bool ScenarioReportsIdentical(const ScenarioReport& a,
                               const ScenarioReport& b) {
-  if (a.algorithm != b.algorithm || a.clustered != b.clustered ||
-      a.build_messages != b.build_messages ||
-      a.initial_members != b.initial_members ||
-      a.final_members != b.final_members ||
-      a.epochs.size() != b.epochs.size() ||
-      a.messages_per_query != b.messages_per_query ||
-      a.maintenance_per_event != b.maintenance_per_event ||
-      a.fault_mode != b.fault_mode || a.load_tracking != b.load_tracking ||
-      a.partition_mode != b.partition_mode ||
-      a.suspicion_mode != b.suspicion_mode ||
-      a.failed_queries != b.failed_queries || a.load.total != b.load.total ||
-      a.load.max != b.load.max || a.load.max_node != b.load.max_node ||
-      a.load.median != b.load.median || a.load.gini != b.load.gini) {
-    return false;
-  }
-  const ProbeCounter::Snapshot& ta = a.totals;
-  const ProbeCounter::Snapshot& tb = b.totals;
-  if (ta.query_probes != tb.query_probes || ta.queries != tb.queries ||
-      ta.maintenance_probes != tb.maintenance_probes ||
-      ta.churn_events != tb.churn_events ||
-      ta.build_probes != tb.build_probes ||
-      ta.failed_probes != tb.failed_probes || ta.retries != tb.retries ||
-      ta.suspicion_skips != tb.suspicion_skips ||
-      ta.probation_probes != tb.probation_probes) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    const EpochReport& ea = a.epochs[i];
-    const EpochReport& eb = b.epochs[i];
-    if (ea.epoch != eb.epoch || ea.time_s != eb.time_s ||
-        ea.live_members != eb.live_members || ea.joins != eb.joins ||
-        ea.leaves != eb.leaves || ea.crashes != eb.crashes ||
-        ea.skipped_events != eb.skipped_events || ea.rebuilt != eb.rebuilt ||
-        ea.p_exact_closest != eb.p_exact_closest ||
-        ea.p_correct_cluster != eb.p_correct_cluster ||
-        ea.p_same_net != eb.p_same_net ||
-        ea.mean_found_latency_ms != eb.mean_found_latency_ms ||
-        ea.mean_hops != eb.mean_hops ||
-        ea.excess_latency_p50_ms != eb.excess_latency_p50_ms ||
-        ea.excess_latency_p95_ms != eb.excess_latency_p95_ms ||
-        ea.excess_latency_p99_ms != eb.excess_latency_p99_ms ||
-        ea.messages_per_query != eb.messages_per_query ||
-        ea.maintenance_messages != eb.maintenance_messages ||
-        ea.maintenance_per_event != eb.maintenance_per_event ||
-        ea.p_query_failed != eb.p_query_failed ||
-        ea.failed_probes != eb.failed_probes || ea.retries != eb.retries ||
-        ea.p_exact_reachable != eb.p_exact_reachable ||
-        ea.quarantined_peers != eb.quarantined_peers ||
-        ea.suspicion_skips != eb.suspicion_skips ||
-        ea.probation_probes != eb.probation_probes ||
-        ea.components.size() != eb.components.size() ||
-        ea.load_max != eb.load_max || ea.load_median != eb.load_median ||
-        ea.load_gini != eb.load_gini) {
-      return false;
-    }
-    for (std::size_t c = 0; c < ea.components.size(); ++c) {
-      const EpochReport::ComponentStats& ca = ea.components[c];
-      const EpochReport::ComponentStats& cb = eb.components[c];
-      if (ca.component != cb.component || ca.members != cb.members ||
-          ca.queries != cb.queries ||
-          ca.failed_queries != cb.failed_queries ||
-          ca.load_gini != cb.load_gini) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return a == b;
 }
 
 }  // namespace np::core

@@ -96,8 +96,9 @@ ServingReport RunServing(const LatencySpace& space,
                          const ServingConfig& config,
                          const std::vector<NodeId>& population = {});
 
-/// Exact (bitwise) field-for-field equality of two scenario reports —
-/// the serving-vs-replay equivalence assertion. Doubles are compared
+/// Exact field-for-field equality of two scenario reports (the
+/// defaulted ScenarioReport::operator==) — the serving-vs-replay
+/// equivalence assertion. Doubles are compared
 /// with ==: the contract is bit-identity, not tolerance.
 bool ScenarioReportsIdentical(const ScenarioReport& a,
                               const ScenarioReport& b);

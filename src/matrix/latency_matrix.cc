@@ -223,21 +223,4 @@ void LatencyMatrix::NearestTo(NodeId from, std::size_t count,
   out.resize(k);
 }
 
-NodeId LatencyMatrix::ClosestTo(NodeId from) const {
-  CheckNode(from);
-  const LatencyMs* row = RowPtr(from);
-  NodeId best = kInvalidNode;
-  LatencyMs best_latency = kInfiniteLatency;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (i == from) {
-      continue;
-    }
-    if (row[i] < best_latency) {
-      best_latency = row[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace np::matrix

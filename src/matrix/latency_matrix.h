@@ -89,10 +89,6 @@ class LatencyMatrix {
   void NearestTo(NodeId from, std::size_t count,
                  std::vector<NodeId>& out) const;
 
-  /// Exact closest node to `from` (ties broken by lower id);
-  /// kInvalidNode when n == 1.
-  NodeId ClosestTo(NodeId from) const;
-
  private:
   void CheckNode(NodeId a) const {
     NP_ENSURE(a >= 0 && a < n_, "node id out of range");

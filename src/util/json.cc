@@ -98,9 +98,19 @@ class JsonParser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Each level is one native stack frame; bound them so hostile
+        // input gets an error instead of a stack overflow.
+        if (depth_ == kMaxDepth) {
+          Fail("arrays/objects nested deeper than " +
+               std::to_string(kMaxDepth) + " levels (byte offset " +
+               std::to_string(pos_) + ")");
+        }
+        ++depth_;
+        JsonValue value = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': {
         JsonValue value;
         value.type_ = JsonValue::Type::kString;
@@ -315,8 +325,12 @@ class JsonParser {
     return value;
   }
 
+  /// Deepest array/object nesting accepted; scenario specs use < 10.
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue JsonValue::Parse(std::string_view text) {

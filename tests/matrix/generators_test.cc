@@ -206,7 +206,7 @@ TEST_P(ClusteredDeltaTest, LanGapAlwaysPreserved) {
   const auto world = GenerateClustered(config, rng);
   const auto& layout = world.layout;
   for (NodeId p = 0; p < layout.peer_count(); ++p) {
-    const NodeId closest = world.matrix.ClosestTo(p);
+    const NodeId closest = world.matrix.NearestTo(p, 1).front();
     EXPECT_TRUE(layout.SameNet(p, closest));
     // Nearest non-LAN peer is >= 10x farther.
     double nearest_outside = kInfiniteLatency;

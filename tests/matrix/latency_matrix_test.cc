@@ -77,7 +77,7 @@ TEST(LatencyMatrix, SingleNodeMatrixIsValid) {
   LatencyMatrix m(1);
   EXPECT_EQ(m.size(), 1);
   EXPECT_TRUE(m.IsValid());
-  EXPECT_EQ(m.ClosestTo(0), kInvalidNode);
+  EXPECT_TRUE(m.NearestTo(0, 1).empty());
 }
 
 TEST(LatencyMatrix, ValidityDetectsInfinities) {
@@ -158,14 +158,6 @@ TEST(LatencyMatrix, NearestToBreaksTiesById) {
   EXPECT_EQ(nearest[0], 0);
   EXPECT_EQ(nearest[1], 1);
   EXPECT_EQ(nearest[2], 3);
-}
-
-TEST(LatencyMatrix, ClosestToFindsMinimum) {
-  LatencyMatrix m(4, 10.0);
-  m.Set(2, 1, 0.5);
-  EXPECT_EQ(m.ClosestTo(2), 1);
-  EXPECT_EQ(m.ClosestTo(1), 2);
-  EXPECT_EQ(m.ClosestTo(0), 1);  // tie at 10.0 -> lowest id
 }
 
 TEST(LatencyMatrix, LargeMatrixMirrorWritesConsistent) {

@@ -5,7 +5,8 @@ Every case starts from a small valid spec, applies one mutation, runs
 `np_run <spec> --validate`, and asserts the exit code plus a regex on
 stderr. Unknown-key cases also compare the printed "allowed:" list, as a
 set, against the keys that section accepts, so the print order is free
-to change but the accepted key set is pinned.
+to change but the accepted key set is pinned. Flag cases pass extra
+command-line flags; --validate returns before any thread starts.
 
 Run directly (python3 tests/tools/np_run_spec_test.py path/to/np_run)
 or via ctest (tools_np_run_spec).
@@ -100,15 +101,21 @@ def partition(groups):
 
 def unknown_key(section, mutate):
     """The mutation puts key "bogus" into `section`."""
-    return (mutate, 1, None, section)
+    return (mutate, 1, None, section, ())
 
 
 def rejects(mutate, pattern):
-    return (mutate, 1, pattern, None)
+    return (mutate, 1, pattern, None, ())
 
 
 def accepts(mutate):
-    return (mutate, 0, r"^$", None)
+    return (mutate, 0, r"^$", None, ())
+
+
+def flags(args, want_code):
+    """The base spec with extra flags: exit 0 quietly, or 2 with usage."""
+    pattern = r"^$" if want_code == 0 else r"^usage: np_run "
+    return (lambda spec: None, want_code, pattern, None, args)
 
 
 def unknown_key_cases():
@@ -263,15 +270,30 @@ def other_cases():
     return cases
 
 
-def validate(np_run, workdir, mutate):
-    """Runs np_run --validate on the base spec after `mutate`."""
-    spec = copy.deepcopy(BASE)
-    mutate(spec)
+def flag_cases():
+    cases = {}
+    for args in (["--threads", "0"], ["--threads", "8", "--readers", "1"]):
+        cases["flags accepted: " + " ".join(args)] = flags(args, 0)
+    for args in (["--threads", "2x"], ["--threads", "-3"],
+                 ["--threads", "abc"], ["--threads", ""],
+                 ["--threads", "4294967297"], ["--readers", "0"],
+                 ["--readers", "2x"], ["--readers", "-1"]):
+        cases["flags rejected: " + " ".join(args)] = flags(args, 2)
+    return cases
+
+
+def validate(np_run, workdir, mutate, args=(), text=None):
+    """Runs np_run --validate plus `args` on the base spec after
+    `mutate`, or on `text` verbatim when given."""
+    if text is None:
+        spec = copy.deepcopy(BASE)
+        mutate(spec)
+        text = json.dumps(spec)
     path = os.path.join(workdir, "spec.json")
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec, f)
-    return subprocess.run([np_run, path, "--validate"], capture_output=True,
-                          text=True, encoding="utf-8")
+        f.write(text)
+    return subprocess.run([np_run, path, "--validate", *args],
+                          capture_output=True, text=True, encoding="utf-8")
 
 
 def unknown_key_report(stderr):
@@ -281,8 +303,8 @@ def unknown_key_report(stderr):
 
 
 def run_case(np_run, workdir, name, case):
-    mutate, want_code, pattern, section = case
-    proc = validate(np_run, workdir, mutate)
+    mutate, want_code, pattern, section, args = case
+    proc = validate(np_run, workdir, mutate, args)
     errors = []
     if proc.returncode != want_code:
         errors.append("exit %d, want %d" % (proc.returncode, want_code))
@@ -321,6 +343,18 @@ def unknown_algorithm_case(np_run, workdir):
     return ok
 
 
+def deep_nesting_case(np_run, workdir):
+    """100,000 nested arrays: a positioned parse error, not a crash."""
+    proc = validate(np_run, workdir, None, text="[" * 100000)
+    ok = proc.returncode == 1 and re.search(
+        r"nested deeper than 64 levels \(byte offset 64\)", proc.stderr)
+    print("%s deep nesting%s" % (
+        "ok  " if ok else "FAIL",
+        "" if ok else "\n  exit %d, stderr: %s" % (proc.returncode,
+                                                   proc.stderr.strip())))
+    return bool(ok)
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: np_run_spec_test.py <path to np_run>", file=sys.stderr)
@@ -328,13 +362,15 @@ def main():
     np_run = sys.argv[1]
     cases = unknown_key_cases()
     cases.update(other_cases())
+    cases.update(flag_cases())
     failures = 0
     with tempfile.TemporaryDirectory() as workdir:
         for name, case in cases.items():
             failures += not run_case(np_run, workdir, name, case)
         failures += not unknown_algorithm_case(np_run, workdir)
+        failures += not deep_nesting_case(np_run, workdir)
     print("np_run_spec_test: %d case(s), %d failure(s)" % (
-        len(cases) + 1, failures))
+        len(cases) + 2, failures))
     return 1 if failures else 0
 
 

@@ -2,6 +2,8 @@
 // loud failures on malformed specs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 #include "util/json.h"
 
@@ -69,6 +71,39 @@ TEST(Json, ErrorsCarryPosition) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
+}
+
+/// The parse error for `text`, or "" when it parses.
+std::string ParseError(const std::string& text) {
+  try {
+    JsonValue::Parse(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string Repeat(const std::string& unit, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += unit;
+  }
+  return out;
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  EXPECT_EQ(ParseError(Repeat("[", 64) + Repeat("]", 64)), "");
+  EXPECT_EQ(ParseError(Repeat("{\"a\":", 64) + "1" + Repeat("}", 64)), "");
+  // The 65th level fails at its own opening byte.
+  EXPECT_NE(ParseError(Repeat("[", 65) + Repeat("]", 65))
+                .find("nested deeper than 64 levels (byte offset 64)"),
+            std::string::npos);
+  EXPECT_NE(ParseError(Repeat("{\"a\":", 65) + "1" + Repeat("}", 65))
+                .find("(byte offset 320)"),
+            std::string::npos);
+  // Hostile depths throw instead of overflowing the stack.
+  EXPECT_THROW(JsonValue::Parse(Repeat("[", 100000)), Error);
+  EXPECT_THROW(JsonValue::Parse(Repeat("{\"a\":", 100000)), Error);
 }
 
 TEST(Json, AccessorsValidateTypes) {

@@ -16,14 +16,17 @@
 // a cheap churn-schedule construction); tests/tools/spec_docs_test.py
 // checks docs/SCENARIOS.md's key tables against it.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -786,6 +789,18 @@ void WriteReportJson(std::ostream& out, const std::string& scenario_name,
   out << "}\n";
 }
 
+/// `text` as a whole decimal int no smaller than `min`; nullopt for
+/// anything else (trailing junk, overflow, too small).
+std::optional<int> FlagInt(std::string_view text, int min) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 int Run(int argc, char** argv) {
   std::string spec_path;
   std::string out_path;
@@ -802,10 +817,14 @@ int Run(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads_override = std::stoi(argv[++i]);
-    } else if (arg == "--readers" && i + 1 < argc) {
-      readers_override = std::stoi(argv[++i]);
+    } else if ((arg == "--threads" || arg == "--readers") && i + 1 < argc) {
+      const bool threads = arg == "--threads";
+      const std::optional<int> n = FlagInt(argv[++i], threads ? 0 : 1);
+      if (!n) {
+        std::cerr << kUsage << std::endl;
+        return 2;
+      }
+      (threads ? threads_override : readers_override) = *n;
     } else if (arg == "--mode" && i + 1 < argc) {
       mode_override = argv[++i];
       if (mode_override != "scenario" && mode_override != "serving") {
