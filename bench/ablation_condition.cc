@@ -5,16 +5,17 @@
 //    number of end-networks per cluster.
 //  * Doubling: greedy half-radius cover of a cluster-scale ball —
 //    approaches the number of end-networks.
-//  * Low dimensionality: Vivaldi embedding error at 5 dimensions —
-//    stays high under clustering regardless of cluster size, versus a
-//    Euclidean control that embeds cleanly.
+//  * Low dimensionality: the relative error of each node's
+//    nearest-neighbour distance as predicted by a 5-D coord-vivaldi
+//    overlay — many times the true distance under clustering at any
+//    cluster size, versus a few percent on a Euclidean control.
 // Every table cell is a derived key <world>_<column>, CI-gated against
 // bench/baselines/BENCH_ablation_condition_quick.json.
 #include <cmath>
 
+#include "algos/coord_nearest.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
-#include "coord/vivaldi.h"
 #include "core/condition_analyzer.h"
 #include "matrix/generators.h"
 #include "util/stats.h"
@@ -31,8 +32,6 @@ int main() {
       "cover scale with end-networks/cluster; embedding error stays "
       "high at any cluster size.");
 
-  const bool quick = np::bench::QuickScale();
-
   np::bench::Reporter reporter("ablation_condition");
   np::util::Table table({"world", "growth_ratio_med", "doubling_cover_max",
                          "vivaldi5d_nn_err_p50"});
@@ -46,12 +45,9 @@ int main() {
     for (NodeId i = 0; i < space.size(); ++i) {
       members.push_back(i);
     }
-    np::coord::VivaldiConfig vconfig;
-    vconfig.dimensions = 5;
-    vconfig.rounds = quick ? 48 : 96;
+    np::algos::CoordNearest vivaldi(np::algos::CoordConfig{.dimensions = 5});
     np::util::Rng rng(77);
-    const auto embedding =
-        np::coord::VivaldiEmbedding::Train(space, members, vconfig, rng);
+    vivaldi.Build(space, members, rng);
     std::vector<double> errors;
     np::util::Rng eval_rng(78);
     for (int s = 0; s < 300; ++s) {
@@ -59,7 +55,7 @@ int main() {
           eval_rng.Index(static_cast<std::size_t>(space.size())));
       double nearest_d = 0.0;
       const NodeId nearest = space.ClosestOf(node, members, &nearest_d);
-      const double predicted = embedding.PredictedLatency(node, nearest);
+      const double predicted = vivaldi.PredictedLatency(node, nearest);
       errors.push_back(std::abs(predicted - nearest_d) /
                        std::max(nearest_d, 1e-6));
     }

@@ -2,9 +2,11 @@
 // the hot building blocks of the §4 simulation pipeline — Floyd-Warshall
 // metric repair (serial reference vs blocked/parallel), the triangle
 //-violation scan, allocation-free nearest-neighbour queries, Meridian
-// build/query, the full clustered experiment serial vs parallel, and
-// truth scoring on the embedded backend (generic per-pair scan vs the
-// pruned EmbeddedSpace::ClosestOf kernel).
+// build/query, the full clustered experiment serial vs parallel, truth
+// scoring on the embedded backend (generic per-pair scan vs the pruned
+// EmbeddedSpace::ClosestOf kernel), world generation, Chord lookups,
+// a coord-vivaldi overlay build (coord_vivaldi_build), topology
+// latency probes and the path-graph close-peer scan.
 //
 // The derived speedup_* metrics are the acceptance numbers for the
 // parallel simulation core: on an N-core box, metric_repair and the
@@ -22,9 +24,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "algos/coord_nearest.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
-#include "coord/vivaldi.h"
 #include "core/experiment.h"
 #include "dht/chord.h"
 #include "matrix/embedded_space.h"
@@ -388,12 +390,11 @@ void BenchBuildingBlocks(np::bench::Reporter& reporter, bool quick) {
     for (NodeId i = 0; i < n; ++i) {
       members.push_back(i);
     }
-    np::coord::VivaldiConfig vconfig;
+    np::algos::CoordNearest vivaldi(np::algos::CoordConfig{});
     np::util::Rng rng(12);
-    auto phase = reporter.Phase("vivaldi_train", n);
-    const auto embedding =
-        np::coord::VivaldiEmbedding::Train(space, members, vconfig, rng);
-    if (embedding.dimensions() == 0) {
+    auto phase = reporter.Phase("coord_vivaldi_build", n);
+    vivaldi.Build(space, members, rng);
+    if (vivaldi.members().empty()) {
       return;
     }
   }

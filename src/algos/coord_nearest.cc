@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "coord/landmark.h"
-#include "coord/vivaldi.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -39,6 +37,68 @@ double SlotDistance(const double* a, const double* b, int dims) {
     sq += diff * diff;
   }
   return std::sqrt(sq);
+}
+
+/// One Vivaldi spring update of `self` toward/away from a neighbor at
+/// measured RTT: adjusts self's coordinate and confidence-weighted
+/// error in place (Dabek et al., Fig. 3). `rng` is only consumed when
+/// the two coordinates coincide (random escape direction).
+void VivaldiSpringUpdate(double* self, double& self_error,
+                         const double* other, double other_error, double rtt,
+                         int dims, double ce, double cc, util::Rng& rng) {
+  double dist = 0.0;
+  for (int d = 0; d < dims; ++d) {
+    const double diff = self[d] - other[d];
+    dist += diff * diff;
+  }
+  dist = std::sqrt(dist);
+
+  // Unit vector from other to self; random direction when coincident.
+  std::vector<double> unit(static_cast<std::size_t>(dims));
+  if (dist < 1e-9) {
+    double norm = 0.0;
+    for (int d = 0; d < dims; ++d) {
+      unit[static_cast<std::size_t>(d)] = rng.Gaussian();
+      norm += unit[static_cast<std::size_t>(d)] *
+              unit[static_cast<std::size_t>(d)];
+    }
+    norm = std::sqrt(std::max(norm, 1e-12));
+    for (int d = 0; d < dims; ++d) {
+      unit[static_cast<std::size_t>(d)] /= norm;
+    }
+  } else {
+    for (int d = 0; d < dims; ++d) {
+      unit[static_cast<std::size_t>(d)] = (self[d] - other[d]) / dist;
+    }
+  }
+
+  const double w = self_error / std::max(self_error + other_error, 1e-9);
+  const double relative_error = std::abs(dist - rtt) / std::max(rtt, 1e-6);
+  self_error = relative_error * cc * w + self_error * (1.0 - cc * w);
+  self_error = std::clamp(self_error, 0.01, 2.0);
+  const double delta = ce * w;
+  for (int d = 0; d < dims; ++d) {
+    self[d] += delta * (rtt - dist) * unit[static_cast<std::size_t>(d)];
+  }
+}
+
+/// One GNP-style relaxation step pulling `self` toward satisfying
+/// |self - other| = rtt, with step size `step`. `rng` is only consumed
+/// when the coordinates coincide (random nudge).
+void LandmarkRelax(double* self, const double* other, double rtt, int dims,
+                   double step, util::Rng& rng) {
+  double dist = SlotDistance(self, other, dims);
+  if (dist < 1e-9) {
+    // Coincident: nudge in a random direction.
+    for (int d = 0; d < dims; ++d) {
+      self[d] += step * rng.Gaussian();
+    }
+    return;
+  }
+  const double factor = step * (rtt - dist) / dist;
+  for (int d = 0; d < dims; ++d) {
+    self[d] += factor * (self[d] - other[d]);
+  }
 }
 
 }  // namespace
@@ -99,6 +159,16 @@ std::vector<double> CoordNearest::CoordinateOf(NodeId node) const {
   return std::vector<double>(coords_.begin() + static_cast<long>(slot * dims),
                              coords_.begin() +
                                  static_cast<long>((slot + 1) * dims));
+}
+
+LatencyMs CoordNearest::PredictedLatency(NodeId a, NodeId b) const {
+  const std::size_t slot_a = members_.PositionOf(a);
+  const std::size_t slot_b = members_.PositionOf(b);
+  NP_ENSURE(slot_a != core::MemberIndex::kNoPosition &&
+                slot_b != core::MemberIndex::kNoPosition,
+            "not a member");
+  const auto dims = static_cast<std::size_t>(config_.dimensions);
+  return DistanceToSlot(&coords_[slot_a * dims], slot_b);
 }
 
 void CoordNearest::Build(const core::LatencySpace& space,
@@ -241,10 +311,9 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
             seen.back() = {*measured, j};
             std::push_heap(seen.begin(), seen.end());
           }
-          coord::VivaldiSpringUpdate(&coords_[m * dims], errors_[m],
-                                     &prev_coords[j * dims], prev_errors[j],
-                                     *measured, config_.dimensions, ce,
-                                     config_.cc, r);
+          VivaldiSpringUpdate(&coords_[m * dims], errors_[m],
+                              &prev_coords[j * dims], prev_errors[j],
+                              *measured, config_.dimensions, ce, config_.cc, r);
         }
       });
     }
@@ -383,7 +452,7 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
                 1.0 -
                 0.9 * static_cast<double>(pass) / config_.placement_passes;
             for (const auto& entry : meas) {
-              coord::VivaldiSpringUpdate(
+              VivaldiSpringUpdate(
                   row, errors_[m], &prev_coords[entry.second * dims],
                   prev_errors[entry.second], entry.first,
                   config_.dimensions, config_.ce * decay, config_.cc, r);
@@ -423,10 +492,9 @@ void CoordNearest::RelaxLandmarks(
         if (a == b || std::isnan(pair_rtt[a * k + b])) {
           continue;
         }
-        coord::LandmarkRelax(&coords_[landmark_slots[a] * dims],
-                             &coords_[landmark_slots[b] * dims],
-                             pair_rtt[a * k + b], config_.dimensions, step,
-                             rng);
+        LandmarkRelax(&coords_[landmark_slots[a] * dims],
+                      &coords_[landmark_slots[b] * dims], pair_rtt[a * k + b],
+                      config_.dimensions, step, rng);
       }
     }
   }
@@ -516,10 +584,10 @@ void CoordNearest::RelaxAgainst(
         1.0 - 0.9 * static_cast<double>(pass) / config_.placement_passes;
     for (const auto& [slot, rtt] : measured) {
       if (config_.scheme == CoordScheme::kLandmark) {
-        coord::LandmarkRelax(self, &coords_[slot * dims], rtt,
-                             config_.dimensions, kLandmarkStep * decay, rng);
+        LandmarkRelax(self, &coords_[slot * dims], rtt, config_.dimensions,
+                      kLandmarkStep * decay, rng);
       } else {
-        coord::VivaldiSpringUpdate(self, self_error, &coords_[slot * dims],
+        VivaldiSpringUpdate(self, self_error, &coords_[slot * dims],
                             errors_[slot], rtt, config_.dimensions,
                             config_.ce * decay, config_.cc, rng);
       }
@@ -868,10 +936,9 @@ void CoordNearest::GossipRefresh(util::Rng& rng) {
       if (!measured) {
         continue;
       }
-      coord::LandmarkRelax(&coords_[slot * dims],
-                           &coords_[members_.PositionOf(lm) * dims],
-                           *measured, config_.dimensions,
-                           kLandmarkStep * kGossipCeFrac, rng);
+      LandmarkRelax(&coords_[slot * dims],
+                    &coords_[members_.PositionOf(lm) * dims], *measured,
+                    config_.dimensions, kLandmarkStep * kGossipCeFrac, rng);
     } else {
       const std::size_t a = rng.Index(n);
       std::size_t b = rng.Index(n - 1);
@@ -882,7 +949,7 @@ void CoordNearest::GossipRefresh(util::Rng& rng) {
       if (!measured) {
         continue;
       }
-      coord::VivaldiSpringUpdate(&coords_[a * dims], errors_[a],
+      VivaldiSpringUpdate(&coords_[a * dims], errors_[a],
                           &coords_[b * dims], errors_[b], *measured,
                           config_.dimensions, config_.ce * kGossipCeFrac,
                           config_.cc, rng);

@@ -4,12 +4,13 @@
 // et al. ICDCS'04, landmark/GNP = Ng & Zhang INFOCOM'02). Each member
 // carries an O(dims) coordinate; nearest-peer = nearest in coordinate
 // space, *verified by real billed probes* (top-k candidate
-// refinement). Unlike the ablation-only embeddings in src/coord/,
-// these are full NearestPeerAlgorithms: coordinate training, joins,
+// refinement). These are full NearestPeerAlgorithms and the repo's
+// only coordinate implementation: coordinate training, joins,
 // departures and keep-fresh gossip all flow through the attached
 // ProbePolicy against the engine's metered maintenance space, so the
 // honest maintenance price lands in the probe ledger next to the
-// structured overlays'.
+// structured overlays'. ablation_condition and the §5 composite
+// address read the trained coordinates through PredictedLatency.
 //
 // The paper's §2.2 prediction carries over: under the clustering
 // condition all cluster peers collapse onto nearly identical
@@ -162,6 +163,10 @@ class CoordNearest final : public core::NearestPeerAlgorithm {
   /// Coordinate of a current member (dimensions-sized span) — test and
   /// inspection hook.
   std::vector<double> CoordinateOf(NodeId node) const;
+
+  /// Coordinate distance between two current members: the RTT the
+  /// embedding predicts, with no probe issued.
+  LatencyMs PredictedLatency(NodeId a, NodeId b) const;
 
   /// Current landmark set (kLandmark scheme; empty otherwise).
   const std::vector<NodeId>& landmarks() const { return landmarks_; }

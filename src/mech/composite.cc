@@ -7,9 +7,9 @@
 namespace np::mech {
 
 CompositeProximity::CompositeProximity(
-    const net::Topology& topology, const coord::VivaldiEmbedding& embedding,
+    const net::Topology& topology, const algos::CoordNearest& coordinates,
     const UclOptions& options)
-    : topology_(&topology), embedding_(&embedding), options_(options) {}
+    : topology_(&topology), coordinates_(&coordinates), options_(options) {}
 
 void CompositeProximity::RegisterPeer(NodeId peer) {
   ucls_[peer] = BuildUcl(*topology_, peer, options_);
@@ -38,7 +38,7 @@ LatencyMs CompositeProximity::EstimateLatency(NodeId a, NodeId b) const {
   if (best != kInfiniteLatency) {
     return best;
   }
-  return embedding_->PredictedLatency(a, b);
+  return coordinates_->PredictedLatency(a, b);
 }
 
 bool CompositeProximity::SharesUpstreamRouter(NodeId a, NodeId b) const {

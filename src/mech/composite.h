@@ -11,7 +11,7 @@
 // upstream router (with embedded leg latencies) can.
 #pragma once
 
-#include "coord/vivaldi.h"
+#include "algos/coord_nearest.h"
 #include "mech/ucl.h"
 #include "net/topology.h"
 
@@ -19,11 +19,11 @@ namespace np::mech {
 
 class CompositeProximity {
  public:
-  /// The embedding provides the latency-based part of the address; it
-  /// must cover every peer passed to RegisterPeer / EstimateLatency
-  /// and outlive this object.
+  /// The built coordinate overlay provides the latency-based part of
+  /// the address; its members must cover every peer passed to
+  /// RegisterPeer / EstimateLatency, and it must outlive this object.
   CompositeProximity(const net::Topology& topology,
-                     const coord::VivaldiEmbedding& embedding,
+                     const algos::CoordNearest& coordinates,
                      const UclOptions& options);
 
   /// Computes and stores the peer's UCL extension.
@@ -42,7 +42,7 @@ class CompositeProximity {
 
  private:
   const net::Topology* topology_;
-  const coord::VivaldiEmbedding* embedding_;
+  const algos::CoordNearest* coordinates_;
   UclOptions options_;
   std::unordered_map<NodeId, std::vector<UclEntry>> ucls_;
 };

@@ -2,8 +2,11 @@
 // embedding accuracy of the gossip and landmark substrates, end-to-end
 // exactness against brute force on held-out targets, the query probe
 // budget, PIC walk hop caps, billed join/leave lifecycle, landmark
-// re-election, honest failure under total probe loss, and seeded
-// build reproducibility.
+// re-election, honest failure under total probe loss, seeded build
+// reproducibility, config validation — and the paper's two coordinate
+// claims: under clustering the coordinates cannot separate peers
+// inside a cluster (§2.2) and PIC's greedy walk cannot reach the
+// right end-network (§2.3), while a Euclidean control works.
 #include "algos/coord_nearest.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/probe_counter.h"
 #include "matrix/embedded_space.h"
 #include "matrix/faulty_space.h"
@@ -79,13 +83,7 @@ double MedianRelError(const CoordNearest& algo,
     if (j >= i) {
       ++j;
     }
-    const auto ci = algo.CoordinateOf(members[i]);
-    const auto cj = algo.CoordinateOf(members[j]);
-    double sq = 0.0;
-    for (std::size_t d = 0; d < ci.size(); ++d) {
-      sq += (ci[d] - cj[d]) * (ci[d] - cj[d]);
-    }
-    const double predicted = std::sqrt(sq);
+    const double predicted = algo.PredictedLatency(members[i], members[j]);
     const double actual = space.Latency(members[i], members[j]);
     errors.push_back(std::abs(predicted - actual) / std::max(actual, 1e-6));
   }
@@ -316,6 +314,201 @@ TEST(CoordNearest, SeededBuildIsReproducible) {
       EXPECT_EQ(first.CoordinateOf(member), second.CoordinateOf(member));
     }
   }
+}
+
+/// Three members are fewer than every neighbor, link and landmark
+/// budget; the query must still return the true nearest.
+TEST(CoordNearest, TinyOverlayStillAnswers) {
+  const auto space = MakeWorld(10);
+  const NodeId target = 5;
+  const auto members = FirstN(3);
+  for (const CoordScheme scheme : kSchemes) {
+    SCOPED_TRACE(CoordSchemeName(scheme));
+    CoordNearest algo(SchemeConfig(scheme));
+    util::Rng rng(41);
+    algo.Build(space, members, rng);
+    const MeteredSpace metered(space);
+    util::Rng qrng(43);
+    const QueryResult result = algo.FindNearest(target, metered, qrng);
+    EXPECT_EQ(result.found, BruteForceNearest(space, target, members));
+  }
+}
+
+TEST(CoordNearest, PredictedLatencyIsTheCoordinateDistance) {
+  const auto space = MakeWorld(120);
+  CoordNearest algo(FastConfig(CoordScheme::kVivaldi));
+  util::Rng rng(59);
+  algo.Build(space, FirstN(100), rng);
+  for (NodeId a = 0; a < 10; ++a) {
+    for (NodeId b = 10; b < 20; ++b) {
+      const auto ca = algo.CoordinateOf(a);
+      const auto cb = algo.CoordinateOf(b);
+      double sq = 0.0;
+      for (std::size_t d = 0; d < ca.size(); ++d) {
+        sq += (ca[d] - cb[d]) * (ca[d] - cb[d]);
+      }
+      EXPECT_EQ(algo.PredictedLatency(a, b), std::sqrt(sq));
+      EXPECT_EQ(algo.PredictedLatency(a, b), algo.PredictedLatency(b, a));
+    }
+  }
+  EXPECT_THROW(algo.PredictedLatency(NodeId{0}, NodeId{110}), util::Error);
+}
+
+TEST(CoordNearest, InvalidConfigsThrow) {
+  const auto expect_throw = [](CoordConfig config) {
+    EXPECT_THROW(CoordNearest{config}, util::Error);
+  };
+  expect_throw({.dimensions = 0});
+  expect_throw({.gossip_rounds = 0});
+  expect_throw({.sharpen_rounds = 0});
+  expect_throw({.placement_samples = 0});
+  expect_throw({.refine_candidates = 0});
+  expect_throw({.join_samples = 0});
+  // A landmark frame needs dims + 1 landmarks.
+  expect_throw({.scheme = CoordScheme::kLandmark, .num_landmarks = 3});
+  expect_throw({.scheme = CoordScheme::kPic, .num_walks = 0});
+  expect_throw({.scheme = CoordScheme::kPic, .walk_neighbors = 0});
+}
+
+/// §2.2: coordinates cannot separate peers inside a cluster. Every
+/// cluster peer collapses to nearly the same coordinate, so the
+/// predicted latency between two peers of one end-network is
+/// cluster-scale (ms) against an actual 0.1 ms — at any dimension
+/// count.
+TEST(CoordNearest, VivaldiLanPairErrorIsLargeAtAnyDimension) {
+  matrix::ClusteredConfig cconfig;
+  cconfig.num_clusters = 4;
+  cconfig.nets_per_cluster = 40;
+  util::Rng world_rng(4);
+  const auto world = matrix::GenerateClustered(cconfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  for (const int dims : {2, 5, 8}) {
+    SCOPED_TRACE(dims);
+    CoordNearest algo(CoordConfig{.dimensions = dims});
+    util::Rng rng(5);
+    algo.Build(space, FirstN(world.layout.peer_count()), rng);
+    std::vector<double> lan_errors;
+    for (NodeId p = 0; p < world.layout.peer_count(); ++p) {
+      for (const NodeId mate : world.layout.NetMates(p)) {
+        if (mate > p) {
+          const double actual = space.Latency(p, mate);
+          lan_errors.push_back(
+              std::abs(algo.PredictedLatency(p, mate) - actual) / actual);
+        }
+      }
+    }
+    ASSERT_FALSE(lan_errors.empty());
+    EXPECT_GT(util::Percentile(std::move(lan_errors), 50.0), 3.0);
+  }
+}
+
+/// §2.3's PIC prediction: the greedy walk cannot enter the right
+/// end-network under clustering.
+TEST(CoordNearest, PicFailsToFindLanPeerUnderClustering) {
+  matrix::ClusteredConfig cconfig;
+  cconfig.num_clusters = 4;
+  cconfig.nets_per_cluster = 50;
+  util::Rng world_rng(14);
+  const auto world = matrix::GenerateClustered(cconfig, world_rng);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  core::ExperimentConfig config;
+  config.overlay_size = world.layout.peer_count() - 40;
+  config.num_queries = 300;
+  util::Rng rng(15);
+  const auto metrics = core::RunClusteredExperiment(world, pic, config, rng);
+  EXPECT_LT(metrics.p_exact_closest, 0.30);
+}
+
+/// The control for the test above: on a Euclidean space the same walk
+/// lands near the true nearest peer and clearly beats random
+/// selection.
+TEST(CoordNearest, PicFindsNearOptimalOnEuclidean) {
+  util::Rng world_rng(12);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 3;
+  const auto world = matrix::GenerateEuclidean(400, econfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  core::ExperimentConfig config;
+  config.overlay_size = 360;
+  config.num_queries = 150;
+  util::Rng rng(13);
+  const auto metrics = core::RunGenericExperiment(space, pic, config, rng);
+  EXPECT_LT(metrics.mean_stretch, 4.0);
+  EXPECT_GT(metrics.p_exact_closest, 0.05);
+  core::RandomNearest random_algo;
+  util::Rng random_rng(14);
+  const auto random_metrics =
+      core::RunGenericExperiment(space, random_algo, config, random_rng);
+  EXPECT_LT(metrics.mean_stretch, 0.6 * random_metrics.mean_stretch);
+}
+
+/// Fraction of the first `count` members whose coordinate-nearest
+/// member is their true nearest member.
+double CoordinateNearestHitRate(const CoordNearest& algo,
+                                const core::LatencySpace& space, NodeId count) {
+  const auto& members = algo.members();
+  int hits = 0;
+  for (NodeId p = 0; p < count; ++p) {
+    NodeId best = kInvalidNode;
+    double best_predicted = std::numeric_limits<double>::infinity();
+    for (const NodeId q : members) {
+      if (q == p) {
+        continue;
+      }
+      const double predicted = algo.PredictedLatency(p, q);
+      if (predicted < best_predicted) {
+        best_predicted = predicted;
+        best = q;
+      }
+    }
+    LatencyMs truth_latency = 0.0;
+    if (best == space.ClosestOf(p, members, &truth_latency)) {
+      ++hits;
+    }
+  }
+  return static_cast<double>(hits) / count;
+}
+
+/// §2.2 / §6 for the landmark scheme: cluster peers have identical
+/// latencies to every landmark, so ranking members by predicted
+/// distance picks the true nearest peer little better than chance,
+/// while on a Euclidean space of the same size it mostly does.
+/// Landmark RTTs are *measured*, and real measurements carry an
+/// absolute noise floor; without it, sub-millisecond leg differences
+/// would leak into the coordinates and discriminate peers no real
+/// deployment could tell apart (the paper's premise).
+TEST(CoordNearest, LandmarkCannotDiscriminateClusterPeers) {
+  matrix::ClusteredConfig cconfig;
+  cconfig.num_clusters = 4;
+  cconfig.nets_per_cluster = 40;
+  util::Rng world_rng(6);
+  const auto clustered = matrix::GenerateClustered(cconfig, world_rng);
+  const NodeId peers = clustered.layout.peer_count();
+  const core::MatrixSpace clustered_space(clustered.matrix);
+  const core::NoisySpace clustered_noisy(clustered_space, 0.02, 1234, 0.5);
+  CoordNearest clustered_algo(SchemeConfig(CoordScheme::kLandmark));
+  util::Rng rng(7);
+  clustered_algo.Build(clustered_noisy, FirstN(peers), rng);
+  const double clustered_hits =
+      CoordinateNearestHitRate(clustered_algo, clustered_space, 100);
+  // Chance is ~1/80 within a cluster; generous headroom, far below
+  // usable.
+  EXPECT_LT(clustered_hits, 0.2);
+
+  util::Rng euclid_world_rng(8);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 3;
+  const auto euclid =
+      matrix::GenerateEuclidean(peers, econfig, euclid_world_rng);
+  const core::MatrixSpace euclid_space(euclid.matrix);
+  const core::NoisySpace euclid_noisy(euclid_space, 0.02, 5678, 0.5);
+  CoordNearest euclid_algo(SchemeConfig(CoordScheme::kLandmark));
+  util::Rng euclid_rng(9);
+  euclid_algo.Build(euclid_noisy, FirstN(peers), euclid_rng);
+  const double euclid_hits =
+      CoordinateNearestHitRate(euclid_algo, euclid_space, 100);
+  EXPECT_GT(euclid_hits, clustered_hits * 2.0);
 }
 
 }  // namespace

@@ -9,13 +9,17 @@
 namespace np::mech {
 namespace {
 
-struct CompositeFixture {
-  CompositeFixture()
+/// The topology every test reads, generated once per process.
+struct CompositeWorld {
+  CompositeWorld()
       : world_rng(1),
         topology(MakeTopology(world_rng)),
         space(topology),
         peers(topology.HostsOfKind(net::HostKind::kAzureusPeer)),
-        embedding(TrainEmbedding(space, peers)) {}
+        // Coordinates are *measured*: train through realistic noise so
+        // LAN-scale differences cannot leak into them (the paper's
+        // premise for why coordinates alone fail).
+        noisy(space, 0.01, 77, 0.4) {}
 
   static net::Topology MakeTopology(util::Rng& rng) {
     net::TopologyConfig config = net::SmallTestConfig();
@@ -26,28 +30,37 @@ struct CompositeFixture {
     return net::Topology::Generate(config, rng);
   }
 
-  static coord::VivaldiEmbedding TrainEmbedding(
-      const TopologySpace& space, const std::vector<NodeId>& peers) {
-    coord::VivaldiConfig config;
-    config.rounds = 48;
-    util::Rng rng(2);
-    // Coordinates are *measured*: train through realistic noise so
-    // LAN-scale differences cannot leak into them (the paper's
-    // premise for why coordinates alone fail).
-    static core::NoisySpace noisy(space, 0.01, 77, 0.4);
-    return coord::VivaldiEmbedding::Train(noisy, peers, config, rng);
-  }
-
   util::Rng world_rng;
   net::Topology topology;
   TopologySpace space;
   std::vector<NodeId> peers;
-  coord::VivaldiEmbedding embedding;
+  core::NoisySpace noisy;
 };
 
+const CompositeWorld& World() {
+  static const CompositeWorld world;
+  return world;
+}
+
+/// A coord-vivaldi overlay over every peer. Training dominates the
+/// suite's runtime, so it happens once, and only for the tests that
+/// read coordinates.
+const algos::CoordNearest& TrainedCoordinates() {
+  static const algos::CoordNearest coordinates = [] {
+    algos::CoordNearest trained(algos::CoordConfig{});
+    util::Rng rng(2);
+    trained.Build(World().noisy, World().peers, rng);
+    return trained;
+  }();
+  return coordinates;
+}
+
 TEST(Composite, SharedRouterGivesUclEstimate) {
-  CompositeFixture f;
-  CompositeProximity composite(f.topology, f.embedding, UclOptions{});
+  const CompositeWorld& f = World();
+  // A shared-router estimate never reads coordinates: PredictedLatency
+  // of this unbuilt overlay would throw for every peer.
+  const algos::CoordNearest untrained(algos::CoordConfig{});
+  CompositeProximity composite(f.topology, untrained, UclOptions{});
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -81,8 +94,9 @@ TEST(Composite, SharedRouterGivesUclEstimate) {
 }
 
 TEST(Composite, FallsBackToCoordinatesOtherwise) {
-  CompositeFixture f;
-  CompositeProximity composite(f.topology, f.embedding, UclOptions{});
+  const CompositeWorld& f = World();
+  const algos::CoordNearest& coordinates = TrainedCoordinates();
+  CompositeProximity composite(f.topology, coordinates, UclOptions{});
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -96,7 +110,7 @@ TEST(Composite, FallsBackToCoordinatesOtherwise) {
         continue;
       }
       EXPECT_DOUBLE_EQ(composite.EstimateLatency(a, b),
-                       f.embedding.PredictedLatency(a, b));
+                       coordinates.PredictedLatency(a, b));
       ++checked;
     }
   }
@@ -108,8 +122,9 @@ TEST(Composite, ResolvesLanMatesWhereCoordinatesCannot) {
   // for "who is my nearest peer" by estimated latency. Coordinates
   // alone almost never rank the LAN mate first inside a cluster; the
   // composite address does.
-  CompositeFixture f;
-  CompositeProximity composite(f.topology, f.embedding, UclOptions{});
+  const CompositeWorld& f = World();
+  const algos::CoordNearest& coordinates = TrainedCoordinates();
+  CompositeProximity composite(f.topology, coordinates, UclOptions{});
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -148,7 +163,7 @@ TEST(Composite, ResolvesLanMatesWhereCoordinatesCannot) {
         best_composite_estimate = ce;
         best_composite = q;
       }
-      const double ve = f.embedding.PredictedLatency(p, q);
+      const double ve = coordinates.PredictedLatency(p, q);
       if (ve < best_coord_estimate) {
         best_coord_estimate = ve;
         best_coord = q;
@@ -176,8 +191,9 @@ TEST(Composite, ResolvesLanMatesWhereCoordinatesCannot) {
 }
 
 TEST(Composite, UnregisteredPeerThrows) {
-  CompositeFixture f;
-  CompositeProximity composite(f.topology, f.embedding, UclOptions{});
+  const CompositeWorld& f = World();
+  const algos::CoordNearest untrained(algos::CoordConfig{});
+  CompositeProximity composite(f.topology, untrained, UclOptions{});
   composite.RegisterPeer(f.peers[0]);
   EXPECT_FALSE(composite.IsRegistered(f.peers[1]));
   EXPECT_THROW(composite.EstimateLatency(f.peers[0], f.peers[1]),
