@@ -69,11 +69,11 @@ CoordConfig FastConfig(CoordScheme scheme) {
   return config;
 }
 
-/// Median |predicted - actual| / actual over sampled member pairs of a
-/// built CoordNearest.
-double MedianRelError(const CoordNearest& algo,
-                      const core::LatencySpace& space, int pairs,
-                      util::Rng& rng) {
+/// A percentile of |predicted - actual| / actual over sampled member
+/// pairs of a built CoordNearest.
+double RelErrorPercentile(const CoordNearest& algo,
+                          const core::LatencySpace& space, int pairs,
+                          util::Rng& rng, double percentile) {
   const auto& members = algo.members();
   std::vector<double> errors;
   errors.reserve(static_cast<std::size_t>(pairs));
@@ -87,7 +87,7 @@ double MedianRelError(const CoordNearest& algo,
     const double actual = space.Latency(members[i], members[j]);
     errors.push_back(std::abs(predicted - actual) / std::max(actual, 1e-6));
   }
-  return util::Percentile(std::move(errors), 50.0);
+  return util::Percentile(std::move(errors), percentile);
 }
 
 NodeId BruteForceNearest(const core::LatencySpace& space, NodeId target,
@@ -119,7 +119,7 @@ TEST(CoordNearest, GossipTrainingEmbedsAccurately) {
   util::Rng rng(11);
   algo.Build(space, FirstN(500), rng);
   util::Rng eval_rng(12);
-  EXPECT_LT(MedianRelError(algo, space, 2000, eval_rng), 0.25);
+  EXPECT_LT(RelErrorPercentile(algo, space, 2000, eval_rng, 50.0), 0.25);
 }
 
 TEST(CoordNearest, LandmarkTrainingEmbedsAccurately) {
@@ -128,7 +128,7 @@ TEST(CoordNearest, LandmarkTrainingEmbedsAccurately) {
   util::Rng rng(13);
   algo.Build(space, FirstN(500), rng);
   util::Rng eval_rng(14);
-  EXPECT_LT(MedianRelError(algo, space, 2000, eval_rng), 0.45);
+  EXPECT_LT(RelErrorPercentile(algo, space, 2000, eval_rng, 50.0), 0.45);
 }
 
 /// End-to-end exactness on held-out targets: candidate lists come from
@@ -364,10 +364,25 @@ TEST(CoordNearest, InvalidConfigsThrow) {
   expect_throw({.placement_samples = 0});
   expect_throw({.refine_candidates = 0});
   expect_throw({.join_samples = 0});
-  // A landmark frame needs dims + 1 landmarks.
-  expect_throw({.scheme = CoordScheme::kLandmark, .num_landmarks = 3});
-  expect_throw({.scheme = CoordScheme::kPic, .num_walks = 0});
-  expect_throw({.scheme = CoordScheme::kPic, .walk_neighbors = 0});
+}
+
+// The suites below hold the paper's per-scheme coordinate claims:
+// Vivaldi / VivaldiStreams for coord-vivaldi, Pic / PicNearest for
+// coord-pic and Landmark for coord-landmark.
+
+TEST(Vivaldi, EmbedsEuclideanSpaceAccurately) {
+  util::Rng world_rng(1);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 2;
+  const auto world = matrix::GenerateEuclidean(300, econfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordNearest algo(SchemeConfig(CoordScheme::kVivaldi));
+  util::Rng rng(2);
+  algo.Build(space, FirstN(300), rng);
+  util::Rng eval_rng(3);
+  // The exact value matters less than the contrast with the clustered
+  // spaces below.
+  EXPECT_LT(RelErrorPercentile(algo, space, 2000, eval_rng, 50.0), 0.25);
 }
 
 /// §2.2: coordinates cannot separate peers inside a cluster. Every
@@ -375,7 +390,7 @@ TEST(CoordNearest, InvalidConfigsThrow) {
 /// predicted latency between two peers of one end-network is
 /// cluster-scale (ms) against an actual 0.1 ms — at any dimension
 /// count.
-TEST(CoordNearest, VivaldiLanPairErrorIsLargeAtAnyDimension) {
+TEST(Vivaldi, ClusteredSpaceEmbedsPoorlyAtLanScale) {
   matrix::ClusteredConfig cconfig;
   cconfig.num_clusters = 4;
   cconfig.nets_per_cluster = 40;
@@ -402,27 +417,134 @@ TEST(CoordNearest, VivaldiLanPairErrorIsLargeAtAnyDimension) {
   }
 }
 
-/// §2.3's PIC prediction: the greedy walk cannot enter the right
-/// end-network under clustering.
-TEST(CoordNearest, PicFailsToFindLanPeerUnderClustering) {
-  matrix::ClusteredConfig cconfig;
-  cconfig.num_clusters = 4;
-  cconfig.nets_per_cluster = 50;
-  util::Rng world_rng(14);
-  const auto world = matrix::GenerateClustered(cconfig, world_rng);
-  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
-  core::ExperimentConfig config;
-  config.overlay_size = world.layout.peer_count() - 40;
-  config.num_queries = 300;
-  util::Rng rng(15);
-  const auto metrics = core::RunClusteredExperiment(world, pic, config, rng);
-  EXPECT_LT(metrics.p_exact_closest, 0.30);
+/// A held-out target is placed from a few real probes; on a Euclidean
+/// space that placement lands in the target's true neighbourhood, so
+/// the member the query returns is close to the true nearest one.
+TEST(Vivaldi, PlaceNodePositionsNearTrueNeighborhood) {
+  util::Rng world_rng(6);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 2;
+  const auto world = matrix::GenerateEuclidean(300, econfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordNearest algo(CoordConfig{.dimensions = 2});
+  const auto members = FirstN(280);
+  util::Rng rng(7);
+  algo.Build(space, members, rng);
+  const MeteredSpace metered(space);
+  int good = 0;
+  int total = 0;
+  for (NodeId target = 280; target < 300; ++target) {
+    const QueryResult result = algo.FindNearest(target, metered, rng);
+    ASSERT_NE(result.found, kInvalidNode);
+    const double best =
+        space.Latency(BruteForceNearest(space, target, members), target);
+    ++total;
+    if (result.found_latency_ms < 2.5 * best + 5.0) {
+      ++good;
+    }
+  }
+  EXPECT_GT(static_cast<double>(good) / total, 0.7);
+  EXPECT_GT(metered.probes(), 0u);
 }
 
-/// The control for the test above: on a Euclidean space the same walk
-/// lands near the true nearest peer and clearly beats random
+TEST(Vivaldi, EmbeddingErrorDropsWithDimensionsOnEuclidean) {
+  util::Rng world_rng(8);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 3;
+  const auto world = matrix::GenerateEuclidean(250, econfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  std::vector<double> errors;
+  for (const int dims : {1, 3, 5}) {
+    CoordNearest algo(CoordConfig{.dimensions = dims});
+    util::Rng rng(9);
+    algo.Build(space, FirstN(250), rng);
+    util::Rng eval_rng(10);
+    errors.push_back(RelErrorPercentile(algo, space, 800, eval_rng, 50.0));
+  }
+  // 1-D cannot represent a 3-D space; 3-D and 5-D can.
+  EXPECT_GT(errors[0], errors[1] * 1.5);
+  EXPECT_LT(errors[2], 0.3);
+}
+
+/// Beyond LAN mates: over pairs inside one cluster the tail error stays
+/// large whatever the dimension count, because the cluster's peers sit
+/// at nearly one coordinate while their true latencies spread.
+TEST(Vivaldi, ClusteredSpaceStaysBadAtAnyDimension) {
+  matrix::ClusteredConfig cconfig;
+  cconfig.num_clusters = 3;
+  cconfig.nets_per_cluster = 40;
+  util::Rng world_rng(10);
+  const auto world = matrix::GenerateClustered(cconfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  const NodeId peers = world.layout.peer_count();
+  for (const int dims : {2, 5, 8}) {
+    SCOPED_TRACE(dims);
+    CoordNearest algo(CoordConfig{.dimensions = dims});
+    util::Rng rng(11);
+    algo.Build(space, FirstN(peers), rng);
+    util::Rng eval_rng(12);
+    std::vector<double> errors;
+    while (errors.size() < 800) {
+      const NodeId a = static_cast<NodeId>(eval_rng.Index(peers));
+      const NodeId b = static_cast<NodeId>(eval_rng.Index(peers));
+      if (a == b || !world.layout.SameCluster(a, b)) {
+        continue;
+      }
+      const double predicted = algo.PredictedLatency(a, b);
+      const double actual = space.Latency(a, b);
+      errors.push_back(std::abs(predicted - actual) / actual);
+    }
+    EXPECT_GT(util::Percentile(std::move(errors), 90.0), 0.3);
+  }
+}
+
+/// The same (seed, members) pair reproduces every coordinate; another
+/// seed moves them.
+TEST(VivaldiStreams, TrainIsSeedReproducible) {
+  const auto space = MakeWorld(300);
+  const auto members = FirstN(250);
+  CoordNearest first(SchemeConfig(CoordScheme::kVivaldi));
+  CoordNearest second(SchemeConfig(CoordScheme::kVivaldi));
+  CoordNearest reseeded(SchemeConfig(CoordScheme::kVivaldi));
+  util::Rng rng_a(19);
+  first.Build(space, members, rng_a);
+  util::Rng rng_b(19);
+  second.Build(space, members, rng_b);
+  util::Rng rng_c(23);
+  reseeded.Build(space, members, rng_c);
+  bool any_different = false;
+  for (const NodeId member : members) {
+    EXPECT_EQ(first.CoordinateOf(member), second.CoordinateOf(member));
+    if (first.CoordinateOf(member) != reseeded.CoordinateOf(member)) {
+      any_different = true;
+    }
+  }
+  EXPECT_TRUE(any_different);
+}
+
+/// Placing a query target draws only from the query rng: two queries
+/// with equal seeds probe and answer identically.
+TEST(VivaldiStreams, PlaceNodeIsSeedDeterministic) {
+  const auto space = MakeWorld(320);
+  CoordNearest algo(SchemeConfig(CoordScheme::kVivaldi));
+  util::Rng rng(29);
+  algo.Build(space, FirstN(300), rng);
+  const MeteredSpace metered_a(space);
+  const MeteredSpace metered_b(space);
+  util::Rng place_a(31);
+  util::Rng place_b(31);
+  const QueryResult a = algo.FindNearest(NodeId{310}, metered_a, place_a);
+  const QueryResult b = algo.FindNearest(NodeId{310}, metered_b, place_b);
+  EXPECT_EQ(a.found, b.found);
+  EXPECT_EQ(a.found_latency_ms, b.found_latency_ms);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(metered_a.probes(), metered_b.probes());
+}
+
+/// The control for the clustered test below: on a Euclidean space the
+/// walk lands near the true nearest peer and clearly beats random
 /// selection.
-TEST(CoordNearest, PicFindsNearOptimalOnEuclidean) {
+TEST(Pic, FindsNearOptimalOnEuclidean) {
   util::Rng world_rng(12);
   matrix::EuclideanConfig econfig;
   econfig.dimensions = 3;
@@ -441,6 +563,167 @@ TEST(CoordNearest, PicFindsNearOptimalOnEuclidean) {
   const auto random_metrics =
       core::RunGenericExperiment(space, random_algo, config, random_rng);
   EXPECT_LT(metrics.mean_stretch, 0.6 * random_metrics.mean_stretch);
+}
+
+/// §2.3's PIC prediction: the greedy walk cannot enter the right
+/// end-network under clustering.
+TEST(Pic, FailsToFindLanPeerUnderClustering) {
+  matrix::ClusteredConfig cconfig;
+  cconfig.num_clusters = 4;
+  cconfig.nets_per_cluster = 50;
+  util::Rng world_rng(14);
+  const auto world = matrix::GenerateClustered(cconfig, world_rng);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  core::ExperimentConfig config;
+  config.overlay_size = world.layout.peer_count() - 40;
+  config.num_queries = 300;
+  util::Rng rng(15);
+  const auto metrics = core::RunClusteredExperiment(world, pic, config, rng);
+  EXPECT_LT(metrics.p_exact_closest, 0.30);
+}
+
+/// Every probe a query issues is on its bill, and the bill is far
+/// below the overlay size: placement samples plus refinement only.
+TEST(Pic, QueryAccountsProbes) {
+  util::Rng world_rng(16);
+  const auto world = matrix::GenerateEuclidean(200, {}, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  util::Rng rng(17);
+  pic.Build(space, FirstN(180), rng);
+  const MeteredSpace metered(space);
+  for (NodeId target = 180; target < 200; ++target) {
+    metered.ResetProbes();
+    const QueryResult result = pic.FindNearest(target, metered, rng);
+    EXPECT_EQ(result.probes, metered.probes());
+    EXPECT_NE(result.found, kInvalidNode);
+    EXPECT_LT(result.probes, 100u);
+  }
+}
+
+TEST(Pic, InvalidConfigThrows) {
+  const auto expect_throw = [](CoordConfig config) {
+    config.scheme = CoordScheme::kPic;
+    EXPECT_THROW(CoordNearest{config}, util::Error);
+  };
+  expect_throw({.num_walks = 0});
+  expect_throw({.walk_neighbors = 0});
+  expect_throw({.placement_samples = 0});
+}
+
+/// coord-pic trains the gossip substrate; on an embedded world it
+/// converges.
+TEST(PicNearest, EmbeddingConvergesOnEmbeddedWorld) {
+  const auto space = MakeWorld(400);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  util::Rng rng(11);
+  pic.Build(space, FirstN(400), rng);
+  util::Rng eval_rng(12);
+  EXPECT_LT(RelErrorPercentile(pic, space, 2000, eval_rng, 50.0), 0.35);
+}
+
+TEST(PicNearest, SeededQuerySequenceIsReproducible) {
+  const auto space = MakeWorld(350);
+  CoordNearest first(SchemeConfig(CoordScheme::kPic));
+  CoordNearest second(SchemeConfig(CoordScheme::kPic));
+  {
+    util::Rng rng(19);
+    first.Build(space, FirstN(300), rng);
+  }
+  {
+    util::Rng rng(19);
+    second.Build(space, FirstN(300), rng);
+  }
+  const MeteredSpace metered_a(space);
+  const MeteredSpace metered_b(space);
+  util::Rng qrng_a(23);
+  util::Rng qrng_b(23);
+  for (NodeId target = 300; target < 340; ++target) {
+    const QueryResult a = first.FindNearest(target, metered_a, qrng_a);
+    const QueryResult b = second.FindNearest(target, metered_b, qrng_b);
+    EXPECT_EQ(a.found, b.found);
+    EXPECT_EQ(a.found_latency_ms, b.found_latency_ms);
+    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_EQ(a.probes, b.probes);
+  }
+  EXPECT_EQ(metered_a.probes(), metered_b.probes());
+}
+
+/// At the default walk budget: hops stay under the walk cap and probes
+/// under placement plus refinement.
+TEST(PicNearest, WalkHopsAndProbesAreBounded) {
+  const auto space = MakeWorld(350);
+  const CoordConfig config = SchemeConfig(CoordScheme::kPic);
+  CoordNearest pic(config);
+  util::Rng rng(29);
+  pic.Build(space, FirstN(300), rng);
+  const MeteredSpace metered(space);
+  const int hop_cap = config.num_walks * config.max_walk_hops;
+  const std::uint64_t probe_cap =
+      static_cast<std::uint64_t>(config.placement_samples) +
+      static_cast<std::uint64_t>(config.refine_candidates);
+  for (NodeId target = 300; target < 340; ++target) {
+    util::Rng qrng(util::Mix64(target));
+    const QueryResult result = pic.FindNearest(target, metered, qrng);
+    ASSERT_NE(result.found, kInvalidNode);
+    EXPECT_LE(result.hops, hop_cap);
+    EXPECT_LE(result.probes, probe_cap);
+  }
+}
+
+/// Walk endpoints are refined with real probes, so the returned peer
+/// beats a random member by a wide margin.
+TEST(PicNearest, ReturnsMuchCloserThanRandomMember) {
+  const auto space = MakeWorld(450);
+  const auto members = FirstN(400);
+  CoordNearest pic(SchemeConfig(CoordScheme::kPic));
+  util::Rng rng(31);
+  pic.Build(space, members, rng);
+  const MeteredSpace metered(space);
+  double found_sum = 0.0;
+  double random_sum = 0.0;
+  util::Rng baseline_rng(37);
+  for (NodeId target = 400; target < 450; ++target) {
+    util::Rng qrng(util::Mix64(target));
+    const QueryResult result = pic.FindNearest(target, metered, qrng);
+    ASSERT_NE(result.found, kInvalidNode);
+    found_sum += result.found_latency_ms;
+    random_sum +=
+        space.Latency(members[baseline_rng.Index(members.size())], target);
+  }
+  EXPECT_LT(found_sum, 0.5 * random_sum);
+}
+
+TEST(Landmark, EmbedsEuclideanSpaceReasonably) {
+  util::Rng world_rng(1);
+  matrix::EuclideanConfig econfig;
+  econfig.dimensions = 3;
+  const auto world = matrix::GenerateEuclidean(300, econfig, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordNearest algo(SchemeConfig(CoordScheme::kLandmark));
+  util::Rng rng(2);
+  algo.Build(space, FirstN(300), rng);
+  util::Rng eval_rng(3);
+  // Landmark schemes are coarser than Vivaldi; the bar is usefulness,
+  // not precision.
+  EXPECT_LT(RelErrorPercentile(algo, space, 1500, eval_rng, 50.0), 0.45);
+}
+
+TEST(Landmark, LandmarksAreMembers) {
+  util::Rng world_rng(4);
+  const auto world = matrix::GenerateEuclidean(100, {}, world_rng);
+  const core::MatrixSpace space(world.matrix);
+  CoordConfig config = SchemeConfig(CoordScheme::kLandmark);
+  config.dimensions = 4;
+  config.num_landmarks = 10;
+  CoordNearest algo(config);
+  util::Rng rng(5);
+  algo.Build(space, FirstN(100), rng);
+  ASSERT_EQ(algo.landmarks().size(), 10u);
+  for (const NodeId lm : algo.landmarks()) {
+    EXPECT_GE(lm, 0);
+    EXPECT_LT(lm, 100);
+  }
 }
 
 /// Fraction of the first `count` members whose coordinate-nearest
@@ -478,7 +761,7 @@ double CoordinateNearestHitRate(const CoordNearest& algo,
 /// absolute noise floor; without it, sub-millisecond leg differences
 /// would leak into the coordinates and discriminate peers no real
 /// deployment could tell apart (the paper's premise).
-TEST(CoordNearest, LandmarkCannotDiscriminateClusterPeers) {
+TEST(Landmark, CannotDiscriminateClusterPeers) {
   matrix::ClusteredConfig cconfig;
   cconfig.num_clusters = 4;
   cconfig.nets_per_cluster = 40;
@@ -509,6 +792,14 @@ TEST(CoordNearest, LandmarkCannotDiscriminateClusterPeers) {
   const double euclid_hits =
       CoordinateNearestHitRate(euclid_algo, euclid_space, 100);
   EXPECT_GT(euclid_hits, clustered_hits * 2.0);
+}
+
+/// A landmark frame needs dims + 1 landmarks.
+TEST(Landmark, InvalidConfigThrows) {
+  CoordConfig config = SchemeConfig(CoordScheme::kLandmark);
+  config.dimensions = 5;
+  config.num_landmarks = 3;
+  EXPECT_THROW(CoordNearest{config}, util::Error);
 }
 
 }  // namespace
