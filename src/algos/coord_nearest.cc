@@ -53,9 +53,16 @@ void VivaldiSpringUpdate(double* self, double& self_error,
   }
   dist = std::sqrt(dist);
 
-  // Unit vector from other to self; random direction when coincident.
-  std::vector<double> unit(static_cast<std::size_t>(dims));
+  const double w = self_error / std::max(self_error + other_error, 1e-9);
+  const double relative_error = std::abs(dist - rtt) / std::max(rtt, 1e-6);
+  self_error = relative_error * cc * w + self_error * (1.0 - cc * w);
+  self_error = std::clamp(self_error, 0.01, 2.0);
+  const double step = ce * w * (rtt - dist);
+
+  // Move along the unit vector from other to self; a random direction
+  // when the two coincide.
   if (dist < 1e-9) {
+    std::vector<double> unit(static_cast<std::size_t>(dims));
     double norm = 0.0;
     for (int d = 0; d < dims; ++d) {
       unit[static_cast<std::size_t>(d)] = rng.Gaussian();
@@ -64,21 +71,13 @@ void VivaldiSpringUpdate(double* self, double& self_error,
     }
     norm = std::sqrt(std::max(norm, 1e-12));
     for (int d = 0; d < dims; ++d) {
-      unit[static_cast<std::size_t>(d)] /= norm;
+      self[d] += step * (unit[static_cast<std::size_t>(d)] / norm);
     }
-  } else {
-    for (int d = 0; d < dims; ++d) {
-      unit[static_cast<std::size_t>(d)] = (self[d] - other[d]) / dist;
-    }
+    return;
   }
-
-  const double w = self_error / std::max(self_error + other_error, 1e-9);
-  const double relative_error = std::abs(dist - rtt) / std::max(rtt, 1e-6);
-  self_error = relative_error * cc * w + self_error * (1.0 - cc * w);
-  self_error = std::clamp(self_error, 0.01, 2.0);
-  const double delta = ce * w;
+  // self[d] is read before it is written: no buffer needed.
   for (int d = 0; d < dims; ++d) {
-    self[d] += delta * (rtt - dist) * unit[static_cast<std::size_t>(d)];
+    self[d] += step * ((self[d] - other[d]) / dist);
   }
 }
 

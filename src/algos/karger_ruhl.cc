@@ -10,6 +10,27 @@
 
 namespace np::algos {
 
+namespace {
+
+/// Read hint for a line the next pass writes or reads: the churn path
+/// gathers a batch of independent addresses first so their cache
+/// misses overlap instead of running one after another.
+inline void Prefetch(const void* address) { __builtin_prefetch(address); }
+
+/// Sort key of a joiner's probed member: scale in the high word, id in
+/// the low one (ids are non-negative and fit 32 bits), so integer order
+/// is (scale, id) order.
+std::uint64_t PackProbed(int scale, NodeId id) {
+  return (static_cast<std::uint64_t>(scale) << 32) |
+         static_cast<std::uint64_t>(id);
+}
+int ProbedScale(std::uint64_t key) { return static_cast<int>(key >> 32); }
+NodeId ProbedId(std::uint64_t key) {
+  return static_cast<NodeId>(key & 0xFFFFFFFFULL);
+}
+
+}  // namespace
+
 KargerRuhlNearest::KargerRuhlNearest(KargerRuhlConfig config)
     : config_(config) {
   NP_ENSURE(config_.alpha_ms > 0.0, "alpha must be positive");
@@ -126,36 +147,43 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
   const auto per_scale = static_cast<NodeId>(config_.samples_per_scale);
+  const auto per_scale_size = static_cast<std::size_t>(per_scale);
 
   // The joiner probes a bounded random subset of the overlay — enough
   // to fill every scale in expectation, far less than a full scan.
+  // Probe pass: the billed probes in draw order, each owner's count
+  // word and slot run prefetched as soon as its scale is known. Probes
+  // draw nothing from `rng`, so the writes can wait for the apply pass.
   const std::size_t budget = std::min<std::size_t>(
-      existing, static_cast<std::size_t>(config_.samples_per_scale) *
-                    static_cast<std::size_t>(config_.num_scales));
+      existing, per_scale_size * static_cast<std::size_t>(config_.num_scales));
   struct Probed {
-    int scale;
-    NodeId id;
+    std::uint64_t key;  // scale << 32 | id: the (scale, id) order
     std::size_t position;
   };
   std::vector<Probed> probed;
   probed.reserve(budget);
-  OccList& own_occ = occ_[position];
-  own_occ.entries.reserve(budget);
-  for (std::size_t pick : rng.Sample(existing, budget)) {
+  for (const std::size_t pick : rng.Sample(existing, budget)) {
     const NodeId other = ids[pick];
     const auto measured = policy.Probe(*space_, other, node);
     if (!measured) {
       continue;  // no handshake, no exchange in either direction
     }
-    const LatencyMs d = *measured;
-    const int scale = ScaleFor(d);
-    probed.push_back({scale, other, pick});
+    const int scale = ScaleFor(*measured);
+    probed.push_back({PackProbed(scale, other), pick});
+    const NodeId* theirs = Block(pick);
+    Prefetch(theirs + scale);
+    Prefetch(theirs + SlotOffset(scale));
+  }
 
-    // The probed member learns about the joiner from the same
-    // handshake: keep it when the scale has room, otherwise replace a
-    // random entry (membership refresh keeps samples live under
-    // churn).
-    NodeId* theirs = Block(pick);
+  // Apply pass, in probe order: the probed member learns about the
+  // joiner from the same handshake — keep it when the scale has room,
+  // otherwise replace a random entry (membership refresh keeps samples
+  // live under churn).
+  OccList& own_occ = occ_[position];
+  own_occ.entries.reserve(probed.size());
+  for (const Probed& p : probed) {
+    const int scale = ProbedScale(p.key);
+    NodeId* theirs = Block(p.position);
     NodeId& count = theirs[scale];
     NodeId* slots = theirs + SlotOffset(scale);
     if (count < per_scale) {
@@ -163,7 +191,7 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
     } else {
       slots[rng.Index(static_cast<std::size_t>(count))] = node;
     }
-    own_occ.entries.push_back(PackOccurrence(other, scale));
+    own_occ.entries.push_back(PackOccurrence(ProbedId(p.key), scale));
   }
   // Every entry just appended is live and unique: each pick is a
   // distinct owner whose list now holds the joiner. So the list needs
@@ -171,43 +199,82 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   own_occ.floor = std::max(own_occ.entries.size(), kOccCompactMin / 2);
 
   // Cumulative-ball semantics (as in Build): a member whose smallest
-  // containing ball is s is eligible for every scale >= s.
-  const auto by_scale_then_id = [](const Probed& a, const Probed& b) {
-    return a.scale != b.scale ? a.scale < b.scale : a.id < b.id;
-  };
-  std::sort(probed.begin(), probed.end(), by_scale_then_id);
+  // containing ball is s is eligible for every scale >= s. Keys are
+  // unique (one per probed id), so this order is the (scale, id) one.
+  std::sort(probed.begin(), probed.end(),
+            [](const Probed& a, const Probed& b) { return a.key < b.key; });
+  // Selection: every scale's Sample draw first, in scale order. The
+  // chosen ids go straight into the joiner's slots and their positions
+  // into `chosen_pos` (scale s at [s * per_scale, s * per_scale +
+  // taken[s])), but each count is only published when its scale's
+  // appends run below: a compaction at scale s must see the joiner's
+  // scales above s still empty, as it did when each scale was applied
+  // before the next one was drawn (a rejoining member can have stale
+  // entries naming those scales).
   NodeId* own = Block(position);
-  std::vector<Probed> cumulative;
-  cumulative.reserve(probed.size());
-  std::vector<std::size_t> chosen_pos;
-  chosen_pos.reserve(static_cast<std::size_t>(config_.samples_per_scale));
+  std::vector<std::size_t> chosen_pos(
+      static_cast<std::size_t>(config_.num_scales) * per_scale_size);
+  std::vector<std::size_t> taken(static_cast<std::size_t>(config_.num_scales));
   std::size_t consumed = 0;
   for (int s = 0; s < config_.num_scales; ++s) {
-    while (consumed < probed.size() && probed[consumed].scale <= s) {
-      cumulative.push_back(probed[consumed]);
+    while (consumed < probed.size() &&
+           ProbedScale(probed[consumed].key) <= s) {
       ++consumed;
     }
     NodeId* chosen = own + SlotOffset(s);
-    chosen_pos.clear();
-    const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.samples_per_scale),
-        cumulative.size());
-    if (k == cumulative.size()) {
-      for (const Probed& p : cumulative) {
-        *chosen++ = p.id;
-        chosen_pos.push_back(p.position);
+    std::size_t* positions =
+        chosen_pos.data() + static_cast<std::size_t>(s) * per_scale_size;
+    const std::size_t k = std::min(per_scale_size, consumed);
+    if (k == consumed) {
+      for (std::size_t i = 0; i < consumed; ++i) {
+        *chosen++ = ProbedId(probed[i].key);
+        *positions++ = probed[i].position;
       }
     } else {
-      for (std::size_t pick : rng.Sample(cumulative.size(), k)) {
-        *chosen++ = cumulative[pick].id;
-        chosen_pos.push_back(cumulative[pick].position);
+      for (const std::size_t pick : rng.Sample(consumed, k)) {
+        *chosen++ = ProbedId(probed[pick].key);
+        *positions++ = probed[pick].position;
       }
     }
-    own[s] = static_cast<NodeId>(k);
-    for (const std::size_t sampled_pos : chosen_pos) {
-      occ_[sampled_pos].entries.push_back(PackOccurrence(node, s));
-      MaybeCompactOcc(sampled_pos);
+    taken[static_cast<std::size_t>(s)] = k;
+  }
+  // Touch every chosen member's occurrence list header, then its tail,
+  // before the appends below need them.
+  const auto chosen_at = [&](int s) {
+    const std::size_t* first =
+        chosen_pos.data() + static_cast<std::size_t>(s) * per_scale_size;
+    return std::pair(first, first + taken[static_cast<std::size_t>(s)]);
+  };
+  for (int s = 0; s < config_.num_scales; ++s) {
+    const auto [first, last] = chosen_at(s);
+    for (const std::size_t* p = first; p != last; ++p) {
+      Prefetch(&occ_[*p]);
     }
+  }
+  for (int s = 0; s < config_.num_scales; ++s) {
+    const auto [first, last] = chosen_at(s);
+    for (const std::size_t* p = first; p != last; ++p) {
+      const auto& entries = occ_[*p].entries;
+      Prefetch(entries.data() + entries.size());
+    }
+  }
+  // Counts, occurrence appends and compactions in (scale, pick) order.
+  for (int s = 0; s < config_.num_scales; ++s) {
+    const auto [first, last] = chosen_at(s);
+    own[s] = static_cast<NodeId>(last - first);
+    for (const std::size_t* p = first; p != last; ++p) {
+      occ_[*p].entries.push_back(PackOccurrence(node, s));
+      MaybeCompactOcc(*p);
+    }
+  }
+}
+
+void KargerRuhlNearest::ResolveOwners(
+    const std::vector<std::uint64_t>& entries,
+    std::vector<std::size_t>& owner_pos) const {
+  owner_pos.resize(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    owner_pos[i] = members_.PositionOf(static_cast<NodeId>(entries[i] >> 8));
   }
 }
 
@@ -226,16 +293,17 @@ void KargerRuhlNearest::MaybeCompactOcc(std::size_t position) {
   const NodeId self = members_.at(position);
   std::sort(list.begin(), list.end());
   list.erase(std::unique(list.begin(), list.end()), list.end());
+  std::vector<std::size_t> owner_pos;
+  ResolveOwners(list, owner_pos);
   std::size_t kept = 0;
-  for (const std::uint64_t packed : list) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
+  for (std::size_t i = 0; i < owner_pos.size(); ++i) {
+    const std::uint64_t packed = list[i];
     const int scale = static_cast<int>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position) {
+    if (owner_pos[i] == core::MemberIndex::kNoPosition ||
+        owner_pos[i] == position) {
       continue;
     }
-    const NodeId* block = Block(owner_pos);
+    const NodeId* block = Block(owner_pos[i]);
     const NodeId* slots = block + SlotOffset(scale);
     if (std::find(slots, slots + block[scale], self) == slots + block[scale]) {
       continue;
@@ -265,16 +333,18 @@ void KargerRuhlNearest::RemoveMember(NodeId node) {
   // leaver earlier, or the owner itself left — erase nothing and are
   // skipped; erasing the leaver is always correct where it *is* found.
   // The erase keeps the survivors' order. Cost: O(entries naming the
-  // leaver), independent of overlay size.
-  for (const std::uint64_t packed : occ_[position].entries) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const int scale = static_cast<int>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position) {
+  // leaver), independent of overlay size. Every owner is resolved
+  // first (independent loads), then the purge runs in entry order.
+  const std::vector<std::uint64_t>& entries = occ_[position].entries;
+  std::vector<std::size_t> owner_pos;
+  ResolveOwners(entries, owner_pos);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (owner_pos[i] == core::MemberIndex::kNoPosition ||
+        owner_pos[i] == position) {
       continue;
     }
-    NodeId* block = Block(owner_pos);
+    const int scale = static_cast<int>(entries[i] & 0xFF);
+    NodeId* block = Block(owner_pos[i]);
     NodeId* slots = block + SlotOffset(scale);
     block[scale] = static_cast<NodeId>(
         std::remove(slots, slots + block[scale], node) - slots);

@@ -136,6 +136,12 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   /// compaction) under arbitrary churn.
   void MaybeCompactOcc(std::size_t position);
 
+  /// owner_pos[i] = current position of the owner named by entries[i]
+  /// (kNoPosition once it left). One tight loop of independent index
+  /// loads, so their misses overlap before any block is touched.
+  void ResolveOwners(const std::vector<std::uint64_t>& entries,
+                     std::vector<std::size_t>& owner_pos) const;
+
   static constexpr std::size_t kOccCompactMin = 64;
 
   /// One member's occurrence list: packed (owner, scale) sample lists

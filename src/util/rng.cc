@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -141,23 +143,37 @@ std::vector<std::size_t> Rng::Sample(std::size_t n, std::size_t k) {
   // For small k relative to n, rejection sampling; otherwise a partial
   // Fisher-Yates over an index vector.
   if (k * 4 <= n) {
-    // One buffer of 2k: the first k slots take the draws in draw
-    // order (the result), the last k keep them sorted (the seen-set).
-    std::vector<std::size_t> out(2 * k);
-    const auto seen = out.begin() + static_cast<std::ptrdiff_t>(k);
-    std::size_t taken = 0;
-    while (taken < k) {
+    // The seen-set is an open-addressing table of at least 2k slots
+    // (load <= 1/2, linear probing), on the stack up to kInlineSlots.
+    // Every candidate is < n, so the all-ones word marks an empty slot.
+    constexpr std::size_t kInlineSlots = 512;
+    constexpr std::size_t kEmpty = ~std::size_t{0};
+    const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * k, 16));
+    const int shift = 64 - std::countr_zero(slots);
+    std::array<std::size_t, kInlineSlots> inline_table;
+    std::vector<std::size_t> heap_table;
+    std::size_t* table = inline_table.data();
+    if (slots > kInlineSlots) {
+      heap_table.resize(slots);
+      table = heap_table.data();
+    }
+    std::fill_n(table, slots, kEmpty);
+    std::vector<std::size_t> out;
+    out.reserve(k);
+    while (out.size() < k) {
       const std::size_t candidate = Index(n);
-      const auto seen_end = seen + static_cast<std::ptrdiff_t>(taken);
-      const auto at = std::lower_bound(seen, seen_end, candidate);
-      if (at != seen_end && *at == candidate) {
+      std::size_t slot = static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(candidate) * 0x9e3779b97f4a7c15ULL) >>
+          shift);
+      while (table[slot] != kEmpty && table[slot] != candidate) {
+        slot = (slot + 1) & (slots - 1);
+      }
+      if (table[slot] == candidate) {
         continue;
       }
-      std::move_backward(at, seen_end, seen_end + 1);
-      *at = candidate;
-      out[taken++] = candidate;
+      table[slot] = candidate;
+      out.push_back(candidate);
     }
-    out.resize(k);
     return out;
   }
   std::vector<std::size_t> indices(n);

@@ -108,10 +108,11 @@ class Rng {
   }
 
   /// k distinct indices drawn uniformly from [0, n). Requires k <= n.
-  /// When k * 4 <= n, draws with rejection against a sorted seen-set
-  /// kept in the result's own buffer: no allocation beyond the result,
-  /// O(k^2) word moves, which suits the small k (at most a few hundred)
-  /// callers draw. Otherwise a partial Fisher-Yates over [0, n).
+  /// When k * 4 <= n, draws with rejection against an open-addressing
+  /// seen-set of at least 2k slots: O(k) expected work, and no
+  /// allocation beyond the result while k <= 256 (the table then fits
+  /// on the stack). Otherwise a partial Fisher-Yates over [0, n). Both
+  /// branches return the draws in draw order.
   std::vector<std::size_t> Sample(std::size_t n, std::size_t k);
 
  private:

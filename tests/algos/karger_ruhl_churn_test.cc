@@ -9,8 +9,16 @@
 // the dead. CheckInvariants states all of these; this test drives a
 // seeded storm of 2,000 joins and leaves (with and without probe
 // loss) and checks them after Build, every 50 events, and on clones.
+//
+// Each storm ends on a digest of the whole overlay: every sample list
+// in order, every occurrence-list length, and the storm rng's next
+// draw. The write path is tuned for memory-level parallelism, but its
+// writes and rng draws must stay in one fixed order; a reordered
+// replacement draw or a compaction moved to another join changes the
+// digest even where every invariant still holds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -41,7 +49,44 @@ void ExpectSameSamples(const KargerRuhlNearest& a,
   }
 }
 
-void RunStorm(double loss_rate, std::uint64_t seed) {
+/// FNV-1a (64-bit) over the little-endian bytes of each folded word.
+class Fnv1a {
+ public:
+  void Fold(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Every member in membership order: its id, then per scale the list
+/// length and ids in list order, then its occurrence-list length; last,
+/// the next draw of the rng that drove the storm.
+std::uint64_t OverlayDigest(const KargerRuhlNearest& algo, util::Rng& rng) {
+  const KargerRuhlConfig config;
+  Fnv1a digest;
+  for (const NodeId member : algo.members()) {
+    digest.Fold(static_cast<std::uint64_t>(member));
+    for (int scale = 0; scale < config.num_scales; ++scale) {
+      const std::vector<NodeId> samples = algo.SamplesOf(member, scale);
+      digest.Fold(samples.size());
+      for (const NodeId held : samples) {
+        digest.Fold(static_cast<std::uint64_t>(held));
+      }
+    }
+    digest.Fold(algo.OccurrenceEntries(member));
+  }
+  digest.Fold(rng());
+  return digest.value();
+}
+
+void RunStorm(double loss_rate, std::uint64_t seed,
+              std::uint64_t expected_digest) {
   util::Rng world_rng(seed);
   matrix::EuclideanConfig world_config;
   world_config.dimensions = 3;
@@ -100,14 +145,18 @@ void RunStorm(double loss_rate, std::uint64_t seed) {
   const auto& copy = dynamic_cast<const KargerRuhlNearest&>(*clone);
   copy.CheckInvariants();
   ExpectSameSamples(algo, copy);
+  const std::uint64_t digest = OverlayDigest(algo, rng);
+  EXPECT_EQ(digest, expected_digest) << std::hex << "digest 0x" << digest;
 }
 
 TEST(KargerRuhlInvariants, HoldThroughoutJoinLeaveStorm) {
-  RunStorm(/*loss_rate=*/0.0, /*seed=*/71);
+  RunStorm(/*loss_rate=*/0.0, /*seed=*/71,
+           /*expected_digest=*/0xdf10855542e4c056ULL);
 }
 
 TEST(KargerRuhlInvariants, HoldThroughoutLossyJoinLeaveStorm) {
-  RunStorm(/*loss_rate=*/0.2, /*seed=*/73);
+  RunStorm(/*loss_rate=*/0.2, /*seed=*/73,
+           /*expected_digest=*/0x71d79042e0327a86ULL);
 }
 
 }  // namespace

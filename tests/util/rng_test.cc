@@ -224,9 +224,9 @@ TEST(Rng, SampleFullRangeIsPermutation) {
   EXPECT_EQ(unique.size(), 20u);
 }
 
-/// The hash-set rejection sampler Rng::Sample used before its seen-set
-/// became a sorted buffer, kept verbatim (Fisher-Yates branch
-/// included) as the golden reference for the draws and their order.
+/// The std::unordered_set rejection sampler Rng::Sample started from,
+/// kept verbatim (Fisher-Yates branch included) as the golden reference
+/// for the draws and their order.
 std::vector<std::size_t> HashSetSample(Rng& rng, std::size_t n,
                                        std::size_t k) {
   if (k * 4 <= n) {
@@ -255,10 +255,13 @@ std::vector<std::size_t> HashSetSample(Rng& rng, std::size_t n,
 
 TEST(Rng, SampleMatchesHashSetReference) {
   // Sizes around the k * 4 == n switch between the two branches, k = 0,
-  // and the 128-of-many draw of a Karger-Ruhl join.
+  // the 128-of-many draw of a Karger-Ruhl join, and k on both sides of
+  // the seen-set's stack capacity (512 slots hold k <= 256; 257 and
+  // 1024 take a heap table).
   for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL, 0xdeadbeefULL}) {
     for (const std::size_t n : {0, 1, 4, 5, 20, 64, 100, 512, 513, 100000}) {
-      const std::size_t ks[] = {0, 1, n / 4, n / 4 + 1, n / 2, n, 128};
+      const std::size_t ks[] = {0,   1,   n / 4, n / 4 + 1, n / 2, n,
+                                128, 255, 256,   257,       1024};
       for (const std::size_t k : ks) {
         if (k > n) {
           continue;
