@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "util/error.h"
+#include "util/flat_count_table.h"
 #include "util/parallel.h"
 
 namespace np::algos {
@@ -409,10 +409,10 @@ core::QueryResult KargerRuhlNearest::FindNearest(
   NP_ENSURE(!members_.empty(), "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  std::unordered_set<NodeId> probed;
+  util::FlatCountTable probed;  // member ids, billed on first sighting
   const auto probe = [&](NodeId node) {
     const auto d = policy.Probe(metered, node, target);
-    if (probed.insert(node).second) {
+    if (probed.Insert(static_cast<std::uint64_t>(node))) {
       ++result.probes;
     }
     return d;
@@ -446,7 +446,8 @@ core::QueryResult KargerRuhlNearest::FindNearest(
       const NodeId* slots = block + SlotOffset(s);
       for (NodeId j = 0; j < block[s]; ++j) {
         const NodeId candidate = slots[j];
-        if (probed.count(candidate) > 0 && candidate != current) {
+        if (probed.Contains(static_cast<std::uint64_t>(candidate)) &&
+            candidate != current) {
           continue;
         }
         const auto measured = probe(candidate);

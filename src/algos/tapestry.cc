@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/flat_count_table.h"
 #include "util/parallel.h"
 
 namespace np::algos {
@@ -319,10 +320,10 @@ core::QueryResult TapestryNearest::FindNearest(
   NP_ENSURE(!members_.empty(), "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  std::unordered_set<NodeId> probed;
+  util::FlatCountTable probed;  // member ids, billed on first sighting
   const auto probe = [&](NodeId node) {
     const auto d = policy.Probe(metered, node, target);
-    if (probed.insert(node).second) {
+    if (probed.Insert(static_cast<std::uint64_t>(node))) {
       ++result.probes;
     }
     return d;

@@ -76,10 +76,12 @@ class MatrixSpace final : public LatencySpace {
 /// pairs from one sequential stream, which silently tied measured
 /// values to probe order and broke within-query symmetry.
 ///
-/// Caveat: the per-pair tracker is util::PairStream's, bounded at
-/// PairStream::kMaxTrackedPairs distinct pairs; crossing it starts a
-/// new generation (fresh stream seed), so order-robustness is
-/// guaranteed *within a generation* (see util/pair_stream.h).
+/// Caveat: the per-pair tracker is util::PairStream's flat table
+/// (util::FlatCountTable, one array allocated on the first jittered
+/// probe), bounded at PairStream::kMaxTrackedPairs distinct pairs;
+/// crossing it empties the table and starts a new generation (fresh
+/// stream seed), so order-robustness is guaranteed *within a
+/// generation* (see util/pair_stream.h).
 ///
 /// Not thread-safe: the per-pair counters mutate under Latency().
 /// Every call site owns a private instance (one per query, or one for

@@ -17,22 +17,29 @@
 // and there the generation boundary — not the values inside one — is
 // what probe order can move.
 //
+// The tracker is a util::FlatCountTable: one flat array of {pair,
+// count} slots, allocated on the first probe, so a per-query instance
+// costs one small array instead of a heap node per pair. A flush empties
+// every slot and keeps the array.
+//
 // Not thread-safe: Next() mutates the tracker. Owners keep one stream
 // per call-site-private decorator instance.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
+#include "util/flat_count_table.h"
 #include "util/rng.h"
 
 namespace np::util {
 
 class PairStream {
  public:
-  /// ~48 MB of tracking at the cap — small next to the O(n * d)
-  /// implicit backends, unreachable for per-query instances.
+  /// At the cap the tracker is 2^21 slots of 16 bytes (32 MB; 48 MB
+  /// for the moment the 2^20-slot array is copied into it) — small next
+  /// to the O(n * d) implicit backends, unreachable for per-query
+  /// instances.
   static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
 
   explicit PairStream(std::uint64_t seed) : seed_(seed) {}
@@ -40,11 +47,11 @@ class PairStream {
   /// Mixed seed of the next probe of {a, b} (symmetric in a and b).
   std::uint64_t Next(std::int64_t a, std::int64_t b) {
     if (counts_.size() >= kMaxTrackedPairs) {
-      counts_.clear();
+      counts_.Clear();
       seed_ = Mix64(seed_);
     }
     const std::uint64_t pair = PairKey(a, b);
-    const std::uint64_t count = counts_[pair]++;
+    const std::uint64_t count = counts_.Increment(pair);
     return Mix64(Mix64(seed_ ^ pair) ^ count);
   }
 
@@ -56,7 +63,7 @@ class PairStream {
  private:
   std::uint64_t seed_;
   /// Probes already issued per unordered pair in this generation.
-  std::unordered_map<std::uint64_t, std::uint64_t> counts_;
+  FlatCountTable counts_;
 };
 
 }  // namespace np::util

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -46,6 +49,55 @@ TEST(PairStream, CrossingTheBoundFlushesAndRemixesTheSeed) {
   EXPECT_EQ(stream.seed(), next_seed);
   EXPECT_EQ(stream.tracked_pairs(), 1u);
   EXPECT_EQ(stream.Next(1, 0), Expected(next_seed, 0, 1, 1));
+}
+
+// The tracker is a flat table; a std::unordered_map stepped through the
+// same probes, with the same flush rule, must see every draw and every
+// tracked-pair count the stream reports.
+TEST(PairStream, MatchesAnUnorderedMapReferenceAcrossGrowth) {
+  constexpr std::uint64_t kSeed = 20260;
+  constexpr int kCalls = 300'000;
+  constexpr std::int64_t kMaxId = 0x7fffffff;  // largest NodeId
+  Rng rng(kSeed);
+  // 40,000 pairs: ids from a small range (shared endpoints, many
+  // distinct pairs per id) and from the whole NodeId range, plus the
+  // extremes 0 and kMaxId.
+  std::vector<std::pair<std::int64_t, std::int64_t>> pool = {
+      {0, kMaxId}, {kMaxId - 1, kMaxId}, {0, 1}};
+  while (pool.size() < 40'000) {
+    const bool wide = rng.NextUint64(4) == 0;
+    const std::int64_t a = wide ? rng.UniformInt(0, kMaxId)
+                                : rng.UniformInt(0, 3000);
+    const std::int64_t b = wide ? rng.UniformInt(0, kMaxId)
+                                : rng.UniformInt(0, 3000);
+    if (a != b) {
+      pool.emplace_back(a, b);
+    }
+  }
+
+  PairStream stream(kSeed);
+  std::uint64_t ref_seed = kSeed;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref_counts;
+  for (int call = 0; call < kCalls; ++call) {
+    // Heavy repeats: half the calls hit the first 1,000 pairs.
+    const std::size_t hot = rng.NextUint64(2) == 0 ? 1000 : pool.size();
+    auto [a, b] = pool[rng.NextUint64(hot)];
+    if (rng.NextUint64(2) == 0) {
+      std::swap(a, b);
+    }
+    if (ref_counts.size() >= PairStream::kMaxTrackedPairs) {
+      ref_counts.clear();
+      ref_seed = Mix64(ref_seed);
+    }
+    const std::uint64_t count = ref_counts[PairKey(a, b)]++;
+    ASSERT_EQ(stream.Next(a, b), Expected(ref_seed, a, b, count))
+        << "call " << call << " pair {" << a << ", " << b << "}";
+    ASSERT_EQ(stream.tracked_pairs(), ref_counts.size()) << "call " << call;
+  }
+  EXPECT_EQ(stream.seed(), ref_seed);
+  // Growth happened several times: 40,000 pairs outgrow every array
+  // below 2^16 slots.
+  EXPECT_GT(stream.tracked_pairs(), 30'000u);
 }
 
 }  // namespace
