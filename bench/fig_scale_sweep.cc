@@ -36,6 +36,7 @@
 #include "algos/registry.h"
 #include "bench/common.h"
 #include "bench/reporter.h"
+#include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/space_factory.h"
 #include "matrix/embedded_space.h"
@@ -91,21 +92,6 @@ ChurnSchedule LeaveHeavySchedule(NodeId n) {
       std::max(static_cast<double>(n) / 2.0, 16.0) / config.duration_s;
   config.seed = 41;
   return ChurnSchedule::Poisson(config);
-}
-
-/// Deterministic batch membership: a fixed-seed shuffle of the space,
-/// first half in the overlay, remainder the query-target pool.
-void SplitBatchMembership(NodeId n, std::vector<NodeId>* members,
-                          std::vector<NodeId>* targets) {
-  std::vector<NodeId> ids(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    ids[static_cast<std::size_t>(v)] = v;
-  }
-  np::util::Rng rng(13);
-  rng.Shuffle(ids);
-  const std::size_t m = static_cast<std::size_t>(n) / 2;
-  members->assign(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(m));
-  targets->assign(ids.begin() + static_cast<std::ptrdiff_t>(m), ids.end());
 }
 
 struct BatchQueryStats {
@@ -200,9 +186,11 @@ int main() {
       algorithms.push_back("tapestry");
     }
 
-    std::vector<NodeId> batch_members;
-    std::vector<NodeId> batch_targets;
-    SplitBatchMembership(n, &batch_members, &batch_targets);
+    // Deterministic batch membership: a fixed-seed shuffle of the
+    // space, first half in the overlay, remainder the query-target pool.
+    np::util::Rng split_rng(13);
+    const np::core::OverlaySplit split =
+        np::core::SplitOverlay(n, n / 2, split_rng);
 
     for (const std::string& name : algorithms) {
       const std::string key = "n" + std::to_string(n) + "_" + name;
@@ -276,8 +264,8 @@ int main() {
         np::util::Rng rng(np::util::Mix64(43));
         auto phase = reporter.Phase(
             "build_serial_n" + std::to_string(n) + "_" + name,
-            static_cast<double>(batch_members.size()));
-        serial_algo->Build(batch_metered, batch_members, rng);
+            static_cast<double>(split.members.size()));
+        serial_algo->Build(batch_metered, split.members, rng);
         serial_ms = phase.Stop();
       }
       const std::uint64_t build_messages = batch_metered.probes();
@@ -286,8 +274,8 @@ int main() {
         np::util::Rng rng(np::util::Mix64(43));
         auto phase = reporter.Phase(
             "build_parallel_n" + std::to_string(n) + "_" + name,
-            static_cast<double>(batch_members.size()));
-        batch_algo->ParallelBuild(batch_metered, batch_members, rng,
+            static_cast<double>(split.members.size()));
+        batch_algo->ParallelBuild(batch_metered, split.members, rng,
                                   /*num_threads=*/0);
         parallel_ms = phase.Stop();
       }
@@ -305,7 +293,7 @@ int main() {
       }
 
       const BatchQueryStats qstats =
-          MeasureQueries(world.space(), *batch_algo, batch_targets, queries);
+          MeasureQueries(world.space(), *batch_algo, split.targets, queries);
       reporter.Derive(key + "_batch_p_exact", qstats.p_exact);
       reporter.Derive(key + "_batch_msgs_per_query", qstats.msgs_per_query);
 
@@ -316,14 +304,14 @@ int main() {
       // clock stays flat in n — the acceptance check for "no
       // O(overlay) scan in RemoveMember").
       const std::size_t num_leaves =
-          std::min<std::size_t>(quick ? 100 : 200, batch_members.size() / 4);
+          std::min<std::size_t>(quick ? 100 : 200, split.members.size() / 4);
       std::vector<NodeId> victims;
       const std::size_t stride =
-          std::max<std::size_t>(1, batch_members.size() / num_leaves);
+          std::max<std::size_t>(1, split.members.size() / num_leaves);
       for (std::size_t i = 0;
-           i < batch_members.size() && victims.size() < num_leaves;
+           i < split.members.size() && victims.size() < num_leaves;
            i += stride) {
-        victims.push_back(batch_members[i]);
+        victims.push_back(split.members[i]);
       }
       const std::uint64_t before_leaves = batch_metered.probes();
       {
@@ -339,7 +327,7 @@ int main() {
           static_cast<double>(victims.size());
       reporter.Derive(key + "_maint_per_leave", maint_per_leave);
       batch_table.AddRow(
-          {std::to_string(n), name, std::to_string(batch_members.size()),
+          {std::to_string(n), name, std::to_string(split.members.size()),
            np::util::FormatDouble(qstats.p_exact, 3),
            np::util::FormatDouble(qstats.msgs_per_query, 1),
            np::util::FormatDouble(serial_ms, 1),

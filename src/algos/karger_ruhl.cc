@@ -75,7 +75,7 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
   const std::vector<NodeId>& ids = members_.members();
 
   samples_.assign(n * stride_, 0);
-  occ_.assign(n, OccList{});
+  occ_.Reset(n);
   // One base draw, then a private stream per member keyed by its node
   // id: iteration i writes only block i, so any thread count produces
   // the serial result bit for bit.
@@ -129,13 +129,11 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
       const NodeId* slots = block + SlotOffset(s);
       for (NodeId j = 0; j < block[s]; ++j) {
         occ_[members_.PositionOf(slots[j])].entries.push_back(
-            PackOccurrence(ids[i], s));
+            core::BackRefs::Pack(ids[i], s));
       }
     }
   }
-  for (OccList& occ : occ_) {
-    occ.floor = std::max(occ.entries.size(), kOccCompactMin / 2);
-  }
+  occ_.SettleAll();
 }
 
 void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
@@ -143,7 +141,7 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
   samples_.resize(samples_.size() + stride_, 0);  // every count starts at 0
-  occ_.emplace_back();
+  occ_.Grow();
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
   const auto per_scale = static_cast<NodeId>(config_.samples_per_scale);
@@ -179,8 +177,8 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   // joiner from the same handshake — keep it when the scale has room,
   // otherwise replace a random entry (membership refresh keeps samples
   // live under churn).
-  OccList& own_occ = occ_[position];
-  own_occ.entries.reserve(probed.size());
+  auto& own_occ = occ_[position].entries;
+  own_occ.reserve(probed.size());
   for (const Probed& p : probed) {
     const int scale = ProbedScale(p.key);
     NodeId* theirs = Block(p.position);
@@ -191,12 +189,12 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
     } else {
       slots[rng.Index(static_cast<std::size_t>(count))] = node;
     }
-    own_occ.entries.push_back(PackOccurrence(ProbedId(p.key), scale));
+    own_occ.push_back(core::BackRefs::Pack(ProbedId(p.key), scale));
   }
   // Every entry just appended is live and unique: each pick is a
   // distinct owner whose list now holds the joiner. So the list needs
   // no compaction; its floor is set as BuildImpl sets it.
-  own_occ.floor = std::max(own_occ.entries.size(), kOccCompactMin / 2);
+  occ_.Settle(position);
 
   // Cumulative-ball semantics (as in Build): a member whose smallest
   // containing ball is s is eligible for every scale >= s. Keys are
@@ -259,62 +257,22 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
     }
   }
   // Counts, occurrence appends and compactions in (scale, pick) order.
+  const auto holds = [this](auto... args) { return Holds(args...); };
   for (int s = 0; s < config_.num_scales; ++s) {
     const auto [first, last] = chosen_at(s);
     own[s] = static_cast<NodeId>(last - first);
     for (const std::size_t* p = first; p != last; ++p) {
-      occ_[*p].entries.push_back(PackOccurrence(node, s));
-      MaybeCompactOcc(*p);
+      occ_.Add(*p, node, s, members_, holds);
     }
   }
 }
 
-void KargerRuhlNearest::ResolveOwners(
-    const std::vector<std::uint64_t>& entries,
-    std::vector<std::size_t>& owner_pos) const {
-  owner_pos.resize(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    owner_pos[i] = members_.PositionOf(static_cast<NodeId>(entries[i] >> 8));
-  }
-}
-
-void KargerRuhlNearest::MaybeCompactOcc(std::size_t position) {
-  OccList& occ = occ_[position];
-  auto& list = occ.entries;
-  if (list.size() < kOccCompactMin || list.size() < 2 * occ.floor) {
-    return;
-  }
-  // Verify-scan: keep an entry only if the named sample list still
-  // holds this member. Sort + unique first — one live entry per
-  // (owner, scale) is enough, because the RemoveMember purge erases
-  // every copy of a node from a list at once, and nothing else reads
-  // occurrence multiplicity. Order of occ_ entries is semantically
-  // irrelevant, so the sort cannot change any result.
-  const NodeId self = members_.at(position);
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end()), list.end());
-  std::vector<std::size_t> owner_pos;
-  ResolveOwners(list, owner_pos);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < owner_pos.size(); ++i) {
-    const std::uint64_t packed = list[i];
-    const int scale = static_cast<int>(packed & 0xFF);
-    if (owner_pos[i] == core::MemberIndex::kNoPosition ||
-        owner_pos[i] == position) {
-      continue;
-    }
-    const NodeId* block = Block(owner_pos[i]);
-    const NodeId* slots = block + SlotOffset(scale);
-    if (std::find(slots, slots + block[scale], self) == slots + block[scale]) {
-      continue;
-    }
-    list[kept++] = packed;
-  }
-  list.resize(kept);
-  list.shrink_to_fit();
-  // Next compaction only once the list doubles again: amortized O(1)
-  // per append, and length stays < max(kOccCompactMin, 2 * kept).
-  occ.floor = std::max(kept, kOccCompactMin / 2);
+bool KargerRuhlNearest::Holds(std::size_t owner_pos, std::size_t scale,
+                              NodeId member) const {
+  const NodeId* block = Block(owner_pos);
+  const NodeId* slots = block + SlotOffset(static_cast<int>(scale));
+  const NodeId* end = slots + block[scale];
+  return std::find(slots, end, member) != end;
 }
 
 std::size_t KargerRuhlNearest::OccurrenceEntries(NodeId member) const {
@@ -335,28 +293,21 @@ void KargerRuhlNearest::RemoveMember(NodeId node) {
   // The erase keeps the survivors' order. Cost: O(entries naming the
   // leaver), independent of overlay size. Every owner is resolved
   // first (independent loads), then the purge runs in entry order.
-  const std::vector<std::uint64_t>& entries = occ_[position].entries;
-  std::vector<std::size_t> owner_pos;
-  ResolveOwners(entries, owner_pos);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (owner_pos[i] == core::MemberIndex::kNoPosition ||
-        owner_pos[i] == position) {
-      continue;
-    }
-    const int scale = static_cast<int>(entries[i] & 0xFF);
-    NodeId* block = Block(owner_pos[i]);
-    NodeId* slots = block + SlotOffset(scale);
+  const auto purge = [&](std::size_t owner_pos, std::size_t scale) {
+    NodeId* block = Block(owner_pos);
+    NodeId* slots = block + SlotOffset(static_cast<int>(scale));
     block[scale] = static_cast<NodeId>(
         std::remove(slots, slots + block[scale], node) - slots);
-  }
+  };
+  std::vector<std::size_t> owner_pos;
+  occ_.ForEachLive(position, members_, owner_pos, purge);
 
   const auto removed = members_.Remove(node);
   if (removed.swapped) {
     std::copy_n(Block(members_.size()), stride_, Block(removed.position));
-    occ_[removed.position] = std::move(occ_.back());
   }
+  occ_.Mirror(removed);
   samples_.resize(samples_.size() - stride_);
-  occ_.pop_back();
 }
 
 std::vector<NodeId> KargerRuhlNearest::SamplesOf(NodeId member,
@@ -376,9 +327,10 @@ void KargerRuhlNearest::CheckInvariants() const {
             "per-member arrays disagree with the membership");
   std::vector<std::vector<std::uint64_t>> sorted_occ(n);
   for (std::size_t p = 0; p < n; ++p) {
-    const OccList& occ = occ_[p];
-    NP_ENSURE(occ.floor >= kOccCompactMin / 2, "occurrence floor too low");
-    NP_ENSURE(occ.entries.size() < std::max(kOccCompactMin, 2 * occ.floor),
+    const core::BackRefs::List& occ = occ_[p];
+    NP_ENSURE(occ.floor >= core::BackRefs::kCompactMin / 2,
+              "occurrence floor too low");
+    NP_ENSURE(!core::BackRefs::CompactionDue(occ),
               "occurrence list past its compaction trigger");
     sorted_occ[p] = occ.entries;
     std::sort(sorted_occ[p].begin(), sorted_occ[p].end());
@@ -397,7 +349,7 @@ void KargerRuhlNearest::CheckInvariants() const {
         NP_ENSURE(held != owner_pos, "sample list holds its owner");
         NP_ENSURE(std::binary_search(sorted_occ[held].begin(),
                                      sorted_occ[held].end(),
-                                     PackOccurrence(owner, s)),
+                                     core::BackRefs::Pack(owner, s)),
                   "held sample has no occurrence entry");
       }
     }

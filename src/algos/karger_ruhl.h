@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/back_refs.h"
 #include "core/member_index.h"
 #include "core/nearest_algorithm.h"
 
@@ -93,8 +94,8 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   /// than its owner; every held (owner, scale, member) has a matching
   /// entry in the member's occurrence list (what the RemoveMember
   /// purge relies on); and every occurrence list is below its
-  /// compaction trigger, max(kOccCompactMin, 2 x its floor). Throws
-  /// util::Error on violation.
+  /// compaction trigger (core::BackRefs). Throws util::Error on
+  /// violation.
   void CheckInvariants() const;
 
   int ScaleFor(LatencyMs distance_ms) const;
@@ -104,14 +105,6 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   /// the serial reference), ParallelBuild fans it out.
   void BuildImpl(const core::LatencySpace& space, std::vector<NodeId> members,
                  util::Rng& rng, int num_threads);
-
-  /// Occurrence bookkeeping: packs (owner, scale) into one word.
-  /// Scales fit 8 bits (num_scales <= 255 enforced at construction);
-  /// NodeId fits 32 (static-asserted in util/types.h).
-  static std::uint64_t PackOccurrence(NodeId owner, int scale) {
-    return (static_cast<std::uint64_t>(owner) << 8) |
-           static_cast<std::uint64_t>(scale);
-  }
 
   /// Sample block of the member at `position`: `num_scales` counts,
   /// then `num_scales` runs of `samples_per_scale` id slots (only the
@@ -128,37 +121,9 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
                static_cast<std::size_t>(config_.samples_per_scale);
   }
 
-  /// Compacts one member's occurrence list when it has doubled since
-  /// the last compaction (and exceeds kOccCompactMin): sorts, dedupes,
-  /// and drops entries whose named sample list no longer holds the
-  /// member. Amortized O(1) per insertion; the list stays below
-  /// max(kOccCompactMin, 2 x the live entries kept at the last
-  /// compaction) under arbitrary churn.
-  void MaybeCompactOcc(std::size_t position);
-
-  /// owner_pos[i] = current position of the owner named by entries[i]
-  /// (kNoPosition once it left). One tight loop of independent index
-  /// loads, so their misses overlap before any block is touched.
-  void ResolveOwners(const std::vector<std::uint64_t>& entries,
-                     std::vector<std::size_t>& owner_pos) const;
-
-  static constexpr std::size_t kOccCompactMin = 64;
-
-  /// One member's occurrence list: packed (owner, scale) sample lists
-  /// that may hold the member. Append-only per insertion; entries go
-  /// stale when a list drops the member for another reason (random
-  /// replacement, the owner leaving), so consumers re-check the named
-  /// list — RemoveMember's purge treats a no-op erase as stale. This
-  /// is what replaces an O(overlay * scales) purge scan. `floor` is
-  /// the length when every entry was last known live — after Build,
-  /// the member's own join, or a compaction — and at least
-  /// kOccCompactMin / 2; the next compaction triggers when the list
-  /// doubles past it. It sits next to its list so one touch loads
-  /// both.
-  struct OccList {
-    std::vector<std::uint64_t> entries;
-    std::size_t floor = kOccCompactMin / 2;
-  };
+  /// Whether the sample list (owner at `owner_pos`, `scale`) holds
+  /// `member`: the occurrence lists' holds-test.
+  bool Holds(std::size_t owner_pos, std::size_t scale, NodeId member) const;
 
   KargerRuhlConfig config_;
   /// std::log(growth), computed once: ScaleFor divides by it.
@@ -171,8 +136,12 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   /// Flat per-member sample blocks, block i at [i * stride_, (i + 1) *
   /// stride_) for the member at position i (see Block()).
   std::vector<NodeId> samples_;
-  /// occ_[member_pos] -> that member's occurrence list.
-  std::vector<OccList> occ_;
+  /// occ_[member_pos] -> packed (owner, scale) sample lists that may
+  /// hold the member (scales fit the 8-bit slot: num_scales <= 255 is
+  /// enforced at construction). Entries go stale when a list drops the
+  /// member for another reason (random replacement, the owner
+  /// leaving), so RemoveMember's purge treats a no-op erase as stale.
+  core::BackRefs occ_;
 };
 
 }  // namespace np::algos

@@ -55,40 +55,20 @@ void TapestryNearest::InstallEntry(std::size_t owner_pos, std::size_t slot,
   }
   table_latency_[owner_pos][slot] = latency;
   tables_[owner_pos][slot] = entry;
+  const auto holds = [this](auto... args) { return Holds(args...); };
   const std::size_t entry_pos = members_.PositionOf(entry);
-  refs_[entry_pos].push_back(PackRef(members_.at(owner_pos), slot));
-  MaybeCompactRefs(entry_pos);
+  refs_.Add(entry_pos, members_.at(owner_pos), slot, members_, holds);
 }
 
-void TapestryNearest::MaybeCompactRefs(std::size_t position) {
-  auto& refs = refs_[position];
-  if (refs.size() < kRefCompactMin ||
-      refs.size() < 2 * ref_floor_[position]) {
-    return;
-  }
-  const NodeId self = members_.at(position);
-  std::sort(refs.begin(), refs.end());
-  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
-  std::size_t kept = 0;
-  for (const std::uint64_t packed : refs) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const std::size_t slot = static_cast<std::size_t>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position || tables_[owner_pos][slot] != self) {
-      continue;
-    }
-    refs[kept++] = packed;
-  }
-  refs.resize(kept);
-  refs.shrink_to_fit();
-  ref_floor_[position] = std::max(refs.size(), kRefCompactMin / 2);
+bool TapestryNearest::Holds(std::size_t owner_pos, std::size_t slot,
+                            NodeId member) const {
+  return tables_[owner_pos][slot] == member;
 }
 
 std::size_t TapestryNearest::RefEntries(NodeId member) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
-  return refs_[position].size();
+  return refs_[position].entries.size();
 }
 
 void TapestryNearest::Build(const core::LatencySpace& space,
@@ -153,20 +133,17 @@ void TapestryNearest::BuildImpl(const core::LatencySpace& space,
 
   // Back-reference pass (serial: a referenced member collects refs
   // from every owner).
-  refs_.assign(n, {});
+  refs_.Reset(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t slot = 0; slot < slots; ++slot) {
       const NodeId entry = tables_[i][slot];
       if (entry != kInvalidNode) {
-        refs_[members_.PositionOf(entry)].push_back(
-            PackRef(node_ids[i], slot));
+        refs_[members_.PositionOf(entry)].entries.push_back(
+            core::BackRefs::Pack(node_ids[i], slot));
       }
     }
   }
-  ref_floor_.assign(n, kRefCompactMin / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    ref_floor_[i] = std::max(refs_[i].size(), kRefCompactMin / 2);
-  }
+  refs_.SettleAll();
 }
 
 void TapestryNearest::AddMember(NodeId node, util::Rng& rng) {
@@ -179,8 +156,7 @@ void TapestryNearest::AddMember(NodeId node, util::Rng& rng) {
   ids_.push_back(id);
   tables_.emplace_back(slots, kInvalidNode);
   table_latency_.emplace_back(slots, kInfiniteLatency);
-  refs_.emplace_back();
-  ref_floor_.push_back(kRefCompactMin / 2);
+  refs_.Grow();
   const std::vector<NodeId>& node_ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
 
@@ -220,18 +196,15 @@ void TapestryNearest::RemoveMember(NodeId node) {
   // same id) — the slot re-check filters all of those. Orphaned slots
   // become repair work.
   std::vector<std::pair<NodeId, std::size_t>> orphans;  // (owner, slot)
-  for (const std::uint64_t packed : refs_[position]) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const std::size_t slot = static_cast<std::size_t>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position || tables_[owner_pos][slot] != node) {
-      continue;
+  const auto evict = [&](std::size_t owner_pos, std::size_t slot) {
+    if (tables_[owner_pos][slot] == node) {
+      tables_[owner_pos][slot] = kInvalidNode;
+      table_latency_[owner_pos][slot] = kInfiniteLatency;
+      orphans.push_back({members_.at(owner_pos), slot});
     }
-    tables_[owner_pos][slot] = kInvalidNode;
-    table_latency_[owner_pos][slot] = kInfiniteLatency;
-    orphans.push_back({owner, slot});
-  }
+  };
+  std::vector<std::size_t> owner_pos;
+  refs_.ForEachLive(position, members_, owner_pos, evict);
 
   used_ids_.erase(ids_[position]);
   const auto removed = members_.Remove(node);
@@ -239,14 +212,11 @@ void TapestryNearest::RemoveMember(NodeId node) {
     ids_[removed.position] = ids_.back();
     tables_[removed.position] = std::move(tables_.back());
     table_latency_[removed.position] = std::move(table_latency_.back());
-    refs_[removed.position] = std::move(refs_.back());
-    ref_floor_[removed.position] = ref_floor_.back();
   }
   ids_.pop_back();
   tables_.pop_back();
   table_latency_.pop_back();
-  refs_.pop_back();
-  ref_floor_.pop_back();
+  refs_.Mirror(removed);
 
   // Prefix repair: each orphaned slot's owner re-scans the eligible
   // members, measuring each candidate once per owner (billed). This is

@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/back_refs.h"
 #include "core/member_index.h"
 #include "core/nearest_algorithm.h"
 
@@ -103,21 +104,9 @@ class TapestryNearest final : public core::NearestPeerAlgorithm {
   void InstallEntry(std::size_t owner_pos, std::size_t slot, NodeId entry,
                     LatencyMs latency);
 
-  /// Compacts one member's back-reference list when it has doubled
-  /// since the last compaction (and exceeds kRefCompactMin): sorts,
-  /// dedupes, and drops entries whose named slot no longer holds the
-  /// member. Amortized O(1) per insertion; bounds the list length at
-  /// 2 x live entries + O(1) under arbitrary churn.
-  void MaybeCompactRefs(std::size_t position);
-
-  static constexpr std::size_t kRefCompactMin = 64;
-
-  /// Back-reference bookkeeping: packs (owner, slot) into one word
-  /// (slots fit 8 bits: num_digits <= 8 -> slot < 128).
-  static std::uint64_t PackRef(NodeId owner, std::size_t slot) {
-    return (static_cast<std::uint64_t>(owner) << 8) |
-           static_cast<std::uint64_t>(slot);
-  }
+  /// Whether table slot `slot` of the owner at `owner_pos` holds
+  /// `member`: the back-reference lists' holds-test.
+  bool Holds(std::size_t owner_pos, std::size_t slot, NodeId member) const;
 
   TapestryConfig config_;
   const core::LatencySpace* space_ = nullptr;
@@ -133,16 +122,11 @@ class TapestryNearest final : public core::NearestPeerAlgorithm {
   /// owner already knows.
   std::vector<std::vector<LatencyMs>> table_latency_;
   /// refs_[member_pos] -> packed (owner, slot) table slots that may
-  /// reference this member. Entries go stale when the slot is
-  /// overwritten by a closer candidate or the owner leaves;
-  /// RemoveMember re-checks the named slot before evicting, so stale
-  /// entries are skipped. Replaces the old O(overlay * slots) eviction
-  /// scan.
-  std::vector<std::vector<std::uint64_t>> refs_;
-  /// ref_floor_[member_pos] -> back-reference-list length at the last
-  /// compaction (floored at kRefCompactMin / 2); the next compaction
-  /// triggers when the list doubles past it.
-  std::vector<std::size_t> ref_floor_;
+  /// reference this member (slots fit 8 bits: num_digits <= 8 -> slot
+  /// < 128). Entries go stale when the slot is overwritten by a closer
+  /// candidate or the owner leaves; RemoveMember re-checks the named
+  /// slot before evicting, so stale entries are skipped.
+  core::BackRefs refs_;
 };
 
 }  // namespace np::algos

@@ -4,51 +4,66 @@
 
 namespace np::mech {
 
-namespace {
+namespace detail {
 
-/// Swap-and-pop removal from an end-network member list, fixing the
-/// moved peer's slot. Shared by both local-search directories.
-bool RemoveFromEndnetList(std::unordered_map<int, std::vector<NodeId>>& lists,
-                          std::unordered_map<NodeId, std::size_t>& slots,
-                          int endnet_id, NodeId peer) {
-  const auto sit = slots.find(peer);
-  if (sit == slots.end()) {
+bool EndnetLists::Add(int endnet_id, NodeId peer) {
+  if (slot_.contains(peer)) {
     return false;
   }
-  auto& list = lists.at(endnet_id);
+  auto& list = lists_[endnet_id];
+  slot_[peer] = list.size();
+  list.push_back(peer);
+  return true;
+}
+
+bool EndnetLists::Remove(int endnet_id, NodeId peer) {
+  const auto sit = slot_.find(peer);
+  if (sit == slot_.end()) {
+    return false;
+  }
+  auto& list = lists_.at(endnet_id);
   const std::size_t position = sit->second;
   const std::size_t last = list.size() - 1;
   if (position != last) {
     list[position] = list[last];
-    slots[list[position]] = position;
+    slot_[list[position]] = position;
   }
   list.pop_back();
-  slots.erase(sit);
+  slot_.erase(sit);
   if (list.empty()) {
-    lists.erase(endnet_id);
+    lists_.erase(endnet_id);
   }
   return true;
 }
 
-}  // namespace
+std::vector<NodeId> EndnetLists::OthersIn(int endnet_id, NodeId peer) const {
+  const auto it = lists_.find(endnet_id);
+  if (it == lists_.end()) {
+    return {};
+  }
+  std::vector<NodeId> out;
+  for (NodeId other : it->second) {
+    if (other != peer) {
+      out.push_back(other);
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
 
 bool MulticastBootstrap::RegisterPeer(NodeId peer) {
   const net::Host& h = topology_->host(peer);
-  if (h.endnet_id < 0 || slot_.count(peer) > 0) {
-    return false;  // homeless, or already registered (a duplicate list
-                   // entry would outlive its slot record)
+  if (h.endnet_id < 0 || !by_endnet_.Add(h.endnet_id, peer)) {
+    return false;  // homeless, or already registered
   }
-  auto& list = by_endnet_[h.endnet_id];
-  slot_[peer] = list.size();
-  list.push_back(peer);
   ++registered_;
   return true;
 }
 
 bool MulticastBootstrap::UnregisterPeer(NodeId peer) {
   const net::Host& h = topology_->host(peer);
-  if (h.endnet_id < 0 ||
-      !RemoveFromEndnetList(by_endnet_, slot_, h.endnet_id, peer)) {
+  if (h.endnet_id < 0 || !by_endnet_.Remove(h.endnet_id, peer)) {
     return false;
   }
   --registered_;
@@ -65,17 +80,7 @@ std::vector<NodeId> MulticastBootstrap::Search(NodeId joiner) const {
   if (!net.multicast_enabled) {
     return {};
   }
-  const auto it = by_endnet_.find(h.endnet_id);
-  if (it == by_endnet_.end()) {
-    return {};
-  }
-  std::vector<NodeId> out;
-  for (NodeId peer : it->second) {
-    if (peer != joiner) {
-      out.push_back(peer);
-    }
-  }
-  return out;
+  return by_endnet_.OthersIn(h.endnet_id, joiner);
 }
 
 EndNetworkRegistry::EndNetworkRegistry(const net::Topology& topology,
@@ -108,14 +113,8 @@ bool EndNetworkRegistry::HasRegistry(int endnet_id) const {
 
 bool EndNetworkRegistry::RegisterPeer(NodeId peer) {
   const net::Host& h = topology_->host(peer);
-  if (h.endnet_id < 0 || !HasRegistry(h.endnet_id) ||
-      slot_.count(peer) > 0) {
-    return false;
-  }
-  auto& list = members_[h.endnet_id];
-  slot_[peer] = list.size();
-  list.push_back(peer);
-  return true;
+  return h.endnet_id >= 0 && HasRegistry(h.endnet_id) &&
+         members_.Add(h.endnet_id, peer);
 }
 
 bool EndNetworkRegistry::UnregisterPeer(NodeId peer) {
@@ -123,7 +122,7 @@ bool EndNetworkRegistry::UnregisterPeer(NodeId peer) {
   if (h.endnet_id < 0 || !HasRegistry(h.endnet_id)) {
     return false;
   }
-  return RemoveFromEndnetList(members_, slot_, h.endnet_id, peer);
+  return members_.Remove(h.endnet_id, peer);
 }
 
 std::vector<NodeId> EndNetworkRegistry::Query(NodeId joiner) const {
@@ -131,17 +130,7 @@ std::vector<NodeId> EndNetworkRegistry::Query(NodeId joiner) const {
   if (h.endnet_id < 0 || !HasRegistry(h.endnet_id)) {
     return {};
   }
-  const auto it = members_.find(h.endnet_id);
-  if (it == members_.end()) {
-    return {};
-  }
-  std::vector<NodeId> out;
-  for (NodeId peer : it->second) {
-    if (peer != joiner) {
-      out.push_back(peer);
-    }
-  }
-  return out;
+  return members_.OthersIn(h.endnet_id, joiner);
 }
 
 }  // namespace np::mech

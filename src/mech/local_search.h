@@ -18,6 +18,30 @@
 
 namespace np::mech {
 
+namespace detail {
+
+/// Registered peers per end-network, each peer's slot in its list
+/// tracked so register and unregister are O(1) (swap-and-pop).
+class EndnetLists {
+ public:
+  /// Appends `peer` to `endnet_id`'s list; false when already listed (a
+  /// duplicate entry would outlive its slot record).
+  bool Add(int endnet_id, NodeId peer);
+
+  /// Swap-and-pop removal; false when `peer` was never listed.
+  bool Remove(int endnet_id, NodeId peer);
+
+  /// Everyone in `endnet_id`'s list but `peer`, in list order.
+  std::vector<NodeId> OthersIn(int endnet_id, NodeId peer) const;
+
+ private:
+  std::unordered_map<int, std::vector<NodeId>> lists_;
+  /// peer -> its slot in lists_[its endnet].
+  std::unordered_map<NodeId, std::size_t> slot_;
+};
+
+}  // namespace detail
+
 class MulticastBootstrap {
  public:
   explicit MulticastBootstrap(const net::Topology& topology)
@@ -41,9 +65,7 @@ class MulticastBootstrap {
 
  private:
   const net::Topology* topology_;
-  std::unordered_map<int, std::vector<NodeId>> by_endnet_;
-  /// peer -> its slot in by_endnet_[its endnet], for O(1) removal.
-  std::unordered_map<NodeId, std::size_t> slot_;
+  detail::EndnetLists by_endnet_;
   int registered_ = 0;
 };
 
@@ -78,9 +100,7 @@ class EndNetworkRegistry {
  private:
   const net::Topology* topology_;
   std::unordered_set<int> deployed_;
-  std::unordered_map<int, std::vector<NodeId>> members_;
-  /// peer -> its slot in members_[its endnet], for O(1) removal.
-  std::unordered_map<NodeId, std::size_t> slot_;
+  detail::EndnetLists members_;
 };
 
 }  // namespace np::mech

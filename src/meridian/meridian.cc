@@ -129,19 +129,16 @@ void MeridianOverlay::BuildImpl(const core::LatencySpace& space,
 
   // Occurrence pass (serial: a ring member's list is appended from
   // every owner, so fan-out here would race).
-  occ_.assign(members_.size(), {});
+  occ_.Reset(members_.size());
   for (std::size_t i = 0; i < members_.size(); ++i) {
     for (std::size_t r = 0; r < rings_[i].size(); ++r) {
       for (const RingEntry& entry : rings_[i][r]) {
-        occ_[members_.PositionOf(entry.member)].push_back(
-            PackOccurrence(members_.at(i), r));
+        occ_[members_.PositionOf(entry.member)].entries.push_back(
+            core::BackRefs::Pack(members_.at(i), r));
       }
     }
   }
-  occ_floor_.assign(members_.size(), kOccCompactMin / 2);
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    occ_floor_[i] = std::max(occ_[i].size(), kOccCompactMin / 2);
-  }
+  occ_.SettleAll();
 }
 
 void MeridianOverlay::BuildFullKnowledge(const core::LatencySpace& space,
@@ -261,8 +258,7 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
   rings_.emplace_back(static_cast<std::size_t>(config_.num_rings));
-  occ_.emplace_back();
-  occ_floor_.push_back(kOccCompactMin / 2);
+  occ_.Grow();
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
 
@@ -305,12 +301,11 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
     buckets[static_cast<std::size_t>(RingIndexFor(*measured))].push_back(
         RingEntry{ids[other], *measured});
   }
+  const auto holds = [this](auto... args) { return Holds(args...); };
   for (std::size_t r = 0; r < buckets.size(); ++r) {
     rings_[position][r] = SelectRingMembers(std::move(buckets[r]), rng);
     for (const RingEntry& entry : rings_[position][r]) {
-      const std::size_t entry_pos = members_.PositionOf(entry.member);
-      occ_[entry_pos].push_back(PackOccurrence(node, r));
-      MaybeCompactOcc(entry_pos);
+      occ_.Add(members_.PositionOf(entry.member), node, r, members_, holds);
     }
   }
 
@@ -331,8 +326,7 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
     }
     // Recorded whether or not reselection kept the joiner: the purge
     // re-checks the ring, so an unkept entry is just stale.
-    occ_[position].push_back(PackOccurrence(ids[other], r));
-    MaybeCompactOcc(position);
+    occ_.Add(position, ids[other], r, members_, holds);
   }
 }
 
@@ -346,31 +340,23 @@ void MeridianOverlay::RemoveMember(NodeId node) {
   // erase nothing; erasing the leaver is always correct where it *is*
   // found. Cost: O(entries naming the leaver), independent of overlay
   // size.
-  for (const std::uint64_t packed : occ_[position]) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const auto r = static_cast<std::size_t>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position) {
-      continue;
-    }
+  const auto purge = [&](std::size_t owner_pos, std::size_t r) {
     auto& ring = rings_[owner_pos][r];
     ring.erase(std::remove_if(ring.begin(), ring.end(),
                               [node](const RingEntry& entry) {
                                 return entry.member == node;
                               }),
                ring.end());
-  }
+  };
+  std::vector<std::size_t> owner_pos;
+  occ_.ForEachLive(position, members_, owner_pos, purge);
 
   const auto removed = members_.Remove(node);
   if (removed.swapped) {
     rings_[removed.position] = std::move(rings_.back());
-    occ_[removed.position] = std::move(occ_.back());
-    occ_floor_[removed.position] = occ_floor_.back();
   }
   rings_.pop_back();
-  occ_.pop_back();
-  occ_floor_.pop_back();
+  occ_.Mirror(removed);
 }
 
 const std::vector<std::vector<RingEntry>>& MeridianOverlay::RingsOf(
@@ -385,38 +371,15 @@ std::size_t MeridianOverlay::OccurrenceEntries(NodeId member) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition,
             "not an overlay member");
-  return occ_[position].size();
+  return occ_[position].entries.size();
 }
 
-void MeridianOverlay::MaybeCompactOcc(std::size_t position) {
-  auto& occ = occ_[position];
-  if (occ.size() < kOccCompactMin ||
-      occ.size() < 2 * occ_floor_[position]) {
-    return;
-  }
-  const NodeId self = members_.at(position);
-  std::sort(occ.begin(), occ.end());
-  occ.erase(std::unique(occ.begin(), occ.end()), occ.end());
-  std::size_t kept = 0;
-  for (const std::uint64_t packed : occ) {
-    const NodeId owner = static_cast<NodeId>(packed >> 8);
-    const auto r = static_cast<std::size_t>(packed & 0xFF);
-    const std::size_t owner_pos = members_.PositionOf(owner);
-    if (owner_pos == core::MemberIndex::kNoPosition ||
-        owner_pos == position || r >= rings_[owner_pos].size()) {
-      continue;
-    }
-    const auto& ring = rings_[owner_pos][r];
-    const bool live = std::any_of(
-        ring.begin(), ring.end(),
-        [self](const RingEntry& entry) { return entry.member == self; });
-    if (live) {
-      occ[kept++] = packed;
-    }
-  }
-  occ.resize(kept);
-  occ.shrink_to_fit();
-  occ_floor_[position] = std::max(occ.size(), kOccCompactMin / 2);
+bool MeridianOverlay::Holds(std::size_t owner_pos, std::size_t ring,
+                            NodeId member) const {
+  const auto& entries = rings_[owner_pos][ring];
+  return std::any_of(
+      entries.begin(), entries.end(),
+      [member](const RingEntry& entry) { return entry.member == member; });
 }
 
 core::QueryResult MeridianOverlay::FindNearest(

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/back_refs.h"
 #include "core/member_index.h"
 #include "core/nearest_algorithm.h"
 #include "util/rng.h"
@@ -177,21 +178,9 @@ class MeridianOverlay final : public core::NearestPeerAlgorithm {
   /// Gossip build: bootstrap contacts + ring-exchange rounds.
   void BuildByGossip(const core::LatencySpace& space, util::Rng& rng);
 
-  /// Compacts one member's occurrence list when it has doubled since
-  /// the last compaction (and exceeds kOccCompactMin): sorts, dedupes,
-  /// and drops entries whose named ring no longer holds the member.
-  /// Amortized O(1) per insertion; bounds the list length at 2 x live
-  /// entries + O(1) under arbitrary churn.
-  void MaybeCompactOcc(std::size_t position);
-
-  static constexpr std::size_t kOccCompactMin = 64;
-
-  /// Occurrence bookkeeping: packs (owner, ring) into one word (ring
-  /// indices fit 8 bits; num_rings <= 255 enforced at construction).
-  static std::uint64_t PackOccurrence(NodeId owner, std::size_t ring) {
-    return (static_cast<std::uint64_t>(owner) << 8) |
-           static_cast<std::uint64_t>(ring);
-  }
+  /// Whether ring `ring` of the owner at `owner_pos` holds `member`:
+  /// the occurrence lists' holds-test.
+  bool Holds(std::size_t owner_pos, std::size_t ring, NodeId member) const;
 
   MeridianConfig config_;
   const core::LatencySpace* space_ = nullptr;
@@ -199,15 +188,10 @@ class MeridianOverlay final : public core::NearestPeerAlgorithm {
   /// rings_[member_pos][ring] -> selected entries.
   std::vector<std::vector<std::vector<RingEntry>>> rings_;
   /// occ_[member_pos] -> packed (owner, ring) rings that may hold this
-  /// member. Append-only per insertion; ring reselection drops entries
-  /// without unrecording, so consumers re-check the named ring —
-  /// RemoveMember's purge treats a no-op erase as stale. Replaces the
-  /// old O(overlay * rings) purge scan.
-  std::vector<std::vector<std::uint64_t>> occ_;
-  /// occ_floor_[member_pos] -> occurrence-list length at the last
-  /// compaction (floored at kOccCompactMin / 2); the next compaction
-  /// triggers when the list doubles past it.
-  std::vector<std::size_t> occ_floor_;
+  /// member (rings fit the 8-bit slot: num_rings <= 255 is enforced at
+  /// construction). Ring reselection drops entries without unrecording, so
+  /// RemoveMember's purge treats a no-op erase as stale.
+  core::BackRefs occ_;
 };
 
 }  // namespace np::meridian
