@@ -14,10 +14,11 @@
 //  * batch — the same-size overlay is built in one shot:
 //    the serial Build is timed as the reference, ParallelBuild is
 //    timed on every hardware thread (bit-identical state by the
-//    determinism contract), queries measure the batch overlay, and a
-//    per-leave micro-bench removes a sample of members through a
-//    metered space — the honest per-leave repair bill that O(overlay)
-//    purge scans used to drown out.
+//    determinism contract), queries measure the batch overlay on the
+//    shared core/query_batch kernel, and a per-leave micro-bench
+//    removes a sample of members through a metered space — the honest
+//    per-leave repair bill that O(overlay) purge scans used to drown
+//    out.
 //  * churn — a leave-heavy session schedule (every joiner departs
 //    after a ~200 s mean session) drives tens of thousands of leaves
 //    at the top sweep point, which indexed membership makes tractable.
@@ -37,6 +38,7 @@
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "core/experiment.h"
+#include "core/query_batch.h"
 #include "core/scenario.h"
 #include "core/space_factory.h"
 #include "matrix/embedded_space.h"
@@ -47,17 +49,14 @@
 
 namespace {
 
-using np::LatencyMs;
 using np::NodeId;
 using np::algos::MakeAlgorithm;
 using np::core::ChurnSchedule;
 using np::core::ChurnScheduleConfig;
 using np::core::MeteredSpace;
-using np::core::NearestPeerAlgorithm;
 using np::core::ScenarioConfig;
 using np::core::ScenarioReport;
 using np::core::SpaceFactory;
-using np::core::TrueClosestMember;
 
 /// Full Build() at n = 10^5 is quadratic for the structured overlays,
 /// so the grown/churn regimes start from a small seed overlay and
@@ -92,39 +91,6 @@ ChurnSchedule LeaveHeavySchedule(NodeId n) {
       std::max(static_cast<double>(n) / 2.0, 16.0) / config.duration_s;
   config.seed = 41;
   return ChurnSchedule::Poisson(config);
-}
-
-struct BatchQueryStats {
-  double p_exact = 0.0;
-  double msgs_per_query = 0.0;
-};
-
-/// Serial fixed-seed query loop over a built overlay (the scenario
-/// engine is not reused here to avoid paying a third full build).
-BatchQueryStats MeasureQueries(const np::core::LatencySpace& space,
-                               NearestPeerAlgorithm& algo,
-                               const std::vector<NodeId>& targets,
-                               int num_queries) {
-  BatchQueryStats stats;
-  np::util::Rng rng(np::util::Mix64(59));
-  std::int64_t exact = 0;
-  std::uint64_t probes = 0;
-  for (int q = 0; q < num_queries; ++q) {
-    const NodeId target = targets[rng.Index(targets.size())];
-    const NodeId truth = TrueClosestMember(space, algo.members(), target);
-    const MeteredSpace metered(space);
-    const auto result = algo.FindNearest(target, metered, rng);
-    probes += metered.probes();
-    if (space.Latency(result.found, target) <=
-        space.Latency(truth, target) + 1e-9) {
-      ++exact;
-    }
-  }
-  stats.p_exact =
-      static_cast<double>(exact) / static_cast<double>(num_queries);
-  stats.msgs_per_query =
-      static_cast<double>(probes) / static_cast<double>(num_queries);
-  return stats;
 }
 
 }  // namespace
@@ -292,10 +258,22 @@ int main() {
         top_n = n;
       }
 
-      const BatchQueryStats qstats =
-          MeasureQueries(world.space(), *batch_algo, split.targets, queries);
-      reporter.Derive(key + "_batch_p_exact", qstats.p_exact);
-      reporter.Derive(key + "_batch_msgs_per_query", qstats.msgs_per_query);
+      // Queries against the batch overlay on the shared query kernel
+      // (no third build): fault-free, uniform targets from the pool.
+      np::core::QueryBatch qbatch;
+      qbatch.space = &world.space();
+      qbatch.layout = world.layout();
+      qbatch.members = &split.members;
+      qbatch.pool = &split.targets;
+      qbatch.tie_epsilon_ms = 1e-9;
+      qbatch.query_base = np::util::Mix64(59);
+      np::core::EpochReport qstats;
+      np::core::ReduceQueryOutcomes(
+          np::core::RunQueryBatch(qbatch, *batch_algo, sconfig.num_threads,
+                                  static_cast<std::size_t>(queries)),
+          qstats, nullptr);
+      reporter.Derive(key + "_batch_p_exact", qstats.p_exact_closest);
+      reporter.Derive(key + "_batch_msgs_per_query", qstats.messages_per_query);
 
       // Per-leave repair bill: remove a deterministic sample of the
       // batch overlay through the metered space. With indexed
@@ -328,8 +306,8 @@ int main() {
       reporter.Derive(key + "_maint_per_leave", maint_per_leave);
       batch_table.AddRow(
           {std::to_string(n), name, std::to_string(split.members.size()),
-           np::util::FormatDouble(qstats.p_exact, 3),
-           np::util::FormatDouble(qstats.msgs_per_query, 1),
+           np::util::FormatDouble(qstats.p_exact_closest, 3),
+           np::util::FormatDouble(qstats.messages_per_query, 1),
            np::util::FormatDouble(serial_ms, 1),
            np::util::FormatDouble(parallel_ms, 1),
            np::util::FormatDouble(

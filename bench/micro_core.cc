@@ -1,7 +1,6 @@
 // Core micro-benchmarks with machine-readable output (BENCH_core.json):
 // the hot building blocks of the §4 simulation pipeline — Floyd-Warshall
-// metric repair (serial reference vs blocked/parallel), the triangle
-//-violation scan, allocation-free nearest-neighbour queries, Meridian
+// metric repair (serial reference vs blocked/parallel), Meridian
 // build/query, the full clustered experiment serial vs parallel, truth
 // scoring on the embedded backend (generic per-pair scan vs the pruned
 // EmbeddedSpace::ClosestOf kernel), world generation, Chord lookups,
@@ -12,7 +11,8 @@
 // parallel simulation core: on an N-core box, metric_repair and the
 // clustered experiment should both approach Nx, and every *_match /
 // *_agreement metric must be 1 — matches are bitwise (parallel vs the
-// same code path on one thread); metric_repair_serial_agreement
+// same code path on one thread, or the embedded truth kernel vs the
+// generic scan); metric_repair_serial_agreement
 // compares blocked vs the serial triple loop within rounding, since
 // the tile schedule associates float sums differently.
 //
@@ -123,62 +123,6 @@ void BenchMetricRepair(np::bench::Reporter& reporter, NodeId n) {
                   SameMatrix(blocked1, blockedN) ? 1.0 : 0.0);
   reporter.Derive("metric_repair_serial_agreement",
                   MaxRelDiff(serial, blocked1) <= 1e-9 ? 1.0 : 0.0);
-
-  // Triangle-violation scan on the repaired metric (smaller n: the
-  // scan is a strict O(n^3) with no early exit).
-  const NodeId vn = std::min<NodeId>(n, 600);
-  auto repaired = RandomMatrix(vn, 2);
-  repaired.MetricRepair(0);
-  const double checks = static_cast<double>(vn) * static_cast<double>(vn) *
-                        static_cast<double>(vn);
-  double v1 = 0.0;
-  double vall = 0.0;
-  {
-    auto phase = reporter.Phase("triangle_violation_1t", checks);
-    v1 = repaired.MaxTriangleViolation(1);
-  }
-  {
-    auto phase = reporter.Phase("triangle_violation_all", checks);
-    vall = repaired.MaxTriangleViolation(0);
-  }
-  reporter.Derive("speedup_triangle_violation",
-                  reporter.PhaseMs("triangle_violation_1t") /
-                      reporter.PhaseMs("triangle_violation_all"));
-  reporter.Derive("triangle_violation_match", v1 == vall ? 1.0 : 0.0);
-}
-
-void BenchNearestQueries(np::bench::Reporter& reporter, NodeId n,
-                         int rounds) {
-  const auto m = RandomMatrix(n, 3);
-  const int k = 16;
-  {
-    auto phase = reporter.Phase("nearest_to_alloc",
-                                static_cast<double>(rounds) * n);
-    for (int r = 0; r < rounds; ++r) {
-      for (NodeId from = 0; from < n; ++from) {
-        const auto nearest = m.NearestTo(from, k);
-        if (nearest.empty()) {
-          return;
-        }
-      }
-    }
-  }
-  {
-    std::vector<NodeId> scratch;
-    auto phase = reporter.Phase("nearest_to_scratch",
-                                static_cast<double>(rounds) * n);
-    for (int r = 0; r < rounds; ++r) {
-      for (NodeId from = 0; from < n; ++from) {
-        m.NearestTo(from, k, scratch);
-        if (scratch.empty()) {
-          return;
-        }
-      }
-    }
-  }
-  reporter.Derive("speedup_nearest_to_scratch",
-                  reporter.PhaseMs("nearest_to_alloc") /
-                      reporter.PhaseMs("nearest_to_scratch"));
 }
 
 void BenchClusteredExperiment(np::bench::Reporter& reporter, bool quick) {
@@ -348,8 +292,8 @@ void BenchTruthScan(np::bench::Reporter& reporter, bool quick) {
 
 // Raw costs of the remaining building blocks (kept from the original
 // micro suite so their perf trajectory stays tracked): clustered world
-// generation, Chord lookups, Vivaldi training, topology latency
-// queries, path-graph close-peer scans.
+// generation, Chord lookups, a coord-vivaldi overlay build, topology
+// latency queries, path-graph close-peer scans.
 void BenchBuildingBlocks(np::bench::Reporter& reporter, bool quick) {
   {
     np::matrix::ClusteredConfig config;
@@ -445,16 +389,14 @@ int main() {
   np::bench::PrintHeader(
       "micro_core",
       "raw costs of the simulation core: blocked/parallel Floyd-Warshall "
-      "vs serial, triangle scan, allocation-free nearest queries, "
-      "Meridian build/query, clustered experiment serial vs parallel, "
-      "truth scoring generic vs the embedded kernel.");
+      "vs serial, Meridian build/query, clustered experiment serial vs "
+      "parallel, truth scoring generic vs the embedded kernel.");
   const bool quick = np::bench::QuickScale();
 
   np::bench::Reporter reporter("core");
   np::bench::Stopwatch total;
 
   BenchMetricRepair(reporter, quick ? 512 : 2000);
-  BenchNearestQueries(reporter, quick ? 256 : 1024, quick ? 3 : 10);
   BenchClusteredExperiment(reporter, quick);
   BenchMeridian(reporter, quick ? 400 : 2400, quick ? 200 : 1000);
   BenchTruthScan(reporter, quick);
@@ -465,8 +407,8 @@ int main() {
                   np::util::ResolveThreadCount(0));
   reporter.Write();
   np::bench::PrintNote(
-      "speedup_* compare the serial reference against the blocked/"
-      "parallel paths; *_match = 1 means bit-identical across thread "
-      "counts, *_agreement = 1 means within rounding of serial.");
+      "speedup_* compare a serial or generic reference against the "
+      "blocked/parallel path or the embedded kernel; *_match = 1 means "
+      "bit-identical, *_agreement = 1 means within rounding of serial.");
   return 0;
 }

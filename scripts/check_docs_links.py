@@ -6,6 +6,8 @@ line) for [text](target) links, skips external schemes and pure
 anchors, resolves each target relative to the linking file, and fails
 (exit 1) listing every dangling link. Used by the CI docs job so
 README/docs restructures cannot leave broken cross-references behind.
+A tracked file that is missing from the working tree is skipped with a
+note; a link *to* a missing file is still reported as dangling.
 
 Usage:
   scripts/check_docs_links.py [FILE.md ...]
@@ -52,8 +54,14 @@ def main():
         subprocess.run(["git", "rev-parse", "--show-toplevel"],
                        capture_output=True, text=True,
                        check=True).stdout.strip())
-    files = ([Path(arg).resolve() for arg in sys.argv[1:]]
-             or tracked_markdown(root))
+    files = [Path(arg).resolve() for arg in sys.argv[1:]]
+    if not files:
+        for path in tracked_markdown(root):
+            if path.exists():
+                files.append(path)
+            else:
+                print(f"note: {path.relative_to(root)} is tracked but "
+                      "missing from the working tree; skipped")
     dangling = []
     for path in files:
         dangling.extend(check_file(path, root))

@@ -364,9 +364,9 @@ void ChurnDriver::Join(NodeId node, util::Rng& rng) {
   }
 }
 
-void ChurnDriver::Leave(NodeId node) {
+void ChurnDriver::Drop(NodeId node) {
   const auto it = member_pos_.find(node);
-  NP_ENSURE(it != member_pos_.end(), "leaving node is not a member");
+  NP_ENSURE(it != member_pos_.end(), "departing node is not a member");
   const std::size_t position = it->second;
   const std::size_t last = members_.size() - 1;
   if (position != last) {
@@ -375,6 +375,10 @@ void ChurnDriver::Leave(NodeId node) {
   }
   members_.pop_back();
   member_pos_.erase(it);
+}
+
+void ChurnDriver::Leave(NodeId node) {
+  Drop(node);
   if (algo_ != nullptr) {
     algo_->RemoveMember(node);
   }
@@ -384,16 +388,7 @@ void ChurnDriver::Crash(NodeId node) {
   // Like Leave, but: no RemoveMember (nobody was told), no return to
   // the pool (the host is gone for good, and a pooled copy could
   // rejoin while its stale overlay entries still linger).
-  const auto it = member_pos_.find(node);
-  NP_ENSURE(it != member_pos_.end(), "crashing node is not a member");
-  const std::size_t position = it->second;
-  const std::size_t last = members_.size() - 1;
-  if (position != last) {
-    members_[position] = members_[last];
-    member_pos_[members_[position]] = position;
-  }
-  members_.pop_back();
-  member_pos_.erase(it);
+  Drop(node);
   crashed_.insert(node);
   pending_repairs_.push_back(node);
 }

@@ -215,6 +215,9 @@ class ChurnDriver {
   void ApplyEvent(const ChurnEvent& event, std::size_t index,
                   ChurnStats& stats);
   void Join(NodeId node, util::Rng& rng);
+  /// Removes a member from members_ by swap-and-pop: the last member
+  /// fills its slot, so later uniform draws see that order.
+  void Drop(NodeId node);
   void Leave(NodeId node);
   /// Membership removal without algorithm notification.
   void Crash(NodeId node);

@@ -82,8 +82,6 @@ ProbePolicy::ProbePolicy(ProbePolicyConfig config, ProbeCounter* counter,
     : config_(config), counter_(counter), suspicion_(suspicion) {
   NP_ENSURE(config.max_attempts >= 1,
             "ProbePolicy needs at least one attempt");
-  NP_ENSURE(config.timeout_ms >= 0.0 && config.backoff_factor >= 1.0,
-            "ProbePolicy timeout/backoff must be non-negative/>= 1");
 }
 
 std::optional<LatencyMs> ProbePolicy::Attempt(const LatencySpace& space,
@@ -129,24 +127,6 @@ std::optional<LatencyMs> ProbePolicy::ProbationProbe(const LatencySpace& space,
     counter_->AddProbationProbes(1);
   }
   return Attempt(space, node, target);
-}
-
-double ProbePolicy::AttemptTimeoutMs(int attempt) const {
-  NP_ENSURE(attempt >= 0 && attempt < config_.max_attempts,
-            "attempt out of range");
-  double timeout = config_.timeout_ms;
-  for (int i = 0; i < attempt; ++i) {
-    timeout *= config_.backoff_factor;
-  }
-  return timeout;
-}
-
-double ProbePolicy::GiveUpCostMs() const {
-  double total = 0.0;
-  for (int i = 0; i < config_.max_attempts; ++i) {
-    total += AttemptTimeoutMs(i);
-  }
-  return total;
 }
 
 const ProbePolicy& ProbePolicy::Default() {

@@ -20,10 +20,6 @@
 // (failed_probes / retries), keeping fault-mode runs auditable and —
 // because the charges are per-probe deterministic quantities summed
 // atomically — thread-count invariant.
-//
-// Timeout/backoff is accounting-only: the simulator has no wall clock,
-// but GiveUpCostMs() exposes how long a caller waited before declaring
-// the target dead, should a latency-budget consumer want it.
 #pragma once
 
 #include <optional>
@@ -48,11 +44,6 @@ inline constexpr int kStartRedraws = 8;
 struct ProbePolicyConfig {
   /// Total attempts per probe (>= 1); 1 means no retry.
   int max_attempts = 1;
-  /// Simulated wait before declaring one attempt lost.
-  double timeout_ms = 500.0;
-  /// Multiplier applied to the timeout after each failed attempt
-  /// (exponential backoff); 1.0 = constant timeout.
-  double backoff_factor = 2.0;
 };
 
 struct SuspicionConfig {
@@ -160,14 +151,6 @@ class ProbePolicy {
   const SuspicionLedger* suspicion() const { return suspicion_; }
 
   int max_attempts() const { return config_.max_attempts; }
-
-  /// Timeout for the given 0-based attempt: timeout_ms grown by
-  /// backoff_factor per preceding failure.
-  double AttemptTimeoutMs(int attempt) const;
-
-  /// Total simulated time spent before giving a target up (the sum of
-  /// all attempt timeouts).
-  double GiveUpCostMs() const;
 
   /// Process-wide default instance (single attempt, no counter): the
   /// exact pre-fault probe behavior, used when no policy is attached.

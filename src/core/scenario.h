@@ -75,12 +75,6 @@ struct FaultConfig {
   /// Suspicion / failure detector (see SuspicionLedger); strikes == 0
   /// disables it.
   SuspicionConfig suspicion{/*strikes=*/0};
-
-  /// True iff any correlated pathology is configured.
-  bool Partitioned() const {
-    return !partitions.empty() || (grey_node_frac > 0.0 && grey_loss_rate > 0.0)
-           || asymmetric_loss > 0.0;
-  }
 };
 
 struct ScenarioConfig {
@@ -168,7 +162,7 @@ struct EpochReport {
   /// Retry attempts issued by the probe policy this epoch.
   std::uint64_t retries = 0;
 
-  // Partition-mode metrics (FaultConfig::Partitioned()).
+  // Partition-mode metrics (matrix::PartitionSchedule::Any()).
   /// P(found the nearest *reachable* peer): during a partition the
   /// truth is restricted to the target's component, and a query with
   /// no reachable member is scored correct iff it honestly failed.

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/parallel.h"
 
 namespace np::matrix {
 namespace {
 
-// Tile edge for the blocked Floyd-Warshall and the tiled triangle
-// scan. 128 x 128 doubles = 128 KB per tile: the three tiles a
-// relaxation touches fit in L2 together, and the 128-wide inner loop
-// amortizes the vectorized min-store well.
+// Tile edge for the blocked Floyd-Warshall. 128 x 128 doubles = 128 KB
+// per tile: the three tiles a relaxation touches fit in L2 together,
+// and the 128-wide inner loop amortizes the vectorized min-store well.
 constexpr NodeId kTileSize = 128;
 
 /// Relaxes d[i][j] = min(d[i][j], d[i][k] + d[k][j]) for i in
@@ -81,49 +79,28 @@ bool LatencyMatrix::IsValid() const {
   return true;
 }
 
-double LatencyMatrix::MaxTriangleViolation(int num_threads) const {
-  // Banded scan: for a band of rows i the row pointers in play stay
-  // cache-resident. Row i's inner work shrinks as i grows (j > i), so
-  // jobs pair band b with its mirror band num_bands-1-b to keep the
-  // per-job work near-constant under ParallelFor's contiguous
-  // chunking. Each band writes its own slot; the final max-reduce is
-  // serial, so the result does not depend on the thread count.
-  const NodeId num_bands = (n_ + kTileSize - 1) / kTileSize;
-  std::vector<double> band_worst(static_cast<std::size_t>(num_bands), 1.0);
-  const auto scan_band = [&](std::size_t band) {
-    const NodeId i0 = static_cast<NodeId>(band) * kTileSize;
-    const NodeId i1 = std::min(n_, i0 + kTileSize);
-    double worst = 1.0;
-    for (NodeId i = i0; i < i1; ++i) {
-      const LatencyMs* row_i = RowPtr(i);
-      for (NodeId j = i + 1; j < n_; ++j) {
-        const LatencyMs direct = row_i[j];
-        if (direct == 0.0) {
+double LatencyMatrix::MaxTriangleViolation() const {
+  double worst = 1.0;
+  for (NodeId i = 0; i < n_; ++i) {
+    const LatencyMs* row_i = RowPtr(i);
+    for (NodeId j = i + 1; j < n_; ++j) {
+      const LatencyMs direct = row_i[j];
+      if (direct == 0.0) {
+        continue;
+      }
+      const LatencyMs* row_j = RowPtr(j);
+      for (NodeId k = 0; k < n_; ++k) {
+        if (k == i || k == j) {
           continue;
         }
-        const LatencyMs* row_j = RowPtr(j);
-        for (NodeId k = 0; k < n_; ++k) {
-          if (k == i || k == j) {
-            continue;
-          }
-          const LatencyMs detour = row_i[k] + row_j[k];
-          if (detour > 0.0) {
-            worst = std::max(worst, direct / detour);
-          }
+        const LatencyMs detour = row_i[k] + row_j[k];
+        if (detour > 0.0) {
+          worst = std::max(worst, direct / detour);
         }
       }
     }
-    band_worst[band] = worst;
-  };
-  const std::size_t num_jobs = (static_cast<std::size_t>(num_bands) + 1) / 2;
-  util::ParallelFor(0, num_jobs, num_threads, [&](std::size_t job) {
-    scan_band(job);
-    const std::size_t mirror = static_cast<std::size_t>(num_bands) - 1 - job;
-    if (mirror != job) {
-      scan_band(mirror);
-    }
-  });
-  return *std::max_element(band_worst.begin(), band_worst.end()) - 1.0;
+  }
+  return worst - 1.0;
 }
 
 void LatencyMatrix::MetricRepairSerial() {
@@ -190,37 +167,6 @@ void LatencyMatrix::MetricRepair(int num_threads) {
       }
     });
   }
-}
-
-std::vector<NodeId> LatencyMatrix::NearestTo(NodeId from,
-                                             std::size_t count) const {
-  std::vector<NodeId> out;
-  NearestTo(from, count, out);
-  return out;
-}
-
-void LatencyMatrix::NearestTo(NodeId from, std::size_t count,
-                              std::vector<NodeId>& out) const {
-  CheckNode(from);
-  out.clear();
-  out.reserve(nn_ - 1);
-  for (NodeId i = 0; i < n_; ++i) {
-    if (i != from) {
-      out.push_back(i);
-    }
-  }
-  const std::size_t k = std::min(count, out.size());
-  const LatencyMs* row = RowPtr(from);
-  std::partial_sort(out.begin(), out.begin() + static_cast<long>(k),
-                    out.end(), [row](NodeId a, NodeId b) {
-                      const LatencyMs la = row[a];
-                      const LatencyMs lb = row[b];
-                      if (la != lb) {
-                        return la < lb;
-                      }
-                      return a < b;
-                    });
-  out.resize(k);
 }
 
 }  // namespace np::matrix

@@ -8,9 +8,9 @@
 // and the Floyd-Warshall repair can run blocked over cache-sized tiles
 // and in parallel over row bands.
 //
-// Threading: MetricRepair and MaxTriangleViolation take a thread-count
-// knob (0 = hardware_concurrency). Results are bit-identical for every
-// thread count: within a phase, workers only partition independent
+// Threading: MetricRepair takes a thread-count knob (0 =
+// hardware_concurrency). Results are bit-identical for every thread
+// count: within a phase, workers only partition independent
 // tiles, so the same IEEE operations happen regardless of who runs
 // them. Versus the serial reference the *tile schedule* itself can
 // associate path sums differently, so blocked and serial agree
@@ -61,9 +61,8 @@ class LatencyMatrix {
 
   /// Largest triangle-inequality violation ratio:
   ///   max over (i,j,k) of At(i,j) / (At(i,k) + At(k,j)), minus 1.
-  /// 0 means a proper metric. O(n^3), tiled and parallel over row
-  /// bands; num_threads 0 = hardware_concurrency.
-  double MaxTriangleViolation(int num_threads = 0) const;
+  /// 0 means a proper metric. O(n^3), serial.
+  double MaxTriangleViolation() const;
 
   /// Enforces the triangle inequality by relaxing each entry to the
   /// shortest path through any intermediate node (Floyd-Warshall).
@@ -78,16 +77,6 @@ class LatencyMatrix {
   /// single-threaded, no tiling. Kept as the baseline the blocked
   /// version is tested and benchmarked against.
   void MetricRepairSerial();
-
-  /// The n nearest nodes to `from`, ascending by latency, excluding
-  /// `from` itself.
-  std::vector<NodeId> NearestTo(NodeId from, std::size_t count) const;
-
-  /// Allocation-free overload for hot query loops: fills `out` with up
-  /// to `count` nearest nodes, reusing its capacity. `out` is resized
-  /// to the result length.
-  void NearestTo(NodeId from, std::size_t count,
-                 std::vector<NodeId>& out) const;
 
  private:
   void CheckNode(NodeId a) const {

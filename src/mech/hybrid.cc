@@ -82,12 +82,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
   mechanism_hits_ = 0;
   churn_rng_ = util::Rng(rng());
 
-  if (config_.use_chord_map) {
-    map_ = std::make_unique<ChordMap>(members_.members(),
-                                      /*id_salt=*/0xC0FFEE);
-  } else {
-    map_ = std::make_unique<PerfectMap>();
-  }
+  map_ = std::make_unique<PerfectMap>();
 
   ucl_.reset();
   prefix_.reset();
@@ -147,8 +142,6 @@ void HybridNearest::AddMember(NodeId node, util::Rng& rng) {
   if (fallback_ != nullptr) {
     fallback_->AddMember(node, rng);
   }
-  // Note: a Chord-backed map keeps its original ring (the ring hosts
-  // the directory; its own membership protocol is out of scope here).
 }
 
 void HybridNearest::RemoveMember(NodeId node) {

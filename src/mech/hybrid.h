@@ -46,8 +46,6 @@ struct HybridConfig {
   /// Registry-only: deployment model.
   double registry_deploy_prob = 0.5;
   int registry_large_network_hosts = 8;
-  /// Back the directories with Chord instead of the perfect map.
-  bool use_chord_map = false;
 };
 
 class HybridNearest final : public core::NearestPeerAlgorithm {
@@ -110,9 +108,6 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
   /// Fraction of queries answered by the mechanism alone (no fallback).
   double mechanism_hit_rate() const;
 
-  /// Map hop accounting (Chord backend).
-  const KeyValueMap& map() const { return *map_; }
-
  private:
   const net::Topology* topology_;
   HybridConfig config_;
@@ -123,10 +118,9 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
   std::unique_ptr<MulticastBootstrap> multicast_;
   std::unique_ptr<EndNetworkRegistry> registry_;
   core::MemberIndex members_;
-  /// Stream for churn-time directory operations (Chord routing draws
-  /// start nodes); forked from the Build rng so runs stay a pure
-  /// function of the seed. RemoveMember has no rng parameter by
-  /// design — leaves consume from here.
+  /// Stream for churn-time directory operations; forked from the Build
+  /// rng so runs stay a pure function of the seed. RemoveMember has no
+  /// rng parameter by design — leaves consume from here.
   util::Rng churn_rng_{0};
   /// Bumped inside the (otherwise read-only) query path; relaxed
   /// atomics so concurrent queries can share the overlay.

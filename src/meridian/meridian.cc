@@ -469,13 +469,10 @@ TracedResult MeridianOverlay::FindNearestTraced(
     ++result.hops;
   }
 
-  if (config_.return_policy == ReturnPolicy::kBestProbed) {
-    result.found = best;
-    result.found_latency_ms = best_distance;
-  } else {
-    result.found = current;
-    result.found_latency_ms = current_distance;
-  }
+  // Meridian keeps its probe results, so the answer is the closest node
+  // probed anywhere during the query, not only where routing stopped.
+  result.found = best;
+  result.found_latency_ms = best_distance;
   return traced;
 }
 

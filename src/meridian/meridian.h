@@ -35,18 +35,6 @@ enum class RingSelectionPolicy {
   kMaxMin,       // greedy k-center, maximize minimum pairwise latency
 };
 
-/// What the query returns when routing stops.
-enum class ReturnPolicy {
-  /// The lowest-latency node probed anywhere during the query
-  /// (Meridian tracks probe results, so this is what a deployment
-  /// would report).
-  kBestProbed,
-  /// The node the query stopped at — a stricter reading of "the query
-  /// terminates when the current node can find no closer node"; used
-  /// as an ablation.
-  kCurrentNode,
-};
-
 struct MeridianConfig {
   /// Innermost ring radius, ms: ring 0 holds members closer than alpha.
   double alpha_ms = 1.0;
@@ -61,7 +49,6 @@ struct MeridianConfig {
   /// the target than beta * (current distance). The paper uses 0.5.
   double beta = 0.5;
   RingSelectionPolicy selection = RingSelectionPolicy::kMaxMin;
-  ReturnPolicy return_policy = ReturnPolicy::kBestProbed;
   /// Safety cap on forwarding hops.
   int max_hops = 64;
 

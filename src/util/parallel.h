@@ -101,16 +101,4 @@ inline double DeterministicSum(const std::vector<double>& slots) {
   return total;
 }
 
-/// Fills one slot per index with fn(i) under ParallelFor, then returns
-/// the serial DeterministicSum of the slots. The fn contract matches
-/// ParallelFor's.
-inline double ParallelSum(std::size_t begin, std::size_t end, int num_threads,
-                          const std::function<double(std::size_t)>& fn) {
-  std::vector<double> slots(end > begin ? end - begin : 0, 0.0);
-  ParallelFor(begin, end, num_threads, [&slots, begin, &fn](std::size_t i) {
-    slots[i - begin] = fn(i);
-  });
-  return DeterministicSum(slots);
-}
-
 }  // namespace np::util

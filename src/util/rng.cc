@@ -52,8 +52,6 @@ Rng::result_type Rng::operator()() {
   return result;
 }
 
-Rng Rng::Fork(std::uint64_t tag) { return Rng(Mix64((*this)() ^ Mix64(tag))); }
-
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1) double.
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;

@@ -56,10 +56,6 @@ class Rng {
   /// Raw 64 bits.
   result_type operator()();
 
-  /// Derives an independent child generator; `tag` distinguishes
-  /// children derived from the same parent state.
-  Rng Fork(std::uint64_t tag);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

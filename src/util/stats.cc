@@ -88,11 +88,6 @@ std::size_t Cdf::CountAtOrBelow(double x) const {
       std::upper_bound(sorted_.begin(), sorted_.end(), x) - sorted_.begin());
 }
 
-double Cdf::ValueAtQuantile(double q) const {
-  NP_ENSURE(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  return PercentileSorted(sorted_, q * 100.0);
-}
-
 BinnedScatter::BinnedScatter(std::vector<double> edges, bool log_spaced)
     : edges_(std::move(edges)), log_spaced_(log_spaced) {
   bin_values_.resize(edges_.size() - 1);

@@ -51,9 +51,6 @@ class Cdf {
   /// Number of samples <= x.
   std::size_t CountAtOrBelow(double x) const;
 
-  /// Value at the given quantile q in [0, 1] (interpolated).
-  double ValueAtQuantile(double q) const;
-
   /// The sorted sample (ascending); useful for custom rendering.
   const std::vector<double>& sorted() const { return sorted_; }
 

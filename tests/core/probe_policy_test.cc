@@ -100,50 +100,6 @@ TEST(ProbePolicy, EveryAttemptIsBilledThroughTheMeter) {
   EXPECT_EQ(snapshot.retries, 3u);
 }
 
-TEST(ProbePolicy, BackoffArithmetic) {
-  ProbePolicyConfig config;
-  config.max_attempts = 3;
-  config.timeout_ms = 100.0;
-  config.backoff_factor = 2.0;
-  const ProbePolicy policy(config);
-  EXPECT_DOUBLE_EQ(policy.AttemptTimeoutMs(0), 100.0);
-  EXPECT_DOUBLE_EQ(policy.AttemptTimeoutMs(1), 200.0);
-  EXPECT_DOUBLE_EQ(policy.AttemptTimeoutMs(2), 400.0);
-  EXPECT_DOUBLE_EQ(policy.GiveUpCostMs(), 700.0);
-
-  ProbePolicyConfig flat = config;
-  flat.backoff_factor = 1.0;
-  const ProbePolicy flat_policy(flat);
-  EXPECT_DOUBLE_EQ(flat_policy.AttemptTimeoutMs(2), 100.0);
-  EXPECT_DOUBLE_EQ(flat_policy.GiveUpCostMs(), 300.0);
-}
-
-TEST(ProbePolicy, GiveUpCostAcrossAttemptCounts) {
-  // GiveUpCostMs is the geometric sum timeout * (f^k - 1) / (f - 1);
-  // spot-check it across attempt counts instead of trusting one shape.
-  for (const int attempts : {1, 2, 4, 7}) {
-    ProbePolicyConfig config;
-    config.max_attempts = attempts;
-    config.timeout_ms = 50.0;
-    config.backoff_factor = 1.5;
-    const ProbePolicy policy(config);
-    double expected = 0.0;
-    double timeout = config.timeout_ms;
-    for (int a = 0; a < attempts; ++a) {
-      EXPECT_DOUBLE_EQ(policy.AttemptTimeoutMs(a), timeout);
-      expected += timeout;
-      timeout *= config.backoff_factor;
-    }
-    EXPECT_DOUBLE_EQ(policy.GiveUpCostMs(), expected) << attempts;
-  }
-  // One attempt at any backoff factor costs exactly the base timeout.
-  ProbePolicyConfig one;
-  one.max_attempts = 1;
-  one.timeout_ms = 123.0;
-  one.backoff_factor = 9.0;
-  EXPECT_DOUBLE_EQ(ProbePolicy(one).GiveUpCostMs(), 123.0);
-}
-
 TEST(ProbePolicy, StartRedrawExhaustionReturnsHonestFailure) {
   // Every member crashed: the query's start draw can never answer, so
   // after kStartRedraws fresh picks the algorithm must give up with

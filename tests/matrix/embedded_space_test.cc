@@ -69,12 +69,12 @@ TEST(EmbeddedSpace, DistortionMakesTriangleViolationsTunable) {
   config.num_nodes = 60;
   config.distortion = 0.0;
   const double metric_violation =
-      EmbeddedSpace(config).Materialize().MaxTriangleViolation(1);
+      EmbeddedSpace(config).Materialize().MaxTriangleViolation();
   EXPECT_NEAR(metric_violation, 0.0, 1e-12);
 
   config.distortion = 0.5;
   const double distorted_violation =
-      EmbeddedSpace(config).Materialize().MaxTriangleViolation(1);
+      EmbeddedSpace(config).Materialize().MaxTriangleViolation();
   EXPECT_GT(distorted_violation, 0.05);
 }
 

@@ -381,22 +381,6 @@ TEST(Hybrid, FallbackNeverWorseThanMechanismAlone) {
   EXPECT_LE(fallback_total, alone_total + 1e-6);
 }
 
-TEST(Hybrid, ChordBackedMapAccountsHops) {
-  MechFixture f(24, 300);
-  const TopologySpace space(f.topology);
-  const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
-  std::vector<NodeId> members(peers.begin(), peers.end() - 10);
-
-  HybridConfig config;
-  config.mechanism = Mechanism::kUcl;
-  config.use_chord_map = true;
-  HybridNearest hybrid(f.topology, config, nullptr);
-  util::Rng rng(25);
-  hybrid.Build(space, members, rng);
-  EXPECT_GT(hybrid.map().total_hops(), 0u);
-  EXPECT_EQ(hybrid.map().name(), "chord");
-}
-
 TEST(Hybrid, NamesDescribeComposition) {
   MechFixture f(26, 200);
   HybridConfig config;

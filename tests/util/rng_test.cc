@@ -31,27 +31,6 @@ TEST(Rng, DifferentSeedsDifferentStreams) {
   EXPECT_EQ(same, 0);
 }
 
-TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {
-  Rng parent1(7);
-  Rng parent2(7);
-  Rng child_a = parent1.Fork(1);
-  Rng child_b = parent2.Fork(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(child_a(), child_b());
-  }
-  Rng parent3(7);
-  Rng other_tag = parent3.Fork(2);
-  Rng parent4(7);
-  Rng base_tag = parent4.Fork(1);
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (other_tag() == base_tag()) {
-      ++same;
-    }
-  }
-  EXPECT_EQ(same, 0);
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {

@@ -59,17 +59,6 @@ TEST(CdfStats, FractionAndCount) {
   EXPECT_EQ(cdf.CountAtOrBelow(3.0), 3u);
 }
 
-TEST(CdfStats, ValueAtQuantileRoundTrips) {
-  std::vector<double> values;
-  for (int i = 0; i <= 100; ++i) {
-    values.push_back(static_cast<double>(i));
-  }
-  const Cdf cdf(std::move(values));
-  EXPECT_DOUBLE_EQ(cdf.ValueAtQuantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.ValueAtQuantile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(cdf.ValueAtQuantile(1.0), 100.0);
-}
-
 TEST(CdfStats, EmptyThrows) {
   EXPECT_THROW(Cdf({}), Error);
 }
