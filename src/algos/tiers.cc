@@ -388,12 +388,12 @@ core::QueryResult TiersNearest::FindNearest(NodeId target,
   // clusters level by level. An unreachable rep is skipped; if a whole
   // level fails the descent stops at the best answer found so far
   // (kInvalidNode when even the top cluster was silent).
-  std::vector<NodeId> candidates = top_reps_;
+  const std::vector<NodeId>* candidates = &top_reps_;
   for (int level = static_cast<int>(levels_.size()) - 1; level >= 0;
        --level) {
     NodeId best = kInvalidNode;
     LatencyMs best_distance = kInfiniteLatency;
-    for (const NodeId candidate : candidates) {
+    for (const NodeId candidate : *candidates) {
       const auto measured = probe(candidate);
       if (!measured) {
         continue;
@@ -415,10 +415,10 @@ core::QueryResult TiersNearest::FindNearest(NodeId target,
       result.found = best;
     }
     ++result.hops;
-    candidates = ClusterOf(level, best);
+    candidates = &ClusterOf(level, best);
   }
   // Bottom cluster: probe its members for the final answer.
-  for (const NodeId candidate : candidates) {
+  for (const NodeId candidate : *candidates) {
     const auto measured = probe(candidate);
     if (!measured) {
       continue;

@@ -84,10 +84,10 @@ class MatrixSpace final : public LatencySpace {
 /// generation* (see util/pair_stream.h).
 ///
 /// Not thread-safe: the per-pair counters mutate under Latency().
-/// Every call site owns a private instance (one per query, or one for
-/// the serial build/maintenance path — which may live across a whole
-/// scenario run), which is also what keeps the parallel query loops
-/// deterministic.
+/// Every call site owns a private instance (one per query worker,
+/// reseeded per query, or one for the serial build/maintenance path —
+/// which may live across a whole scenario run), which is also what
+/// keeps the parallel query loops deterministic.
 class NoisySpace final : public LatencySpace {
  public:
   /// jitter_frac scales with the RTT (path-length effects);
@@ -117,6 +117,10 @@ class NoisySpace final : public LatencySpace {
     }
     return std::max(noisy, 0.001);
   }
+
+  /// Forgets every per-pair count and restarts the jitter at `seed`:
+  /// the decorator then probes exactly as a new one seeded so.
+  void Reseed(std::uint64_t seed) { stream_.Reset(seed); }
 
  private:
   const LatencySpace* inner_;

@@ -27,4 +27,13 @@ ProbeStack::ProbeStack(const LatencySpace& backend, const ProbeFaults& faults,
               faults.loss_rate, seeds.fault, crashed),
       metered_(faulty_, ledger) {}
 
+void ProbeStack::Reseed(const ProbeSeeds& seeds) {
+  noisy_.Reseed(seeds.noise);
+  if (partitioned_) {
+    partitioned_->Reseed(seeds.partition);
+  }
+  faulty_.Reseed(seeds.fault);
+  metered_.ResetProbes();
+}
+
 }  // namespace np::core

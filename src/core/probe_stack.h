@@ -9,8 +9,11 @@
 // The partition layer is present only when the schedule configures a
 // pathology (PartitionSchedule::Any()). That is exact: an empty
 // schedule makes PartitionedSpace forward every probe verbatim. The
-// stack lives in place (no heap, no copies), so a per-query stack
-// costs what the hand-built chain it replaced did.
+// stack lives in place (no heap, no copies). A query worker builds one
+// stack per batch and Reseed()s it before each query, which puts it in
+// exactly the state of a fresh stack with those seeds while keeping the
+// layers' pair trackers, so a query allocates nothing here once the
+// trackers have grown to the worker's largest query.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,10 @@ class ProbeStack {
   matrix::PartitionedSpace* partition() {
     return partitioned_ ? &*partitioned_ : nullptr;
   }
+  /// Restarts the three stateful layers at `seeds` and zeroes the
+  /// meter: the stack then probes exactly as a fresh one built with
+  /// the same backend, faults, crashed set, ledger and epoch.
+  void Reseed(const ProbeSeeds& seeds);
   /// Re-points the fault layer's crashed-set view.
   void set_crashed(const std::unordered_set<NodeId>* crashed) {
     faulty_.set_crashed(crashed);

@@ -144,22 +144,10 @@ const TargetTruth* TruthMemo::Find(NodeId target) const {
 }
 
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
-                           std::size_t q, TruthMemo& memo,
+                           ProbeStack& stack, std::size_t q, TruthMemo& memo,
                            const TruthMemo* prev) {
   const std::vector<NodeId>& pool = *batch.pool;
-  const auto qi = static_cast<std::uint64_t>(q);
-  util::Rng qrng(batch.query_base ^ qi);
-  // Query-private probe stack (its noise, grey and loss trackers are
-  // stateful); the partition layer is pinned at the batch's epoch.
-  ProbeStack stack(*batch.space,
-                   ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
-                               batch.loss_rate, batch.partition},
-                   ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
-                              batch.fault_base ^ qi},
-                   batch.crashed, batch.ledger);
-  if (matrix::PartitionedSpace* partitioned = stack.partition()) {
-    partitioned->set_epoch(batch.epoch);
-  }
+  util::Rng qrng(batch.query_base ^ static_cast<std::uint64_t>(q));
   const MeteredSpace& metered = stack.metered();
   // The uniform path must keep the exact pre-fault draw (Index, not
   // NextDouble) for byte-identity at zipf 0.
@@ -229,8 +217,21 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                    const std::function<void(std::size_t)>& after_query,
                    const TruthMemo* prev) {
   const QueryRange range = ChunkRange(outcomes.size(), chunks, chunk);
+  // One stack for the whole chunk: its noise, grey and loss trackers
+  // are stateful, so it is chunk-private and reseeded per query; the
+  // partition layer is pinned at the batch's epoch.
+  ProbeStack stack(*batch.space,
+                   ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
+                               batch.loss_rate, batch.partition},
+                   ProbeSeeds{}, batch.crashed, batch.ledger);
+  if (matrix::PartitionedSpace* partitioned = stack.partition()) {
+    partitioned->set_epoch(batch.epoch);
+  }
   for (std::size_t q = range.begin; q < range.end; ++q) {
-    outcomes[q] = RunBatchQuery(batch, algo, q, memo, prev);
+    const auto qi = static_cast<std::uint64_t>(q);
+    stack.Reseed(ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
+                            batch.fault_base ^ qi});
+    outcomes[q] = RunBatchQuery(batch, algo, stack, q, memo, prev);
     if (after_query) {
       after_query(q);
     }

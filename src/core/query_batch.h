@@ -24,6 +24,7 @@
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
 #include "core/probe_counter.h"
+#include "core/probe_stack.h"
 #include "core/scenario.h"
 #include "matrix/generators.h"
 #include "matrix/partitioned_space.h"
@@ -104,8 +105,8 @@ struct QueryBatch {
   /// When false, a query returning no peer is a hard error.
   bool fault_mode = false;
   /// Nullable: correlated-fault plan. When set (and Any()), each
-  /// query's ProbeStack carries a partition layer seeded
-  /// partition_base ^ q, pinned at `epoch`.
+  /// chunk's ProbeStack carries a partition layer pinned at `epoch`,
+  /// reseeded partition_base ^ q for query q.
   const matrix::PartitionSchedule* partition = nullptr;
   /// Nullable: the partition window active this epoch (drives the
   /// nearest-reachable scoring); nullptr when the population is whole.
@@ -186,11 +187,14 @@ class TruthMemo {
 /// Runs query `q` of the batch against `algo` (charging its attached
 /// probe counter/policy) and returns the scored outcome, reading the
 /// target's truth through `memo` (carried from `prev` across
-/// batch.delta when both are set). Thread-safe for ParallelQuerySafe
-/// algorithms when each thread owns its memo: every other mutable
-/// stream (rng, noise, fault, meter) is query-private.
+/// batch.delta when both are set). `stack` is the batch's probe stack
+/// (its faults, crashed set, ledger and epoch) in the state of a fresh
+/// one seeded {noise_base ^ q, partition_base ^ q, fault_base ^ q}:
+/// RunQueryChunk reseeds its one stack to that before each query.
+/// Thread-safe for ParallelQuerySafe algorithms when each thread owns
+/// its memo and stack: the query's rng is private to the call.
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
-                           std::size_t q, TruthMemo& memo,
+                           ProbeStack& stack, std::size_t q, TruthMemo& memo,
                            const TruthMemo* prev = nullptr);
 
 /// Half-open range [begin, end) of query indices.
@@ -205,9 +209,10 @@ QueryRange ChunkRange(std::size_t queries, std::size_t chunks,
                       std::size_t chunk);
 
 /// The per-worker query loop both engines share: runs chunk `chunk` of
-/// `chunks` in query order into `outcomes[q]`, with `memo` private to
-/// the chunk. `after_query` (optional) runs after each query; serving
-/// uses it to time the service wall clock. `prev` (nullable) is the
+/// `chunks` in query order into `outcomes[q]`, with `memo` and one
+/// probe stack, reseeded per query, private to the chunk.
+/// `after_query` (optional) runs after each query; serving uses it to
+/// time the service wall clock. `prev` (nullable) is the
 /// same chunk's memo from the previous epoch, which must not be
 /// written while this chunk runs.
 void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,

@@ -23,7 +23,8 @@
 //
 // Thread-safety: with loss_rate > 0 the per-pair attempt tracker
 // mutates under Latency(), so such instances must be call-site private
-// (one per query / one serial maintenance instance), like NoisySpace.
+// (one per query worker, reseeded per query / one serial maintenance
+// instance), like NoisySpace.
 // With loss_rate == 0 the decorator only *reads* the crashed set and is
 // safe to share across query threads as long as nobody mutates the set
 // concurrently (the scenario engine only mutates it between epochs'
@@ -69,6 +70,10 @@ class FaultySpace final : public core::LatencySpace {
   void set_crashed(const std::unordered_set<NodeId>* crashed) {
     crashed_ = crashed;
   }
+
+  /// Forgets every per-pair attempt count and restarts the loss stream
+  /// at `seed`, as in a new decorator seeded so.
+  void Reseed(std::uint64_t seed) { stream_.Reset(seed); }
 
  private:
   const core::LatencySpace* inner_;

@@ -28,10 +28,11 @@
 //
 // Thread-safety mirrors FaultySpace: with grey failure active the
 // per-pair attempt tracker mutates under Latency(), so instances must
-// be call-site private (one per query, one serial maintenance
-// instance). Without grey failure the decorator is a pure read and
-// shareable across query threads; set_epoch() is serial-only either
-// way (the engines call it between epochs' serial churn windows).
+// be call-site private (one per query worker, reseeded per query; one
+// serial maintenance instance). Without grey failure the decorator is
+// a pure read and shareable across query threads; set_epoch() is
+// serial-only either way (the engines call it between epochs' serial
+// churn windows).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,7 @@ struct PartitionWindow {
 
 /// Immutable correlated-fault plan for one run. The engine owns it and
 /// every PartitionedSpace instance of the run (maintenance stack,
-/// per-query stacks, serving readers) borrows the same object, which is
+/// query-worker stacks, serving readers) borrows the same object, which is
 /// what keeps the partition cut and the grey/asymmetric membership
 /// identical everywhere.
 struct PartitionSchedule {
@@ -117,6 +118,10 @@ class PartitionedSpace final : public core::LatencySpace {
   const PartitionWindow* active_window() const { return active_; }
 
   const PartitionSchedule& schedule() const { return *schedule_; }
+
+  /// Forgets every grey-loss attempt count and restarts that stream at
+  /// `seed`, as in a new decorator seeded so. The epoch stays.
+  void Reseed(std::uint64_t seed) { stream_.Reset(seed); }
 
  private:
   const core::LatencySpace* inner_;

@@ -13,7 +13,9 @@
 //
 // There is no erase and no iteration: lookups and counts never depend
 // on slot order, and Clear() empties every slot while keeping the
-// array. Not thread-safe; owners keep one table per instance.
+// array, so a table reused across queries allocates only while it
+// grows past the largest query it has served. Clearing an empty table
+// costs nothing. Not thread-safe; owners keep one table per instance.
 #pragma once
 
 #include <algorithm>
@@ -65,8 +67,12 @@ class FlatCountTable {
   /// Slots of the current array (0 before the first insert).
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Empties every slot; the array and its capacity stay.
+  /// Empties every slot; the array and its capacity stay. Returns at
+  /// once when the table holds no key.
   void Clear() {
+    if (size_ == 0) {
+      return;
+    }
     std::fill(slots_.begin(), slots_.end(), Slot{kEmptyKey, 0});
     size_ = 0;
   }

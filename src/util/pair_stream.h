@@ -18,9 +18,11 @@
 // what probe order can move.
 //
 // The tracker is a util::FlatCountTable: one flat array of {pair,
-// count} slots, allocated on the first probe, so a per-query instance
-// costs one small array instead of a heap node per pair. A flush empties
-// every slot and keeps the array.
+// count} slots, allocated on the first probe. A flush empties every
+// slot and keeps the array, and so does Reset(seed), which returns the
+// stream to exactly the state of a new PairStream(seed). A query worker
+// resets one stream per query instead of building one, so in steady
+// state a query allocates nothing here.
 //
 // Not thread-safe: Next() mutates the tracker. Owners keep one stream
 // per call-site-private decorator instance.
@@ -53,6 +55,13 @@ class PairStream {
     const std::uint64_t pair = PairKey(a, b);
     const std::uint64_t count = counts_.Increment(pair);
     return Mix64(Mix64(seed_ ^ pair) ^ count);
+  }
+
+  /// Forgets every count and restarts at `seed`: every later draw
+  /// equals that of a new PairStream(seed). The tracker's array stays.
+  void Reset(std::uint64_t seed) {
+    counts_.Clear();
+    seed_ = seed;
   }
 
   /// The current generation's seed.

@@ -5,10 +5,12 @@
 #include <set>
 
 #include "algos/beaconing.h"
+#include "algos/registry.h"
 #include "algos/karger_ruhl.h"
 #include "algos/tapestry.h"
 #include "algos/tiers.h"
 #include "core/experiment.h"
+#include "core/probe_stack.h"
 #include "matrix/generators.h"
 
 namespace np::algos {
@@ -443,6 +445,54 @@ TEST(AllAlgos, ReturnValidMembers) {
   CheckReturnsValidMember(TapestryNearest{TapestryConfig{}}, 33);
   CheckReturnsValidMember(TiersNearest{TiersConfig{}}, 35);
   CheckReturnsValidMember(BeaconingNearest{BeaconingConfig{}}, 37);
+}
+
+// Karger-Ruhl and Tapestry keep their per-query "probed" set in one
+// table per thread, cleared on entry, and Tiers walks its clusters by
+// reference. Nothing of one query may reach the next: the same query,
+// run twice back to back on one thread, each time through a fresh
+// lossy probe stack with the same seeds, must answer and bill the same.
+TEST(AllAlgos, ARepeatedQueryOnOneThreadAnswersAndBillsTheSame) {
+  const auto world = ControlWorld(41, 300);
+  const MatrixSpace space(world.matrix);
+  const core::ProbeFaults faults{0.0, 0.0, 0.2, nullptr};
+  for (const char* name : {"karger-ruhl", "tapestry", "tiers"}) {
+    SCOPED_TRACE(name);
+    const AlgorithmPtr algo = MakeAlgorithm(name);
+    util::Rng build_rng(43);
+    algo->Build(space, FirstN(200), build_rng);
+    int lossy_queries = 0;
+    for (NodeId target = 200; target < 300; ++target) {
+      SCOPED_TRACE(target);
+      const auto t = static_cast<std::uint64_t>(target);
+      core::QueryResult results[2];
+      std::uint64_t billed[2] = {0, 0};
+      for (int run = 0; run < 2; ++run) {
+        const core::ProbeStack stack(space, faults,
+                                     core::ProbeSeeds{0, 0, 47 ^ t});
+        util::Rng rng(53 ^ t);
+        results[run] = algo->Query(target, stack.metered(), rng);
+        billed[run] = stack.metered().probes();
+      }
+      EXPECT_EQ(results[1].found, results[0].found);
+      EXPECT_EQ(results[1].found_latency_ms, results[0].found_latency_ms);
+      EXPECT_EQ(results[1].hops, results[0].hops);
+      EXPECT_EQ(results[1].probes, results[0].probes);
+      EXPECT_EQ(billed[1], billed[0]);
+      // The loss did change the query, or the runs prove little.
+      const core::ProbeStack clean(space, core::ProbeFaults{},
+                                   core::ProbeSeeds{});
+      util::Rng rng(53 ^ t);
+      const core::QueryResult lossless =
+          algo->Query(target, clean.metered(), rng);
+      if (lossless.found != results[0].found ||
+          lossless.hops != results[0].hops ||
+          lossless.probes != results[0].probes) {
+        ++lossy_queries;
+      }
+    }
+    EXPECT_GT(lossy_queries, 10);
+  }
 }
 
 TEST(AllAlgos, InvalidConfigsThrow) {

@@ -4,7 +4,8 @@
 // layer when the schedule configures nothing; that is only sound if an
 // empty-schedule PartitionedSpace forwards every probe verbatim. These
 // tests pin it with noise, loss and a crashed set all on, value for
-// value (NaN for NaN) and probe for probe.
+// value (NaN for NaN) and probe for probe; and they pin that a
+// reseeded stack probes exactly as a fresh one.
 #include "core/probe_stack.h"
 
 #include <gtest/gtest.h>
@@ -106,6 +107,54 @@ TEST(ProbeStack, NonEmptyScheduleKeepsThePartitionLayer) {
                                    &crashed);
   const MeteredSpace chain(faulty);
   ExpectSameProbes(stack.metered(), chain);
+}
+
+// A query worker reseeds one stack per query instead of building one.
+// After thousands of probes under other seeds, with every stateful
+// layer and every pathology on, a reseeded stack must answer and bill
+// exactly as a fresh one.
+TEST(ProbeStack, ReseedMatchesAFreshStack) {
+  const matrix::LatencyMatrix m = RandomMatrix(4);
+  const MatrixSpace space(m);
+  const std::unordered_set<NodeId> crashed = {2, 9};
+  matrix::PartitionSchedule schedule;
+  schedule.grey_node_frac = 0.4;
+  schedule.grey_loss_rate = 0.5;
+  schedule.grey_seed = 41;
+  schedule.asymmetric_frac = 0.2;
+  schedule.asym_seed = 42;
+  matrix::PartitionWindow window;
+  window.start_epoch = 1;
+  window.end_epoch = 3;
+  window.component.assign(kNodes, 0);
+  for (NodeId n = 8; n < kNodes; ++n) {
+    window.component[static_cast<std::size_t>(n)] = 1;
+  }
+  schedule.windows.push_back(window);
+  const ProbeFaults faults{0.1, 0.5, 0.3, &schedule};
+  const ProbeSeeds seeds{51, 52, 53};
+
+  ProbeStack reused(space, faults, ProbeSeeds{61, 62, 63}, &crashed);
+  ASSERT_NE(reused.partition(), nullptr);
+  reused.partition()->set_epoch(2);
+  ASSERT_NE(reused.partition()->active_window(), nullptr);
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    reused.Reseed(ProbeSeeds{70 + round, 80 + round, 90 + round});
+    for (int pass = 0; pass < 2; ++pass) {
+      for (NodeId a = 0; a < kNodes; ++a) {
+        for (NodeId b = 0; b < kNodes; ++b) {
+          reused.metered().Latency(a, b);
+        }
+      }
+    }
+  }
+  EXPECT_GT(reused.metered().probes(), 0u);
+  reused.Reseed(seeds);
+  EXPECT_EQ(reused.metered().probes(), 0u);
+
+  ProbeStack fresh(space, faults, seeds, &crashed);
+  fresh.partition()->set_epoch(2);
+  ExpectSameProbes(reused.metered(), fresh.metered());
 }
 
 TEST(ProbeStack, DefaultFaultsForwardTheBackend) {

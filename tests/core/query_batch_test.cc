@@ -21,6 +21,7 @@
 #include "core/churn.h"
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
+#include "core/probe_stack.h"
 #include "core/query_batch.h"
 #include "core/scenario.h"
 #include "core/serving.h"
@@ -130,18 +131,45 @@ NodeId BruteForceReachable(const LatencySpace& space,
   return best;
 }
 
-/// Every memoized outcome must equal the same query scored with a
-/// fresh memo, and its truth fields must agree with a brute-force
-/// TrueClosestMember (and reachable) scan of that query alone.
+/// Query `q` alone, on a fresh memo and a probe stack built for it
+/// with the seeds RunQueryChunk reseeds its chunk's stack to.
+QueryOutcome RunOnFreshStack(const QueryBatch& batch,
+                             NearestPeerAlgorithm& algo, std::size_t q) {
+  const auto qi = static_cast<std::uint64_t>(q);
+  ProbeStack stack(*batch.space,
+                   ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
+                               batch.loss_rate, batch.partition},
+                   ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
+                              batch.fault_base ^ qi},
+                   batch.crashed, batch.ledger);
+  if (matrix::PartitionedSpace* partitioned = stack.partition()) {
+    partitioned->set_epoch(batch.epoch);
+  }
+  TruthMemo fresh;
+  return RunBatchQuery(batch, algo, stack, q, fresh);
+}
+
+/// Every memoized outcome, and every outcome of the batch rerun in 1
+/// and in 3 chunks (one reseeded stack per chunk), must equal the same
+/// query scored on a fresh memo and a fresh stack; and its truth fields
+/// must agree with a brute-force TrueClosestMember (and reachable) scan
+/// of that query alone.
 void ExpectMatchesBruteForce(const QueryBatch& batch,
                              NearestPeerAlgorithm& algo,
                              const std::vector<QueryOutcome>& memoized) {
   const LatencySpace& space = *batch.space;
+  std::vector<std::vector<QueryOutcome>> rechunked;
+  for (const std::size_t chunks : {1, 3}) {
+    rechunked.push_back(RunEpoch(batch, algo, memoized.size(), chunks));
+  }
   for (std::size_t q = 0; q < memoized.size(); ++q) {
     SCOPED_TRACE(q);
     const QueryOutcome& out = memoized[q];
-    TruthMemo fresh;
-    ExpectSameOutcome(out, RunBatchQuery(batch, algo, q, fresh));
+    const QueryOutcome fresh = RunOnFreshStack(batch, algo, q);
+    ExpectSameOutcome(out, fresh);
+    for (const std::vector<QueryOutcome>& outcomes : rechunked) {
+      ExpectSameOutcome(outcomes[q], fresh);
+    }
 
     const NodeId truth = TrueClosestMember(space, *batch.members, out.target);
     EXPECT_EQ(out.truth_latency, space.Latency(truth, out.target));

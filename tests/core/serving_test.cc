@@ -162,7 +162,8 @@ TEST(Serving, MatchesSerialReplayUnderProbeLoss) {
   ScenarioConfig config = BaseScenario();
   config.fault.loss_rate = 0.1;
   config.fault.max_attempts = 2;
-  for (const std::string name : {"meridian", "karger-ruhl", "tiers"}) {
+  for (const std::string name :
+       {"meridian", "karger-ruhl", "tiers", "tapestry"}) {
     SCOPED_TRACE(name);
     ExpectServingMatchesReplay(
         space, &world.layout, [&] { return MakeAlgo(name); }, schedule,
@@ -194,7 +195,8 @@ TEST(Serving, MatchesSerialReplayWithRepeatTargetsUnderFaults) {
   window.end_epoch = 2;
   window.groups = {{0, 1}, {2, 3}};
   config.fault.partitions.push_back(window);
-  for (const std::string name : {"meridian", "karger-ruhl", "tiers"}) {
+  for (const std::string name :
+       {"meridian", "karger-ruhl", "tiers", "tapestry"}) {
     SCOPED_TRACE(name);
     ExpectServingMatchesReplay(
         space, &world.layout, [&] { return MakeAlgo(name); }, schedule,

@@ -100,5 +100,39 @@ TEST(PairStream, MatchesAnUnorderedMapReferenceAcrossGrowth) {
   EXPECT_GT(stream.tracked_pairs(), 30'000u);
 }
 
+// A query worker resets one stream per query instead of building a new
+// one; every later word must be a new stream's, also when the reset
+// stream had crossed the bound (a remixed seed, a full-size array) and
+// when it crosses the bound again after the reset.
+TEST(PairStream, ResetMatchesAFreshStream) {
+  constexpr std::uint64_t kSeed = 31;
+  const auto distinct = static_cast<std::int64_t>(PairStream::kMaxTrackedPairs);
+  PairStream reused(kSeed);
+  for (std::int64_t i = 1; i <= distinct + 5; ++i) {
+    reused.Next(0, i);
+  }
+  ASSERT_EQ(reused.seed(), Mix64(kSeed));
+
+  for (const std::uint64_t seed : {kSeed, std::uint64_t{97}}) {
+    SCOPED_TRACE(seed);
+    reused.Reset(seed);
+    PairStream fresh(seed);
+    EXPECT_EQ(reused.seed(), fresh.seed());
+    EXPECT_EQ(reused.tracked_pairs(), 0u);
+    // Repeats of a few pairs, then enough distinct pairs to flush.
+    Rng rng(seed);
+    for (int call = 0; call < 5000; ++call) {
+      const std::int64_t a = rng.UniformInt(0, 40);
+      const std::int64_t b = rng.UniformInt(0, 40);
+      ASSERT_EQ(reused.Next(a, b), fresh.Next(a, b)) << "call " << call;
+    }
+    for (std::int64_t i = 1; i <= distinct + 5; ++i) {
+      ASSERT_EQ(reused.Next(1, i), fresh.Next(1, i)) << "pair {1, " << i << "}";
+    }
+    EXPECT_EQ(reused.seed(), fresh.seed());
+    EXPECT_EQ(reused.tracked_pairs(), fresh.tracked_pairs());
+  }
+}
+
 }  // namespace
 }  // namespace np::util
