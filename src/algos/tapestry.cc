@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/contract.h"
 #include "util/error.h"
 #include "util/flat_count_table.h"
 #include "util/parallel.h"
@@ -291,13 +290,7 @@ core::QueryResult TapestryNearest::FindNearest(
   NP_ENSURE(!members_.empty(), "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  // Member ids, billed on first sighting. One table per thread, kept
-  // across queries so that a query allocates only while the table grows.
-  NP_LINT_SUPPRESS("static-state",
-                   "query scratch only: cleared on entry, so no value "
-                   "crosses queries or depends on the thread");
-  thread_local util::FlatCountTable probed;
-  probed.Clear();
+  util::FlatCountTable probed;  // member ids, billed on first sighting
   const auto probe = [&](NodeId node) {
     const auto d = policy.Probe(metered, node, target);
     if (probed.Insert(static_cast<std::uint64_t>(node))) {

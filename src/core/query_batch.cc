@@ -147,7 +147,12 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                            ProbeStack& stack, std::size_t q, TruthMemo& memo,
                            const TruthMemo* prev) {
   const std::vector<NodeId>& pool = *batch.pool;
-  util::Rng qrng(batch.query_base ^ static_cast<std::uint64_t>(q));
+  // Every stream of query q is seeded here from the batch's bases, so
+  // the answer does not depend on which query the stack served before.
+  const auto qi = static_cast<std::uint64_t>(q);
+  util::Rng qrng(batch.query_base ^ qi);
+  stack.Reseed(ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
+                          batch.fault_base ^ qi});
   const MeteredSpace& metered = stack.metered();
   // The uniform path must keep the exact pre-fault draw (Index, not
   // NextDouble) for byte-identity at zipf 0.
@@ -218,8 +223,8 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                    const TruthMemo* prev) {
   const QueryRange range = ChunkRange(outcomes.size(), chunks, chunk);
   // One stack for the whole chunk: its noise, grey and loss trackers
-  // are stateful, so it is chunk-private and reseeded per query; the
-  // partition layer is pinned at the batch's epoch.
+  // are stateful, so it is chunk-private (RunBatchQuery reseeds it per
+  // query); the partition layer is pinned at the batch's epoch.
   ProbeStack stack(*batch.space,
                    ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
                                batch.loss_rate, batch.partition},
@@ -228,9 +233,6 @@ void RunQueryChunk(const QueryBatch& batch, NearestPeerAlgorithm& algo,
     partitioned->set_epoch(batch.epoch);
   }
   for (std::size_t q = range.begin; q < range.end; ++q) {
-    const auto qi = static_cast<std::uint64_t>(q);
-    stack.Reseed(ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
-                            batch.fault_base ^ qi});
     outcomes[q] = RunBatchQuery(batch, algo, stack, q, memo, prev);
     if (after_query) {
       after_query(q);

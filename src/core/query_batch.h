@@ -187,10 +187,10 @@ class TruthMemo {
 /// Runs query `q` of the batch against `algo` (charging its attached
 /// probe counter/policy) and returns the scored outcome, reading the
 /// target's truth through `memo` (carried from `prev` across
-/// batch.delta when both are set). `stack` is the batch's probe stack
-/// (its faults, crashed set, ledger and epoch) in the state of a fresh
-/// one seeded {noise_base ^ q, partition_base ^ q, fault_base ^ q}:
-/// RunQueryChunk reseeds its one stack to that before each query.
+/// batch.delta when both are set). `stack` is built from the batch
+/// (its faults, crashed set, ledger and epoch); the call first reseeds
+/// it {noise_base ^ q, partition_base ^ q, fault_base ^ q}, so whatever
+/// it served before, the query sees a fresh stack's state.
 /// Thread-safe for ParallelQuerySafe algorithms when each thread owns
 /// its memo and stack: the query's rng is private to the call.
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,

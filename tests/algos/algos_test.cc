@@ -447,11 +447,12 @@ TEST(AllAlgos, ReturnValidMembers) {
   CheckReturnsValidMember(BeaconingNearest{BeaconingConfig{}}, 37);
 }
 
-// Karger-Ruhl and Tapestry keep their per-query "probed" set in one
-// table per thread, cleared on entry, and Tiers walks its clusters by
-// reference. Nothing of one query may reach the next: the same query,
-// run twice back to back on one thread, each time through a fresh
-// lossy probe stack with the same seeds, must answer and bill the same.
+// Karger-Ruhl keeps its per-query "probed" set in one table per
+// thread, cleared on entry, and Tiers walks its clusters by reference
+// (Tapestry runs as the control with a table of its own per query).
+// Nothing of one query may reach the next: the same query, run twice
+// back to back on one thread, each time through a fresh lossy probe
+// stack with the same seeds, must answer and bill the same.
 TEST(AllAlgos, ARepeatedQueryOnOneThreadAnswersAndBillsTheSame) {
   const auto world = ControlWorld(41, 300);
   const MatrixSpace space(world.matrix);

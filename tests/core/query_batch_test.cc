@@ -3,6 +3,8 @@
 // scoring of every query, field for field — under latency ties,
 // repeated Zipf targets, membership that changes between epochs, and a
 // partition window that leaves a target's component without members.
+// A chunk's one probe stack, reused across its queries, must answer
+// as a fresh stack per query, with every stateful probe layer in use.
 // Truth carried from the previous epoch's memo across a MemberDelta
 // must equal a full ScanTruth in every epoch of a long membership walk.
 // The engine-level cases check the same through RunScenario/RunServing
@@ -15,12 +17,14 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/churn.h"
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
+#include "core/probe_policy.h"
 #include "core/probe_stack.h"
 #include "core/query_batch.h"
 #include "core/scenario.h"
@@ -131,22 +135,30 @@ NodeId BruteForceReachable(const LatencySpace& space,
   return best;
 }
 
-/// Query `q` alone, on a fresh memo and a probe stack built for it
-/// with the seeds RunQueryChunk reseeds its chunk's stack to.
-QueryOutcome RunOnFreshStack(const QueryBatch& batch,
-                             NearestPeerAlgorithm& algo, std::size_t q) {
+/// A probe stack built for query `q` alone: the batch's faults,
+/// crashed set, ledger and epoch, seeded {noise_base ^ q,
+/// partition_base ^ q, fault_base ^ q}.
+std::unique_ptr<ProbeStack> FreshStack(const QueryBatch& batch,
+                                       std::size_t q) {
   const auto qi = static_cast<std::uint64_t>(q);
-  ProbeStack stack(*batch.space,
-                   ProbeFaults{batch.noise_frac, batch.noise_floor_ms,
-                               batch.loss_rate, batch.partition},
-                   ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
-                              batch.fault_base ^ qi},
-                   batch.crashed, batch.ledger);
-  if (matrix::PartitionedSpace* partitioned = stack.partition()) {
+  auto stack = std::make_unique<ProbeStack>(
+      *batch.space,
+      ProbeFaults{batch.noise_frac, batch.noise_floor_ms, batch.loss_rate,
+                  batch.partition},
+      ProbeSeeds{batch.noise_base ^ qi, batch.partition_base ^ qi,
+                 batch.fault_base ^ qi},
+      batch.crashed, batch.ledger);
+  if (matrix::PartitionedSpace* partitioned = stack->partition()) {
     partitioned->set_epoch(batch.epoch);
   }
+  return stack;
+}
+
+/// Query `q` alone, on a fresh memo and a fresh stack.
+QueryOutcome RunOnFreshStack(const QueryBatch& batch,
+                             NearestPeerAlgorithm& algo, std::size_t q) {
   TruthMemo fresh;
-  return RunBatchQuery(batch, algo, stack, q, fresh);
+  return RunBatchQuery(batch, algo, *FreshStack(batch, q), q, fresh);
 }
 
 /// Every memoized outcome, and every outcome of the batch rerun in 1
@@ -300,6 +312,98 @@ TEST(TruthMemo, ZipfRepeatsScanEachTargetOncePerChunk) {
       }
     }
   }
+}
+
+// --- Stateful probe layers -------------------------------------------------
+
+// Noise, probe loss with retries, grey nodes, one-way loss, a partition
+// window and crashed members, with Zipf targets repeating inside every
+// chunk: a chunk's one stack, reused across its queries, must leave no
+// trace of a query in the next. Every outcome must also equal the
+// algorithm queried directly, without RunBatchQuery, on a stack built
+// with query q's seeds, and each of the three seed bases must move some
+// outcome, so that comparison pins every layer's seed.
+TEST(TruthMemo, LossyChunksMatchAFreshStackPerQuery) {
+  const matrix::LatencyMatrix m = RandomMatrix(90, 7);
+  const MatrixSpace space(m);
+  std::vector<NodeId> members;
+  std::vector<NodeId> pool;
+  for (NodeId n = 0; n < 90; ++n) {
+    (n % 3 == 0 ? members : pool).push_back(n);
+  }
+  const std::vector<double> zipf = ZipfCdf(pool.size(), 1.0);
+  const std::unordered_set<NodeId> crashed = {3, 12};
+  matrix::PartitionSchedule schedule;
+  schedule.grey_node_frac = 0.3;
+  schedule.grey_loss_rate = 0.5;
+  schedule.grey_seed = 41;
+  schedule.asymmetric_frac = 0.1;
+  schedule.asym_seed = 42;
+  matrix::PartitionWindow window;
+  window.start_epoch = 0;
+  window.end_epoch = 1;
+  window.component.assign(90, 0);
+  for (NodeId n = 75; n < 90; ++n) {
+    window.component[static_cast<std::size_t>(n)] = 1;
+  }
+  schedule.windows.push_back(window);
+  constexpr std::size_t kQueries = 240;
+
+  QueryBatch batch = MakeBatch(space, members, pool, zipf, 0);
+  batch.fault_mode = true;
+  batch.noise_frac = 0.1;
+  batch.noise_floor_ms = 0.5;
+  batch.loss_rate = 0.2;
+  batch.partition = &schedule;
+  batch.active_window = &schedule.windows[0];
+  batch.crashed = &crashed;
+  ASSERT_TRUE(schedule.GreyActive());
+
+  algos::KargerRuhlNearest algo{algos::KargerRuhlConfig{}};
+  util::Rng build_rng(11);
+  algo.Build(space, members, build_rng);
+  const ProbePolicy policy(ProbePolicyConfig{3});
+  algo.AttachProbePolicy(&policy);
+
+  const std::vector<QueryOutcome> outcomes = RunEpoch(batch, algo, kQueries, 2);
+  ExpectMatchesBruteForce(batch, algo, outcomes);
+
+  std::size_t failed = 0;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    SCOPED_TRACE(q);
+    const auto qi = static_cast<std::uint64_t>(q);
+    util::Rng qrng(batch.query_base ^ qi);
+    const NodeId target = pool[ZipfIndex(zipf, qrng.NextDouble())];
+    const std::unique_ptr<ProbeStack> stack = FreshStack(batch, q);
+    const QueryResult direct = algo.Query(target, stack->metered(), qrng);
+    EXPECT_EQ(outcomes[q].target, target);
+    EXPECT_EQ(outcomes[q].found, direct.found);
+    EXPECT_EQ(outcomes[q].probes, stack->metered().probes());
+    if (direct.found != kInvalidNode) {
+      EXPECT_EQ(outcomes[q].hops, direct.hops);
+    }
+    failed += outcomes[q].failed ? 1 : 0;
+  }
+  EXPECT_GT(failed, 0u);
+
+  const auto moved = [&](std::uint64_t QueryBatch::*base) {
+    QueryBatch shifted = batch;
+    shifted.*base ^= 0x9e3779b97f4a7c15ULL;
+    const std::vector<QueryOutcome> other =
+        RunEpoch(shifted, algo, kQueries, 2);
+    std::size_t differ = 0;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      differ += other[q].found != outcomes[q].found ||
+                        other[q].probes != outcomes[q].probes
+                    ? 1
+                    : 0;
+    }
+    return differ;
+  };
+  EXPECT_GT(moved(&QueryBatch::noise_base), 0u);
+  EXPECT_GT(moved(&QueryBatch::partition_base), 0u);
+  EXPECT_GT(moved(&QueryBatch::fault_base), 0u);
+  algo.AttachProbePolicy(nullptr);
 }
 
 // --- Membership changes between epochs -------------------------------------
