@@ -11,11 +11,6 @@ namespace np::algos {
 
 BeaconingNearest::BeaconingNearest(BeaconingConfig config)
     : config_(config) {
-  NP_ENSURE(config_.num_beacons >= 1, "need at least one beacon");
-  NP_ENSURE(config_.band_abs_ms >= 0.0 && config_.band_rel >= 0.0,
-            "bands must be non-negative");
-  NP_ENSURE(config_.quorum > 0.0 && config_.quorum <= 1.0,
-            "quorum must be in (0, 1]");
   NP_ENSURE(config_.max_probe_candidates >= 1,
             "must probe at least one candidate");
 }
@@ -40,7 +35,7 @@ void BeaconingNearest::BuildImpl(const core::LatencySpace& space,
   const std::vector<NodeId>& ids = members_.members();
 
   const std::size_t k = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.num_beacons), ids.size());
+      static_cast<std::size_t>(kNumBeacons), ids.size());
   beacons_.clear();
   for (std::size_t pick : rng.Sample(ids.size(), k)) {
     beacons_.push_back(ids[pick]);
@@ -154,7 +149,7 @@ core::QueryResult BeaconingNearest::FindNearest(
   // each beacon; rank candidates by triangulation score (max absolute
   // deviation across beacons, lower = better estimate).
   const int quorum_votes = std::max(
-      1, static_cast<int>(std::ceil(config_.quorum *
+      1, static_cast<int>(std::ceil(kQuorum *
                                     static_cast<double>(beacons_.size()))));
   std::vector<std::pair<double, NodeId>> candidates;
   for (std::size_t m = 0; m < ids.size(); ++m) {
@@ -167,8 +162,7 @@ core::QueryResult BeaconingNearest::FindNearest(
       if (!beacon_ok[b]) {
         continue;
       }
-      const double band = std::max(config_.band_abs_ms,
-                                   config_.band_rel * beacon_to_target[b]);
+      const double band = std::max(kBandAbsMs, kBandRel * beacon_to_target[b]);
       const double deviation =
           std::abs(beacon_latency_[b][m] - beacon_to_target[b]);
       worst_deviation = std::max(worst_deviation, deviation);

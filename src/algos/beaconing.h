@@ -18,19 +18,20 @@
 namespace np::algos {
 
 struct BeaconingConfig {
-  int num_beacons = 8;
-  /// A beacon nominates peer m for target t when
-  /// |lat(b,m) - lat(b,t)| <= max(band_abs_ms, band_rel * lat(b,t)).
-  double band_abs_ms = 1.0;
-  double band_rel = 0.1;
-  /// Require nominations from at least this fraction of beacons.
-  double quorum = 1.0;
   /// Cap on candidates probed per query (closest-estimate first).
   int max_probe_candidates = 64;
 };
 
 class BeaconingNearest final : public core::NearestPeerAlgorithm {
  public:
+  static constexpr int kNumBeacons = 8;
+  /// A beacon nominates peer m for target t when
+  /// |lat(b,m) - lat(b,t)| <= max(kBandAbsMs, kBandRel * lat(b,t)).
+  static constexpr double kBandAbsMs = 1.0;
+  static constexpr double kBandRel = 0.1;
+  /// Require nominations from at least this fraction of beacons.
+  static constexpr double kQuorum = 1.0;
+
   explicit BeaconingNearest(BeaconingConfig config);
 
   std::string name() const override { return "beaconing"; }

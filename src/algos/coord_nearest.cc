@@ -117,29 +117,13 @@ std::string CoordSchemeName(CoordScheme scheme) {
 
 CoordNearest::CoordNearest(CoordConfig config) : config_(config) {
   NP_ENSURE(config_.dimensions >= 1, "need at least one dimension");
-  NP_ENSURE(config_.gossip_rounds >= 1 && config_.gossip_neighbors >= 1 &&
-                config_.refresh_candidates >= 1,
-            "invalid gossip schedule");
+  NP_ENSURE(config_.gossip_rounds >= 1, "invalid gossip schedule");
   NP_ENSURE(config_.sharpen_cycles >= 0 && config_.sharpen_rounds >= 1,
             "invalid sharpening schedule");
-  NP_ENSURE(config_.placement_samples >= 1 && config_.placement_passes >= 1,
-            "invalid placement schedule");
-  NP_ENSURE(config_.refine_candidates >= 1,
-            "must verify at least one candidate");
-  NP_ENSURE(config_.join_samples >= 1, "joiners need bootstrap probes");
-  NP_ENSURE(config_.gossip_probes_per_event >= 0,
-            "gossip probes must be non-negative");
   if (config_.scheme == CoordScheme::kLandmark) {
     NP_ENSURE(config_.num_landmarks >= config_.dimensions + 1,
               "need at least dims+1 landmarks for a stable embedding");
     NP_ENSURE(config_.landmark_iterations >= 1, "invalid landmark schedule");
-  }
-  if (config_.scheme == CoordScheme::kPic) {
-    NP_ENSURE(config_.walk_neighbors >= 1 && config_.link_candidates >= 1,
-              "invalid link schedule");
-    NP_ENSURE(config_.random_links >= 0, "random links must be >= 0");
-    NP_ENSURE(config_.num_walks >= 1 && config_.max_walk_hops >= 1,
-              "invalid walk schedule");
   }
 }
 
@@ -231,10 +215,10 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
   // Per-member close-neighbor sets, filled in by the sharpening
   // cycles below (empty during the coarse phase).
   const std::size_t k = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.gossip_neighbors), n - 1);
+      static_cast<std::size_t>(kGossipNeighbors), n - 1);
   std::vector<std::vector<std::size_t>> close_sets(n);
   const std::size_t half = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(config_.gossip_neighbors / 2, 1)),
+      static_cast<std::size_t>(std::max(kGossipNeighbors / 2, 1)),
       k);
 
   // Per-member (measured rtt, slot) ledger of the nearest contacts
@@ -312,7 +296,7 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
           }
           VivaldiSpringUpdate(&coords_[m * dims], errors_[m],
                               &prev_coords[j * dims], prev_errors[j],
-                              *measured, config_.dimensions, ce, config_.cc, r);
+                              *measured, config_.dimensions, ce, kCc, r);
         }
       });
     }
@@ -320,7 +304,7 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
 
   // Phase 1: coarse placement — one fresh random contact per member
   // per round lays out the global geometry.
-  run_rounds(0, config_.gossip_rounds, config_.ce, config_.ce * 0.4,
+  run_rounds(0, config_.gossip_rounds, kCe, kCe * 0.4,
              /*contacts_per_round=*/1);
 
   // Phase 2: iterative sharpening. Random far partners pin each
@@ -356,7 +340,7 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
         }
       }
       const std::size_t cand = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.refresh_candidates), n - 1);
+          static_cast<std::size_t>(kRefreshCandidates), n - 1);
       for (std::size_t s : r.Sample(n - 1, cand)) {
         candidates.push_back(s >= m ? s + 1 : s);
       }
@@ -446,15 +430,14 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
             row[d] = anchor_row[d] + r.Gaussian(0.0, 0.25 * (rtt + 1.0));
           }
           errors_[m] = 0.5;
-          for (int pass = 0; pass < config_.placement_passes; ++pass) {
+          for (int pass = 0; pass < kPlacementPasses; ++pass) {
             const double decay =
-                1.0 -
-                0.9 * static_cast<double>(pass) / config_.placement_passes;
+                1.0 - 0.9 * static_cast<double>(pass) / kPlacementPasses;
             for (const auto& entry : meas) {
               VivaldiSpringUpdate(
                   row, errors_[m], &prev_coords[entry.second * dims],
                   prev_errors[entry.second], entry.first,
-                  config_.dimensions, config_.ce * decay, config_.cc, r);
+                  config_.dimensions, kCe * decay, kCc, r);
             }
           }
         }
@@ -462,13 +445,13 @@ void CoordNearest::TrainGossip(std::uint64_t base, int num_threads) {
       meas.clear();
     });
     // ce decays across the whole sharpening schedule, not per cycle.
-    const double span = config_.ce * 0.4 - config_.ce * 0.05;
+    const double span = kCe * 0.4 - kCe * 0.05;
     const double ce_hi =
-        config_.ce * 0.4 -
+        kCe * 0.4 -
         span * static_cast<double>(cycle * config_.sharpen_rounds) /
             total_polish;
     const double ce_lo =
-        config_.ce * 0.4 -
+        kCe * 0.4 -
         span * static_cast<double>((cycle + 1) * config_.sharpen_rounds) /
             total_polish;
     run_rounds(config_.gossip_rounds + cycle * config_.sharpen_rounds,
@@ -578,9 +561,9 @@ void CoordNearest::RelaxAgainst(
     return;
   }
   const auto dims = static_cast<std::size_t>(config_.dimensions);
-  for (int pass = 0; pass < config_.placement_passes; ++pass) {
+  for (int pass = 0; pass < kPlacementPasses; ++pass) {
     const double decay =
-        1.0 - 0.9 * static_cast<double>(pass) / config_.placement_passes;
+        1.0 - 0.9 * static_cast<double>(pass) / kPlacementPasses;
     for (const auto& [slot, rtt] : measured) {
       if (config_.scheme == CoordScheme::kLandmark) {
         LandmarkRelax(self, &coords_[slot * dims], rtt, config_.dimensions,
@@ -588,7 +571,7 @@ void CoordNearest::RelaxAgainst(
       } else {
         VivaldiSpringUpdate(self, self_error, &coords_[slot * dims],
                             errors_[slot], rtt, config_.dimensions,
-                            config_.ce * decay, config_.cc, rng);
+                            kCe * decay, kCc, rng);
       }
     }
   }
@@ -603,7 +586,7 @@ std::vector<NodeId> CoordNearest::ComputeLinks(std::size_t slot,
     return links;
   }
   const std::size_t k_cand = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.link_candidates), n - 1);
+      static_cast<std::size_t>(kLinkCandidates), n - 1);
   const std::vector<std::size_t> sample = rng.Sample(n - 1, k_cand);
   std::vector<std::pair<double, NodeId>> ranked;
   ranked.reserve(k_cand);
@@ -617,10 +600,10 @@ std::vector<NodeId> CoordNearest::ComputeLinks(std::size_t slot,
     ranked.push_back({DistanceToSlot(self, other), ids[other]});
   }
   const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.walk_neighbors), ranked.size());
+      static_cast<std::size_t>(kWalkNeighbors), ranked.size());
   std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(keep),
                     ranked.end());
-  links.reserve(keep + static_cast<std::size_t>(config_.random_links));
+  links.reserve(keep + static_cast<std::size_t>(kRandomLinks));
   for (std::size_t t = 0; t < keep; ++t) {
     links.push_back(ranked[t].second);
   }
@@ -629,7 +612,7 @@ std::vector<NodeId> CoordNearest::ComputeLinks(std::size_t slot,
   for (std::size_t c :
        candidate_slots) {
     if (static_cast<int>(links.size()) >=
-        config_.walk_neighbors + config_.random_links) {
+        kWalkNeighbors + kRandomLinks) {
       break;
     }
     if (std::find(links.begin(), links.end(), ids[c]) == links.end()) {
@@ -651,7 +634,7 @@ void CoordNearest::BuildLinks(std::uint64_t base, int num_threads) {
 
   // One-shot sampled kNN links mostly miss the true coordinate-nearest
   // neighbors (each is in the sample with probability
-  // link_candidates/n), and greedy walks stall on the resulting weak
+  // kLinkCandidates/n), and greedy walks stall on the resulting weak
   // graph. Refine decentralized: each pass re-ranks every member's
   // links against its links' links plus a fresh random sample — the
   // same neighbor-of-neighbor discovery the gossip sharpening uses —
@@ -675,7 +658,7 @@ void CoordNearest::BuildLinks(std::uint64_t base, int num_threads) {
         }
       }
       const std::size_t cand = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.link_candidates), n - 1);
+          static_cast<std::size_t>(kLinkCandidates), n - 1);
       for (std::size_t s : r.Sample(n - 1, cand)) {
         candidates.push_back(s >= m ? s + 1 : s);
       }
@@ -692,21 +675,19 @@ void CoordNearest::BuildLinks(std::uint64_t base, int num_threads) {
         ranked.push_back({DistanceToSlot(self, other), ids[other]});
       }
       const std::size_t keep = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.walk_neighbors), ranked.size());
+          static_cast<std::size_t>(kWalkNeighbors), ranked.size());
       std::partial_sort(ranked.begin(),
                         ranked.begin() + static_cast<long>(keep),
                         ranked.end());
       std::vector<NodeId> refined;
-      refined.reserve(keep + static_cast<std::size_t>(config_.random_links));
+      refined.reserve(keep + static_cast<std::size_t>(kRandomLinks));
       for (std::size_t t = 0; t < keep; ++t) {
         refined.push_back(ranked[t].second);
       }
       // Keep random escape links so walks can cross the space.
-      for (std::size_t s :
-           r.Sample(n - 1, std::min<std::size_t>(
-                               static_cast<std::size_t>(std::max(
-                                   config_.random_links, 0)),
-                               n - 1))) {
+      const std::size_t escapes =
+          std::min<std::size_t>(static_cast<std::size_t>(kRandomLinks), n - 1);
+      for (std::size_t s : r.Sample(n - 1, escapes)) {
         const std::size_t other = s >= m ? s + 1 : s;
         if (std::find(refined.begin(), refined.end(), ids[other]) ==
             refined.end()) {
@@ -739,7 +720,7 @@ bool CoordNearest::PlaceTarget(NodeId target,
     }
   } else {
     const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.placement_samples), n);
+        static_cast<std::size_t>(kPlacementSamples), n);
     measured.reserve(k);
     for (std::size_t slot : rng.Sample(n, k)) {
       const auto rtt = policy.Probe(metered, ids[slot], target);
@@ -786,10 +767,10 @@ core::QueryResult CoordNearest::FindNearest(NodeId target,
     // endpoints plus their link neighborhoods (a decentralized node
     // sees only its links, not a global coordinate directory).
     std::vector<NodeId> seen;
-    for (int walk = 0; walk < config_.num_walks; ++walk) {
+    for (int walk = 0; walk < kNumWalks; ++walk) {
       std::size_t current = rng.Index(n);
       double current_predicted = DistanceToSlot(target_coord.data(), current);
-      for (int hop = 0; hop < config_.max_walk_hops; ++hop) {
+      for (int hop = 0; hop < kMaxWalkHops; ++hop) {
         std::size_t best = current;
         double best_predicted = current_predicted;
         for (NodeId link : links_[current]) {
@@ -844,8 +825,7 @@ core::QueryResult CoordNearest::FindNearest(NodeId target,
   }
 
   const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.refine_candidates),
-      candidates.size());
+      static_cast<std::size_t>(kRefineCandidates), candidates.size());
   std::partial_sort(candidates.begin(),
                     candidates.begin() + static_cast<long>(keep),
                     candidates.end());
@@ -877,8 +857,7 @@ void CoordNearest::LinkJoiner(std::size_t slot, util::Rng& rng) {
   // evicting the coordinate-farthest entry (stale entries first), so
   // long churn cannot grow them without bound.
   const std::size_t cap =
-      static_cast<std::size_t>(config_.walk_neighbors +
-                               config_.random_links) + 4;
+      static_cast<std::size_t>(kWalkNeighbors + kRandomLinks) + 4;
   for (NodeId neighbor : links_[slot]) {
     const std::size_t ns = members_.PositionOf(neighbor);
     if (ns == core::MemberIndex::kNoPosition) {
@@ -921,7 +900,7 @@ void CoordNearest::GossipRefresh(util::Rng& rng) {
   }
   const auto dims = static_cast<std::size_t>(config_.dimensions);
   const core::ProbePolicy& policy = probe_policy();
-  for (int g = 0; g < config_.gossip_probes_per_event; ++g) {
+  for (int g = 0; g < kGossipProbesPerEvent; ++g) {
     if (config_.scheme == CoordScheme::kLandmark) {
       if (landmarks_.empty()) {
         return;
@@ -950,8 +929,8 @@ void CoordNearest::GossipRefresh(util::Rng& rng) {
       }
       VivaldiSpringUpdate(&coords_[a * dims], errors_[a],
                           &coords_[b * dims], errors_[b], *measured,
-                          config_.dimensions, config_.ce * kGossipCeFrac,
-                          config_.cc, rng);
+                          config_.dimensions, kCe * kGossipCeFrac,
+                          kCc, rng);
     }
   }
 }
@@ -982,7 +961,7 @@ void CoordNearest::AddMember(NodeId node, util::Rng& rng) {
     }
   } else if (old_n >= 1) {
     const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.join_samples), old_n);
+        static_cast<std::size_t>(kJoinSamples), old_n);
     measured.reserve(k);
     for (std::size_t s : rng.Sample(old_n, k)) {
       const auto rtt = policy.Probe(*space_, node, ids[s]);

@@ -44,18 +44,16 @@ enum class CoordScheme {
 /// "coord-vivaldi" | "coord-pic" | "coord-landmark".
 std::string CoordSchemeName(CoordScheme scheme);
 
+/// The settings callers change: the scheme, the dimension, and the
+/// training schedule (tests shorten it). Every other parameter is a
+/// CoordNearest constant.
 struct CoordConfig {
   CoordScheme scheme = CoordScheme::kVivaldi;
   int dimensions = 3;
-  /// Vivaldi adaptive-timestep / error-adaptation constants.
-  double ce = 0.25;
-  double cc = 0.25;
   /// Coarse-phase gossip rounds; each round every member probes one
   /// sampled gossip neighbor (billed — n probes per round). Lays out
   /// the global geometry over a random graph.
   int gossip_rounds = 384;
-  /// Gossip-neighbor set size per member.
-  int gossip_neighbors = 8;
   /// Sharpening cycles after the coarse phase. Each cycle re-anchors
   /// half of every member's neighbor set to its coordinate-nearest
   /// candidates — discovered decentralized, from its neighbors'
@@ -67,43 +65,14 @@ struct CoordConfig {
   /// paper's close-neighbor observation, applied iteratively).
   int sharpen_cycles = 8;
   /// Full-sweep relaxation rounds per sharpening cycle; every member
-  /// probes each of its `gossip_neighbors` neighbors per round
+  /// probes each of its `kGossipNeighbors` neighbors per round
   /// (billed).
   int sharpen_rounds = 6;
-  /// Random candidates mixed into each sharpening refresh alongside
-  /// the neighbors-of-neighbors (free local computation over stored
-  /// coordinates; only the relaxation probes are billed).
-  int refresh_candidates = 32;
-  /// Billed probes a query target (or the placement half of a join)
-  /// positions its coordinate from. The landmark scheme probes its
-  /// landmarks instead.
-  int placement_samples = 8;
-  /// Local relaxation passes after placement measurements (free).
-  int placement_passes = 32;
-  /// Coordinate-nearest candidates verified by real billed probes.
-  int refine_candidates = 12;
-  /// Billed probes a joiner bootstraps its coordinate from.
-  int join_samples = 8;
-  /// Billed keep-fresh gossip probes charged per churn event.
-  int gossip_probes_per_event = 2;
   // --- kLandmark ---
   /// Landmark count (>= dimensions + 1 for a stable embedding).
   int num_landmarks = 12;
   /// Relaxation sweeps over the measured landmark pair list.
   int landmark_iterations = 128;
-  // --- kPic ---
-  /// Coordinate-nearest links kept per member.
-  int walk_neighbors = 8;
-  /// Extra random escape links per member.
-  int random_links = 2;
-  /// Sampled candidates the kNN links are chosen from (a decentralized
-  /// node learns neighbors by sampling, not by a global scan — and it
-  /// keeps link construction O(n * candidates) instead of O(n^2)).
-  int link_candidates = 32;
-  /// Independent greedy walks per query.
-  int num_walks = 4;
-  /// Cap on walk length.
-  int max_walk_hops = 32;
 };
 
 /// The three coordinate schemes behind one algorithm: per-member
@@ -111,6 +80,41 @@ struct CoordConfig {
 /// training/join/gossip, read-only queries.
 class CoordNearest final : public core::NearestPeerAlgorithm {
  public:
+  /// Vivaldi adaptive-timestep / error-adaptation constants.
+  static constexpr double kCe = 0.25;
+  static constexpr double kCc = 0.25;
+  /// Gossip-neighbor set size per member.
+  static constexpr int kGossipNeighbors = 8;
+  /// Random candidates mixed into each sharpening refresh alongside
+  /// the neighbors-of-neighbors (free local computation over stored
+  /// coordinates; only the relaxation probes are billed).
+  static constexpr int kRefreshCandidates = 32;
+  /// Billed probes a query target (or the placement half of a join)
+  /// positions its coordinate from. The landmark scheme probes its
+  /// landmarks instead.
+  static constexpr int kPlacementSamples = 8;
+  /// Local relaxation passes after placement measurements (free).
+  static constexpr int kPlacementPasses = 32;
+  /// Coordinate-nearest candidates verified by real billed probes.
+  static constexpr int kRefineCandidates = 12;
+  /// Billed probes a joiner bootstraps its coordinate from.
+  static constexpr int kJoinSamples = 8;
+  /// Billed keep-fresh gossip probes charged per churn event.
+  static constexpr int kGossipProbesPerEvent = 2;
+  // --- kPic ---
+  /// Coordinate-nearest links kept per member.
+  static constexpr int kWalkNeighbors = 8;
+  /// Extra random escape links per member.
+  static constexpr int kRandomLinks = 2;
+  /// Sampled candidates the kNN links are chosen from (a decentralized
+  /// node learns neighbors by sampling, not by a global scan — and it
+  /// keeps link construction O(n * candidates) instead of O(n^2)).
+  static constexpr int kLinkCandidates = 32;
+  /// Independent greedy walks per query.
+  static constexpr int kNumWalks = 4;
+  /// Cap on walk length.
+  static constexpr int kMaxWalkHops = 32;
+
   explicit CoordNearest(CoordConfig config);
 
   std::string name() const override { return CoordSchemeName(config_.scheme); }
@@ -129,11 +133,11 @@ class CoordNearest final : public core::NearestPeerAlgorithm {
                      int num_threads) override;
 
   /// Incremental membership. A joiner bootstraps its coordinate from
-  /// `join_samples` billed probes (landmark scheme: probes the
+  /// `kJoinSamples` billed probes (landmark scheme: probes the
   /// landmarks); a leaver's rows are purged O(1) via the member index.
   /// A departing *landmark* is replaced by the lowest-id non-landmark
   /// member, which measures the surviving landmarks (billed). Every
-  /// churn event additionally charges `gossip_probes_per_event`
+  /// churn event additionally charges `kGossipProbesPerEvent`
   /// keep-fresh gossip probes — the honest price of coordinates that
   /// stay accurate under churn.
   bool SupportsChurn() const override { return true; }
@@ -201,7 +205,7 @@ class CoordNearest final : public core::NearestPeerAlgorithm {
                    util::Rng& rng, std::vector<double>& coordinate,
                    std::uint64_t& probes) const;
 
-  /// `placement_passes` local relaxation sweeps of `self` against the
+  /// `kPlacementPasses` local relaxation sweeps of `self` against the
   /// measured (slot, rtt) pairs — spring updates for the Vivaldi
   /// substrate, landmark relaxation for kLandmark.
   void RelaxAgainst(double* self, double& self_error,
@@ -216,7 +220,7 @@ class CoordNearest final : public core::NearestPeerAlgorithm {
   /// edges so walks can reach it.
   void LinkJoiner(std::size_t slot, util::Rng& rng);
 
-  /// Billed keep-fresh gossip: `gossip_probes_per_event` sampled pair
+  /// Billed keep-fresh gossip: `kGossipProbesPerEvent` sampled pair
   /// probes, each spring-relaxing one endpoint (landmark scheme:
   /// member-to-landmark refresh).
   void GossipRefresh(util::Rng& rng);

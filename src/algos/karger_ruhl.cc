@@ -32,27 +32,14 @@ NodeId ProbedId(std::uint64_t key) {
 
 }  // namespace
 
-KargerRuhlNearest::KargerRuhlNearest(KargerRuhlConfig config)
-    : config_(config) {
-  NP_ENSURE(config_.alpha_ms > 0.0, "alpha must be positive");
-  NP_ENSURE(config_.growth > 1.0, "growth must exceed 1");
-  NP_ENSURE(config_.num_scales >= 1 && config_.num_scales <= 255,
-            "scales must be in [1, 255]");
-  NP_ENSURE(config_.samples_per_scale >= 1, "need samples per scale");
-  NP_ENSURE(config_.scale_window >= 0, "scale window must be >= 0");
-  NP_ENSURE(config_.max_hops >= 1, "positive hop cap required");
-  log_growth_ = std::log(config_.growth);
-  stride_ = SlotOffset(config_.num_scales);  // one past the last slot
-}
-
 int KargerRuhlNearest::ScaleFor(LatencyMs distance_ms) const {
-  if (distance_ms <= config_.alpha_ms) {
+  if (distance_ms <= kAlphaMs) {
     return 0;
   }
   const int scale = 1 + static_cast<int>(std::floor(
-                            std::log(distance_ms / config_.alpha_ms) /
-                            log_growth_));
-  return std::min(scale, config_.num_scales - 1);
+                            std::log(distance_ms / kAlphaMs) /
+                            std::log(kGrowth)));
+  return std::min(scale, kNumScales - 1);
 }
 
 void KargerRuhlNearest::Build(const core::LatencySpace& space,
@@ -75,7 +62,7 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
   const std::size_t n = members_.size();
   const std::vector<NodeId>& ids = members_.members();
 
-  samples_.assign(n * stride_, 0);
+  samples_.assign(n * kStride, 0);
   occ_.Reset(n);
   // One base draw, then a private stream per member keyed by its node
   // id: iteration i writes only block i, so any thread count produces
@@ -89,7 +76,7 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
     // ball `s` then contains all buckets <= s. `self` rides in the
     // second argument so row-caching backends reuse its row.
     std::vector<std::vector<NodeId>> balls(
-        static_cast<std::size_t>(config_.num_scales));
+        static_cast<std::size_t>(kNumScales));
     for (const NodeId other : ids) {
       if (other == self) {
         continue;
@@ -103,14 +90,13 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
     }
     NodeId* block = Block(i);
     std::vector<NodeId> cumulative;
-    for (int s = 0; s < config_.num_scales; ++s) {
+    for (int s = 0; s < kNumScales; ++s) {
       cumulative.insert(cumulative.end(),
                         balls[static_cast<std::size_t>(s)].begin(),
                         balls[static_cast<std::size_t>(s)].end());
       NodeId* chosen = block + SlotOffset(s);
       const std::size_t k = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.samples_per_scale),
-          cumulative.size());
+          static_cast<std::size_t>(kSamplesPerScale), cumulative.size());
       if (k == cumulative.size()) {
         std::copy(cumulative.begin(), cumulative.end(), chosen);
       } else {
@@ -126,7 +112,7 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
   // every owner, so fan-out here would race).
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId* block = Block(i);
-    for (int s = 0; s < config_.num_scales; ++s) {
+    for (int s = 0; s < kNumScales; ++s) {
       const NodeId* slots = block + SlotOffset(s);
       for (NodeId j = 0; j < block[s]; ++j) {
         occ_[members_.PositionOf(slots[j])].entries.push_back(
@@ -141,11 +127,11 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   NP_ENSURE(space_ != nullptr, "Build must run before AddMember");
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
-  samples_.resize(samples_.size() + stride_, 0);  // every count starts at 0
+  samples_.resize(samples_.size() + kStride, 0);  // every count starts at 0
   occ_.Grow();
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
-  const auto per_scale = static_cast<NodeId>(config_.samples_per_scale);
+  const auto per_scale = static_cast<NodeId>(kSamplesPerScale);
   const auto per_scale_size = static_cast<std::size_t>(per_scale);
 
   // The joiner probes a bounded random subset of the overlay — enough
@@ -154,7 +140,7 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   // word and slot run prefetched as soon as its scale is known. Probes
   // draw nothing from `rng`, so the writes can wait for the apply pass.
   const std::size_t budget = std::min<std::size_t>(
-      existing, per_scale_size * static_cast<std::size_t>(config_.num_scales));
+      existing, per_scale_size * static_cast<std::size_t>(kNumScales));
   struct Probed {
     std::uint64_t key;  // scale << 32 | id: the (scale, id) order
     std::size_t position;
@@ -212,10 +198,10 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   // entries naming those scales).
   NodeId* own = Block(position);
   std::vector<std::size_t> chosen_pos(
-      static_cast<std::size_t>(config_.num_scales) * per_scale_size);
-  std::vector<std::size_t> taken(static_cast<std::size_t>(config_.num_scales));
+      static_cast<std::size_t>(kNumScales) * per_scale_size);
+  std::vector<std::size_t> taken(static_cast<std::size_t>(kNumScales));
   std::size_t consumed = 0;
-  for (int s = 0; s < config_.num_scales; ++s) {
+  for (int s = 0; s < kNumScales; ++s) {
     while (consumed < probed.size() &&
            ProbedScale(probed[consumed].key) <= s) {
       ++consumed;
@@ -244,13 +230,13 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
         chosen_pos.data() + static_cast<std::size_t>(s) * per_scale_size;
     return std::pair(first, first + taken[static_cast<std::size_t>(s)]);
   };
-  for (int s = 0; s < config_.num_scales; ++s) {
+  for (int s = 0; s < kNumScales; ++s) {
     const auto [first, last] = chosen_at(s);
     for (const std::size_t* p = first; p != last; ++p) {
       Prefetch(&occ_[*p]);
     }
   }
-  for (int s = 0; s < config_.num_scales; ++s) {
+  for (int s = 0; s < kNumScales; ++s) {
     const auto [first, last] = chosen_at(s);
     for (const std::size_t* p = first; p != last; ++p) {
       const auto& entries = occ_[*p].entries;
@@ -259,7 +245,7 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   }
   // Counts, occurrence appends and compactions in (scale, pick) order.
   const auto holds = [this](auto... args) { return Holds(args...); };
-  for (int s = 0; s < config_.num_scales; ++s) {
+  for (int s = 0; s < kNumScales; ++s) {
     const auto [first, last] = chosen_at(s);
     own[s] = static_cast<NodeId>(last - first);
     for (const std::size_t* p = first; p != last; ++p) {
@@ -305,17 +291,17 @@ void KargerRuhlNearest::RemoveMember(NodeId node) {
 
   const auto removed = members_.Remove(node);
   if (removed.swapped) {
-    std::copy_n(Block(members_.size()), stride_, Block(removed.position));
+    std::copy_n(Block(members_.size()), kStride, Block(removed.position));
   }
   occ_.Mirror(removed);
-  samples_.resize(samples_.size() - stride_);
+  samples_.resize(samples_.size() - kStride);
 }
 
 std::vector<NodeId> KargerRuhlNearest::SamplesOf(NodeId member,
                                                  int scale) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
-  NP_ENSURE(scale >= 0 && scale < config_.num_scales, "scale out of range");
+  NP_ENSURE(scale >= 0 && scale < kNumScales, "scale out of range");
   const NodeId* block = Block(position);
   const NodeId* slots = block + SlotOffset(scale);
   return std::vector<NodeId>(slots, slots + block[scale]);
@@ -324,7 +310,7 @@ std::vector<NodeId> KargerRuhlNearest::SamplesOf(NodeId member,
 void KargerRuhlNearest::CheckInvariants() const {
   NP_ENSURE(space_ != nullptr, "Build must run before CheckInvariants");
   const std::size_t n = members_.size();
-  NP_ENSURE(samples_.size() == n * stride_ && occ_.size() == n,
+  NP_ENSURE(samples_.size() == n * kStride && occ_.size() == n,
             "per-member arrays disagree with the membership");
   std::vector<std::vector<std::uint64_t>> sorted_occ(n);
   for (std::size_t p = 0; p < n; ++p) {
@@ -339,8 +325,8 @@ void KargerRuhlNearest::CheckInvariants() const {
   for (std::size_t owner_pos = 0; owner_pos < n; ++owner_pos) {
     const NodeId owner = members_.at(owner_pos);
     const NodeId* block = Block(owner_pos);
-    for (int s = 0; s < config_.num_scales; ++s) {
-      NP_ENSURE(block[s] >= 0 && block[s] <= config_.samples_per_scale,
+    for (int s = 0; s < kNumScales; ++s) {
+      NP_ENSURE(block[s] >= 0 && block[s] <= kSamplesPerScale,
                 "sample count out of range");
       const NodeId* slots = block + SlotOffset(s);
       for (NodeId j = 0; j < block[s]; ++j) {
@@ -393,15 +379,13 @@ core::QueryResult KargerRuhlNearest::FindNearest(
   result.found = current;
   result.found_latency_ms = current_distance;
 
-  for (int hop = 0; hop < config_.max_hops; ++hop) {
+  for (int hop = 0; hop < kMaxHops; ++hop) {
     const NodeId* block = Block(members_.PositionOf(current));
     const int scale = ScaleFor(current_distance);
     NodeId best = kInvalidNode;
     LatencyMs best_distance = current_distance;
-    for (int s = std::max(0, scale - config_.scale_window);
-         s <= std::min(config_.num_scales - 1,
-                       scale + config_.scale_window);
-         ++s) {
+    for (int s = std::max(0, scale - kScaleWindow);
+         s <= std::min(kNumScales - 1, scale + kScaleWindow); ++s) {
       const NodeId* slots = block + SlotOffset(s);
       for (NodeId j = 0; j < block[s]; ++j) {
         const NodeId candidate = slots[j];

@@ -16,24 +16,27 @@
 
 namespace np::algos {
 
-struct KargerRuhlConfig {
-  /// Innermost ball radius, ms.
-  double alpha_ms = 1.0;
-  /// Ball radius growth factor.
-  double growth = 2.0;
-  /// Number of ball scales.
-  int num_scales = 16;
-  /// Random samples kept per scale.
-  int samples_per_scale = 8;
-  /// Scales around the current distance probed per step (+- this).
-  int scale_window = 1;
-  /// Hop safety cap.
-  int max_hops = 64;
-};
+/// Empty: every Karger-Ruhl parameter is a KargerRuhlNearest constant.
+/// Kept because perfbench constructs `KargerRuhlConfig{}`.
+struct KargerRuhlConfig {};
 
 class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
  public:
-  explicit KargerRuhlNearest(KargerRuhlConfig config);
+  /// Innermost ball radius, ms.
+  static constexpr double kAlphaMs = 1.0;
+  /// Ball radius growth factor.
+  static constexpr double kGrowth = 2.0;
+  /// Number of ball scales (the 8-bit BackRefs slot holds a scale).
+  static constexpr int kNumScales = 16;
+  static_assert(kNumScales >= 1 && kNumScales <= 255);
+  /// Random samples kept per scale.
+  static constexpr int kSamplesPerScale = 8;
+  /// Scales around the current distance probed per step (+- this).
+  static constexpr int kScaleWindow = 1;
+  /// Hop safety cap.
+  static constexpr int kMaxHops = 64;
+
+  explicit KargerRuhlNearest(KargerRuhlConfig /*config*/ = {}) {}
 
   std::string name() const override { return "karger-ruhl"; }
 
@@ -90,7 +93,7 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   std::size_t OccurrenceEntries(NodeId member) const;
 
   /// Structural invariants (tests): every per-scale count is within
-  /// [0, samples_per_scale]; every held id is a live member other
+  /// [0, kSamplesPerScale]; every held id is a live member other
   /// than its owner; every held (owner, scale, member) has a matching
   /// entry in the member's occurrence list (what the RemoveMember
   /// purge relies on); and every occurrence list is below its
@@ -106,39 +109,37 @@ class KargerRuhlNearest final : public core::NearestPeerAlgorithm {
   void BuildImpl(const core::LatencySpace& space, std::vector<NodeId> members,
                  util::Rng& rng, int num_threads);
 
-  /// Sample block of the member at `position`: `num_scales` counts,
-  /// then `num_scales` runs of `samples_per_scale` id slots (only the
+  /// Sample block of the member at `position`: `kNumScales` counts,
+  /// then `kNumScales` runs of `kSamplesPerScale` id slots (only the
   /// first `count` slots of a run are meaningful).
   NodeId* Block(std::size_t position) {
-    return samples_.data() + position * stride_;
+    return samples_.data() + position * kStride;
   }
   const NodeId* Block(std::size_t position) const {
-    return samples_.data() + position * stride_;
+    return samples_.data() + position * kStride;
   }
-  std::size_t SlotOffset(int scale) const {
-    return static_cast<std::size_t>(config_.num_scales) +
+  static constexpr std::size_t SlotOffset(int scale) {
+    return static_cast<std::size_t>(kNumScales) +
            static_cast<std::size_t>(scale) *
-               static_cast<std::size_t>(config_.samples_per_scale);
+               static_cast<std::size_t>(kSamplesPerScale);
   }
+  /// Sample block length per member: kNumScales counts plus
+  /// kNumScales * kSamplesPerScale id slots.
+  static constexpr std::size_t kStride =
+      static_cast<std::size_t>(kNumScales) * (1 + kSamplesPerScale);
 
   /// Whether the sample list (owner at `owner_pos`, `scale`) holds
   /// `member`: the occurrence lists' holds-test.
   bool Holds(std::size_t owner_pos, std::size_t scale, NodeId member) const;
 
-  KargerRuhlConfig config_;
-  /// std::log(growth), computed once: ScaleFor divides by it.
-  double log_growth_ = 0.0;
-  /// Sample block length per member: num_scales counts plus
-  /// num_scales * samples_per_scale id slots.
-  std::size_t stride_ = 0;
   const core::LatencySpace* space_ = nullptr;
   core::MemberIndex members_;
-  /// Flat per-member sample blocks, block i at [i * stride_, (i + 1) *
-  /// stride_) for the member at position i (see Block()).
+  /// Flat per-member sample blocks, block i at [i * kStride, (i + 1) *
+  /// kStride) for the member at position i (see Block()).
   std::vector<NodeId> samples_;
   /// occ_[member_pos] -> packed (owner, scale) sample lists that may
-  /// hold the member (scales fit the 8-bit slot: num_scales <= 255 is
-  /// enforced at construction). Entries go stale when a list drops the
+  /// hold the member (scales fit the 8-bit slot: kNumScales <= 255 is
+  /// asserted at compile time). Entries go stale when a list drops the
   /// member for another reason (random replacement, the owner
   /// leaving), so RemoveMember's purge treats a no-op erase as stale.
   core::BackRefs occ_;

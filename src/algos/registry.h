@@ -48,11 +48,11 @@ inline constexpr RegisteredAlgorithm kAlgorithms[] = {
     {"random", &MakeDefault<core::RandomNearest>},
     {"meridian",
      &MakeDefault<meridian::MeridianOverlay, meridian::MeridianConfig>},
-    {"karger-ruhl", &MakeDefault<KargerRuhlNearest, KargerRuhlConfig>},
+    {"karger-ruhl", &MakeDefault<KargerRuhlNearest>},
     {"tiers", &MakeDefault<TiersNearest, TiersConfig>},
     {"tiers-rebuild", &MakeRebuildingTiers},
     {"beaconing", &MakeDefault<BeaconingNearest, BeaconingConfig>},
-    {"tapestry", &MakeDefault<TapestryNearest, TapestryConfig>},
+    {"tapestry", &MakeDefault<TapestryNearest>},
     {"coord-vivaldi", &MakeCoord<CoordScheme::kVivaldi>},
     {"coord-pic", &MakeCoord<CoordScheme::kPic>},
     {"coord-landmark", &MakeCoord<CoordScheme::kLandmark>},

@@ -9,14 +9,8 @@
 
 namespace np::algos {
 
-TapestryNearest::TapestryNearest(TapestryConfig config) : config_(config) {
-  NP_ENSURE(config_.num_digits >= 1 && config_.num_digits <= 8,
-            "digits must be in [1, 8] (32-bit ids)");
-  NP_ENSURE(config_.max_hops >= 1, "positive hop cap required");
-}
-
-int TapestryNearest::DigitAt(std::uint32_t id, int level, int num_digits) {
-  const int shift = 4 * (num_digits - 1 - level);
+int TapestryNearest::DigitAt(std::uint32_t id, int level) {
+  const int shift = 4 * (kNumDigits - 1 - level);
   return static_cast<int>((id >> shift) & 0xF);
 }
 
@@ -28,22 +22,17 @@ std::uint32_t TapestryNearest::IdOf(NodeId member) const {
 
 int TapestryNearest::SharedPrefix(std::uint32_t a, std::uint32_t b) const {
   int shared = 0;
-  while (shared < config_.num_digits &&
-         DigitAt(a, shared, config_.num_digits) ==
-             DigitAt(b, shared, config_.num_digits)) {
+  while (shared < kNumDigits && DigitAt(a, shared) == DigitAt(b, shared)) {
     ++shared;
   }
   return shared;
 }
 
 std::uint32_t TapestryNearest::DrawFreshId(util::Rng& rng) {
-  const std::uint32_t id_mask =
-      config_.num_digits == 8
-          ? 0xFFFFFFFFu
-          : ((1u << (4 * config_.num_digits)) - 1);
+  static_assert(kNumDigits == 8, "an id is one full 32-bit word");
   std::uint32_t id = 0;
   do {
-    id = static_cast<std::uint32_t>(rng()) & id_mask;
+    id = static_cast<std::uint32_t>(rng());
   } while (!used_ids_.insert(id).second);
   return id;
 }
@@ -100,10 +89,8 @@ void TapestryNearest::BuildImpl(const core::LatencySpace& space,
   // first `level` digits of the node's id with `digit` at position
   // `level`. Each iteration writes only row i, and the scan consumes
   // no randomness, so the fan-out is bit-identical to the serial pass.
-  const int levels = config_.num_digits;
-  const std::size_t slots = static_cast<std::size_t>(levels) * 16;
-  tables_.assign(n, std::vector<NodeId>(slots, kInvalidNode));
-  table_latency_.assign(n, std::vector<LatencyMs>(slots, kInfiniteLatency));
+  tables_.assign(n, std::vector<NodeId>(kSlots, kInvalidNode));
+  table_latency_.assign(n, std::vector<LatencyMs>(kSlots, kInfiniteLatency));
   const core::ProbePolicy& policy = probe_policy();
   util::ParallelFor(0, n, num_threads, [&](std::size_t i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -118,8 +105,8 @@ void TapestryNearest::BuildImpl(const core::LatencySpace& space,
         continue;  // unreachable during build: not tabled
       }
       const double latency = *measured;
-      for (int level = 0; level <= std::min(shared, levels - 1); ++level) {
-        const int digit = DigitAt(ids_[j], level, levels);
+      for (int level = 0; level <= std::min(shared, kNumDigits - 1); ++level) {
+        const int digit = DigitAt(ids_[j], level);
         const std::size_t slot =
             static_cast<std::size_t>(level) * 16 +
             static_cast<std::size_t>(digit);
@@ -135,7 +122,7 @@ void TapestryNearest::BuildImpl(const core::LatencySpace& space,
   // from every owner).
   refs_.Reset(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t slot = 0; slot < slots; ++slot) {
+    for (std::size_t slot = 0; slot < kSlots; ++slot) {
       const NodeId entry = tables_[i][slot];
       if (entry != kInvalidNode) {
         refs_[members_.PositionOf(entry)].entries.push_back(
@@ -148,14 +135,12 @@ void TapestryNearest::BuildImpl(const core::LatencySpace& space,
 
 void TapestryNearest::AddMember(NodeId node, util::Rng& rng) {
   NP_ENSURE(space_ != nullptr, "Build must run before AddMember");
-  const int levels = config_.num_digits;
-  const std::size_t slots = static_cast<std::size_t>(levels) * 16;
   const std::uint32_t id = DrawFreshId(rng);
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
   ids_.push_back(id);
-  tables_.emplace_back(slots, kInvalidNode);
-  table_latency_.emplace_back(slots, kInfiniteLatency);
+  tables_.emplace_back(kSlots, kInvalidNode);
+  table_latency_.emplace_back(kSlots, kInfiniteLatency);
   refs_.Grow();
   const std::vector<NodeId>& node_ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
@@ -171,14 +156,14 @@ void TapestryNearest::AddMember(NodeId node, util::Rng& rng) {
       continue;
     }
     const double latency = *measured;
-    for (int level = 0; level <= std::min(shared, levels - 1); ++level) {
+    for (int level = 0; level <= std::min(shared, kNumDigits - 1); ++level) {
       const std::size_t joiner_slot =
           static_cast<std::size_t>(level) * 16 +
-          static_cast<std::size_t>(DigitAt(ids_[j], level, levels));
+          static_cast<std::size_t>(DigitAt(ids_[j], level));
       InstallEntry(position, joiner_slot, node_ids[j], latency);
       const std::size_t member_slot =
           static_cast<std::size_t>(level) * 16 +
-          static_cast<std::size_t>(DigitAt(id, level, levels));
+          static_cast<std::size_t>(DigitAt(id, level));
       InstallEntry(j, member_slot, node, latency);
     }
   }
@@ -188,7 +173,6 @@ void TapestryNearest::RemoveMember(NodeId node) {
   const std::size_t position = members_.PositionOf(node);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
   NP_ENSURE(members_.size() > 1, "cannot remove the last member");
-  const int levels = config_.num_digits;
 
   // Evict the leaver from exactly the slots that reference it. A
   // back-reference is stale when the slot was since overwritten by a
@@ -249,7 +233,7 @@ void TapestryNearest::RemoveMember(NodeId node) {
         const std::size_t slot = orphans[k].second;
         const int level = static_cast<int>(slot / 16);
         const int digit = static_cast<int>(slot % 16);
-        if (shared < level || DigitAt(ids_[j], level, levels) != digit) {
+        if (shared < level || DigitAt(ids_[j], level) != digit) {
           continue;
         }
         if (!tried[j]) {
@@ -270,7 +254,7 @@ void TapestryNearest::RemoveMember(NodeId node) {
 std::vector<NodeId> TapestryNearest::TableOf(NodeId member, int level) const {
   const std::size_t position = members_.PositionOf(member);
   NP_ENSURE(position != core::MemberIndex::kNoPosition, "not a member");
-  NP_ENSURE(level >= 0 && level < config_.num_digits, "level out of range");
+  NP_ENSURE(level >= 0 && level < kNumDigits, "level out of range");
   std::vector<NodeId> out;
   for (int digit = 0; digit < 16; ++digit) {
     const NodeId entry =
@@ -316,8 +300,8 @@ core::QueryResult TapestryNearest::FindNearest(
   // Descend the levels: probe the whole level table, move to the
   // closest entry (the iterative construction from §6), and continue
   // from that node's next level.
-  for (int level = 0; level < config_.num_digits; ++level) {
-    if (result.hops >= config_.max_hops) {
+  for (int level = 0; level < kNumDigits; ++level) {
+    if (result.hops >= kMaxHops) {
       break;
     }
     std::size_t best = current;

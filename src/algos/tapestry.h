@@ -19,16 +19,18 @@
 
 namespace np::algos {
 
-struct TapestryConfig {
-  /// Identifier digits (base-16); 8 digits = 32-bit ids.
-  int num_digits = 8;
-  /// Safety cap on level descents per query.
-  int max_hops = 64;
-};
+/// Empty: every Tapestry parameter is a TapestryNearest constant. Kept
+/// because perfbench constructs `TapestryConfig{}`.
+struct TapestryConfig {};
 
 class TapestryNearest final : public core::NearestPeerAlgorithm {
  public:
-  explicit TapestryNearest(TapestryConfig config);
+  /// Identifier digits (base-16); 8 digits = 32-bit ids.
+  static constexpr int kNumDigits = 8;
+  /// Safety cap on level descents per query.
+  static constexpr int kMaxHops = 64;
+
+  explicit TapestryNearest(TapestryConfig /*config*/ = {}) {}
 
   std::string name() const override { return "tapestry"; }
 
@@ -86,7 +88,10 @@ class TapestryNearest final : public core::NearestPeerAlgorithm {
   std::size_t RefEntries(NodeId member) const;
 
  private:
-  static int DigitAt(std::uint32_t id, int level, int num_digits);
+  /// Routing-table slots per member: one per (level, hex digit).
+  static constexpr std::size_t kSlots = kNumDigits * 16;
+
+  static int DigitAt(std::uint32_t id, int level);
 
   /// Longest shared digit prefix of two ids.
   int SharedPrefix(std::uint32_t a, std::uint32_t b) const;
@@ -108,7 +113,6 @@ class TapestryNearest final : public core::NearestPeerAlgorithm {
   /// `member`: the back-reference lists' holds-test.
   bool Holds(std::size_t owner_pos, std::size_t slot, NodeId member) const;
 
-  TapestryConfig config_;
   const core::LatencySpace* space_ = nullptr;
   core::MemberIndex members_;
   std::vector<std::uint32_t> ids_;
@@ -122,7 +126,7 @@ class TapestryNearest final : public core::NearestPeerAlgorithm {
   /// owner already knows.
   std::vector<std::vector<LatencyMs>> table_latency_;
   /// refs_[member_pos] -> packed (owner, slot) table slots that may
-  /// reference this member (slots fit 8 bits: num_digits <= 8 -> slot
+  /// reference this member (slots fit 8 bits: kNumDigits = 8 -> slot
   /// < 128). Entries go stale when the slot is overwritten by a closer
   /// candidate or the owner leaves; RemoveMember re-checks the named
   /// slot before evicting, so stale entries are skipped.

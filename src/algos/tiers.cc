@@ -12,14 +12,10 @@ namespace np::algos {
 
 TiersNearest::TiersNearest(TiersConfig config) : config_(config) {
   NP_ENSURE(config_.base_radius_ms > 0.0, "positive base radius required");
-  NP_ENSURE(config_.radius_growth > 1.0, "radius growth must exceed 1");
-  NP_ENSURE(config_.max_cluster_size >= 2, "clusters must hold >= 2");
-  NP_ENSURE(config_.top_cluster_max >= 1, "top cluster must hold >= 1");
-  NP_ENSURE(config_.max_levels >= 1, "need at least one level");
 }
 
 double TiersNearest::RadiusAt(int level) const {
-  return config_.base_radius_ms * std::pow(config_.radius_growth, level);
+  return config_.base_radius_ms * std::pow(kRadiusGrowth, level);
 }
 
 void TiersNearest::Build(const core::LatencySpace& space,
@@ -64,7 +60,7 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
 
   std::vector<NodeId> level_members = members_.members();
   double radius = config_.base_radius_ms;
-  for (int level = 0; level < config_.max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     Level built;
     std::vector<NodeId> reps;
     // Greedy cover in random order: first member within `radius` of an
@@ -92,8 +88,7 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
           const NodeId rep = reps[r];
           const LatencyMs d =
               r < reps_at_start ? scratch[k][r] : probe_or_inf(space, rep, m);
-          if (static_cast<int>(built.clusters[rep].size()) >=
-              config_.max_cluster_size) {
+          if (static_cast<int>(built.clusters[rep].size()) >= kMaxClusterSize) {
             continue;  // full cluster stops absorbing
           }
           if (d <= best_distance) {
@@ -112,13 +107,13 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
       }
     }
     levels_.push_back(std::move(built));
-    if (static_cast<int>(reps.size()) <= config_.top_cluster_max ||
+    if (static_cast<int>(reps.size()) <= kTopClusterMax ||
         reps.size() == level_members.size()) {
       top_reps_ = std::move(reps);
       return;
     }
     level_members = std::move(reps);
-    radius *= config_.radius_growth;
+    radius *= kRadiusGrowth;
   }
   // Ran out of levels: whatever remains is the top cluster.
   top_reps_.clear();
@@ -179,7 +174,7 @@ void TiersNearest::AddMember(NodeId node, util::Rng& rng) {
     LatencyMs best_distance = RadiusAt(level);
     for (const auto& [d, candidate] : probed[static_cast<std::size_t>(level)]) {
       if (static_cast<int>(at_level.clusters.at(candidate).size()) >=
-          config_.max_cluster_size) {
+          kMaxClusterSize) {
         continue;
       }
       if (d < best_distance ||
@@ -205,7 +200,7 @@ void TiersNearest::AddMember(NodeId node, util::Rng& rng) {
   } else {
     // No level accepted: the joiner leads a singleton chain all the
     // way up and enters the top cluster (which may grow past
-    // top_cluster_max under churn — incremental repair trades that
+    // kTopClusterMax under churn — incremental repair trades that
     // drift against the full-rebuild bill).
     top_reps_.push_back(node);
   }
@@ -321,8 +316,8 @@ void TiersNearest::CheckInvariants() const {
     std::size_t clustered = 0;
     for (const auto& [rep, cluster] : at_level.clusters) {
       NP_ENSURE(!cluster.empty(), "empty cluster left behind");
-      NP_ENSURE(static_cast<int>(cluster.size()) <= config_.max_cluster_size,
-                "cluster exceeds max_cluster_size");
+      NP_ENSURE(static_cast<int>(cluster.size()) <= kMaxClusterSize,
+                "cluster exceeds kMaxClusterSize");
       NP_ENSURE(std::find(cluster.begin(), cluster.end(), rep) !=
                     cluster.end(),
                 "rep must sit in its own cluster");

@@ -19,17 +19,6 @@ struct TiersConfig {
   /// Level-0 cluster radius, ms: members join a representative within
   /// this latency.
   double base_radius_ms = 2.0;
-  /// Radius multiplier per level.
-  double radius_growth = 4.0;
-  /// Maximum members per cluster: a full cluster stops absorbing and
-  /// forces a new representative. This is what keeps the probing cost
-  /// at each descent step bounded — and what makes the descent a
-  /// near-random choice under the clustering condition (§6).
-  int max_cluster_size = 16;
-  /// Stop promoting once a level has at most this many members.
-  int top_cluster_max = 16;
-  /// Hard cap on hierarchy height.
-  int max_levels = 12;
   /// True (default): maintain the hierarchy incrementally under churn
   /// — AddMember runs the scheme's top-down join descent with metered
   /// probes, RemoveMember of a representative triggers a billed
@@ -42,6 +31,18 @@ struct TiersConfig {
 
 class TiersNearest final : public core::NearestPeerAlgorithm {
  public:
+  /// Radius multiplier per level.
+  static constexpr double kRadiusGrowth = 4.0;
+  /// Maximum members per cluster: a full cluster stops absorbing and
+  /// forces a new representative. This is what keeps the probing cost
+  /// at each descent step bounded — and what makes the descent a
+  /// near-random choice under the clustering condition (§6).
+  static constexpr int kMaxClusterSize = 16;
+  /// Stop promoting once a level has at most this many members.
+  static constexpr int kTopClusterMax = 16;
+  /// Hard cap on hierarchy height.
+  static constexpr int kMaxLevels = 12;
+
   explicit TiersNearest(TiersConfig config);
 
   std::string name() const override {
@@ -108,7 +109,7 @@ class TiersNearest final : public core::NearestPeerAlgorithm {
   /// Structural invariants (tests): every member appears in exactly
   /// one bottom cluster, every cluster's rep is a member of its own
   /// cluster and of the level above (or of the top set), cluster
-  /// sizes respect max_cluster_size, and the member->rep index agrees
+  /// sizes respect kMaxClusterSize, and the member->rep index agrees
   /// with the cluster lists. Throws util::Error on violation.
   void CheckInvariants() const;
 
@@ -121,7 +122,7 @@ class TiersNearest final : public core::NearestPeerAlgorithm {
     std::unordered_map<NodeId, NodeId> rep_of;
   };
 
-  /// Cluster radius at a level: base_radius_ms * radius_growth^level.
+  /// Cluster radius at a level: base_radius_ms * kRadiusGrowth^level.
   double RadiusAt(int level) const;
 
   /// Shared construction path (Build = serial reference, num_threads

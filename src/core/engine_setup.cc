@@ -72,7 +72,7 @@ EngineSetup::EngineSetup(const LatencySpace& space,
              nullptr, config.fault.track_load ? &ledger_ : nullptr),
       attach_counter_(algo, counter_),
       suspicion_(config.fault.suspicion),
-      policy_(ProbePolicyConfig{config.fault.max_attempts}, &counter_,
+      policy_(config.fault.max_attempts, &counter_,
               config.fault.suspicion.Enabled() ? &suspicion_ : nullptr),
       attach_policy_(algo, policy_) {
   header_.algorithm = algo.name();

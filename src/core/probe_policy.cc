@@ -77,24 +77,23 @@ void SuspicionLedger::PruneTo(const std::unordered_set<NodeId>& members) {
   }
 }
 
-ProbePolicy::ProbePolicy(ProbePolicyConfig config, ProbeCounter* counter,
+ProbePolicy::ProbePolicy(int max_attempts, ProbeCounter* counter,
                          SuspicionLedger* suspicion)
-    : config_(config), counter_(counter), suspicion_(suspicion) {
-  NP_ENSURE(config.max_attempts >= 1,
-            "ProbePolicy needs at least one attempt");
+    : max_attempts_(max_attempts), counter_(counter), suspicion_(suspicion) {
+  NP_ENSURE(max_attempts_ >= 1, "ProbePolicy needs at least one attempt");
 }
 
 std::optional<LatencyMs> ProbePolicy::Attempt(const LatencySpace& space,
                                               NodeId node,
                                               NodeId target) const {
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
     const LatencyMs measured = space.Latency(node, target);
     if (!matrix::ProbeLost(measured)) {
       return measured;
     }
     if (counter_ != nullptr) {
       counter_->AddFailedProbes(1);
-      if (attempt + 1 < config_.max_attempts) {
+      if (attempt + 1 < max_attempts_) {
         counter_->AddRetries(1);
       }
     }

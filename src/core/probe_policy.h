@@ -41,11 +41,6 @@ namespace np::core {
 /// failure (loss^8) negligible next to per-candidate loss.
 inline constexpr int kStartRedraws = 8;
 
-struct ProbePolicyConfig {
-  /// Total attempts per probe (>= 1); 1 means no retry.
-  int max_attempts = 1;
-};
-
 struct SuspicionConfig {
   /// Consecutive failed probes (full give-ups, not attempts) after
   /// which a peer is quarantined. 0 disables the detector.
@@ -126,8 +121,9 @@ class ProbePolicy {
   /// Default-constructed policy == the no-fault contract: one attempt,
   /// nothing charged.
   ProbePolicy() = default;
-  explicit ProbePolicy(ProbePolicyConfig config,
-                       ProbeCounter* counter = nullptr,
+  /// `max_attempts`: total attempts per probe (>= 1); 1 means no
+  /// retry.
+  explicit ProbePolicy(int max_attempts, ProbeCounter* counter = nullptr,
                        SuspicionLedger* suspicion = nullptr);
 
   /// Probes Latency(node, target) through `space`, retrying up to
@@ -150,7 +146,7 @@ class ProbePolicy {
 
   const SuspicionLedger* suspicion() const { return suspicion_; }
 
-  int max_attempts() const { return config_.max_attempts; }
+  int max_attempts() const { return max_attempts_; }
 
   /// Process-wide default instance (single attempt, no counter): the
   /// exact pre-fault probe behavior, used when no policy is attached.
@@ -160,7 +156,7 @@ class ProbePolicy {
   std::optional<LatencyMs> Attempt(const LatencySpace& space, NodeId node,
                                    NodeId target) const;
 
-  ProbePolicyConfig config_{};
+  int max_attempts_ = 1;
   ProbeCounter* counter_ = nullptr;
   SuspicionLedger* suspicion_ = nullptr;
 };

@@ -193,7 +193,7 @@ ServingReport RunServing(const LatencySpace& space,
       slot.reader_suspicion->set_recording(false);
     }
     slot.reader_policy = std::make_unique<ProbePolicy>(
-        ProbePolicyConfig{sc.fault.max_attempts}, slot.reader_counter.get(),
+        sc.fault.max_attempts, slot.reader_counter.get(),
         slot.reader_suspicion.get());
     snap->algo->AttachProbeCounter(slot.reader_counter.get());
     snap->algo->AttachProbePolicy(slot.reader_policy.get());

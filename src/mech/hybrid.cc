@@ -25,16 +25,12 @@ HybridNearest::HybridNearest(
     std::unique_ptr<core::NearestPeerAlgorithm> fallback)
     : topology_(&topology),
       config_(config),
-      fallback_(std::move(fallback)) {
-  NP_ENSURE(config_.accept_threshold_ms > 0.0,
-            "accept threshold must be positive");
-  NP_ENSURE(config_.max_probe_candidates >= 1,
-            "must probe at least one candidate");
-}
+      fallback_(std::move(fallback)) {}
 
 HybridNearest::HybridNearest(const HybridNearest& other)
     : topology_(other.topology_),
       config_(other.config_),
+      map_(other.map_),
       members_(other.members_),
       churn_rng_(other.churn_rng_),
       queries_(other.queries_.load(std::memory_order_relaxed)),
@@ -43,14 +39,11 @@ HybridNearest::HybridNearest(const HybridNearest& other)
   if (other.fallback_ != nullptr) {
     fallback_ = other.fallback_->Clone();
   }
-  if (other.map_ != nullptr) {
-    map_ = other.map_->Clone();
-  }
   if (other.ucl_ != nullptr) {
-    ucl_ = std::make_unique<UclDirectory>(*other.ucl_, *map_);
+    ucl_ = std::make_unique<UclDirectory>(*other.ucl_, map_);
   }
   if (other.prefix_ != nullptr) {
-    prefix_ = std::make_unique<PrefixDirectory>(*other.prefix_, *map_);
+    prefix_ = std::make_unique<PrefixDirectory>(*other.prefix_, map_);
   }
   if (other.multicast_ != nullptr) {
     multicast_ = std::make_unique<MulticastBootstrap>(*other.multicast_);
@@ -82,7 +75,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
   mechanism_hits_ = 0;
   churn_rng_ = util::Rng(rng());
 
-  map_ = std::make_unique<PerfectMap>();
+  map_ = PerfectMap();
 
   ucl_.reset();
   prefix_.reset();
@@ -90,13 +83,13 @@ void HybridNearest::Build(const core::LatencySpace& space,
   registry_.reset();
   switch (config_.mechanism) {
     case Mechanism::kUcl:
-      ucl_ = std::make_unique<UclDirectory>(*map_, config_.ucl);
+      ucl_ = std::make_unique<UclDirectory>(map_, kUcl);
       for (NodeId peer : members_.members()) {
         ucl_->RegisterPeer(*topology_, peer, rng);
       }
       break;
     case Mechanism::kPrefix:
-      prefix_ = std::make_unique<PrefixDirectory>(*map_, config_.prefix_bits);
+      prefix_ = std::make_unique<PrefixDirectory>(map_, config_.prefix_bits);
       for (NodeId peer : members_.members()) {
         prefix_->RegisterPeer(*topology_, peer, rng);
       }
@@ -110,7 +103,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
     case Mechanism::kRegistry:
       registry_ = std::make_unique<EndNetworkRegistry>(
           *topology_, config_.registry_deploy_prob,
-          config_.registry_large_network_hosts, rng);
+          kRegistryLargeNetworkHosts, rng);
       for (NodeId peer : members_.members()) {
         registry_->RegisterPeer(peer);
       }
@@ -123,7 +116,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
 }
 
 void HybridNearest::AddMember(NodeId node, util::Rng& rng) {
-  NP_ENSURE(map_ != nullptr, "Build must run before AddMember");
+  NP_ENSURE(!members_.empty(), "Build must run before AddMember");
   members_.Add(node);  // throws on double-add
   switch (config_.mechanism) {
     case Mechanism::kUcl:
@@ -145,7 +138,7 @@ void HybridNearest::AddMember(NodeId node, util::Rng& rng) {
 }
 
 void HybridNearest::RemoveMember(NodeId node) {
-  NP_ENSURE(map_ != nullptr, "Build must run before RemoveMember");
+  NP_ENSURE(!members_.empty(), "Build must run before RemoveMember");
   NP_ENSURE(members_.size() > 1, "cannot remove the last member");
   members_.Remove(node);  // throws when not a member
   switch (config_.mechanism) {
@@ -178,7 +171,7 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
     case Mechanism::kUcl: {
       NP_ENSURE(ucl_ != nullptr, "Build must run before FindNearest");
       for (const auto& c : ucl_->Candidates(*topology_, target, rng,
-                                            config_.ucl_max_estimate_ms)) {
+                                            kUclMaxEstimateMs)) {
         candidates.push_back(c.peer);
       }
       break;
@@ -196,8 +189,8 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
       candidates = registry_->Query(target);
       break;
   }
-  if (static_cast<int>(candidates.size()) > config_.max_probe_candidates) {
-    candidates.resize(static_cast<std::size_t>(config_.max_probe_candidates));
+  if (static_cast<int>(candidates.size()) > kMaxProbeCandidates) {
+    candidates.resize(static_cast<std::size_t>(kMaxProbeCandidates));
   }
 
   core::QueryResult result;
@@ -217,7 +210,7 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
   }
 
   if (result.found != kInvalidNode &&
-      result.found_latency_ms <= config_.accept_threshold_ms) {
+      result.found_latency_ms <= kAcceptThresholdMs) {
     mechanism_hits_.fetch_add(1, std::memory_order_relaxed);
     return result;
   }

@@ -32,30 +32,34 @@ const char* MechanismName(Mechanism mechanism);
 
 struct HybridConfig {
   Mechanism mechanism = Mechanism::kUcl;
-  /// Stop (skip the fallback) once a candidate at most this far is
-  /// found — "the closest peer is in the same end-network" territory.
-  LatencyMs accept_threshold_ms = 1.0;
-  /// Probe at most this many mechanism candidates per query.
-  int max_probe_candidates = 64;
-  /// UCL-only: discard candidates whose embedded-latency estimate
-  /// exceeds this (the paper's false-positive filter).
-  LatencyMs ucl_max_estimate_ms = 20.0;
-  UclOptions ucl;
   /// Prefix-only: the fixed prefix length.
   int prefix_bits = 24;
-  /// Registry-only: deployment model.
+  /// Registry-only: deployment probability per end-network.
   double registry_deploy_prob = 0.5;
-  int registry_large_network_hosts = 8;
 };
 
 class HybridNearest final : public core::NearestPeerAlgorithm {
  public:
+  /// Stop (skip the fallback) once a candidate at most this far is
+  /// found — "the closest peer is in the same end-network" territory.
+  static constexpr LatencyMs kAcceptThresholdMs = 1.0;
+  /// Probe at most this many mechanism candidates per query.
+  static constexpr int kMaxProbeCandidates = 64;
+  /// UCL-only: discard candidates whose embedded-latency estimate
+  /// exceeds this (the paper's false-positive filter).
+  static constexpr LatencyMs kUclMaxEstimateMs = 20.0;
+  /// UCL-only: the directory's options (upstream routers per peer).
+  static constexpr UclOptions kUcl{};
+  /// Registry-only: end-networks with at least this many hosts deploy
+  /// a registry at twice registry_deploy_prob (capped at 1).
+  static constexpr int kRegistryLargeNetworkHosts = 8;
+
   /// `fallback` may be null: mechanism-only operation (used to measure
   /// a mechanism's own hit rate).
   HybridNearest(const net::Topology& topology, const HybridConfig& config,
                 std::unique_ptr<core::NearestPeerAlgorithm> fallback);
 
-  /// Deep copy for snapshot clones: the map is cloned, the directories
+  /// Deep copy for snapshot clones: the map is copied, the directories
   /// are copy-rebound onto the clone's map, and the fallback is cloned
   /// through its own Clone() (so the fallback must support snapshots
   /// for the copy to succeed).
@@ -87,8 +91,8 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
   /// the hybrid's own candidate loop.
   void AttachProbePolicy(const core::ProbePolicy* policy) override;
 
-  /// The query path only reads overlay state; the mechanism-hit and
-  /// map-hop tallies it bumps are relaxed atomics, so concurrent
+  /// The query path only reads overlay state; the query and
+  /// mechanism-hit tallies it bumps are relaxed atomics, so concurrent
   /// queries are safe whenever the fallback's are.
   bool ParallelQuerySafe() const override {
     return fallback_ == nullptr || fallback_->ParallelQuerySafe();
@@ -112,7 +116,7 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
   const net::Topology* topology_;
   HybridConfig config_;
   std::unique_ptr<core::NearestPeerAlgorithm> fallback_;
-  std::unique_ptr<KeyValueMap> map_;
+  PerfectMap map_;
   std::unique_ptr<UclDirectory> ucl_;
   std::unique_ptr<PrefixDirectory> prefix_;
   std::unique_ptr<MulticastBootstrap> multicast_;

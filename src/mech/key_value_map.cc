@@ -32,13 +32,11 @@ void PerfectMap::Put(std::uint64_t key, std::uint64_t value,
                      util::Rng& rng) {
   (void)rng;
   store_[key].push_back(value);
-  operations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> PerfectMap::Get(std::uint64_t key,
                                            util::Rng& rng) const {
   (void)rng;
-  operations_.fetch_add(1, std::memory_order_relaxed);
   const auto it = store_.find(key);
   if (it == store_.end()) {
     return {};
@@ -49,7 +47,6 @@ std::vector<std::uint64_t> PerfectMap::Get(std::uint64_t key,
 void PerfectMap::Remove(std::uint64_t key, std::uint64_t value,
                         util::Rng& rng) {
   (void)rng;
-  operations_.fetch_add(1, std::memory_order_relaxed);
   const auto it = store_.find(key);
   if (it == store_.end()) {
     return;

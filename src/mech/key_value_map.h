@@ -6,8 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,11 +21,10 @@ std::uint64_t EncodePeerLatency(NodeId peer, LatencyMs latency_ms);
 NodeId DecodePeer(std::uint64_t value);
 LatencyMs DecodeLatency(std::uint64_t value);
 
+/// What the §5 directories call on their map.
 class KeyValueMap {
  public:
   virtual ~KeyValueMap() = default;
-
-  virtual std::string name() const = 0;
 
   /// Appends a value under the key (multimap semantics).
   virtual void Put(std::uint64_t key, std::uint64_t value,
@@ -43,45 +40,24 @@ class KeyValueMap {
   /// instead of being rebuilt from scratch every epoch.
   virtual void Remove(std::uint64_t key, std::uint64_t value,
                       util::Rng& rng) = 0;
-
-  /// Cumulative routing hops spent on Put/Get (0 for the perfect map).
-  virtual std::uint64_t total_hops() const = 0;
-  virtual std::uint64_t operation_count() const = 0;
-
-  /// Deep copy of the stored mappings and accounting (the serving
-  /// engine clones a hybrid's directory map per snapshot).
-  virtual std::unique_ptr<KeyValueMap> Clone() const = 0;
 };
 
 /// Idealized map: exactly what §5's preliminary evaluation assumes.
-///
-/// Operation accounting is a relaxed atomic so concurrent read-only
-/// queries (Get) may share one map; Put/Remove still require exclusive
-/// access (they mutate the store).
+/// Get only reads, so concurrent queries may share one map; Put/Remove
+/// require exclusive access (they mutate the store). A plain value: a
+/// hybrid's snapshot clone copies it.
 class PerfectMap final : public KeyValueMap {
  public:
-  PerfectMap() = default;
-  PerfectMap(const PerfectMap& other)
-      : store_(other.store_),
-        operations_(other.operations_.load(std::memory_order_relaxed)) {}
-
-  std::string name() const override { return "perfect"; }
   void Put(std::uint64_t key, std::uint64_t value, util::Rng& rng) override;
   std::vector<std::uint64_t> Get(std::uint64_t key,
                                  util::Rng& rng) const override;
   void Remove(std::uint64_t key, std::uint64_t value,
               util::Rng& rng) override;
-  std::uint64_t total_hops() const override { return 0; }
-  std::uint64_t operation_count() const override {
-    return operations_.load(std::memory_order_relaxed);
-  }
-  std::unique_ptr<KeyValueMap> Clone() const override {
-    return std::make_unique<PerfectMap>(*this);
-  }
+  /// A perfect map routes in zero hops.
+  std::uint64_t total_hops() const { return 0; }
 
  private:
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> store_;
-  mutable std::atomic<std::uint64_t> operations_{0};
 };
 
 /// Chord-backed map: keys are hashed onto the ring (§5's prescription
@@ -92,25 +68,17 @@ class ChordMap final : public KeyValueMap {
   /// The ring is hosted by the given peers.
   ChordMap(std::vector<NodeId> ring_members, std::uint64_t id_salt);
 
-  ChordMap(const ChordMap& other)
-      : ring_(other.ring_),
-        hops_(other.hops_.load(std::memory_order_relaxed)),
-        operations_(other.operations_.load(std::memory_order_relaxed)) {}
-
-  std::string name() const override { return "chord"; }
   void Put(std::uint64_t key, std::uint64_t value, util::Rng& rng) override;
   std::vector<std::uint64_t> Get(std::uint64_t key,
                                  util::Rng& rng) const override;
   void Remove(std::uint64_t key, std::uint64_t value,
               util::Rng& rng) override;
-  std::uint64_t total_hops() const override {
+  /// Cumulative routing hops spent on Put/Get/Remove.
+  std::uint64_t total_hops() const {
     return hops_.load(std::memory_order_relaxed);
   }
-  std::uint64_t operation_count() const override {
+  std::uint64_t operation_count() const {
     return operations_.load(std::memory_order_relaxed);
-  }
-  std::unique_ptr<KeyValueMap> Clone() const override {
-    return std::make_unique<ChordMap>(*this);
   }
 
   const dht::ChordRing& ring() const { return ring_; }

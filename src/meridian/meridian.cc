@@ -14,25 +14,20 @@ namespace np::meridian {
 
 MeridianOverlay::MeridianOverlay(MeridianConfig config)
     : config_(config) {
-  NP_ENSURE(config_.alpha_ms > 0.0, "alpha must be positive");
-  NP_ENSURE(config_.s > 1.0, "ring growth factor must exceed 1");
-  NP_ENSURE(config_.num_rings >= 1 && config_.num_rings <= 255,
-            "rings must be in [1, 255]");
   NP_ENSURE(config_.ring_size >= 1, "ring size must be positive");
   NP_ENSURE(config_.beta > 0.0 && config_.beta < 1.0,
             "beta must be in (0, 1)");
-  NP_ENSURE(config_.max_hops >= 1, "max hops must be positive");
 }
 
 int MeridianOverlay::RingIndexFor(LatencyMs latency_ms) const {
-  if (latency_ms < config_.alpha_ms) {
+  if (latency_ms < kAlphaMs) {
     return 0;
   }
   const int ring =
       1 + static_cast<int>(
-              std::floor(std::log(latency_ms / config_.alpha_ms) /
-                         std::log(config_.s)));
-  return std::min(ring, config_.num_rings - 1);
+              std::floor(std::log(latency_ms / kAlphaMs) /
+                         std::log(kRingGrowth)));
+  return std::min(ring, kNumRings - 1);
 }
 
 std::vector<RingEntry> MeridianOverlay::SelectRingMembers(
@@ -153,7 +148,7 @@ void MeridianOverlay::BuildFullKnowledge(const core::LatencySpace& space,
     const NodeId owner = ids[i];
     util::Rng mrng(util::Mix64(base ^ static_cast<std::uint64_t>(owner)));
     std::vector<std::vector<RingEntry>> buckets(
-        static_cast<std::size_t>(config_.num_rings));
+        static_cast<std::size_t>(kNumRings));
     // The owner rides second so row-caching backends reuse its row.
     for (const NodeId other : ids) {
       if (other == owner) {
@@ -186,7 +181,7 @@ void MeridianOverlay::BuildByGossip(const core::LatencySpace& space,
   // discovery; selection prunes at the end of every round).
   std::vector<std::vector<std::vector<RingEntry>>> buckets(
       n, std::vector<std::vector<RingEntry>>(
-             static_cast<std::size_t>(config_.num_rings)));
+             static_cast<std::size_t>(kNumRings)));
   // Membership bitmaps to avoid duplicate learning.
   std::vector<std::vector<bool>> knows(n, std::vector<bool>(n, false));
 
@@ -257,7 +252,7 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
   NP_ENSURE(space_ != nullptr, "Build must run before AddMember");
   const std::size_t existing = members_.size();
   const std::size_t position = members_.Add(node);
-  rings_.emplace_back(static_cast<std::size_t>(config_.num_rings));
+  rings_.emplace_back(static_cast<std::size_t>(kNumRings));
   occ_.Grow();
   const std::vector<NodeId>& ids = members_.members();
   const core::ProbePolicy& policy = probe_policy();
@@ -292,7 +287,7 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
   // Fill the joiner's rings from the learned candidates. A candidate
   // whose handshake probe is lost is simply not learned.
   std::vector<std::vector<RingEntry>> buckets(
-      static_cast<std::size_t>(config_.num_rings));
+      static_cast<std::size_t>(kNumRings));
   for (std::size_t other : candidates) {
     const auto measured = policy.Probe(*space_, ids[other], node);
     if (!measured) {
@@ -424,7 +419,7 @@ TracedResult MeridianOverlay::FindNearestTraced(
   NodeId best = current;
   LatencyMs best_distance = current_distance;
 
-  for (int hop = 0; hop < config_.max_hops; ++hop) {
+  for (int hop = 0; hop < kMaxHops; ++hop) {
     const auto& rings = rings_[members_.PositionOf(current)];
     const LatencyMs band_lo = (1.0 - config_.beta) * current_distance;
     const LatencyMs band_hi = (1.0 + config_.beta) * current_distance;

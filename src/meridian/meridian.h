@@ -36,21 +36,12 @@ enum class RingSelectionPolicy {
 };
 
 struct MeridianConfig {
-  /// Innermost ring radius, ms: ring 0 holds members closer than alpha.
-  double alpha_ms = 1.0;
-  /// Ring radius growth factor: ring i (i >= 1) spans
-  /// [alpha * s^(i-1), alpha * s^i).
-  double s = 2.0;
-  /// Number of rings; the outermost is open-ended.
-  int num_rings = 16;
   /// Maximum members kept per ring (the paper uses 16).
   int ring_size = 16;
   /// Acceptance gate: forward only if the best candidate is closer to
   /// the target than beta * (current distance). The paper uses 0.5.
   double beta = 0.5;
   RingSelectionPolicy selection = RingSelectionPolicy::kMaxMin;
-  /// Safety cap on forwarding hops.
-  int max_hops = 64;
 
   /// Build mode. Full knowledge = every node considers every member
   /// for its rings, i.e. a fully converged deployment (what the
@@ -84,6 +75,18 @@ struct TracedResult {
 
 class MeridianOverlay final : public core::NearestPeerAlgorithm {
  public:
+  /// Innermost ring radius, ms: ring 0 holds members closer than this.
+  static constexpr double kAlphaMs = 1.0;
+  /// Ring radius growth factor: ring i (i >= 1) spans
+  /// [kAlphaMs * kRingGrowth^(i-1), kAlphaMs * kRingGrowth^i).
+  static constexpr double kRingGrowth = 2.0;
+  /// Number of rings; the outermost is open-ended. The 8-bit BackRefs
+  /// slot holds a ring index.
+  static constexpr int kNumRings = 16;
+  static_assert(kNumRings >= 1 && kNumRings <= 255);
+  /// Safety cap on forwarding hops.
+  static constexpr int kMaxHops = 64;
+
   explicit MeridianOverlay(MeridianConfig config);
 
   std::string name() const override { return "meridian"; }
@@ -175,8 +178,8 @@ class MeridianOverlay final : public core::NearestPeerAlgorithm {
   /// rings_[member_pos][ring] -> selected entries.
   std::vector<std::vector<std::vector<RingEntry>>> rings_;
   /// occ_[member_pos] -> packed (owner, ring) rings that may hold this
-  /// member (rings fit the 8-bit slot: num_rings <= 255 is enforced at
-  /// construction). Ring reselection drops entries without unrecording, so
+  /// member (rings fit the 8-bit slot: kNumRings <= 255 is asserted at
+  /// compile time). Ring reselection drops entries without unrecording, so
   /// RemoveMember's purge treats a no-op erase as stale.
   core::BackRefs occ_;
 };

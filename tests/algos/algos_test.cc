@@ -51,20 +51,18 @@ TEST(KargerRuhl, SamplesRespectBallMembership) {
   KargerRuhlNearest algo{KargerRuhlConfig{}};
   util::Rng rng(2);
   algo.Build(space, FirstN(200), rng);
-  const KargerRuhlConfig config;
+  using KR = KargerRuhlNearest;
   for (NodeId member : {NodeId{0}, NodeId{50}}) {
-    for (int scale = 0; scale < config.num_scales; ++scale) {
-      const double radius =
-          config.alpha_ms * std::pow(config.growth, scale);
+    for (int scale = 0; scale < KR::kNumScales; ++scale) {
+      const double radius = KR::kAlphaMs * std::pow(KR::kGrowth, scale);
       for (NodeId sample : algo.SamplesOf(member, scale)) {
         // Ball scale s contains members whose own scale is <= s; the
         // radius bound below allows for the bucketing granularity.
-        EXPECT_LE(space.Latency(member, sample),
-                  radius * config.growth + 1e-9);
+        EXPECT_LE(space.Latency(member, sample), radius * KR::kGrowth + 1e-9);
         EXPECT_NE(sample, member);
       }
       EXPECT_LE(algo.SamplesOf(member, scale).size(),
-                static_cast<std::size_t>(config.samples_per_scale));
+                static_cast<std::size_t>(KR::kSamplesPerScale));
     }
   }
 }
@@ -194,7 +192,7 @@ TEST(Tiers, ClusterMembersNearTheirRepresentative) {
         // not a rep at this level
       }
     }
-    radius *= tconfig.radius_growth;
+    radius *= TiersNearest::kRadiusGrowth;
   }
 }
 
@@ -497,17 +495,11 @@ TEST(AllAlgos, ARepeatedQueryOnOneThreadAnswersAndBillsTheSame) {
 }
 
 TEST(AllAlgos, InvalidConfigsThrow) {
-  KargerRuhlConfig kr;
-  kr.growth = 1.0;
-  EXPECT_THROW(KargerRuhlNearest{kr}, util::Error);
-  TapestryConfig tap;
-  tap.num_digits = 9;
-  EXPECT_THROW(TapestryNearest{tap}, util::Error);
   TiersConfig tiers;
   tiers.base_radius_ms = 0.0;
   EXPECT_THROW(TiersNearest{tiers}, util::Error);
   BeaconingConfig beacon;
-  beacon.quorum = 0.0;
+  beacon.max_probe_candidates = 0;
   EXPECT_THROW(BeaconingNearest{beacon}, util::Error);
 }
 

@@ -66,11 +66,10 @@ void FoldOverlay(const meridian::MeridianOverlay& algo, Fnv1a& digest) {
 /// Every member in membership order: its id and identifier, then per
 /// level the table's entries, then its back-reference-list length.
 void FoldOverlay(const TapestryNearest& algo, Fnv1a& digest) {
-  const TapestryConfig config;
   for (const NodeId member : algo.members()) {
     digest.Fold(static_cast<std::uint64_t>(member));
     digest.Fold(algo.IdOf(member));
-    for (int level = 0; level < config.num_digits; ++level) {
+    for (int level = 0; level < TapestryNearest::kNumDigits; ++level) {
       const std::vector<NodeId> table = algo.TableOf(member, level);
       digest.Fold(table.size());
       for (const NodeId entry : table) {

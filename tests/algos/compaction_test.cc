@@ -125,7 +125,7 @@ void ExpectNoProbeTouchesCrashed(Algo& algo, const MatrixSpace& space,
   const matrix::FaultySpace faulty(space, 0.0, /*seed=*/1, &crashed);
   const core::MeteredSpace metered(faulty);
   core::ProbeCounter counter;
-  const core::ProbePolicy policy(core::ProbePolicyConfig{}, &counter);
+  const core::ProbePolicy policy(/*max_attempts=*/1, &counter);
   algo.AttachProbePolicy(&policy);
   for (NodeId target = kOverlay; target < kOverlay + 40; ++target) {
     const auto result = algo.FindNearest(target, metered, rng);
@@ -210,7 +210,7 @@ void ExpectPurgeConvergesAfterRegionalCrash(Algo& algo,
   const matrix::FaultySpace faulty(space, 0.0, /*seed=*/3, &crashed);
   const core::MeteredSpace metered(faulty);
   core::ProbeCounter counter;
-  const core::ProbePolicy policy(core::ProbePolicyConfig{}, &counter);
+  const core::ProbePolicy policy(/*max_attempts=*/1, &counter);
   algo.AttachProbePolicy(&policy);
   for (int q = 0; q < 40; ++q) {
     const NodeId target =

@@ -175,9 +175,9 @@ TEST(CoordNearest, QueryProbeBudgetIsBounded) {
     const std::uint64_t placement =
         scheme == CoordScheme::kLandmark
             ? static_cast<std::uint64_t>(config.num_landmarks)
-            : static_cast<std::uint64_t>(config.placement_samples);
+            : static_cast<std::uint64_t>(CoordNearest::kPlacementSamples);
     const std::uint64_t budget =
-        placement + static_cast<std::uint64_t>(config.refine_candidates);
+        placement + static_cast<std::uint64_t>(CoordNearest::kRefineCandidates);
     for (NodeId target = 250; target < 290; ++target) {
       util::Rng qrng(util::Mix64(target));
       const QueryResult result = algo.FindNearest(target, metered, qrng);
@@ -193,7 +193,7 @@ TEST(CoordNearest, PicWalkHopsAreBounded) {
   util::Rng rng(23);
   algo.Build(space, FirstN(250), rng);
   const MeteredSpace metered(space);
-  const int cap = config.num_walks * config.max_walk_hops;
+  const int cap = CoordNearest::kNumWalks * CoordNearest::kMaxWalkHops;
   for (NodeId target = 250; target < 290; ++target) {
     util::Rng qrng(util::Mix64(target));
     const QueryResult result = algo.FindNearest(target, metered, qrng);
@@ -224,7 +224,7 @@ TEST(CoordNearest, JoinerIsIntegratedAndBilled) {
     }
     // At least the bootstrap samples plus the per-event gossip.
     EXPECT_GE(metered.probes() - before,
-              static_cast<std::uint64_t>(config.gossip_probes_per_event));
+              static_cast<std::uint64_t>(CoordNearest::kGossipProbesPerEvent));
   }
 }
 
@@ -289,7 +289,7 @@ TEST(CoordNearest, UnplaceableTargetFailsHonestly) {
     const std::uint64_t placement =
         scheme == CoordScheme::kLandmark
             ? static_cast<std::uint64_t>(config.num_landmarks)
-            : static_cast<std::uint64_t>(config.placement_samples);
+            : static_cast<std::uint64_t>(CoordNearest::kPlacementSamples);
     EXPECT_LE(result.probes, placement);
   }
 }
@@ -361,9 +361,6 @@ TEST(CoordNearest, InvalidConfigsThrow) {
   expect_throw({.dimensions = 0});
   expect_throw({.gossip_rounds = 0});
   expect_throw({.sharpen_rounds = 0});
-  expect_throw({.placement_samples = 0});
-  expect_throw({.refine_candidates = 0});
-  expect_throw({.join_samples = 0});
 }
 
 // The suites below hold the paper's per-scheme coordinate claims:
@@ -601,16 +598,6 @@ TEST(Pic, QueryAccountsProbes) {
   }
 }
 
-TEST(Pic, InvalidConfigThrows) {
-  const auto expect_throw = [](CoordConfig config) {
-    config.scheme = CoordScheme::kPic;
-    EXPECT_THROW(CoordNearest{config}, util::Error);
-  };
-  expect_throw({.num_walks = 0});
-  expect_throw({.walk_neighbors = 0});
-  expect_throw({.placement_samples = 0});
-}
-
 /// coord-pic trains the gossip substrate; on an embedded world it
 /// converges.
 TEST(PicNearest, EmbeddingConvergesOnEmbeddedWorld) {
@@ -658,10 +645,10 @@ TEST(PicNearest, WalkHopsAndProbesAreBounded) {
   util::Rng rng(29);
   pic.Build(space, FirstN(300), rng);
   const MeteredSpace metered(space);
-  const int hop_cap = config.num_walks * config.max_walk_hops;
+  const int hop_cap = CoordNearest::kNumWalks * CoordNearest::kMaxWalkHops;
   const std::uint64_t probe_cap =
-      static_cast<std::uint64_t>(config.placement_samples) +
-      static_cast<std::uint64_t>(config.refine_candidates);
+      static_cast<std::uint64_t>(CoordNearest::kPlacementSamples) +
+      static_cast<std::uint64_t>(CoordNearest::kRefineCandidates);
   for (NodeId target = 300; target < 340; ++target) {
     util::Rng qrng(util::Mix64(target));
     const QueryResult result = pic.FindNearest(target, metered, qrng);

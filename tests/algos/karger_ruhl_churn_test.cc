@@ -39,10 +39,9 @@ constexpr std::size_t kMinMembers = 40;
 
 void ExpectSameSamples(const KargerRuhlNearest& a,
                        const KargerRuhlNearest& b) {
-  const KargerRuhlConfig config;
   ASSERT_EQ(a.members(), b.members());
   for (const NodeId member : a.members()) {
-    for (int scale = 0; scale < config.num_scales; ++scale) {
+    for (int scale = 0; scale < KargerRuhlNearest::kNumScales; ++scale) {
       ASSERT_EQ(a.SamplesOf(member, scale), b.SamplesOf(member, scale))
           << "member " << member << " scale " << scale;
     }
@@ -68,11 +67,10 @@ class Fnv1a {
 /// length and ids in list order, then its occurrence-list length; last,
 /// the next draw of the rng that drove the storm.
 std::uint64_t OverlayDigest(const KargerRuhlNearest& algo, util::Rng& rng) {
-  const KargerRuhlConfig config;
   Fnv1a digest;
   for (const NodeId member : algo.members()) {
     digest.Fold(static_cast<std::uint64_t>(member));
-    for (int scale = 0; scale < config.num_scales; ++scale) {
+    for (int scale = 0; scale < KargerRuhlNearest::kNumScales; ++scale) {
       const std::vector<NodeId> samples = algo.SamplesOf(member, scale);
       digest.Fold(samples.size());
       for (const NodeId held : samples) {

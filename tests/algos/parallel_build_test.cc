@@ -124,10 +124,9 @@ TEST(ParallelBuild, KargerRuhlMatchesSerialBitwise) {
         return std::make_unique<KargerRuhlNearest>(KargerRuhlConfig{});
       },
       [](const KargerRuhlNearest& a, const KargerRuhlNearest& b) {
-        const KargerRuhlConfig config;
         ASSERT_EQ(a.members(), b.members());
         for (const NodeId member : a.members()) {
-          for (int scale = 0; scale < config.num_scales; ++scale) {
+          for (int scale = 0; scale < KargerRuhlNearest::kNumScales; ++scale) {
             EXPECT_EQ(a.SamplesOf(member, scale), b.SamplesOf(member, scale))
                 << "member " << member << " scale " << scale;
           }
@@ -139,11 +138,10 @@ TEST(ParallelBuild, TapestryMatchesSerialBitwise) {
   CheckParallelBuildEquivalence<TapestryNearest>(
       [] { return std::make_unique<TapestryNearest>(TapestryConfig{}); },
       [](const TapestryNearest& a, const TapestryNearest& b) {
-        const TapestryConfig config;
         ASSERT_EQ(a.members(), b.members());
         for (const NodeId member : a.members()) {
           EXPECT_EQ(a.IdOf(member), b.IdOf(member));
-          for (int level = 0; level < config.num_digits; ++level) {
+          for (int level = 0; level < TapestryNearest::kNumDigits; ++level) {
             EXPECT_EQ(a.TableOf(member, level), b.TableOf(member, level))
                 << "member " << member << " level " << level;
           }

@@ -50,10 +50,8 @@ TEST(ProbePolicy, RetryRecoversTransientLossCrashNever) {
   // probes every healthy target must eventually answer within the
   // attempt budget while the crashed target never does.
   const matrix::FaultySpace faulty(inner, 0.5, /*seed=*/17, &crashed);
-  ProbePolicyConfig config;
-  config.max_attempts = 16;
   ProbeCounter counter;
-  const ProbePolicy policy(config, &counter);
+  const ProbePolicy policy(/*max_attempts=*/16, &counter);
   int healthy_hits = 0;
   for (NodeId target = 0; target < 5; ++target) {
     const auto measured = policy.Probe(faulty, target, (target + 1) % 5);
@@ -83,9 +81,7 @@ TEST(ProbePolicy, EveryAttemptIsBilledThroughTheMeter) {
   ProbeCounter counter;
   PerNodeLedger ledger(8);
   const MeteredSpace metered(faulty, &ledger);
-  ProbePolicyConfig config;
-  config.max_attempts = 4;
-  const ProbePolicy policy(config, &counter);
+  const ProbePolicy policy(/*max_attempts=*/4, &counter);
   // Healthy target: first attempt answers, one billed probe.
   ASSERT_TRUE(policy.Probe(metered, 0, 1).has_value());
   EXPECT_EQ(metered.probes(), 1u);
@@ -110,7 +106,7 @@ TEST(ProbePolicy, StartRedrawExhaustionReturnsHonestFailure) {
   const matrix::FaultySpace faulty(inner, 0.0, /*seed=*/5, &crashed);
   const MeteredSpace metered(faulty, nullptr);
   ProbeCounter counter;
-  const ProbePolicy policy(ProbePolicyConfig{/*max_attempts=*/2}, &counter);
+  const ProbePolicy policy(/*max_attempts=*/2, &counter);
 
   RandomNearest algo;
   util::Rng rng(7);
@@ -150,8 +146,7 @@ TEST(SuspicionLedger, StrikesQuarantineAndSkipsAreFree) {
   SuspicionLedger ledger(SuspicionConfig{/*strikes=*/3});
   ledger.set_recording(true);
   ledger.set_epoch(0);
-  const ProbePolicy policy(ProbePolicyConfig{/*max_attempts=*/1}, &counter,
-                           &ledger);
+  const ProbePolicy policy(/*max_attempts=*/1, &counter, &ledger);
 
   // Two give-ups: still probing the wire, not yet quarantined.
   EXPECT_FALSE(policy.Probe(metered, 4, 0).has_value());
@@ -252,8 +247,7 @@ TEST(SuspicionLedger, ProbationProbeBypassesGateAndChargesCounter) {
   SuspicionLedger ledger(SuspicionConfig{/*strikes=*/1});
   ledger.set_recording(true);
   ledger.set_epoch(0);
-  const ProbePolicy policy(ProbePolicyConfig{/*max_attempts=*/1}, &counter,
-                           &ledger);
+  const ProbePolicy policy(/*max_attempts=*/1, &counter, &ledger);
   EXPECT_FALSE(policy.Probe(metered, 4, 0).has_value());
   ASSERT_TRUE(ledger.Quarantined(4));
   // The probation probe goes to the wire despite the quarantine and
@@ -276,8 +270,7 @@ TEST(ProbePolicy, SingleAttemptPolicyChargesFailuresButNoRetries) {
   std::unordered_set<NodeId> crashed = {2};
   const matrix::FaultySpace faulty(inner, 0.0, /*seed=*/1, &crashed);
   ProbeCounter counter;
-  ProbePolicyConfig config;  // max_attempts = 1
-  const ProbePolicy policy(config, &counter);
+  const ProbePolicy policy(/*max_attempts=*/1, &counter);
   EXPECT_FALSE(policy.Probe(faulty, 0, 2).has_value());
   const auto snapshot = counter.Read();
   EXPECT_EQ(snapshot.failed_probes, 1u);

@@ -362,7 +362,7 @@ TEST(TruthMemo, LossyChunksMatchAFreshStackPerQuery) {
   algos::KargerRuhlNearest algo{algos::KargerRuhlConfig{}};
   util::Rng build_rng(11);
   algo.Build(space, members, build_rng);
-  const ProbePolicy policy(ProbePolicyConfig{3});
+  const ProbePolicy policy(/*max_attempts=*/3);
   algo.AttachProbePolicy(&policy);
 
   const std::vector<QueryOutcome> outcomes = RunEpoch(batch, algo, kQueries, 2);

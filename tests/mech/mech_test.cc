@@ -66,7 +66,6 @@ TEST(Maps, PerfectMapMultimapSemantics) {
   EXPECT_EQ(map.Get(8, rng), (std::vector<std::uint64_t>{3}));
   EXPECT_TRUE(map.Get(9, rng).empty());
   EXPECT_EQ(map.total_hops(), 0u);
-  EXPECT_EQ(map.operation_count(), 6u);
 }
 
 TEST(Maps, ChordMapMatchesPerfectMapContents) {

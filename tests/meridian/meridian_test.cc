@@ -23,18 +23,12 @@ TEST(MeridianConfigTest, RejectsInvalidParameters) {
   config.beta = 1.0;
   EXPECT_THROW(MeridianOverlay{config}, util::Error);
   config = MeridianConfig{};
-  config.alpha_ms = 0.0;
-  EXPECT_THROW(MeridianOverlay{config}, util::Error);
-  config = MeridianConfig{};
-  config.s = 1.0;
-  EXPECT_THROW(MeridianOverlay{config}, util::Error);
-  config = MeridianConfig{};
   config.ring_size = 0;
   EXPECT_THROW(MeridianOverlay{config}, util::Error);
 }
 
 TEST(MeridianRings, RingIndexBands) {
-  MeridianOverlay overlay{MeridianConfig{}};  // alpha=1, s=2, 16 rings
+  MeridianOverlay overlay{MeridianConfig{}};  // alpha 1, growth 2, 16 rings
   EXPECT_EQ(overlay.RingIndexFor(0.05), 0);
   EXPECT_EQ(overlay.RingIndexFor(0.99), 0);
   EXPECT_EQ(overlay.RingIndexFor(1.0), 1);
@@ -357,7 +351,7 @@ TEST_P(MeridianBetaTest, QueryTerminatesAndReturnsValidMember) {
        target < world.layout.peer_count(); ++target) {
     const auto result = overlay.FindNearest(target, metered, rng);
     EXPECT_TRUE(member_set.count(result.found) == 1);
-    EXPECT_LE(result.hops, config.max_hops);
+    EXPECT_LE(result.hops, MeridianOverlay::kMaxHops);
   }
 }
 
