@@ -64,13 +64,12 @@ int main() {
 
   const auto analyze = [&](const std::string& world,
                            const np::core::LatencySpace& space,
-                           const np::core::DoublingConfig& dconfig) {
+                           double radius_quantile) {
     np::util::Rng growth_rng(1);
-    const auto growth =
-        np::core::AnalyzeGrowth(space, np::core::GrowthConfig{}, growth_rng);
+    const auto growth = np::core::AnalyzeGrowth(space, growth_rng);
     np::util::Rng doubling_rng(2);
     const auto doubling =
-        np::core::AnalyzeDoubling(space, dconfig, doubling_rng);
+        np::core::AnalyzeDoubling(space, radius_quantile, doubling_rng);
     const double nn_err = nn_embed_error(space);
     reporter.Derive(world + "_growth_ratio_med", growth.median_ratio);
     reporter.Derive(world + "_doubling_cover_max",
@@ -87,18 +86,15 @@ int main() {
     config.num_clusters = 4;
     np::util::Rng world_rng(static_cast<std::uint64_t>(nets));
     const auto world = np::matrix::GenerateClustered(config, world_rng);
-    np::core::DoublingConfig dconfig;
-    dconfig.radius_quantile = 0.15;
     analyze("clustered_" + std::to_string(nets) + "nets",
-            np::core::MatrixSpace(world.matrix), dconfig);
+            np::core::MatrixSpace(world.matrix), 0.15);
   }
   {
     np::util::Rng world_rng(99);
     np::matrix::EuclideanConfig config;
     config.dimensions = 3;
     const auto world = np::matrix::GenerateEuclidean(800, config, world_rng);
-    analyze("euclidean_control", np::core::MatrixSpace(world.matrix),
-            np::core::DoublingConfig{});
+    analyze("euclidean_control", np::core::MatrixSpace(world.matrix), 0.5);
   }
   np::bench::PrintTable(table);
   reporter.Write();

@@ -162,7 +162,7 @@ DnsStudy BuildDnsStudy(bool quick) {
   }
   util::Rng world_rng(1);
   auto topology = net::Topology::Generate(config, world_rng);
-  net::Tools tools(topology, net::NoiseConfig{}, util::Rng(2));
+  net::Tools tools(topology, util::Rng(2));
   util::Rng study_rng(3);
   auto result = measure::RunDnsStudy(topology, tools, {}, study_rng);
   return {std::move(topology), std::move(result)};
@@ -177,9 +177,9 @@ AzureusStudy BuildAzureusStudy(bool quick) {
   auto topology = net::Topology::Generate(config, world_rng);
   // Each study probes through its own Tools, seeded alike; default
   // options throughout.
-  net::Tools study_tools(topology, net::NoiseConfig{}, util::Rng(2));
+  net::Tools study_tools(topology, util::Rng(2));
   auto clusters = measure::RunAzureusStudy(topology, study_tools, {});
-  net::Tools graph_tools(topology, net::NoiseConfig{}, util::Rng(2));
+  net::Tools graph_tools(topology, util::Rng(2));
   auto graph = measure::PathGraph::Build(
       topology, graph_tools,
       topology.HostsOfKind(net::HostKind::kAzureusPeer));

@@ -364,8 +364,7 @@ void BenchBuildingBlocks(np::bench::Reporter& reporter, bool quick) {
         return;
       }
     }
-    np::net::Tools tools(topology, np::net::NoiseConfig{},
-                         np::util::Rng(15));
+    np::net::Tools tools(topology, np::util::Rng(15));
     const auto graph = np::measure::PathGraph::Build(
         topology, tools,
         topology.HostsOfKind(np::net::HostKind::kAzureusPeer));

@@ -8,14 +8,14 @@
 
 namespace np::core {
 
-GrowthReport AnalyzeGrowth(const LatencySpace& space,
-                           const GrowthConfig& config, util::Rng& rng) {
-  NP_ENSURE(config.sample_nodes >= 1, "need at least one sample node");
-  NP_ENSURE(config.num_scales >= 2, "need at least two scales");
+static_assert(kGrowthSampleNodes >= 1, "need at least one sample node");
+static_assert(kGrowthNumScales >= 2, "need at least two scales");
+
+GrowthReport AnalyzeGrowth(const LatencySpace& space, util::Rng& rng) {
   const NodeId n = space.size();
   NP_ENSURE(n >= 3, "space too small to analyze");
 
-  const int samples = std::min<int>(config.sample_nodes, n);
+  const int samples = std::min<int>(kGrowthSampleNodes, n);
   const std::vector<std::size_t> chosen =
       rng.Sample(static_cast<std::size_t>(n),
                  static_cast<std::size_t>(samples));
@@ -46,9 +46,9 @@ GrowthReport AnalyzeGrowth(const LatencySpace& space,
       continue;
     }
     double worst = 1.0;
-    for (int s = 0; s < config.num_scales; ++s) {
+    for (int s = 0; s < kGrowthNumScales; ++s) {
       const double t =
-          static_cast<double>(s) / static_cast<double>(config.num_scales - 1);
+          static_cast<double>(s) / static_cast<double>(kGrowthNumScales - 1);
       const double scale = lo * std::pow(hi / (2.0 * lo), t);
       const auto count_le = [&](double x) {
         return static_cast<double>(
@@ -105,16 +105,15 @@ int HalfCoverCount(const LatencySpace& space, NodeId center, double radius) {
 }  // namespace
 
 DoublingReport AnalyzeDoubling(const LatencySpace& space,
-                               const DoublingConfig& config, util::Rng& rng) {
-  NP_ENSURE(config.sample_balls >= 1, "need at least one ball");
-  NP_ENSURE(config.radius_quantile > 0.0 && config.radius_quantile <= 1.0,
+                               double radius_quantile, util::Rng& rng) {
+  NP_ENSURE(radius_quantile > 0.0 && radius_quantile <= 1.0,
             "radius quantile must be in (0, 1]");
   const NodeId n = space.size();
   NP_ENSURE(n >= 3, "space too small to analyze");
 
   DoublingReport report;
   double total = 0.0;
-  for (int trial = 0; trial < config.sample_balls; ++trial) {
+  for (int trial = 0; trial < kDoublingSampleBalls; ++trial) {
     const NodeId center = static_cast<NodeId>(rng.Index(
         static_cast<std::size_t>(n)));
     std::vector<double> latencies;
@@ -125,7 +124,7 @@ DoublingReport AnalyzeDoubling(const LatencySpace& space,
       }
     }
     const double radius =
-        util::Percentile(latencies, config.radius_quantile * 100.0);
+        util::Percentile(latencies, radius_quantile * 100.0);
     if (radius <= 0.0) {
       continue;
     }
@@ -136,7 +135,7 @@ DoublingReport AnalyzeDoubling(const LatencySpace& space,
         ++ball_size;
       }
     }
-    if (ball_size < config.min_ball_size) {
+    if (ball_size < kDoublingMinBallSize) {
       continue;
     }
     const int cover = HalfCoverCount(space, center, radius);

@@ -27,15 +27,13 @@ struct GrowthReport {
   int nodes_sampled = 0;
 };
 
-struct GrowthConfig {
-  int sample_nodes = 50;
-  /// Number of geometric scales between each node's smallest and
-  /// largest positive latency.
-  int num_scales = 24;
-};
+/// Nodes whose balls are measured (fewer when the space is smaller).
+inline constexpr int kGrowthSampleNodes = 50;
+/// Number of geometric scales between each node's smallest and
+/// largest positive latency.
+inline constexpr int kGrowthNumScales = 24;
 
-GrowthReport AnalyzeGrowth(const LatencySpace& space,
-                           const GrowthConfig& config, util::Rng& rng);
+GrowthReport AnalyzeGrowth(const LatencySpace& space, util::Rng& rng);
 
 struct DoublingReport {
   double mean_half_cover = 0.0;
@@ -43,17 +41,15 @@ struct DoublingReport {
   int balls_sampled = 0;
 };
 
-struct DoublingConfig {
-  int sample_balls = 50;
-  /// Radius of each sampled ball is this quantile of the center's
-  /// latency distribution (0.5 probes the cluster scale in the §4
-  /// worlds).
-  double radius_quantile = 0.5;
-  /// Skip balls containing fewer points than this (degenerate).
-  int min_ball_size = 4;
-};
+/// Balls sampled per report.
+inline constexpr int kDoublingSampleBalls = 50;
+/// Skip balls containing fewer points than this (degenerate).
+inline constexpr int kDoublingMinBallSize = 4;
 
+/// The radius of each sampled ball is the `radius_quantile` quantile
+/// of the center's latency distribution, in (0, 1] (0.5 probes the
+/// cluster scale in the §4 worlds).
 DoublingReport AnalyzeDoubling(const LatencySpace& space,
-                               const DoublingConfig& config, util::Rng& rng);
+                               double radius_quantile, util::Rng& rng);
 
 }  // namespace np::core

@@ -53,8 +53,9 @@ EngineSetup::EngineSetup(const LatencySpace& space,
       schedule_(schedule),
       config_(Checked(config, layout)),
       rng_(util::Mix64(config.seed)),
-      split_(SplitScenarioPopulation(space, population, config.initial_overlay,
-                                     rng_)),
+      split_(population.empty()
+                 ? SplitOverlay(space.size(), config.initial_overlay, rng_)
+                 : SplitNodes(population, config.initial_overlay, rng_)),
       // Fault streams derive straight from config.seed, NOT from rng_:
       // enabling faults must not shift any draw of the pre-existing
       // streams, or disabled-fault runs would stop being byte-identical.

@@ -2,27 +2,9 @@
 
 #include <utility>
 
-#include "core/experiment.h"
 #include "util/error.h"
 
 namespace np::core {
-
-OverlaySplit SplitScenarioPopulation(const LatencySpace& space,
-                                     const std::vector<NodeId>& population,
-                                     NodeId initial_overlay, util::Rng& rng) {
-  if (population.empty()) {
-    return SplitOverlay(space.size(), initial_overlay, rng);
-  }
-  NP_ENSURE(initial_overlay >= 1, "overlay must be non-empty");
-  NP_ENSURE(static_cast<std::size_t>(initial_overlay) < population.size(),
-            "need at least one population node left over as a target");
-  std::vector<NodeId> nodes = population;
-  rng.Shuffle(nodes);
-  OverlaySplit split;
-  split.members.assign(nodes.begin(), nodes.begin() + initial_overlay);
-  split.targets.assign(nodes.begin() + initial_overlay, nodes.end());
-  return split;
-}
 
 matrix::PartitionSchedule BuildPartitionSchedule(
     const FaultConfig& fault, const matrix::ClusterLayout* layout,

@@ -1,7 +1,8 @@
 // The pieces EngineSetup (core/engine_setup) assembles for the
-// scenario and serving engines: the population split, the partition
-// schedule and the scoped probe-counter/policy attachments. The
-// per-epoch churn window itself is EngineSetup::RunWindow.
+// scenario and serving engines: the partition schedule and the scoped
+// probe-counter/policy attachments. The population split is
+// SplitNodes (core/experiment); the per-epoch churn window itself is
+// EngineSetup::RunWindow.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +20,6 @@
 #include "util/types.h"
 
 namespace np::core {
-
-/// Splits `population` (or, when empty, the whole space) into the
-/// initial overlay membership and the join-pool/query-target rest.
-OverlaySplit SplitScenarioPopulation(const LatencySpace& space,
-                                     const std::vector<NodeId>& population,
-                                     NodeId initial_overlay, util::Rng& rng);
 
 /// Resolves FaultConfig's cluster-group partition windows, grey-node
 /// and asymmetric-loss knobs into the per-node PartitionSchedule the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "core/probe_stack.h"
@@ -49,20 +50,23 @@ std::vector<QueryOutcome> RunStaticQueries(const LatencySpace& space,
 
 }  // namespace
 
+OverlaySplit SplitNodes(std::vector<NodeId> nodes, NodeId overlay_size,
+                        util::Rng& rng) {
+  NP_ENSURE(overlay_size >= 1, "overlay must be non-empty");
+  NP_ENSURE(static_cast<std::size_t>(overlay_size) < nodes.size(),
+            "need at least one node left over as a target");
+  rng.Shuffle(nodes);
+  OverlaySplit split;
+  split.members.assign(nodes.begin(), nodes.begin() + overlay_size);
+  split.targets.assign(nodes.begin() + overlay_size, nodes.end());
+  return split;
+}
+
 OverlaySplit SplitOverlay(NodeId space_size, NodeId overlay_size,
                           util::Rng& rng) {
-  NP_ENSURE(overlay_size >= 1, "overlay must be non-empty");
-  NP_ENSURE(overlay_size < space_size,
-            "need at least one node left over as a target");
   std::vector<NodeId> all(static_cast<std::size_t>(space_size));
-  for (NodeId i = 0; i < space_size; ++i) {
-    all[static_cast<std::size_t>(i)] = i;
-  }
-  rng.Shuffle(all);
-  OverlaySplit split;
-  split.members.assign(all.begin(), all.begin() + overlay_size);
-  split.targets.assign(all.begin() + overlay_size, all.end());
-  return split;
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return SplitNodes(std::move(all), overlay_size, rng);
 }
 
 ClusteredMetrics RunClusteredExperiment(const LatencySpace& space,

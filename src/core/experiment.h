@@ -100,12 +100,18 @@ GenericMetrics RunGenericExperiment(const LatencySpace& space,
                                     const ExperimentConfig& config,
                                     util::Rng& rng);
 
-/// Splits [0, space_size) into a random overlay of `overlay_size`
-/// members plus the remaining targets.
+/// A random overlay plus the nodes left over as targets.
 struct OverlaySplit {
   std::vector<NodeId> members;
   std::vector<NodeId> targets;
 };
+
+/// Shuffles `nodes` and splits them into an overlay of `overlay_size`
+/// members plus the remaining targets.
+OverlaySplit SplitNodes(std::vector<NodeId> nodes, NodeId overlay_size,
+                        util::Rng& rng);
+
+/// SplitNodes over [0, space_size).
 OverlaySplit SplitOverlay(NodeId space_size, NodeId overlay_size,
                           util::Rng& rng);
 

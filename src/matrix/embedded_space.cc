@@ -8,13 +8,17 @@
 
 namespace np::matrix {
 
+void ValidateEmbeddedConfig(const EmbeddedSpaceConfig& config) {
+  NP_ENSURE(config.num_nodes >= 1, "EmbeddedSpace requires n >= 1");
+  NP_ENSURE(config.dimensions >= 1, "need at least one dimension");
+  NP_ENSURE(config.side_ms > 0.0, "side must be positive");
+  NP_ENSURE(config.distortion >= 0.0 && config.distortion < 1.0,
+            "distortion must be in [0, 1)");
+}
+
 EmbeddedSpace::EmbeddedSpace(const EmbeddedSpaceConfig& config)
     : config_(config) {
-  NP_ENSURE(config_.num_nodes >= 1, "EmbeddedSpace requires n >= 1");
-  NP_ENSURE(config_.dimensions >= 1, "need at least one dimension");
-  NP_ENSURE(config_.side_ms > 0.0, "side must be positive");
-  NP_ENSURE(config_.distortion >= 0.0 && config_.distortion < 1.0,
-            "distortion must be in [0, 1)");
+  ValidateEmbeddedConfig(config_);
   util::Rng rng(util::Mix64(config_.seed));
   coords_.resize(static_cast<std::size_t>(config_.num_nodes) *
                  static_cast<std::size_t>(config_.dimensions));

@@ -45,6 +45,10 @@ struct EmbeddedSpaceConfig {
   std::uint64_t seed = 1;
 };
 
+/// Rejects a config EmbeddedSpace cannot build. The constructor runs
+/// it; np_run runs it on every embedded spec.
+void ValidateEmbeddedConfig(const EmbeddedSpaceConfig& config);
+
 class EmbeddedSpace final : public core::LatencySpace {
  public:
   explicit EmbeddedSpace(const EmbeddedSpaceConfig& config);

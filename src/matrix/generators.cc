@@ -5,33 +5,35 @@
 
 namespace np::matrix {
 
-LatencyMatrix GenerateKingLike(NodeId n, const KingLikeConfig& config,
-                               util::Rng& rng) {
+static_assert(kKingMedianMs > 0.0, "median must be positive");
+static_assert(kKingMinMs > 0.0 && kKingMaxMs > kKingMinMs,
+              "invalid clamp range");
+static_assert(kHubNetMeanLoMs > 0.0 && kHubNetMeanHiMs >= kHubNetMeanLoMs,
+              "invalid hub-net mean range");
+
+LatencyMatrix GenerateKingLike(NodeId n, util::Rng& rng, bool metric_repair) {
   NP_ENSURE(n >= 1, "KingLike requires n >= 1");
-  NP_ENSURE(config.median_ms > 0.0, "median must be positive");
-  NP_ENSURE(config.min_ms > 0.0 && config.max_ms > config.min_ms,
-            "invalid clamp range");
   // Give each node a latent "position cost" so the matrix has node
   // structure (well-connected vs poorly-connected hubs) rather than
   // i.i.d. entries; pairwise latency is the product of node factors and
   // a lognormal pair term, calibrated so the overall median lands near
-  // config.median_ms.
+  // kKingMedianMs.
   std::vector<double> node_factor(static_cast<std::size_t>(n));
   for (auto& f : node_factor) {
     f = std::exp(rng.Gaussian(0.0, 0.25));
   }
-  const double mu = std::log(config.median_ms);
+  const double mu = std::log(kKingMedianMs);
   LatencyMatrix m(n);
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) {
-      const double pair_term = rng.LogNormal(mu, config.sigma);
+      const double pair_term = rng.LogNormal(mu, kKingSigma);
       double latency = pair_term * node_factor[static_cast<std::size_t>(i)] *
                        node_factor[static_cast<std::size_t>(j)];
-      latency = std::clamp(latency, config.min_ms, config.max_ms);
+      latency = std::clamp(latency, kKingMinMs, kKingMaxMs);
       m.Set(i, j, latency);
     }
   }
-  if (config.metric_repair && n >= 3) {
+  if (metric_repair && n >= 3) {
     m.MetricRepair();
   }
   return m;
@@ -72,17 +74,20 @@ std::vector<NodeId> ClusterLayout::NetMates(NodeId peer) const {
   return mates;
 }
 
-ClusteredWorld GenerateClustered(const ClusteredConfig& config,
-                                 const LatencyMatrix& hub_base,
-                                 util::Rng& rng) {
+void ValidateClusteredConfig(const ClusteredConfig& config) {
   NP_ENSURE(config.num_clusters >= 1, "need at least one cluster");
   NP_ENSURE(config.nets_per_cluster >= 1, "need at least one net/cluster");
   NP_ENSURE(config.peers_per_net >= 1, "need at least one peer/net");
   NP_ENSURE(config.delta >= 0.0 && config.delta <= 1.0,
             "delta must be in [0, 1]");
-  NP_ENSURE(config.hub_net_mean_lo_ms > 0.0 &&
-                config.hub_net_mean_hi_ms >= config.hub_net_mean_lo_ms,
-            "invalid hub-net mean range");
+  NP_ENSURE(config.same_net_latency_ms >= 0.0,
+            "same_net_latency_ms must be non-negative");
+}
+
+ClusteredWorld GenerateClustered(const ClusteredConfig& config,
+                                 const LatencyMatrix& hub_base,
+                                 util::Rng& rng) {
+  ValidateClusteredConfig(config);
   NP_ENSURE(hub_base.size() >= config.num_clusters,
             "hub base matrix smaller than the number of clusters");
 
@@ -96,8 +101,7 @@ ClusteredWorld GenerateClustered(const ClusteredConfig& config,
   std::vector<LatencyMs> net_hub_latency(static_cast<std::size_t>(total_nets));
   int net = 0;
   for (int c = 0; c < config.num_clusters; ++c) {
-    const double cluster_mean =
-        rng.Uniform(config.hub_net_mean_lo_ms, config.hub_net_mean_hi_ms);
+    const double cluster_mean = rng.Uniform(kHubNetMeanLoMs, kHubNetMeanHiMs);
     for (int k = 0; k < config.nets_per_cluster; ++k, ++net) {
       net_cluster[static_cast<std::size_t>(net)] = c;
       net_hub_latency[static_cast<std::size_t>(net)] =
@@ -154,19 +158,23 @@ ClusteredWorld GenerateClustered(const ClusteredConfig& config,
 
 ClusteredWorld GenerateClustered(const ClusteredConfig& config,
                                  util::Rng& rng) {
-  KingLikeConfig king;
-  const LatencyMatrix hub_base = GenerateKingLike(
-      static_cast<NodeId>(config.num_clusters), king, rng);
+  ValidateClusteredConfig(config);
+  const LatencyMatrix hub_base =
+      GenerateKingLike(static_cast<NodeId>(config.num_clusters), rng);
   return GenerateClustered(config, hub_base, rng);
 }
 
-EuclideanWorld GenerateEuclidean(NodeId n, const EuclideanConfig& config,
-                                 util::Rng& rng) {
+void ValidateEuclideanConfig(NodeId n, const EuclideanConfig& config) {
   NP_ENSURE(n >= 1, "Euclidean requires n >= 1");
   NP_ENSURE(config.dimensions >= 1, "need at least one dimension");
   NP_ENSURE(config.side_ms > 0.0, "side must be positive");
   NP_ENSURE(config.jitter >= 0.0 && config.jitter < 1.0,
             "jitter must be in [0, 1)");
+}
+
+EuclideanWorld GenerateEuclidean(NodeId n, const EuclideanConfig& config,
+                                 util::Rng& rng) {
+  ValidateEuclideanConfig(n, config);
   const auto dims = static_cast<std::size_t>(config.dimensions);
   std::vector<double> coords(static_cast<std::size_t>(n) * dims);
   for (auto& c : coords) {

@@ -23,25 +23,22 @@ namespace np::matrix {
 // ---------------------------------------------------------------------------
 // King-like base matrix.
 
-struct KingLikeConfig {
-  /// Median of pairwise latencies, ms. The Meridian DNS dataset the
-  /// paper samples hub latencies from has a median around 65 ms.
-  double median_ms = 65.0;
-  /// Sigma of the underlying normal (controls spread).
-  double sigma = 0.55;
-  /// Clamp range for raw samples before metric repair.
-  double min_ms = 5.0;
-  double max_ms = 400.0;
-  /// Whether to Floyd-Warshall the result into a metric. The live
-  /// Internet violates the triangle inequality mildly; repair keeps the
-  /// control experiments clean, and the violation itself is not what
-  /// the paper studies.
-  bool metric_repair = true;
-};
+/// Median of pairwise latencies, ms. The Meridian DNS dataset the
+/// paper samples hub latencies from has a median around 65 ms.
+inline constexpr double kKingMedianMs = 65.0;
+/// Sigma of the underlying normal (controls spread).
+inline constexpr double kKingSigma = 0.55;
+/// Clamp range for raw samples before metric repair.
+inline constexpr double kKingMinMs = 5.0;
+inline constexpr double kKingMaxMs = 400.0;
 
-/// Generates an n x n King-like latency matrix.
-LatencyMatrix GenerateKingLike(NodeId n, const KingLikeConfig& config,
-                               util::Rng& rng);
+/// Generates an n x n King-like latency matrix. `metric_repair`
+/// Floyd-Warshalls the result into a metric: the live Internet
+/// violates the triangle inequality mildly; repair keeps the control
+/// experiments clean, and the violation itself is not what the paper
+/// studies.
+LatencyMatrix GenerateKingLike(NodeId n, util::Rng& rng,
+                               bool metric_repair = true);
 
 // ---------------------------------------------------------------------------
 // Clustered space (paper §4).
@@ -55,15 +52,21 @@ struct ClusteredConfig {
   /// Peers per end-network ("All end-networks in our simulation
   /// contain two peers each").
   int peers_per_net = 2;
-  /// Mean hub-to-end-network latency drawn U(lo, hi) per cluster.
-  double hub_net_mean_lo_ms = 4.0;
-  double hub_net_mean_hi_ms = 6.0;
   /// Spread of end-network latencies around the cluster mean: each
   /// end-network's hub latency is U((1-delta)*mean, (1+delta)*mean).
   double delta = 0.2;
   /// Latency between two peers in the same end-network (100 us).
   LatencyMs same_net_latency_ms = 0.1;
 };
+
+/// Mean hub-to-end-network latency, drawn U(lo, hi) per cluster.
+inline constexpr double kHubNetMeanLoMs = 4.0;
+inline constexpr double kHubNetMeanHiMs = 6.0;
+
+/// Rejects a config GenerateClustered cannot build. Both generators
+/// run it before drawing anything; np_run runs it on every clustered
+/// spec.
+void ValidateClusteredConfig(const ClusteredConfig& config);
 
 /// Static description of which peer lives where; the experiment runner
 /// uses it to score "correct cluster" and "latency to cluster-hub".
@@ -149,6 +152,10 @@ struct EuclideanWorld {
   std::vector<double> coordinates;
   int dimensions = 0;
 };
+
+/// Rejects an n or a config GenerateEuclidean cannot build; np_run
+/// runs it on every euclidean spec.
+void ValidateEuclideanConfig(NodeId n, const EuclideanConfig& config);
 
 EuclideanWorld GenerateEuclidean(NodeId n, const EuclideanConfig& config,
                                  util::Rng& rng);

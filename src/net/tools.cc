@@ -33,13 +33,12 @@ TracerouteResult MergeTraceroutes(const TracerouteResult& a,
   return merged;
 }
 
-Tools::Tools(const Topology& topology, const NoiseConfig& noise,
-             util::Rng rng)
-    : topology_(&topology), noise_(noise), rng_(rng) {}
+Tools::Tools(const Topology& topology, util::Rng rng)
+    : topology_(&topology), rng_(rng) {}
 
 LatencyMs Tools::Jitter(LatencyMs true_ms, double frac) {
   const double jittered = true_ms * (1.0 + rng_.Gaussian(0.0, frac));
-  return std::max(jittered, noise_.rtt_floor_ms);
+  return std::max(jittered, kRttFloorMs);
 }
 
 std::optional<LatencyMs> Tools::Ping(NodeId from, NodeId to) {
@@ -47,7 +46,7 @@ std::optional<LatencyMs> Tools::Ping(NodeId from, NodeId to) {
   if (!dest.responds_traceroute) {
     return std::nullopt;
   }
-  return Jitter(topology_->LatencyBetween(from, to), noise_.rtt_jitter_frac);
+  return Jitter(topology_->LatencyBetween(from, to), kRttJitterFrac);
 }
 
 std::optional<LatencyMs> Tools::PingRouter(NodeId from, RouterId router) {
@@ -55,8 +54,7 @@ std::optional<LatencyMs> Tools::PingRouter(NodeId from, RouterId router) {
   if (!r.responds) {
     return std::nullopt;
   }
-  return Jitter(topology_->LatencyToRouter(from, router),
-                noise_.rtt_jitter_frac);
+  return Jitter(topology_->LatencyToRouter(from, router), kRttJitterFrac);
 }
 
 std::optional<LatencyMs> Tools::TcpPing(NodeId from, NodeId to) {
@@ -65,8 +63,8 @@ std::optional<LatencyMs> Tools::TcpPing(NodeId from, NodeId to) {
     return std::nullopt;
   }
   const LatencyMs base =
-      Jitter(topology_->LatencyBetween(from, to), noise_.rtt_jitter_frac);
-  return base + rng_.Exponential(noise_.tcp_syn_lag_mean_ms);
+      Jitter(topology_->LatencyBetween(from, to), kRttJitterFrac);
+  return base + rng_.Exponential(kTcpSynLagMeanMs);
 }
 
 TracerouteResult Tools::Traceroute(NodeId from, NodeId to) {
@@ -76,20 +74,18 @@ TracerouteResult Tools::Traceroute(NodeId from, NodeId to) {
   // so they see one common multiplicative factor plus a small per-hop
   // residual. This is what makes consecutive-hop RTT differences
   // meaningful, as the paper's §5 adjacency graph requires.
-  const double trace_factor =
-      1.0 + rng_.Gaussian(0.0, noise_.rtt_jitter_frac);
+  const double trace_factor = 1.0 + rng_.Gaussian(0.0, kRttJitterFrac);
   const auto hop_rtt = [&](LatencyMs true_ms) {
     const double v = true_ms * trace_factor *
-                     (1.0 + rng_.Gaussian(0.0, noise_.trace_hop_jitter_frac));
-    return std::max(v, noise_.rtt_floor_ms);
+                     (1.0 + rng_.Gaussian(0.0, kTraceHopJitterFrac));
+    return std::max(v, kRttFloorMs);
   };
   result.hops.reserve(path.size());
   for (const PathHop& hop : path) {
     const Router& r = topology_->router(hop.router);
     TracerouteHop out;
     out.router = hop.router;
-    out.responded =
-        r.responds && rng_.Bernoulli(noise_.trace_per_probe_respond);
+    out.responded = r.responds && rng_.Bernoulli(kTracePerProbeRespond);
     if (out.responded) {
       out.rtt_ms = hop_rtt(hop.rtt_from_source_ms);
       out.annotated_as = r.annotated_as;
@@ -116,29 +112,27 @@ std::optional<LatencyMs> Tools::King(NodeId server_a, NodeId server_b) {
     // recursive query is answered locally and never forwarded (§3.1).
     return std::nullopt;
   }
-  if (rng_.Bernoulli(noise_.king_fail_prob)) {
+  if (rng_.Bernoulli(kKingFailProb)) {
     return std::nullopt;
   }
   LatencyMs true_ms = topology_->LatencyBetween(server_a, server_b);
   // Alternate paths bypass the common upstream router with a floor
   // probability plus a component growing in the path latency.
   const double shortcut_prob = std::clamp(
-      noise_.king_shortcut_base_prob +
-          (true_ms - noise_.king_shortcut_base_ms) /
-              noise_.king_shortcut_scale_ms,
-      0.0, noise_.king_shortcut_max_prob);
+      kKingShortcutBaseProb +
+          (true_ms - kKingShortcutBaseMs) / kKingShortcutScaleMs,
+      0.0, kKingShortcutMaxProb);
   if (rng_.Bernoulli(shortcut_prob)) {
-    true_ms *= rng_.Uniform(noise_.king_shortcut_factor_lo,
-                            noise_.king_shortcut_factor_hi);
+    true_ms *= rng_.Uniform(kKingShortcutFactorLo, kKingShortcutFactorHi);
   }
   // Processing lag at both servers inflates the estimate; dominant for
   // nearby pairs. Busy resolvers occasionally add a large spike.
   LatencyMs lag = rng_.Exponential(a.dns_lag_mean_ms) +
                   rng_.Exponential(b.dns_lag_mean_ms);
-  if (rng_.Bernoulli(noise_.king_lag_spike_prob)) {
-    lag += rng_.Exponential(noise_.king_lag_spike_mean_ms);
+  if (rng_.Bernoulli(kKingLagSpikeProb)) {
+    lag += rng_.Exponential(kKingLagSpikeMeanMs);
   }
-  return Jitter(true_ms, noise_.king_jitter_frac) + lag;
+  return Jitter(true_ms, kKingJitterFrac) + lag;
 }
 
 }  // namespace np::net

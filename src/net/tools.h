@@ -16,47 +16,6 @@
 
 namespace np::net {
 
-struct NoiseConfig {
-  /// Multiplicative Gaussian jitter applied to ping RTTs and to a
-  /// traceroute as a whole (tools take the min of several probes, so
-  /// the residual error is small).
-  double rtt_jitter_frac = 0.004;
-  /// Extra per-hop jitter within one traceroute. Hops of the same
-  /// trace share the path and its congestion, so their RTTs are
-  /// strongly correlated; only this small residual is independent.
-  double trace_hop_jitter_frac = 0.004;
-  /// Minimum reportable RTT, ms.
-  double rtt_floor_ms = 0.02;
-  /// Mean of the extra SYN-handling lag in a TCP ping (exponential).
-  double tcp_syn_lag_mean_ms = 0.4;
-  /// Chance a responding router answers one particular traceroute
-  /// probe. Per-trace silence is what makes the same peer's last valid
-  /// hop differ across vantage points — the paper's unique-upstream
-  /// filter drops most responsive peers because of exactly this.
-  double trace_per_probe_respond = 0.87;
-
-  /// King measurement failure probability (lost recursion, rate
-  /// limiting, ...).
-  double king_fail_prob = 0.06;
-  /// Occasional load spikes at the recursive servers: an extra
-  /// exponential lag added with this probability (busy resolvers
-  /// answer King queries late, inflating small measurements).
-  double king_lag_spike_prob = 0.25;
-  double king_lag_spike_mean_ms = 8.0;
-  double king_jitter_frac = 0.09;
-  /// Alternate-path shortcut model: some pairs see a shorter path
-  /// than the common-router route (peering links, multihomed
-  /// networks); the probability has a floor at every distance and
-  /// grows with the path latency. DNS servers are well connected, so
-  /// the effect is strong at large latencies (paper §3.1).
-  double king_shortcut_base_prob = 0.3;
-  double king_shortcut_base_ms = 15.0;
-  double king_shortcut_scale_ms = 160.0;
-  double king_shortcut_max_prob = 0.6;
-  double king_shortcut_factor_lo = 0.2;
-  double king_shortcut_factor_hi = 0.8;
-};
-
 struct TracerouteHop {
   RouterId router = kInvalidRouter;
   /// False renders as "* * *": no RTT, no annotation.
@@ -87,7 +46,46 @@ TracerouteResult MergeTraceroutes(const TracerouteResult& a,
 /// reproducible independently of topology generation.
 class Tools {
  public:
-  Tools(const Topology& topology, const NoiseConfig& noise, util::Rng rng);
+  /// Multiplicative Gaussian jitter applied to ping RTTs and to a
+  /// traceroute as a whole (tools take the min of several probes, so
+  /// the residual error is small).
+  static constexpr double kRttJitterFrac = 0.004;
+  /// Extra per-hop jitter within one traceroute. Hops of the same
+  /// trace share the path and its congestion, so their RTTs are
+  /// strongly correlated; only this small residual is independent.
+  static constexpr double kTraceHopJitterFrac = 0.004;
+  /// Minimum reportable RTT, ms.
+  static constexpr double kRttFloorMs = 0.02;
+  /// Mean of the extra SYN-handling lag in a TCP ping (exponential).
+  static constexpr double kTcpSynLagMeanMs = 0.4;
+  /// Chance a responding router answers one particular traceroute
+  /// probe. Per-trace silence is what makes the same peer's last valid
+  /// hop differ across vantage points — the paper's unique-upstream
+  /// filter drops most responsive peers because of exactly this.
+  static constexpr double kTracePerProbeRespond = 0.87;
+
+  /// King measurement failure probability (lost recursion, rate
+  /// limiting, ...).
+  static constexpr double kKingFailProb = 0.06;
+  /// Occasional load spikes at the recursive servers: an extra
+  /// exponential lag added with this probability (busy resolvers
+  /// answer King queries late, inflating small measurements).
+  static constexpr double kKingLagSpikeProb = 0.25;
+  static constexpr double kKingLagSpikeMeanMs = 8.0;
+  static constexpr double kKingJitterFrac = 0.09;
+  /// Alternate-path shortcut model: some pairs see a shorter path
+  /// than the common-router route (peering links, multihomed
+  /// networks); the probability has a floor at every distance and
+  /// grows with the path latency. DNS servers are well connected, so
+  /// the effect is strong at large latencies (paper §3.1).
+  static constexpr double kKingShortcutBaseProb = 0.3;
+  static constexpr double kKingShortcutBaseMs = 15.0;
+  static constexpr double kKingShortcutScaleMs = 160.0;
+  static constexpr double kKingShortcutMaxProb = 0.6;
+  static constexpr double kKingShortcutFactorLo = 0.2;
+  static constexpr double kKingShortcutFactorHi = 0.8;
+
+  Tools(const Topology& topology, util::Rng rng);
 
   /// ICMP ping host -> host. Fails when the destination does not
   /// respond to probes.
@@ -113,7 +111,6 @@ class Tools {
   LatencyMs Jitter(LatencyMs true_ms, double frac);
 
   const Topology* topology_;
-  NoiseConfig noise_;
   util::Rng rng_;
 };
 

@@ -16,27 +16,6 @@ namespace {
 /// out of the common private ranges for readability.
 constexpr Ipv4 kAddressSpaceBase = 0x0B000000;
 
-void ValidateConfig(const TopologyConfig& c) {
-  NP_ENSURE(c.num_cities >= 1, "need at least one city");
-  NP_ENSURE(c.num_ases >= 1, "need at least one AS");
-  NP_ENSURE(c.min_pops_per_as >= 1 && c.max_pops_per_as >= c.min_pops_per_as,
-            "invalid PoPs-per-AS range");
-  NP_ENSURE(c.agg_levels >= 1, "need at least one aggregation level");
-  NP_ENSURE(c.agg_fanout_min >= 1 && c.agg_fanout_max >= c.agg_fanout_min,
-            "invalid aggregation fanout range");
-  NP_ENSURE(c.endnets_per_pop_min >= 1 &&
-                c.endnets_per_pop_max >= c.endnets_per_pop_min,
-            "invalid end-networks-per-PoP range");
-  NP_ENSURE(c.as_block_bits > 0 && c.as_block_bits < c.pop_region_bits &&
-                c.pop_region_bits < c.endnet_prefix_bits &&
-                c.endnet_prefix_bits <= 24,
-            "address plan must nest: AS block > PoP region > end-network");
-  NP_ENSURE(c.max_pops_per_as <= (1 << (c.pop_region_bits - c.as_block_bits)),
-            "PoP regions do not fit in the AS block");
-  NP_ENSURE(c.num_vantage_points >= 1, "need at least one vantage point");
-  NP_ENSURE(c.ms_per_unit > 0.0 && c.map_side > 0.0, "invalid geography");
-}
-
 /// Pareto(alpha) sample with unit scale, capped for sanity.
 double ParetoSample(util::Rng& rng, double alpha, double cap) {
   double u = 0.0;
@@ -49,27 +28,23 @@ double ParetoSample(util::Rng& rng, double alpha, double cap) {
 /// Generation-time per-PoP /24 block allocator.
 class BlockAllocator {
  public:
-  BlockAllocator(const TopologyConfig& config, std::size_t num_pops)
-      : block_bits_(config.endnet_prefix_bits),
-        blocks_per_pop_(1 << (config.endnet_prefix_bits -
-                              config.pop_region_bits)),
-        next_(num_pops, 0) {}
+  explicit BlockAllocator(std::size_t num_pops) : next_(num_pops, 0) {}
 
   /// Base address of a fresh block inside the PoP's region.
   Ipv4 AllocateBlock(const Pop& pop) {
     auto& next = next_[static_cast<std::size_t>(pop.id)];
-    NP_ENSURE(next < blocks_per_pop_,
-              "PoP address region exhausted; widen pop_region_bits");
+    NP_ENSURE(next < kBlocksPerPop,
+              "PoP address region exhausted; widen Topology::kPopRegionBits");
     const Ipv4 base =
         pop.region_base +
-        (static_cast<Ipv4>(next) << (32 - block_bits_));
+        (static_cast<Ipv4>(next) << (32 - Topology::kEndnetPrefixBits));
     ++next;
     return base;
   }
 
  private:
-  int block_bits_;
-  int blocks_per_pop_;
+  static constexpr int kBlocksPerPop =
+      1 << (Topology::kEndnetPrefixBits - Topology::kPopRegionBits);
   std::vector<int> next_;
 };
 
@@ -93,6 +68,33 @@ class HostAddressPool {
 };
 
 }  // namespace
+
+static_assert(0 < Topology::kAsBlockBits &&
+                  Topology::kAsBlockBits < Topology::kPopRegionBits &&
+                  Topology::kPopRegionBits < Topology::kEndnetPrefixBits &&
+                  Topology::kEndnetPrefixBits <= 24,
+              "address plan must nest: AS block > PoP region > end-network");
+static_assert(Topology::kAggFanoutMin >= 1 &&
+                  Topology::kAggFanoutMax >= Topology::kAggFanoutMin,
+              "invalid aggregation fanout range");
+static_assert(Topology::kNumVantagePoints >= 1,
+              "need at least one vantage point");
+static_assert(Topology::kMsPerUnit > 0.0 && Topology::kMapSide > 0.0,
+              "invalid geography");
+
+void ValidateTopologyConfig(const TopologyConfig& c) {
+  NP_ENSURE(c.num_cities >= 1, "need at least one city");
+  NP_ENSURE(c.num_ases >= 1, "need at least one AS");
+  NP_ENSURE(c.min_pops_per_as >= 1 && c.max_pops_per_as >= c.min_pops_per_as,
+            "invalid PoPs-per-AS range");
+  NP_ENSURE(c.agg_levels >= 1, "need at least one aggregation level");
+  NP_ENSURE(c.endnets_per_pop_min >= 1 &&
+                c.endnets_per_pop_max >= c.endnets_per_pop_min,
+            "invalid end-networks-per-PoP range");
+  NP_ENSURE(c.max_pops_per_as <=
+                (1 << (Topology::kPopRegionBits - Topology::kAsBlockBits)),
+            "PoP regions do not fit in the AS block");
+}
 
 TopologyConfig DnsStudyConfig() {
   TopologyConfig config;
@@ -123,9 +125,8 @@ TopologyConfig SmallTestConfig() {
 }
 
 Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
-  ValidateConfig(config);
+  ValidateTopologyConfig(config);
   Topology t;
-  t.config_ = config;
 
   // --- Cities ---------------------------------------------------------------
   t.cities_.resize(static_cast<std::size_t>(config.num_cities));
@@ -133,8 +134,8 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     City& city = t.cities_[static_cast<std::size_t>(c)];
     city.id = c;
     city.name = "city" + std::to_string(c);
-    city.x = rng.Uniform(0.0, config.map_side);
-    city.y = rng.Uniform(0.0, config.map_side);
+    city.x = rng.Uniform(0.0, kMapSide);
+    city.y = rng.Uniform(0.0, kMapSide);
   }
 
   // --- ASes and PoPs ----------------------------------------------------------
@@ -144,7 +145,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     as.id = a;
     as.name = "AS" + std::to_string(6400 + a);
     as.block_base = kAddressSpaceBase +
-                    (static_cast<Ipv4>(a) << (32 - config.as_block_bits));
+                    (static_cast<Ipv4>(a) << (32 - kAsBlockBits));
     const int num_pops = static_cast<int>(
         rng.UniformInt(config.min_pops_per_as, config.max_pops_per_as));
     const auto pop_cities = rng.Sample(
@@ -158,7 +159,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       pop.city_id = static_cast<int>(pop_cities[k]);
       pop.region_base =
           as.block_base +
-          (static_cast<Ipv4>(k) << (32 - config.pop_region_bits));
+          (static_cast<Ipv4>(k) << (32 - kPopRegionBits));
       t.pops_.push_back(pop);
     }
   }
@@ -173,7 +174,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     core.parent_link_ms = 0.0;
     core.annotated_as = pop.as_id;
     core.annotated_city = pop.city_id;
-    core.responds = rng.Bernoulli(config.router_respond_prob);
+    core.responds = rng.Bernoulli(kRouterRespondProb);
     {
       std::ostringstream name;
       name << "cr0.pop" << pop.id << ".as" << pop.as_id << ".net";
@@ -187,31 +188,29 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       std::vector<RouterId> next_frontier;
       for (RouterId parent : frontier) {
         const int fanout = static_cast<int>(
-            rng.UniformInt(config.agg_fanout_min, config.agg_fanout_max));
+            rng.UniformInt(kAggFanoutMin, kAggFanoutMax));
         for (int f = 0; f < fanout; ++f) {
           Router r;
           r.id = static_cast<RouterId>(t.routers_.size());
           r.pop_id = pop.id;
           r.level = level;
           r.parent = parent;
-          r.parent_link_ms =
-              rng.Uniform(config.link_ms_min, config.link_ms_max);
+          r.parent_link_ms = rng.Uniform(kLinkMsMin, kLinkMsMax);
           r.annotated_as = pop.as_id;
           r.annotated_city = pop.city_id;
-          if (rng.Bernoulli(config.router_misconfig_prob)) {
+          if (rng.Bernoulli(kRouterMisconfigProb)) {
             r.annotated_city = static_cast<int>(
                 rng.Index(static_cast<std::size_t>(config.num_cities)));
           }
-          r.responds = rng.Bernoulli(config.router_respond_prob);
+          r.responds = rng.Bernoulli(kRouterRespondProb);
           r.is_concentrator = level == config.agg_levels;
           if (r.is_concentrator) {
             // The neighborhood's typical last-mile: exponential body
             // over the configured range so some concentrators serve
             // slow lines (Fig 7's 5-100 ms spread).
-            const double span =
-                config.home_access_ms_max - config.home_access_ms_min;
+            const double span = kHomeAccessMsMax - kHomeAccessMsMin;
             r.home_base_ms =
-                config.home_access_ms_min +
+                kHomeAccessMsMin +
                 std::min(rng.Exponential(span / 3.0), span * 0.8);
           }
           {
@@ -239,20 +238,20 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
           t.pops_[j].city_id)];
       double base = 0.0;
       if (t.pops_[i].city_id == t.pops_[j].city_id) {
-        base = config.same_city_pop_ms;
+        base = kSameCityPopMs;
       } else {
         const double dist = std::hypot(ca.x - cb.x, ca.y - cb.y);
-        base = config.core_base_ms + dist * config.ms_per_unit;
+        base = kCoreBaseMs + dist * kMsPerUnit;
       }
       const double jittered =
-          base * (1.0 + rng.Uniform(-config.core_jitter, config.core_jitter));
+          base * (1.0 + rng.Uniform(-kCoreJitter, kCoreJitter));
       t.interpop_[i * num_pops + j] = jittered;
       t.interpop_[j * num_pops + i] = jittered;
     }
   }
 
   // --- End-networks -------------------------------------------------------------
-  BlockAllocator blocks(config, num_pops);
+  BlockAllocator blocks(num_pops);
   std::vector<std::vector<RouterId>> pop_agg_routers(num_pops);
   std::vector<std::vector<RouterId>> pop_concentrators(num_pops);
   for (const Router& r : t.routers_) {
@@ -274,10 +273,9 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       net.id = static_cast<int>(t.endnets_.size());
       net.pop_id = pop.id;
       net.attach_router = aggs[rng.Index(aggs.size())];
-      net.access_ms =
-          rng.Uniform(config.endnet_access_ms_min, config.endnet_access_ms_max);
-      net.lan_ms = rng.Uniform(config.lan_ms_min, config.lan_ms_max);
-      net.multicast_enabled = rng.Bernoulli(config.multicast_enabled_prob);
+      net.access_ms = rng.Uniform(kEndnetAccessMsMin, kEndnetAccessMsMax);
+      net.lan_ms = rng.Uniform(kLanMsMin, kLanMsMax);
+      net.multicast_enabled = rng.Bernoulli(kMulticastEnabledProb);
       // The network's own border router: a traceroute-visible hop
       // below the ISP attachment, carrying the campus uplink latency.
       {
@@ -289,11 +287,11 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
         gw.parent_link_ms = net.access_ms;
         gw.annotated_as = pop.as_id;
         gw.annotated_city = pop.city_id;
-        if (rng.Bernoulli(config.router_misconfig_prob)) {
+        if (rng.Bernoulli(kRouterMisconfigProb)) {
           gw.annotated_city = static_cast<int>(
               rng.Index(static_cast<std::size_t>(config.num_cities)));
         }
-        gw.responds = rng.Bernoulli(config.router_respond_prob);
+        gw.responds = rng.Bernoulli(kRouterRespondProb);
         gw.is_concentrator = false;
         {
           std::ostringstream name;
@@ -307,7 +305,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       // Most networks use their PoP's address region; a few bring
       // provider-independent space allocated under a random other PoP.
       const Pop& address_pop =
-          rng.Bernoulli(config.endnet_foreign_prefix_prob)
+          rng.Bernoulli(kEndnetForeignPrefixProb)
               ? t.pops_[rng.Index(num_pops)]
               : pop;
       net.prefix_base = blocks.AllocateBlock(address_pop);
@@ -352,8 +350,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     std::set<int> used_cities;
     std::vector<std::size_t> chosen;
     for (std::size_t p : pop_order) {
-      if (chosen.size() ==
-          static_cast<std::size_t>(config.num_vantage_points)) {
+      if (chosen.size() == static_cast<std::size_t>(kNumVantagePoints)) {
         break;
       }
       if (used_cities.insert(t.pops_[p].city_id).second) {
@@ -362,8 +359,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     }
     // Fewer cities than vantage points: reuse cities.
     for (std::size_t p : pop_order) {
-      if (chosen.size() ==
-          static_cast<std::size_t>(config.num_vantage_points)) {
+      if (chosen.size() == static_cast<std::size_t>(kNumVantagePoints)) {
         break;
       }
       if (std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
@@ -371,8 +367,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       }
     }
     // Fewer PoPs than vantage points (tiny test worlds): reuse PoPs.
-    while (chosen.size() <
-           static_cast<std::size_t>(config.num_vantage_points)) {
+    while (chosen.size() < static_cast<std::size_t>(kNumVantagePoints)) {
       chosen.push_back(pop_order[chosen.size() % pop_order.size()]);
     }
     for (std::size_t p : chosen) {
@@ -388,15 +383,14 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
   if (config.dns_recursive_hosts > 0) {
     int next_domain = 0;
     const int num_pairs = static_cast<int>(
-        config.dns_same_domain_pair_frac * config.dns_recursive_hosts / 2.0);
+        kDnsSameDomainPairFrac * config.dns_recursive_hosts / 2.0);
     int created = 0;
     const auto random_endnet = [&]() -> int {
       return static_cast<int>(rng.Index(t.endnets_.size()));
     };
     const auto finish_dns_host = [&](Host& h) {
       h.domain_id = next_domain;
-      h.dns_lag_mean_ms = rng.Uniform(config.dns_lag_mean_ms_min,
-                                      config.dns_lag_mean_ms_max);
+      h.dns_lag_mean_ms = rng.Uniform(kDnsLagMeanMsMin, kDnsLagMeanMsMax);
       h.responds_tcp = true;
       h.responds_traceroute = true;
     };
@@ -408,7 +402,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       finish_dns_host(a);
       // Partner: usually co-located, sometimes in a different network
       // (the paper saw geographically split same-domain pairs).
-      const int endnet_b = rng.Bernoulli(config.dns_domain_split_city_prob)
+      const int endnet_b = rng.Bernoulli(kDnsDomainSplitCityProb)
                                ? random_endnet()
                                : endnet_a;
       Host& b = add_endnet_host(endnet_b, HostKind::kDnsRecursive);
@@ -434,7 +428,7 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
     for (std::size_t p = 0; p < num_pops; ++p) {
       for (RouterId r : pop_concentrators[p]) {
         concentrators.push_back(r);
-        total += ParetoSample(rng, t.config_.concentrator_pareto_alpha, 400.0);
+        total += ParetoSample(rng, kConcentratorParetoAlpha, 400.0);
         cumulative.push_back(total);
       }
     }
@@ -494,11 +488,10 @@ Topology Topology::Generate(const TopologyConfig& config, util::Rng& rng) {
       // base (shared line technology / loop lengths); the residual
       // spread is what the paper's factor-1.5 pruning cuts on.
       h.access_ms = std::clamp(conc.home_base_ms * rng.Uniform(0.75, 1.55),
-                               config.home_access_ms_min,
-                               config.home_access_ms_max);
+                               kHomeAccessMsMin, kHomeAccessMsMax);
       h.pop_id = conc.pop_id;
       const Pop& address_pop =
-          rng.Bernoulli(config.home_reseller_prob)
+          rng.Bernoulli(kHomeResellerProb)
               ? t.pops_[rng.Index(num_pops)]
               : t.pops_[static_cast<std::size_t>(conc.pop_id)];
       h.ip = alloc_home_ip(address_pop);

@@ -42,7 +42,7 @@ struct City {
 struct As {
   int id = -1;
   std::string name;
-  /// Base address of this AS's /as_block_bits block.
+  /// Base address of this AS's /Topology::kAsBlockBits block.
   Ipv4 block_base = 0;
 };
 
@@ -51,7 +51,7 @@ struct Pop {
   int as_id = -1;
   int city_id = -1;
   RouterId core_router = kInvalidRouter;
-  /// Base address of this PoP's /pop_region_bits region.
+  /// Base address of this PoP's /Topology::kPopRegionBits region.
   Ipv4 region_base = 0;
 };
 
@@ -127,10 +127,79 @@ struct PathHop {
 
 class Topology {
  public:
+  // --- Geography -----------------------------------------------------------
+  /// Cities are placed uniformly on a square of this side (abstract km).
+  static constexpr double kMapSide = 5000.0;
+  /// RTT ms per map unit of city distance (fiber + routing inflation).
+  static constexpr double kMsPerUnit = 0.02;
+  /// Fixed RTT overhead on any inter-PoP path, ms.
+  static constexpr double kCoreBaseMs = 2.0;
+  /// Multiplicative spread applied to inter-PoP latencies: U(1-x, 1+x).
+  static constexpr double kCoreJitter = 0.15;
+  /// RTT between two PoPs in the same city, ms (metro interconnect).
+  static constexpr double kSameCityPopMs = 1.2;
+
+  // --- Intra-PoP aggregation trees ------------------------------------------
+  static constexpr int kAggFanoutMin = 2;
+  static constexpr int kAggFanoutMax = 4;
+  /// Per tree-link RTT, ms.
+  static constexpr double kLinkMsMin = 0.1;
+  static constexpr double kLinkMsMax = 1.2;
+  /// Probability a router responds to traceroute at all.
+  static constexpr double kRouterRespondProb = 0.92;
+  /// Probability a router's name carries a wrong city annotation
+  /// (rockettrace parses names; misconfigured names mislead it).
+  static constexpr double kRouterMisconfigProb = 0.04;
+
+  // --- End-networks ----------------------------------------------------------
+  /// End-network gateway <-> attachment router RTT, ms (campus uplink).
+  static constexpr double kEndnetAccessMsMin = 0.3;
+  static constexpr double kEndnetAccessMsMax = 6.0;
+  /// Intra-LAN RTT between two hosts of the same end-network, ms.
+  static constexpr double kLanMsMin = 0.05;
+  static constexpr double kLanMsMax = 0.4;
+  /// Fraction of end-networks with working site-wide IP multicast.
+  static constexpr double kMulticastEnabledProb = 0.4;
+
+  // --- DNS server population (§3.1) ------------------------------------------
+  /// Fraction of DNS servers that get a same-domain partner.
+  static constexpr double kDnsSameDomainPairFrac = 0.05;
+  /// Of those partners, the fraction placed in a *different* city
+  /// (the paper observed some same-domain pairs geographically split).
+  static constexpr double kDnsDomainSplitCityProb = 0.12;
+  /// Per-server mean of the King processing lag (exponential), ms.
+  static constexpr double kDnsLagMeanMsMin = 0.2;
+  static constexpr double kDnsLagMeanMsMax = 2.8;
+
+  // --- Azureus peer population (§3.2) ----------------------------------------
+  /// Home last-mile RTT, ms (DSL/cable spread; drives Fig 7's 5-100 ms
+  /// hub-to-peer latencies).
+  static constexpr double kHomeAccessMsMin = 5.0;
+  static constexpr double kHomeAccessMsMax = 45.0;
+  /// Pareto shape for homes-per-concentrator (heavy tail produces the
+  /// paper's 200+ member clusters).
+  static constexpr double kConcentratorParetoAlpha = 1.1;
+
+  // --- Addressing -------------------------------------------------------------
+  /// Each AS owns a /kAsBlockBits block.
+  static constexpr int kAsBlockBits = 12;
+  /// Each PoP gets a /kPopRegionBits region inside its AS block.
+  static constexpr int kPopRegionBits = 17;
+  /// Each end-network gets one /24 (plus more on overflow).
+  static constexpr int kEndnetPrefixBits = 24;
+  /// Probability an end-network uses provider-independent space from a
+  /// random other PoP's region (prefix noise for Fig 11).
+  static constexpr double kEndnetForeignPrefixProb = 0.12;
+  /// Probability a home subscriber's address comes from a completely
+  /// different AS's space: unbundled local loops / reseller ISPs put
+  /// customers of one physical DSLAM into several providers' blocks.
+  static constexpr double kHomeResellerProb = 0.18;
+
+  // --- Vantage points (Table 1 analog) ---------------------------------------
+  static constexpr int kNumVantagePoints = 7;
+
   /// Generates a world; deterministic per (config, rng state).
   static Topology Generate(const TopologyConfig& config, util::Rng& rng);
-
-  const TopologyConfig& config() const { return config_; }
 
   // Entity access ------------------------------------------------------------
   const std::vector<City>& cities() const { return cities_; }
@@ -195,7 +264,6 @@ class Topology {
   /// Cumulative RTT from a router up to its PoP core.
   LatencyMs RouterToCore(RouterId router) const;
 
-  TopologyConfig config_;
   std::vector<City> cities_;
   std::vector<As> ases_;
   std::vector<Pop> pops_;

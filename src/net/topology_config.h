@@ -1,4 +1,4 @@
-// Knobs for the synthetic last-hop Internet.
+// The settable size of the synthetic last-hop Internet.
 //
 // The generator reproduces the structure the paper's measurements rely
 // on (§2, Fig 1): ISPs deploy PoPs in cities; aggregation-router trees
@@ -6,6 +6,14 @@
 // LANs) hang off aggregation routers; home users attach directly to
 // access concentrators with large last-mile latencies. Inter-PoP
 // latencies follow city geography.
+//
+// What is left here is what some caller changes: how many cities,
+// providers, PoPs, router levels and end-networks the world has, how
+// many DNS servers and Azureus peers it holds, and how those peers
+// answer and where they sit. The calibration the paper fixes —
+// geography, link and last-mile latencies, router behaviour, the DNS
+// population's shape and the address plan — is the set of constants
+// on Topology (net/topology.h).
 //
 // Presets at the bottom match the paper's two measurement populations:
 // ~22k recursive DNS servers (§3.1) and ~156k Azureus peers (§3.2).
@@ -18,16 +26,6 @@ namespace np::net {
 struct TopologyConfig {
   // --- Geography -----------------------------------------------------------
   int num_cities = 40;
-  /// Cities are placed uniformly on a square of this side (abstract km).
-  double map_side = 5000.0;
-  /// RTT ms per map unit of city distance (fiber + routing inflation).
-  double ms_per_unit = 0.02;
-  /// Fixed RTT overhead on any inter-PoP path, ms.
-  double core_base_ms = 2.0;
-  /// Multiplicative spread applied to inter-PoP latencies: U(1-x, 1+x).
-  double core_jitter = 0.15;
-  /// RTT between two PoPs in the same city, ms (metro interconnect).
-  double same_city_pop_ms = 1.2;
 
   // --- Providers -----------------------------------------------------------
   int num_ases = 25;
@@ -37,75 +35,28 @@ struct TopologyConfig {
   // --- Intra-PoP aggregation trees ------------------------------------------
   /// Router levels below each PoP core router (core = level 0).
   int agg_levels = 3;
-  int agg_fanout_min = 2;
-  int agg_fanout_max = 4;
-  /// Per tree-link RTT, ms.
-  double link_ms_min = 0.1;
-  double link_ms_max = 1.2;
-  /// Probability a router responds to traceroute at all.
-  double router_respond_prob = 0.92;
-  /// Probability a router's name carries a wrong city annotation
-  /// (rockettrace parses names; misconfigured names mislead it).
-  double router_misconfig_prob = 0.04;
 
   // --- End-networks ----------------------------------------------------------
   int endnets_per_pop_min = 4;
   int endnets_per_pop_max = 24;
-  /// End-network gateway <-> attachment router RTT, ms (campus uplink).
-  double endnet_access_ms_min = 0.3;
-  double endnet_access_ms_max = 6.0;
-  /// Intra-LAN RTT between two hosts of the same end-network, ms.
-  double lan_ms_min = 0.05;
-  double lan_ms_max = 0.4;
-  /// Fraction of end-networks with working site-wide IP multicast.
-  double multicast_enabled_prob = 0.4;
 
   // --- DNS server population (§3.1) ------------------------------------------
   int dns_recursive_hosts = 0;
-  /// Fraction of DNS servers that get a same-domain partner.
-  double dns_same_domain_pair_frac = 0.05;
-  /// Of those partners, the fraction placed in a *different* city
-  /// (the paper observed some same-domain pairs geographically split).
-  double dns_domain_split_city_prob = 0.12;
-  /// Per-server mean of the King processing lag (exponential), ms.
-  double dns_lag_mean_ms_min = 0.2;
-  double dns_lag_mean_ms_max = 2.8;
 
   // --- Azureus peer population (§3.2) ----------------------------------------
   int azureus_hosts = 0;
   /// Probability an Azureus peer sits inside an end-network; the rest
   /// are home users on access concentrators.
   double azureus_in_endnet_prob = 0.30;
-  /// Home last-mile RTT, ms (DSL/cable spread; drives Fig 7's 5-100 ms
-  /// hub-to-peer latencies).
-  double home_access_ms_min = 5.0;
-  double home_access_ms_max = 45.0;
   /// Responsiveness of Azureus peers (most peers answer neither TCP
   /// pings nor traceroutes; the paper kept 5904 of 156k).
   double azureus_tcp_respond_prob = 0.10;
   double azureus_trace_respond_prob = 0.08;
-  /// Pareto shape for homes-per-concentrator (heavy tail produces the
-  /// paper's 200+ member clusters).
-  double concentrator_pareto_alpha = 1.1;
-
-  // --- Addressing -------------------------------------------------------------
-  /// Each AS owns a /as_block_bits block.
-  int as_block_bits = 12;
-  /// Each PoP gets a /pop_region_bits region inside its AS block.
-  int pop_region_bits = 17;
-  /// Each end-network gets one /24 (plus more on overflow).
-  int endnet_prefix_bits = 24;
-  /// Probability an end-network uses provider-independent space from a
-  /// random other PoP's region (prefix noise for Fig 11).
-  double endnet_foreign_prefix_prob = 0.12;
-  /// Probability a home subscriber's address comes from a completely
-  /// different AS's space: unbundled local loops / reseller ISPs put
-  /// customers of one physical DSLAM into several providers' blocks.
-  double home_reseller_prob = 0.18;
-
-  // --- Vantage points (Table 1 analog) ---------------------------------------
-  int num_vantage_points = 7;
 };
+
+/// Rejects a config the generator cannot build. Topology::Generate runs
+/// it; np_run runs it on every topology spec.
+void ValidateTopologyConfig(const TopologyConfig& config);
 
 /// ~22k recursive DNS servers for the §3.1 prediction study.
 TopologyConfig DnsStudyConfig();

@@ -27,7 +27,7 @@ TEST(GrowthAnalyzer, ClusteredSpaceViolatesGrowthConstraint) {
   const auto world = ClusteredSpaceWorld(40, 1);
   const MatrixSpace space(world.matrix);
   util::Rng rng(2);
-  const auto report = AnalyzeGrowth(space, GrowthConfig{}, rng);
+  const auto report = AnalyzeGrowth(space, rng);
   // Every peer sees: 1 LAN mate within ~0.1 ms, then nothing until the
   // cluster at ~8-12 ms; |B(2l)|/|B(l)| therefore jumps by roughly the
   // cluster population at the gap scale.
@@ -43,7 +43,7 @@ TEST(GrowthAnalyzer, EuclideanSpaceIsGrowthConstrained) {
   const auto world = matrix::GenerateEuclidean(400, config, world_rng);
   const MatrixSpace space(world.matrix);
   util::Rng rng(4);
-  const auto report = AnalyzeGrowth(space, GrowthConfig{}, rng);
+  const auto report = AnalyzeGrowth(space, rng);
   // In 2-D doubling the radius multiplies the population by ~4 in the
   // bulk; small-sample noise at tiny radii can exceed that, so compare
   // medians, generously.
@@ -57,8 +57,8 @@ TEST(GrowthAnalyzer, ViolationGrowsWithClusterSize) {
   const MatrixSpace large_space(large.matrix);
   util::Rng rng_a(6);
   util::Rng rng_b(6);
-  const auto small_report = AnalyzeGrowth(small_space, GrowthConfig{}, rng_a);
-  const auto large_report = AnalyzeGrowth(large_space, GrowthConfig{}, rng_b);
+  const auto small_report = AnalyzeGrowth(small_space, rng_a);
+  const auto large_report = AnalyzeGrowth(large_space, rng_b);
   EXPECT_GT(large_report.median_ratio, small_report.median_ratio);
 }
 
@@ -66,13 +66,11 @@ TEST(DoublingAnalyzer, ClusteredSpaceNeedsManyHalfBalls) {
   const auto world = ClusteredSpaceWorld(40, 7);
   const MatrixSpace space(world.matrix);
   util::Rng rng(8);
-  DoublingConfig config;
   // With 4 clusters of 40 nets, ~24% of a peer's latencies are
   // intra-cluster; quantile 0.2 lands the ball radius at the
   // intra-cluster (~10 ms) scale, which is where the paper's argument
   // applies: the half-radius balls each cover a single end-network.
-  config.radius_quantile = 0.2;
-  const auto report = AnalyzeDoubling(space, config, rng);
+  const auto report = AnalyzeDoubling(space, 0.2, rng);
   // Covering a cluster-scale ball with half-radius balls requires on
   // the order of the number of end-networks (paper §2.2).
   EXPECT_GT(report.max_half_cover, 10);
@@ -85,7 +83,7 @@ TEST(DoublingAnalyzer, EuclideanSpaceHasSmallCover) {
   const auto world = matrix::GenerateEuclidean(400, config, world_rng);
   const MatrixSpace space(world.matrix);
   util::Rng rng(10);
-  const auto report = AnalyzeDoubling(space, DoublingConfig{}, rng);
+  const auto report = AnalyzeDoubling(space, 0.5, rng);
   // 2-D doubling constant is ~7; greedy cover inflates it a little.
   EXPECT_LT(report.mean_half_cover, 25.0);
   EXPECT_GT(report.balls_sampled, 0);
@@ -96,12 +94,7 @@ TEST(Analyzers, InvalidConfigsThrow) {
   const auto world = matrix::GenerateEuclidean(20, {}, world_rng);
   const MatrixSpace space(world.matrix);
   util::Rng rng(12);
-  GrowthConfig growth_bad;
-  growth_bad.sample_nodes = 0;
-  EXPECT_THROW(AnalyzeGrowth(space, growth_bad, rng), util::Error);
-  DoublingConfig doubling_bad;
-  doubling_bad.radius_quantile = 0.0;
-  EXPECT_THROW(AnalyzeDoubling(space, doubling_bad, rng), util::Error);
+  EXPECT_THROW(AnalyzeDoubling(space, 0.0, rng), util::Error);
 }
 
 }  // namespace

@@ -123,9 +123,7 @@ class MetricRepairSweepTest
 
 TEST_P(MetricRepairSweepTest, RepairIsIdempotent) {
   util::Rng rng(GetParam());
-  matrix::KingLikeConfig config;
-  config.metric_repair = false;
-  auto m = matrix::GenerateKingLike(40, config, rng);
+  auto m = matrix::GenerateKingLike(40, rng, /*metric_repair=*/false);
   m.MetricRepair();
   const auto once = m;
   m.MetricRepair();
@@ -139,9 +137,7 @@ TEST_P(MetricRepairSweepTest, RepairIsIdempotent) {
 
 TEST_P(MetricRepairSweepTest, RepairNeverIncreasesEntries) {
   util::Rng rng(GetParam() + 1000);
-  matrix::KingLikeConfig config;
-  config.metric_repair = false;
-  const auto raw = matrix::GenerateKingLike(30, config, rng);
+  const auto raw = matrix::GenerateKingLike(30, rng, /*metric_repair=*/false);
   auto repaired = raw;
   repaired.MetricRepair();
   for (NodeId i = 0; i < 30; ++i) {

@@ -16,7 +16,7 @@ namespace {
 
 TEST(KingLike, MatrixIsValidAndMetric) {
   util::Rng rng(1);
-  const auto m = GenerateKingLike(40, KingLikeConfig{}, rng);
+  const auto m = GenerateKingLike(40, rng);
   EXPECT_TRUE(m.IsValid());
   EXPECT_NEAR(m.MaxTriangleViolation(), 0.0, 1e-9);
 }
@@ -24,8 +24,8 @@ TEST(KingLike, MatrixIsValidAndMetric) {
 TEST(KingLike, DeterministicPerSeed) {
   util::Rng rng_a(7);
   util::Rng rng_b(7);
-  const auto a = GenerateKingLike(20, KingLikeConfig{}, rng_a);
-  const auto b = GenerateKingLike(20, KingLikeConfig{}, rng_b);
+  const auto a = GenerateKingLike(20, rng_a);
+  const auto b = GenerateKingLike(20, rng_b);
   for (NodeId i = 0; i < 20; ++i) {
     for (NodeId j = 0; j < 20; ++j) {
       EXPECT_DOUBLE_EQ(a.At(i, j), b.At(i, j));
@@ -41,7 +41,7 @@ TEST_P(KingLikeMedianTest, MedianNearTarget) {
   // a generous band — the paper only needs "median around 65 ms").
   util::Rng rng(GetParam());
   const NodeId n = 60;
-  const auto m = GenerateKingLike(n, KingLikeConfig{}, rng);
+  const auto m = GenerateKingLike(n, rng);
   std::vector<double> lat;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) {
@@ -57,14 +57,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KingLikeMedianTest,
                          ::testing::Values(1, 2, 3, 4, 5, 99, 12345));
 
 TEST(KingLike, RespectsClampRangeWithoutRepair) {
-  KingLikeConfig config;
-  config.metric_repair = false;
   util::Rng rng(3);
-  const auto m = GenerateKingLike(50, config, rng);
+  const auto m = GenerateKingLike(50, rng, /*metric_repair=*/false);
   for (NodeId i = 0; i < 50; ++i) {
     for (NodeId j = i + 1; j < 50; ++j) {
-      EXPECT_GE(m.At(i, j), config.min_ms);
-      EXPECT_LE(m.At(i, j), config.max_ms);
+      EXPECT_GE(m.At(i, j), kKingMinMs);
+      EXPECT_LE(m.At(i, j), kKingMaxMs);
     }
   }
 }
@@ -269,6 +267,9 @@ TEST(Clustered, InvalidConfigThrows) {
   EXPECT_THROW(GenerateClustered(bad, rng), util::Error);
   bad = SmallConfig();
   bad.peers_per_net = 0;
+  EXPECT_THROW(GenerateClustered(bad, rng), util::Error);
+  bad = SmallConfig();
+  bad.same_net_latency_ms = -1.0;
   EXPECT_THROW(GenerateClustered(bad, rng), util::Error);
 }
 

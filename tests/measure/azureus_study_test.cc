@@ -11,7 +11,7 @@ struct StudyFixture {
   explicit StudyFixture(std::uint64_t seed, int peers = 2000)
       : rng(seed),
         topology(MakeTopology(peers, rng)),
-        tools(topology, net::NoiseConfig{}, util::Rng(seed ^ 0xA22)) {}
+        tools(topology, util::Rng(seed ^ 0xA22)) {}
 
   static net::Topology MakeTopology(int peers, util::Rng& rng) {
     net::TopologyConfig config = net::SmallTestConfig();

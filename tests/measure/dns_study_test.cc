@@ -11,7 +11,7 @@ struct StudyFixture {
   explicit StudyFixture(std::uint64_t seed, int servers = 400)
       : rng(seed),
         topology(MakeTopology(servers, rng)),
-        tools(topology, net::NoiseConfig{}, util::Rng(seed ^ 0x5EED)) {}
+        tools(topology, util::Rng(seed ^ 0x5EED)) {}
 
   static net::Topology MakeTopology(int servers, util::Rng& rng) {
     net::TopologyConfig config = net::SmallTestConfig();
@@ -124,7 +124,7 @@ TEST(DnsStudy, IntraDomainLatenciesAreOrderOfMagnitudeSmaller) {
   net::TopologyConfig config = net::DnsStudyConfig();
   config.dns_recursive_hosts = 4000;
   const auto topology = net::Topology::Generate(config, world_rng);
-  net::Tools tools(topology, net::NoiseConfig{}, util::Rng(99));
+  net::Tools tools(topology, util::Rng(99));
   util::Rng rng(10);
   const auto result = RunDnsStudy(topology, tools, DnsStudyOptions{}, rng);
   const auto intra = result.IntraDomainLatencies(10);

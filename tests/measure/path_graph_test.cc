@@ -12,7 +12,7 @@ struct GraphFixture {
   explicit GraphFixture(std::uint64_t seed, int peers = 1500)
       : rng(seed),
         topology(MakeTopology(peers, rng)),
-        tools(topology, net::NoiseConfig{}, util::Rng(seed ^ 0x96)) {}
+        tools(topology, util::Rng(seed ^ 0x96)) {}
 
   static net::Topology MakeTopology(int peers, util::Rng& rng) {
     net::TopologyConfig config = net::SmallTestConfig();

@@ -63,7 +63,7 @@ TEST(MergeTraces, MismatchedPathsThrow) {
 TEST(MergeTraces, MergingRealTracesOnlyAddsHops) {
   util::Rng world_rng(1);
   const auto topology = Topology::Generate(SmallTestConfig(), world_rng);
-  Tools tools(topology, NoiseConfig{}, util::Rng(2));
+  Tools tools(topology, util::Rng(2));
   const NodeId v = topology.vantage_hosts()[0];
   const auto dns = topology.HostsOfKind(HostKind::kDnsRecursive);
   int improved = 0;

@@ -13,7 +13,7 @@ struct ToolsFixture {
   ToolsFixture(std::uint64_t seed, TopologyConfig config = SmallTestConfig())
       : rng(seed),
         topology(Topology::Generate(config, rng)),
-        tools(topology, NoiseConfig{}, util::Rng(seed ^ 0xABCD)) {}
+        tools(topology, util::Rng(seed ^ 0xABCD)) {}
 
   util::Rng rng;
   Topology topology;
@@ -222,8 +222,8 @@ TEST(ToolsDeterminism, SameSeedSameMeasurements) {
   util::Rng rng_b(11);
   const Topology topo_a = Topology::Generate(SmallTestConfig(), rng_a);
   const Topology topo_b = Topology::Generate(SmallTestConfig(), rng_b);
-  Tools tools_a(topo_a, NoiseConfig{}, util::Rng(99));
-  Tools tools_b(topo_b, NoiseConfig{}, util::Rng(99));
+  Tools tools_a(topo_a, util::Rng(99));
+  Tools tools_b(topo_b, util::Rng(99));
   const auto dns_a = topo_a.HostsOfKind(HostKind::kDnsRecursive);
   const auto dns_b = topo_b.HostsOfKind(HostKind::kDnsRecursive);
   ASSERT_EQ(dns_a.size(), dns_b.size());

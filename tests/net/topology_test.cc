@@ -338,7 +338,7 @@ TEST(TopologyRouting, TriangleInequalityHolds) {
       continue;
     }
     // Inter-PoP latencies carry independent multiplicative jitter
-    // (core_jitter = +-15%), which — like the real Internet — permits
+    // (kCoreJitter = +-15%), which — like the real Internet — permits
     // mild triangle violations: direct can be jittered up while both
     // detour legs are jittered down. The worst case is bounded by
     // roughly 2x the jitter of the direct path.
@@ -377,11 +377,10 @@ TEST(TopologyGen, AzureusMixOfHomeAndEndnetPeers) {
 
 TEST(TopologyGen, HomeAccessLatenciesInConfiguredRange) {
   const Topology t = MakeSmall(19);
-  const auto& config = t.config();
   for (const Host& h : t.hosts()) {
     if (h.kind == HostKind::kAzureusPeer && h.endnet_id < 0) {
-      EXPECT_GE(h.access_ms, config.home_access_ms_min);
-      EXPECT_LE(h.access_ms, config.home_access_ms_max + 1e-9);
+      EXPECT_GE(h.access_ms, Topology::kHomeAccessMsMin);
+      EXPECT_LE(h.access_ms, Topology::kHomeAccessMsMax + 1e-9);
     }
   }
 }

@@ -267,6 +267,31 @@ def other_cases():
              set_key(["world", "num_nodes"], 1000),
              set_key(["world", "max_edge_ms"], 1e10)),
         r"max_edge_ms too large")
+    # Each world generator's own range check runs at --validate too, so
+    # a spec that validates does not fail later in world generation.
+    cases["clustered delta above 1"] = rejects(
+        set_key(["world", "delta"], 2.0), r"delta must be in \[0, 1\]")
+    cases["clustered without clusters"] = rejects(
+        set_key(["world", "num_clusters"], 0), r"need at least one cluster")
+    cases["clustered negative same_net_latency_ms"] = rejects(
+        set_key(["world", "same_net_latency_ms"], -1),
+        r"same_net_latency_ms must be non-negative")
+    cases["euclidean jitter above 1"] = rejects(
+        then(lambda spec: world(spec, "euclidean"),
+             set_key(["world", "jitter"], 1.5)),
+        r"jitter must be in \[0, 1\)")
+    cases["embedded negative distortion"] = rejects(
+        then(lambda spec: world(spec, "embedded"),
+             set_key(["world", "distortion"], -1)),
+        r"distortion must be in \[0, 1\)")
+    cases["embedded without dimensions"] = rejects(
+        then(lambda spec: world(spec, "embedded"),
+             set_key(["world", "dimensions"], 0)),
+        r"need at least one dimension")
+    cases["topology without cities"] = rejects(
+        then(lambda spec: world(spec, "topology"),
+             set_key(["world", "num_cities"], 0)),
+        r"need at least one city")
     return cases
 
 

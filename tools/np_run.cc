@@ -329,10 +329,19 @@ WorldSpec ParseWorld(const JsonValue& json) {
         " (expected clustered | euclidean | embedded | sparse | topology)");
   }
   in.Done();
-  if (world.type == "sparse") {
-    // Weight ranges the exact shortest-path kernel cannot cover fail
-    // here, before any world is generated.
+  // Each generator's own range check, run here so that --validate
+  // rejects every value the run would, before any world is generated
+  // (and after Done(), so a misspelt key is reported first).
+  if (world.type == "clustered") {
+    np::matrix::ValidateClusteredConfig(world.clustered);
+  } else if (world.type == "euclidean") {
+    np::matrix::ValidateEuclideanConfig(world.num_nodes, world.euclidean);
+  } else if (world.type == "embedded") {
+    np::matrix::ValidateEmbeddedConfig(world.embedded);
+  } else if (world.type == "sparse") {
     np::matrix::ValidateSparseConfig(world.sparse);
+  } else {
+    np::net::ValidateTopologyConfig(world.topology);
   }
   return world;
 }
