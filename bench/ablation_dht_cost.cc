@@ -94,7 +94,7 @@ int main() {
     };
     {
       np::mech::ChordMap map(peers, 0xD1);
-      np::mech::UclDirectory dir(map, np::mech::UclOptions{});
+      np::mech::UclDirectory dir(map);
       np::util::Rng rng(8);
       for (NodeId peer : peers) {
         dir.RegisterPeer(topology, peer, rng);

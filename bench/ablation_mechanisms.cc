@@ -131,17 +131,15 @@ int main() {
   for (const auto mechanism :
        {np::mech::Mechanism::kUcl, np::mech::Mechanism::kPrefix,
         np::mech::Mechanism::kMulticast, np::mech::Mechanism::kRegistry}) {
-    np::mech::HybridConfig hconfig;
-    hconfig.mechanism = mechanism;
     {
-      np::mech::HybridNearest alone(topology, hconfig, nullptr);
+      np::mech::HybridNearest alone(topology, mechanism, nullptr);
       const Score s = Evaluate(alone, space, members, targets, 200);
       add_row(std::string(np::mech::MechanismName(mechanism)) + "-only", s,
               alone.mechanism_hit_rate());
     }
     {
       auto fallback = np::algos::MakeAlgorithm("meridian");
-      np::mech::HybridNearest hybrid(topology, hconfig, std::move(fallback));
+      np::mech::HybridNearest hybrid(topology, mechanism, std::move(fallback));
       const Score s = Evaluate(hybrid, space, members, targets, 300);
       add_row(std::string(np::mech::MechanismName(mechanism)) + "+meridian",
               s, hybrid.mechanism_hit_rate());

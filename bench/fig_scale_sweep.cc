@@ -265,7 +265,6 @@ int main() {
       qbatch.layout = world.layout();
       qbatch.members = &split.members;
       qbatch.pool = &split.targets;
-      qbatch.tie_epsilon_ms = 1e-9;
       qbatch.query_base = np::util::Mix64(59);
       np::core::EpochReport qstats;
       np::core::ReduceQueryOutcomes(

@@ -164,7 +164,7 @@ DnsStudy BuildDnsStudy(bool quick) {
   auto topology = net::Topology::Generate(config, world_rng);
   net::Tools tools(topology, util::Rng(2));
   util::Rng study_rng(3);
-  auto result = measure::RunDnsStudy(topology, tools, {}, study_rng);
+  auto result = measure::RunDnsStudy(topology, tools, study_rng);
   return {std::move(topology), std::move(result)};
 }
 
@@ -175,15 +175,14 @@ AzureusStudy BuildAzureusStudy(bool quick) {
   }
   util::Rng world_rng(1);
   auto topology = net::Topology::Generate(config, world_rng);
-  // Each study probes through its own Tools, seeded alike; default
-  // options throughout.
+  // Each study probes through its own Tools, seeded alike.
   net::Tools study_tools(topology, util::Rng(2));
-  auto clusters = measure::RunAzureusStudy(topology, study_tools, {});
+  auto clusters = measure::RunAzureusStudy(topology, study_tools);
   net::Tools graph_tools(topology, util::Rng(2));
   auto graph = measure::PathGraph::Build(
       topology, graph_tools,
       topology.HostsOfKind(net::HostKind::kAzureusPeer));
-  auto close_sets = measure::ComputeCloseSets(graph, {});
+  auto close_sets = measure::ComputeCloseSets(graph);
   return {std::move(topology), std::move(clusters), std::move(graph),
           std::move(close_sets)};
 }

@@ -11,37 +11,6 @@ namespace np::core {
 
 namespace {
 
-/// Largest multiplier the modulation can produce — the homogeneous
-/// candidate rate the thinning loop generates at.
-double MaxDiurnalMultiplier(const DiurnalConfig& config) {
-  if (config.day_s <= 0.0) {
-    return 1.0;
-  }
-  if (!config.multipliers.empty()) {
-    return *std::max_element(config.multipliers.begin(),
-                             config.multipliers.end());
-  }
-  return 1.0 + config.amplitude;
-}
-
-void ValidateDiurnal(const DiurnalConfig& config) {
-  if (config.day_s <= 0.0) {
-    return;  // disabled
-  }
-  if (!config.multipliers.empty()) {
-    double max_multiplier = 0.0;
-    for (const double m : config.multipliers) {
-      NP_ENSURE(m >= 0.0, "diurnal multipliers must be non-negative");
-      max_multiplier = std::max(max_multiplier, m);
-    }
-    NP_ENSURE(max_multiplier > 0.0,
-              "at least one diurnal multiplier must be positive");
-    return;
-  }
-  NP_ENSURE(config.amplitude >= 0.0 && config.amplitude <= 1.0,
-            "diurnal amplitude must be in [0, 1]");
-}
-
 /// One session length per the configured model. Every model is scaled
 /// so its mean equals mean_session_s; the shape parameter only
 /// reshapes the tail around that mean.
@@ -68,27 +37,19 @@ double SampleSession(const ChurnScheduleConfig& config, util::Rng& rng) {
   return 0.0;
 }
 
-}  // namespace
-
+/// Arrival-rate multiplier of an enabled wave at simulated time `t`.
 double DiurnalMultiplier(const DiurnalConfig& config, double t) {
-  if (config.day_s <= 0.0) {
-    return 1.0;
-  }
   const double cycles = t / config.day_s;
   double frac = cycles - std::floor(cycles);
   if (frac < 0.0) {
     frac += 1.0;
   }
-  if (!config.multipliers.empty()) {
-    const std::size_t n = config.multipliers.size();
-    const std::size_t slot = std::min(
-        static_cast<std::size_t>(frac * static_cast<double>(n)), n - 1);
-    return config.multipliers[slot];
-  }
   return 1.0 + config.amplitude *
                    std::cos(2.0 * std::numbers::pi *
                             (frac - config.peak_frac));
 }
+
+}  // namespace
 
 ChurnStats& ChurnStats::operator+=(const ChurnStats& other) {
   joins += other.joins;
@@ -115,16 +76,20 @@ ChurnSchedule ChurnSchedule::Poisson(const ChurnScheduleConfig& config) {
                   config.pareto_alpha > 1.0,
               "pareto alpha must exceed 1 (finite mean)");
   }
-  ValidateDiurnal(config.diurnal);
+  const bool modulated = config.diurnal.day_s > 0.0;
+  NP_ENSURE(!modulated || (config.diurnal.amplitude >= 0.0 &&
+                           config.diurnal.amplitude <= 1.0),
+            "diurnal amplitude must be in [0, 1]");
 
-  // Thinning (Lewis-Shedler): candidate arrivals at the peak rate;
-  // candidate k keeps its slot with probability rate(t_k)/rate_max.
-  // Arrival k draws everything from its own Mix64(base ^ k) stream, so
-  // the schedule is a pure function of the config.
-  const double max_multiplier = MaxDiurnalMultiplier(config.diurnal);
+  // Thinning (Lewis-Shedler): candidate arrivals at the peak rate, the
+  // largest multiplier the sinusoid reaches; candidate k keeps its slot
+  // with probability rate(t_k)/rate_max. Arrival k draws everything
+  // from its own Mix64(base ^ k) stream, so the schedule is a pure
+  // function of the config.
+  const double max_multiplier =
+      modulated ? 1.0 + config.diurnal.amplitude : 1.0;
   const double rate_max = config.events_per_s * max_multiplier;
   const std::uint64_t base = util::Mix64(config.seed ^ 0xC4A21ULL);
-  const bool modulated = config.diurnal.day_s > 0.0;
 
   ChurnSchedule schedule;
   schedule.duration_s_ = config.duration_s;

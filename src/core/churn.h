@@ -74,18 +74,12 @@ enum class SessionModel {
 struct DiurnalConfig {
   /// Day length in simulated seconds; <= 0 disables modulation.
   double day_s = 0.0;
-  /// Sinusoidal mode (default): multiplier(t) =
-  /// 1 + amplitude * cos(2*pi * (t/day_s - peak_frac)). Amplitude must
-  /// be in [0, 1]; over whole days the mean rate integrates back to
-  /// events_per_s exactly.
+  /// multiplier(t) = 1 + amplitude * cos(2*pi * (t/day_s - peak_frac)).
+  /// Amplitude must be in [0, 1]; over whole days the mean rate
+  /// integrates back to events_per_s exactly.
   double amplitude = 0.8;
   /// Time-of-day of the arrival peak, as a fraction of the day.
   double peak_frac = 0.5;
-  /// Piecewise mode: when non-empty, overrides the sinusoid. Slot i of
-  /// n covers day fraction [i/n, (i+1)/n) and scales events_per_s by
-  /// multipliers[i] (each >= 0, at least one > 0). The mean rate is
-  /// events_per_s * mean(multipliers).
-  std::vector<double> multipliers;
 };
 
 struct ChurnScheduleConfig {
@@ -118,10 +112,6 @@ struct ChurnScheduleConfig {
   DiurnalConfig diurnal;
   std::uint64_t seed = 1;
 };
-
-/// Arrival-rate multiplier at simulated time `t` (1.0 when modulation
-/// is disabled). Exposed for tests and rate-aware tooling.
-double DiurnalMultiplier(const DiurnalConfig& config, double t);
 
 /// An immutable, time-sorted list of churn events.
 class ChurnSchedule {

@@ -1,24 +1,53 @@
 #include "core/engine_setup.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
+#include "matrix/faulty_space.h"
 #include "util/error.h"
 
 namespace np::core {
 
-namespace {
-
-/// The workload checks both engines share; runs before anything is
-/// split or built.
-const ScenarioConfig& Checked(const ScenarioConfig& config,
-                              const matrix::ClusterLayout* layout) {
+void ValidateScenarioConfig(const ScenarioConfig& config,
+                            std::size_t population, int num_clusters) {
   NP_ENSURE(config.epochs >= 1, "need at least one epoch");
   NP_ENSURE(config.queries_per_epoch >= 1, "need queries per epoch");
   NP_ENSURE(config.query_zipf_s >= 0.0, "zipf exponent must be >= 0");
-  NP_ENSURE(config.blackouts.empty() || layout != nullptr,
+  NP_ENSURE(config.blackouts.empty() || num_clusters > 0,
             "blackouts need a clustered layout");
+  ValidateOverlaySplit(
+      population > 0 ? population : std::numeric_limits<std::size_t>::max(),
+      config.initial_overlay);
+  // Each fault component's check, in build order. The PartitionedSpace
+  // layer, and so its rate check, exists only under some pathology.
+  const FaultConfig& fault = config.fault;
+  ValidatePartitions(fault.partitions, num_clusters);
+  matrix::PartitionSchedule pathologies;
+  pathologies.grey_node_frac = fault.grey_node_frac;
+  pathologies.grey_loss_rate = fault.grey_loss_rate;
+  pathologies.asymmetric_frac = fault.asymmetric_loss;
+  if (!fault.partitions.empty() || pathologies.Any()) {
+    matrix::ValidatePathologies(pathologies);
+  }
+  matrix::ValidateLossRate(fault.loss_rate);
+  ValidateSuspicionConfig(fault.suspicion);
+  ValidateMaxAttempts(fault.max_attempts);
+}
+
+namespace {
+
+/// Validates over the engine's world before anything is split or built.
+const ScenarioConfig& Checked(const ScenarioConfig& config,
+                              const LatencySpace& space,
+                              const matrix::ClusterLayout* layout,
+                              const std::vector<NodeId>& population) {
+  ValidateScenarioConfig(
+      config,
+      population.empty() ? static_cast<std::size_t>(space.size())
+                         : population.size(),
+      layout == nullptr ? 0 : layout->cluster_count());
   return config;
 }
 
@@ -51,7 +80,7 @@ EngineSetup::EngineSetup(const LatencySpace& space,
       layout_(layout),
       algo_(algo),
       schedule_(schedule),
-      config_(Checked(config, layout)),
+      config_(Checked(config, space, layout, population)),
       rng_(util::Mix64(config.seed)),
       split_(population.empty()
                  ? SplitOverlay(space.size(), config.initial_overlay, rng_)
@@ -286,7 +315,6 @@ QueryBatch EngineSetup::Batch(int epoch, const std::vector<NodeId>& members,
   batch.noise_frac = config_.measurement_noise_frac;
   batch.noise_floor_ms = config_.measurement_noise_floor_ms;
   batch.loss_rate = config_.fault.loss_rate;
-  batch.tie_epsilon_ms = config_.tie_epsilon_ms;
   batch.fault_mode = header_.fault_mode;
   if (header_.partition_mode) {
     batch.partition = &partition_schedule_;

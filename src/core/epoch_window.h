@@ -21,6 +21,12 @@
 
 namespace np::core {
 
+/// Rejects partition windows BuildPartitionSchedule cannot resolve over
+/// `num_clusters` clusters (0: the world has no cluster layout);
+/// BuildPartitionSchedule calls this.
+void ValidatePartitions(const std::vector<FaultConfig::Partition>& partitions,
+                        int num_clusters);
+
 /// Resolves FaultConfig's cluster-group partition windows, grey-node
 /// and asymmetric-loss knobs into the per-node PartitionSchedule the
 /// PartitionedSpace decorators consume. Validates window sanity (no

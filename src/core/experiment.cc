@@ -41,7 +41,6 @@ std::vector<QueryOutcome> RunStaticQueries(const LatencySpace& space,
   batch.pool = &split.targets;
   batch.noise_frac = config.measurement_noise_frac;
   batch.noise_floor_ms = config.measurement_noise_floor_ms;
-  batch.tie_epsilon_ms = config.tie_epsilon_ms;
   batch.noise_base = rng();
   batch.query_base = rng();
   return RunQueryBatch(batch, algo, config.num_threads,
@@ -50,11 +49,15 @@ std::vector<QueryOutcome> RunStaticQueries(const LatencySpace& space,
 
 }  // namespace
 
+void ValidateOverlaySplit(std::size_t num_nodes, NodeId overlay_size) {
+  NP_ENSURE(overlay_size >= 1, "overlay must be non-empty");
+  NP_ENSURE(static_cast<std::size_t>(overlay_size) < num_nodes,
+            "need at least one node left over as a target");
+}
+
 OverlaySplit SplitNodes(std::vector<NodeId> nodes, NodeId overlay_size,
                         util::Rng& rng) {
-  NP_ENSURE(overlay_size >= 1, "overlay must be non-empty");
-  NP_ENSURE(static_cast<std::size_t>(overlay_size) < nodes.size(),
-            "need at least one node left over as a target");
+  ValidateOverlaySplit(nodes.size(), overlay_size);
   rng.Shuffle(nodes);
   OverlaySplit split;
   split.members.assign(nodes.begin(), nodes.begin() + overlay_size);

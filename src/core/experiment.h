@@ -24,9 +24,6 @@ struct ExperimentConfig {
   NodeId overlay_size = 2400;
   /// Closest-peer queries to launch (targets drawn with replacement).
   int num_queries = 5000;
-  /// Found counts as exact-closest if its latency to the target is
-  /// within this of the true closest member's latency (tie handling).
-  LatencyMs tie_epsilon_ms = 1e-9;
   /// Multiplicative jitter applied to every query-time probe (0 =
   /// noise-free, the paper's §4 simulator setting). Scoring always
   /// uses true latencies.
@@ -105,6 +102,10 @@ struct OverlaySplit {
   std::vector<NodeId> members;
   std::vector<NodeId> targets;
 };
+
+/// Rejects an overlay size SplitNodes cannot cut from `num_nodes` nodes
+/// (at least one member, at least one target); SplitNodes calls this.
+void ValidateOverlaySplit(std::size_t num_nodes, NodeId overlay_size);
 
 /// Shuffles `nodes` and splits them into an overlay of `overlay_size`
 /// members plus the remaining targets.

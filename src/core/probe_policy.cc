@@ -8,12 +8,20 @@
 
 namespace np::core {
 
-SuspicionLedger::SuspicionLedger(SuspicionConfig config) : config_(config) {
+void ValidateSuspicionConfig(const SuspicionConfig& config) {
   NP_ENSURE(config.strikes >= 0, "SuspicionConfig strikes must be >= 0");
   NP_ENSURE(config.probation_epochs >= 1,
             "SuspicionConfig probation_epochs must be >= 1");
   NP_ENSURE(config.probation_backoff >= 1.0,
             "SuspicionConfig probation_backoff must be >= 1");
+}
+
+void ValidateMaxAttempts(int max_attempts) {
+  NP_ENSURE(max_attempts >= 1, "ProbePolicy needs at least one attempt");
+}
+
+SuspicionLedger::SuspicionLedger(SuspicionConfig config) : config_(config) {
+  ValidateSuspicionConfig(config);
 }
 
 void SuspicionLedger::RecordProbe(NodeId peer, bool ok) {
@@ -80,7 +88,7 @@ void SuspicionLedger::PruneTo(const std::unordered_set<NodeId>& members) {
 ProbePolicy::ProbePolicy(int max_attempts, ProbeCounter* counter,
                          SuspicionLedger* suspicion)
     : max_attempts_(max_attempts), counter_(counter), suspicion_(suspicion) {
-  NP_ENSURE(max_attempts_ >= 1, "ProbePolicy needs at least one attempt");
+  ValidateMaxAttempts(max_attempts);
 }
 
 std::optional<LatencyMs> ProbePolicy::Attempt(const LatencySpace& space,

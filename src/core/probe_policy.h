@@ -53,6 +53,13 @@ struct SuspicionConfig {
   bool Enabled() const { return strikes > 0; }
 };
 
+/// Rejects a detector config SuspicionLedger cannot run; its
+/// constructor calls this.
+void ValidateSuspicionConfig(const SuspicionConfig& config);
+/// Rejects a retry budget ProbePolicy cannot run; its constructor calls
+/// this.
+void ValidateMaxAttempts(int max_attempts);
+
 /// Suspicion / failure-detector ledger: consecutive give-ups on the
 /// same peer quarantine it, after which probes to it are skipped for
 /// free (charged as suspicion_skips, never sent) until a billed

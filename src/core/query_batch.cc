@@ -181,7 +181,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
   if (!out.failed) {
     out.hops = result.hops;
     out.found_latency = batch.space->Latency(result.found, target);
-    out.exact = out.found_latency <= out.truth_latency + batch.tie_epsilon_ms;
+    out.exact = out.found_latency <= out.truth_latency + kTieEpsilonMs;
     if (batch.layout != nullptr) {
       out.correct_cluster = batch.layout->SameCluster(result.found, target);
       out.same_net = batch.layout->SameNet(result.found, target);
@@ -203,7 +203,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
       out.exact_reachable = false;
     } else {
       out.exact_reachable =
-          out.found_latency <= truth.reachable_latency + batch.tie_epsilon_ms;
+          out.found_latency <= truth.reachable_latency + kTieEpsilonMs;
     }
   }
   return out;

@@ -81,6 +81,10 @@ class MemberDelta {
   std::vector<bool> live_;
 };
 
+/// A found peer counts as exact when its latency to the target is within
+/// this of the true closest member's (tie handling).
+inline constexpr LatencyMs kTieEpsilonMs = 1e-9;
+
 /// Immutable inputs of one epoch's query batch. Pointers are borrowed
 /// views owned by the engine (for serving, by the pinned snapshot);
 /// nullable ones are marked.
@@ -101,7 +105,6 @@ struct QueryBatch {
   double noise_frac = 0.0;
   double noise_floor_ms = 0.0;
   double loss_rate = 0.0;
-  LatencyMs tie_epsilon_ms = 0.0;
   /// When false, a query returning no peer is a hard error.
   bool fault_mode = false;
   /// Nullable: correlated-fault plan. When set (and Any()), each

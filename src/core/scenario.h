@@ -27,6 +27,7 @@
 // count and for resumed vs straight-through schedules.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,6 @@ struct ScenarioConfig {
   /// bit-identical for every thread count (algorithms that are not
   /// ParallelQuerySafe run on one thread regardless).
   int num_threads = 1;
-  LatencyMs tie_epsilon_ms = 1e-9;
   /// Probe noise (see ExperimentConfig); scoring uses true latencies.
   double measurement_noise_frac = 0.0;
   double measurement_noise_floor_ms = 0.0;
@@ -110,6 +110,13 @@ struct ScenarioConfig {
   std::vector<Blackout> blackouts;
   std::uint64_t seed = 1;
 };
+
+/// Rejects a workload the engines would reject; both engines and
+/// np_run's parser run it before building anything. `population`
+/// counts the overlay-eligible nodes (0: not known yet), `num_clusters`
+/// the world's clusters (0: no cluster layout).
+void ValidateScenarioConfig(const ScenarioConfig& config,
+                            std::size_t population, int num_clusters);
 
 /// Accuracy + cost for one measurement epoch.
 struct EpochReport {

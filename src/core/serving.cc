@@ -305,7 +305,7 @@ ServingReport RunServing(const LatencySpace& space,
         truth = &misses.Get(space, next.members, out.target, nullptr, scored,
                             &next_delta);
       }
-      if (out.found_latency <= truth->closest_latency + sc.tie_epsilon_ms) {
+      if (out.found_latency <= truth->closest_latency + kTieEpsilonMs) {
         ++exact_live;
       }
     }

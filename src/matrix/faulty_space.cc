@@ -5,6 +5,11 @@
 
 namespace np::matrix {
 
+void ValidateLossRate(double loss_rate) {
+  NP_ENSURE(loss_rate >= 0.0 && loss_rate < 1.0,
+            "FaultySpace loss_rate must be in [0, 1)");
+}
+
 FaultySpace::FaultySpace(const core::LatencySpace& inner, double loss_rate,
                          std::uint64_t seed,
                          const std::unordered_set<NodeId>* crashed)
@@ -12,8 +17,7 @@ FaultySpace::FaultySpace(const core::LatencySpace& inner, double loss_rate,
       loss_rate_(loss_rate),
       stream_(seed),
       crashed_(crashed) {
-  NP_ENSURE(loss_rate >= 0.0 && loss_rate < 1.0,
-            "FaultySpace loss_rate must be in [0, 1)");
+  ValidateLossRate(loss_rate);
 }
 
 LatencyMs FaultySpace::Latency(NodeId a, NodeId b) const {

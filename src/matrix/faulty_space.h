@@ -51,6 +51,10 @@ inline constexpr LatencyMs kLostProbeMs =
 /// True iff a measurement is the lost-probe sentinel.
 inline bool ProbeLost(LatencyMs v) { return std::isnan(v); }
 
+/// Rejects a loss rate outside [0, 1); FaultySpace's constructor calls
+/// this.
+void ValidateLossRate(double loss_rate);
+
 class FaultySpace final : public core::LatencySpace {
  public:
   /// `crashed` is a non-owning, nullable view of the dead-peer set; the

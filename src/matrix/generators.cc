@@ -80,8 +80,6 @@ void ValidateClusteredConfig(const ClusteredConfig& config) {
   NP_ENSURE(config.peers_per_net >= 1, "need at least one peer/net");
   NP_ENSURE(config.delta >= 0.0 && config.delta <= 1.0,
             "delta must be in [0, 1]");
-  NP_ENSURE(config.same_net_latency_ms >= 0.0,
-            "same_net_latency_ms must be non-negative");
 }
 
 ClusteredWorld GenerateClustered(const ClusteredConfig& config,
@@ -130,7 +128,7 @@ ClusteredWorld GenerateClustered(const ClusteredConfig& config,
       const auto& pb = peers[static_cast<std::size_t>(b)];
       LatencyMs latency = 0.0;
       if (pa.net == pb.net) {
-        latency = config.same_net_latency_ms;
+        latency = kSameNetLatencyMs;
       } else {
         const LatencyMs up =
             net_hub_latency[static_cast<std::size_t>(pa.net)];
@@ -168,8 +166,6 @@ void ValidateEuclideanConfig(NodeId n, const EuclideanConfig& config) {
   NP_ENSURE(n >= 1, "Euclidean requires n >= 1");
   NP_ENSURE(config.dimensions >= 1, "need at least one dimension");
   NP_ENSURE(config.side_ms > 0.0, "side must be positive");
-  NP_ENSURE(config.jitter >= 0.0 && config.jitter < 1.0,
-            "jitter must be in [0, 1)");
 }
 
 EuclideanWorld GenerateEuclidean(NodeId n, const EuclideanConfig& config,
@@ -189,13 +185,9 @@ EuclideanWorld GenerateEuclidean(NodeId n, const EuclideanConfig& config,
                             coords[static_cast<std::size_t>(j) * dims + d];
         sq += diff * diff;
       }
-      double latency = std::sqrt(sq);
-      if (config.jitter > 0.0) {
-        latency *= 1.0 + rng.Uniform(-config.jitter, config.jitter);
-      }
       // Two random points can coincide; keep a strictly positive floor
       // so "closest" stays well-defined.
-      m.Set(i, j, std::max(latency, 1e-6));
+      m.Set(i, j, std::max(std::sqrt(sq), 1e-6));
     }
   }
   return EuclideanWorld{std::move(m), std::move(coords), config.dimensions};

@@ -55,9 +55,10 @@ struct ClusteredConfig {
   /// Spread of end-network latencies around the cluster mean: each
   /// end-network's hub latency is U((1-delta)*mean, (1+delta)*mean).
   double delta = 0.2;
-  /// Latency between two peers in the same end-network (100 us).
-  LatencyMs same_net_latency_ms = 0.1;
 };
+
+/// Latency between two peers in the same end-network (100 us).
+inline constexpr LatencyMs kSameNetLatencyMs = 0.1;
 
 /// Mean hub-to-end-network latency, drawn U(lo, hi) per cluster.
 inline constexpr double kHubNetMeanLoMs = 4.0;
@@ -141,9 +142,6 @@ struct EuclideanConfig {
   int dimensions = 3;
   /// Coordinates uniform in [0, side_ms] per axis; latency = L2 norm.
   double side_ms = 100.0;
-  /// Multiplicative jitter: latency *= (1 + U(-jitter, +jitter)).
-  /// Kept small so the space stays near-metric.
-  double jitter = 0.0;
 };
 
 struct EuclideanWorld {

@@ -52,10 +52,7 @@ int ComponentOf(const PartitionWindow& w, NodeId n) {
   return idx < w.component.size() ? w.component[idx] : 0;
 }
 
-PartitionedSpace::PartitionedSpace(const core::LatencySpace& inner,
-                                   const PartitionSchedule& schedule,
-                                   std::uint64_t seed)
-    : inner_(&inner), schedule_(&schedule), stream_(seed) {
+void ValidatePathologies(const PartitionSchedule& schedule) {
   NP_ENSURE(
       schedule.grey_node_frac >= 0.0 && schedule.grey_node_frac <= 1.0 &&
           schedule.grey_loss_rate >= 0.0 && schedule.grey_loss_rate < 1.0,
@@ -63,6 +60,13 @@ PartitionedSpace::PartitionedSpace(const core::LatencySpace& inner,
     "in [0, 1)");
   NP_ENSURE(schedule.asymmetric_frac >= 0.0 && schedule.asymmetric_frac < 1.0,
             "PartitionSchedule asymmetric_frac must be in [0, 1)");
+}
+
+PartitionedSpace::PartitionedSpace(const core::LatencySpace& inner,
+                                   const PartitionSchedule& schedule,
+                                   std::uint64_t seed)
+    : inner_(&inner), schedule_(&schedule), stream_(seed) {
+  ValidatePathologies(schedule);
 }
 
 void PartitionedSpace::set_epoch(int epoch) {

@@ -89,6 +89,10 @@ struct PartitionSchedule {
   bool AsymmetricLost(NodeId a, NodeId b) const;
 };
 
+/// Rejects grey and one-way loss rates PartitionedSpace cannot apply;
+/// its constructor calls this.
+void ValidatePathologies(const PartitionSchedule& schedule);
+
 /// Component of `n` under window `w` (0 when beyond the vector).
 int ComponentOf(const PartitionWindow& w, NodeId n);
 

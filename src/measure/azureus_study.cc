@@ -79,8 +79,7 @@ std::vector<const AzureusCluster*> AzureusStudyResult::LargestPruned(
 }
 
 AzureusStudyResult RunAzureusStudy(const net::Topology& topology,
-                                   net::Tools& tools,
-                                   const AzureusStudyOptions& options) {
+                                   net::Tools& tools) {
   const auto& vantages = topology.vantage_hosts();
   NP_ENSURE(!vantages.empty(), "no vantage points");
 
@@ -166,7 +165,7 @@ AzureusStudyResult RunAzureusStudy(const net::Topology& topology,
   }
 
   // Prune each cluster: the largest subset whose latencies are within
-  // prune_factor of one another.
+  // kPruneFactor of one another.
   result.clusters.reserve(by_hub.size());
   for (auto& [hub, cluster] : by_hub) {
     std::vector<std::size_t> order(cluster.peers.size());
@@ -179,7 +178,7 @@ AzureusStudyResult RunAzureusStudy(const net::Topology& topology,
     for (std::size_t i : order) {
       sorted.push_back(cluster.hub_latencies[i]);
     }
-    const auto [lo, hi] = LargestBoundedWindow(sorted, options.prune_factor);
+    const auto [lo, hi] = LargestBoundedWindow(sorted, kPruneFactor);
     for (std::size_t i = lo; i < hi; ++i) {
       cluster.pruned_peers.push_back(cluster.peers[order[i]]);
       cluster.pruned_latencies.push_back(sorted[i]);

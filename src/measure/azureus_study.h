@@ -13,11 +13,9 @@
 
 namespace np::measure {
 
-struct AzureusStudyOptions {
-  /// Hub-to-peer latencies within a pruned cluster must all be within
-  /// this factor of one another (paper: 1.5).
-  double prune_factor = 1.5;
-};
+/// Hub-to-peer latencies within a pruned cluster must all be within
+/// this factor of one another (paper: 1.5).
+inline constexpr double kPruneFactor = 1.5;
 
 struct AzureusCluster {
   RouterId hub = kInvalidRouter;
@@ -25,7 +23,7 @@ struct AzureusCluster {
   std::vector<NodeId> peers;
   /// Hub-to-peer latency per peer (same order), ms.
   std::vector<LatencyMs> hub_latencies;
-  /// Largest subset whose latencies are within prune_factor.
+  /// Largest subset whose latencies are within kPruneFactor.
   std::vector<NodeId> pruned_peers;
   std::vector<LatencyMs> pruned_latencies;
 };
@@ -55,7 +53,6 @@ std::pair<std::size_t, std::size_t> LargestBoundedWindow(
     const std::vector<double>& sorted, double factor);
 
 AzureusStudyResult RunAzureusStudy(const net::Topology& topology,
-                                   net::Tools& tools,
-                                   const AzureusStudyOptions& options);
+                                   net::Tools& tools);
 
 }  // namespace np::measure

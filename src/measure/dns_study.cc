@@ -168,8 +168,8 @@ std::vector<double> DnsStudyResult::InterDomainPredicted() const {
 }
 
 DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
-                           const DnsStudyOptions& options, util::Rng& rng) {
-  NP_ENSURE(options.pairs_per_server >= 1, "need at least one pair/server");
+                           util::Rng& rng) {
+  static_assert(kPairsPerServer >= 1, "need at least one pair/server");
   NP_ENSURE(!topology.vantage_hosts().empty(), "no measurement host");
   const NodeId measurement_host = topology.vantage_hosts().front();
 
@@ -199,7 +199,7 @@ DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
     }
   }
 
-  // Same-cluster random pairs, ~pairs_per_server each (§3.1: "randomly
+  // Same-cluster random pairs, ~kPairsPerServer each (§3.1: "randomly
   // pick pairs ... such that each DNS server appears in about 4
   // pairs") — one pairing round pairs up a shuffle of the cluster.
   std::set<std::pair<std::size_t, std::size_t>> seen;
@@ -209,7 +209,7 @@ DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
       continue;
     }
     ++result.num_clusters;
-    for (int round = 0; round < options.pairs_per_server; ++round) {
+    for (int round = 0; round < kPairsPerServer; ++round) {
       rng.Shuffle(members);
       for (std::size_t k = 0; k + 1 < members.size(); k += 2) {
         auto pair = std::minmax(members[k], members[k + 1]);
@@ -262,8 +262,8 @@ DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
       record.exclusion = prediction.exclusion;
     } else if (same_domain) {
       record.exclusion = PairExclusion::kSameDomain;
-    } else if (prediction.hops_a > options.max_hops_from_common ||
-               prediction.hops_b > options.max_hops_from_common) {
+    } else if (prediction.hops_a > kMaxHopsFromCommon ||
+               prediction.hops_b > kMaxHopsFromCommon) {
       record.exclusion = PairExclusion::kTooManyHops;
     } else {
       const auto measured = tools.King(a.server, b.server);
@@ -273,7 +273,7 @@ DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
         record.measured_ms = *measured;
         record.ratio = record.predicted_ms / std::max(*measured, 1e-6);
         record.exclusion =
-            record.predicted_ms > options.max_predicted_ms
+            record.predicted_ms > kMaxPredictedMs
                 ? PairExclusion::kPredictedTooLarge
                 : PairExclusion::kIncluded;
       }

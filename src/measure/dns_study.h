@@ -15,25 +15,23 @@
 
 namespace np::measure {
 
-struct DnsStudyOptions {
-  /// Each server should appear in about this many same-cluster pairs.
-  int pairs_per_server = 4;
-  /// Pairs with predicted latency above this are excluded (paper:
-  /// "DNS servers that are farther away will probably have alternate
-  /// shorter paths between them").
-  double max_predicted_ms = 100.0;
-  /// Pairs whose servers sit more than this many hops from the common
-  /// router / PoP are excluded.
-  int max_hops_from_common = 10;
-};
+/// Each server should appear in about this many same-cluster pairs.
+inline constexpr int kPairsPerServer = 4;
+/// Pairs with predicted latency above this are excluded (paper: "DNS
+/// servers that are farther away will probably have alternate shorter
+/// paths between them").
+inline constexpr double kMaxPredictedMs = 100.0;
+/// Pairs whose servers sit more than this many hops from the common
+/// router / PoP are excluded.
+inline constexpr int kMaxHopsFromCommon = 10;
 
 enum class PairExclusion {
   kIncluded,
   kSameDomain,        // King unusable (recursion not forwarded)
   kNoTrace,           // a trace had no responding hops
   kNegativeLeg,       // ping subtraction went negative
-  kTooManyHops,       // more than max_hops_from_common
-  kPredictedTooLarge, // predicted > max_predicted_ms
+  kTooManyHops,       // more than kMaxHopsFromCommon
+  kPredictedTooLarge, // predicted > kMaxPredictedMs
   kKingFailed,        // the King measurement itself failed
 };
 
@@ -78,9 +76,9 @@ struct DnsStudyResult {
 
 /// Runs the full §3.1 pipeline: traceroute every recursive server from
 /// the measurement host (first vantage point), cluster by inferred
-/// upstream PoP, build ~pairs_per_server random same-cluster pairs,
+/// upstream PoP, build ~kPairsPerServer random same-cluster pairs,
 /// plus every same-domain pair (for Fig 5), then predict and measure.
 DnsStudyResult RunDnsStudy(const net::Topology& topology, net::Tools& tools,
-                           const DnsStudyOptions& options, util::Rng& rng);
+                           util::Rng& rng);
 
 }  // namespace np::measure

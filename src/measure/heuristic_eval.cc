@@ -19,14 +19,13 @@ int CloseSets::PopulationSize() const {
   return population;
 }
 
-CloseSets ComputeCloseSets(const PathGraph& graph,
-                           const HeuristicEvalOptions& options) {
-  NP_ENSURE(options.close_ms > 0.0, "close threshold must be positive");
+CloseSets ComputeCloseSets(const PathGraph& graph) {
+  static_assert(kCloseMs > 0.0, "close threshold must be positive");
   CloseSets sets;
   sets.peers = graph.peers();
   sets.close.reserve(sets.peers.size());
   for (NodeId peer : sets.peers) {
-    sets.close.push_back(graph.ClosePeers(peer, options.close_ms));
+    sets.close.push_back(graph.ClosePeers(peer, kCloseMs));
   }
   return sets;
 }

@@ -17,10 +17,8 @@
 
 namespace np::measure {
 
-struct HeuristicEvalOptions {
-  /// A pair is "close" below this shortest-path latency (paper: 10 ms).
-  double close_ms = 10.0;
-};
+/// A pair is "close" below this shortest-path latency (paper: 10 ms).
+inline constexpr double kCloseMs = 10.0;
 
 /// Precomputed close-peer sets, one entry per graph peer.
 struct CloseSets {
@@ -31,8 +29,7 @@ struct CloseSets {
   int PopulationSize() const;
 };
 
-CloseSets ComputeCloseSets(const PathGraph& graph,
-                           const HeuristicEvalOptions& options);
+CloseSets ComputeCloseSets(const PathGraph& graph);
 
 /// Fig 10: binned scatter of router hop-length (y) vs latency (x) over
 /// all close pairs.

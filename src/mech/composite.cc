@@ -7,12 +7,11 @@
 namespace np::mech {
 
 CompositeProximity::CompositeProximity(
-    const net::Topology& topology, const algos::CoordNearest& coordinates,
-    const UclOptions& options)
-    : topology_(&topology), coordinates_(&coordinates), options_(options) {}
+    const net::Topology& topology, const algos::CoordNearest& coordinates)
+    : topology_(&topology), coordinates_(&coordinates) {}
 
 void CompositeProximity::RegisterPeer(NodeId peer) {
-  ucls_[peer] = BuildUcl(*topology_, peer, options_);
+  ucls_[peer] = BuildUcl(*topology_, peer);
 }
 
 bool CompositeProximity::IsRegistered(NodeId peer) const {

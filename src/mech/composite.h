@@ -23,8 +23,7 @@ class CompositeProximity {
   /// the address; its members must cover every peer passed to
   /// RegisterPeer / EstimateLatency, and it must outlive this object.
   CompositeProximity(const net::Topology& topology,
-                     const algos::CoordNearest& coordinates,
-                     const UclOptions& options);
+                     const algos::CoordNearest& coordinates);
 
   /// Computes and stores the peer's UCL extension.
   void RegisterPeer(NodeId peer);
@@ -43,7 +42,6 @@ class CompositeProximity {
  private:
   const net::Topology* topology_;
   const algos::CoordNearest* coordinates_;
-  UclOptions options_;
   std::unordered_map<NodeId, std::vector<UclEntry>> ucls_;
 };
 

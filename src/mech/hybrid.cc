@@ -21,15 +21,15 @@ const char* MechanismName(Mechanism mechanism) {
 }
 
 HybridNearest::HybridNearest(
-    const net::Topology& topology, const HybridConfig& config,
+    const net::Topology& topology, Mechanism mechanism,
     std::unique_ptr<core::NearestPeerAlgorithm> fallback)
     : topology_(&topology),
-      config_(config),
+      mechanism_(mechanism),
       fallback_(std::move(fallback)) {}
 
 HybridNearest::HybridNearest(const HybridNearest& other)
     : topology_(other.topology_),
-      config_(other.config_),
+      mechanism_(other.mechanism_),
       map_(other.map_),
       members_(other.members_),
       churn_rng_(other.churn_rng_),
@@ -60,7 +60,7 @@ std::unique_ptr<core::NearestPeerAlgorithm> HybridNearest::Clone() const {
 }
 
 std::string HybridNearest::name() const {
-  std::string n = std::string("hybrid-") + MechanismName(config_.mechanism);
+  std::string n = std::string("hybrid-") + MechanismName(mechanism_);
   if (fallback_ != nullptr) {
     n += "+" + fallback_->name();
   }
@@ -81,15 +81,15 @@ void HybridNearest::Build(const core::LatencySpace& space,
   prefix_.reset();
   multicast_.reset();
   registry_.reset();
-  switch (config_.mechanism) {
+  switch (mechanism_) {
     case Mechanism::kUcl:
-      ucl_ = std::make_unique<UclDirectory>(map_, kUcl);
+      ucl_ = std::make_unique<UclDirectory>(map_);
       for (NodeId peer : members_.members()) {
         ucl_->RegisterPeer(*topology_, peer, rng);
       }
       break;
     case Mechanism::kPrefix:
-      prefix_ = std::make_unique<PrefixDirectory>(map_, config_.prefix_bits);
+      prefix_ = std::make_unique<PrefixDirectory>(map_, kPrefixBits);
       for (NodeId peer : members_.members()) {
         prefix_->RegisterPeer(*topology_, peer, rng);
       }
@@ -102,7 +102,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
       break;
     case Mechanism::kRegistry:
       registry_ = std::make_unique<EndNetworkRegistry>(
-          *topology_, config_.registry_deploy_prob,
+          *topology_, kRegistryDeployProb,
           kRegistryLargeNetworkHosts, rng);
       for (NodeId peer : members_.members()) {
         registry_->RegisterPeer(peer);
@@ -118,7 +118,7 @@ void HybridNearest::Build(const core::LatencySpace& space,
 void HybridNearest::AddMember(NodeId node, util::Rng& rng) {
   NP_ENSURE(!members_.empty(), "Build must run before AddMember");
   members_.Add(node);  // throws on double-add
-  switch (config_.mechanism) {
+  switch (mechanism_) {
     case Mechanism::kUcl:
       ucl_->RegisterPeer(*topology_, node, rng);
       break;
@@ -141,7 +141,7 @@ void HybridNearest::RemoveMember(NodeId node) {
   NP_ENSURE(!members_.empty(), "Build must run before RemoveMember");
   NP_ENSURE(members_.size() > 1, "cannot remove the last member");
   members_.Remove(node);  // throws when not a member
-  switch (config_.mechanism) {
+  switch (mechanism_) {
     case Mechanism::kUcl:
       ucl_->UnregisterPeer(*topology_, node, churn_rng_);
       break;
@@ -167,7 +167,7 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
 
   // Collect mechanism candidates, cheapest-estimate first for UCL.
   std::vector<NodeId> candidates;
-  switch (config_.mechanism) {
+  switch (mechanism_) {
     case Mechanism::kUcl: {
       NP_ENSURE(ucl_ != nullptr, "Build must run before FindNearest");
       for (const auto& c : ucl_->Candidates(*topology_, target, rng,

@@ -30,14 +30,6 @@ enum class Mechanism {
 
 const char* MechanismName(Mechanism mechanism);
 
-struct HybridConfig {
-  Mechanism mechanism = Mechanism::kUcl;
-  /// Prefix-only: the fixed prefix length.
-  int prefix_bits = 24;
-  /// Registry-only: deployment probability per end-network.
-  double registry_deploy_prob = 0.5;
-};
-
 class HybridNearest final : public core::NearestPeerAlgorithm {
  public:
   /// Stop (skip the fallback) once a candidate at most this far is
@@ -48,15 +40,17 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
   /// UCL-only: discard candidates whose embedded-latency estimate
   /// exceeds this (the paper's false-positive filter).
   static constexpr LatencyMs kUclMaxEstimateMs = 20.0;
-  /// UCL-only: the directory's options (upstream routers per peer).
-  static constexpr UclOptions kUcl{};
+  /// Prefix-only: the fixed prefix length.
+  static constexpr int kPrefixBits = 24;
+  /// Registry-only: deployment probability per end-network.
+  static constexpr double kRegistryDeployProb = 0.5;
   /// Registry-only: end-networks with at least this many hosts deploy
-  /// a registry at twice registry_deploy_prob (capped at 1).
+  /// a registry at twice kRegistryDeployProb (capped at 1).
   static constexpr int kRegistryLargeNetworkHosts = 8;
 
   /// `fallback` may be null: mechanism-only operation (used to measure
   /// a mechanism's own hit rate).
-  HybridNearest(const net::Topology& topology, const HybridConfig& config,
+  HybridNearest(const net::Topology& topology, Mechanism mechanism,
                 std::unique_ptr<core::NearestPeerAlgorithm> fallback);
 
   /// Deep copy for snapshot clones: the map is copied, the directories
@@ -114,7 +108,7 @@ class HybridNearest final : public core::NearestPeerAlgorithm {
 
  private:
   const net::Topology* topology_;
-  HybridConfig config_;
+  Mechanism mechanism_;
   std::unique_ptr<core::NearestPeerAlgorithm> fallback_;
   PerfectMap map_;
   std::unique_ptr<UclDirectory> ucl_;

@@ -8,12 +8,11 @@
 
 namespace np::mech {
 
-std::vector<UclEntry> BuildUcl(const net::Topology& topology, NodeId host,
-                               const UclOptions& options) {
-  NP_ENSURE(options.max_routers >= 1, "UCL needs at least one router");
+std::vector<UclEntry> BuildUcl(const net::Topology& topology, NodeId host) {
+  static_assert(kUclMaxRouters >= 1, "UCL needs at least one router");
   std::vector<UclEntry> ucl;
   for (RouterId router : topology.UpChain(host)) {
-    if (static_cast<int>(ucl.size()) >= options.max_routers) {
+    if (static_cast<int>(ucl.size()) >= kUclMaxRouters) {
       break;
     }
     // Traceroute-invisible routers cannot enter a UCL.
@@ -25,17 +24,12 @@ std::vector<UclEntry> BuildUcl(const net::Topology& topology, NodeId host,
   return ucl;
 }
 
-UclDirectory::UclDirectory(KeyValueMap& map, const UclOptions& options)
-    : map_(&map), options_(options) {
-  NP_ENSURE(options_.max_routers >= 1, "UCL needs at least one router");
-}
-
 void UclDirectory::RegisterPeer(const net::Topology& topology, NodeId peer,
                                 util::Rng& rng) {
   if (!registered_.insert(peer).second) {
     return;  // already published; a second copy would duplicate entries
   }
-  for (const UclEntry& entry : BuildUcl(topology, peer, options_)) {
+  for (const UclEntry& entry : BuildUcl(topology, peer)) {
     map_->Put(static_cast<std::uint64_t>(entry.router),
               EncodePeerLatency(peer, entry.latency_ms), rng);
   }
@@ -46,7 +40,7 @@ void UclDirectory::UnregisterPeer(const net::Topology& topology, NodeId peer,
   if (registered_.erase(peer) == 0) {
     return;  // repeated/spurious departure notice
   }
-  for (const UclEntry& entry : BuildUcl(topology, peer, options_)) {
+  for (const UclEntry& entry : BuildUcl(topology, peer)) {
     map_->Remove(static_cast<std::uint64_t>(entry.router),
                  EncodePeerLatency(peer, entry.latency_ms), rng);
   }
@@ -56,7 +50,7 @@ std::vector<UclDirectory::Candidate> UclDirectory::Candidates(
     const net::Topology& topology, NodeId joiner, util::Rng& rng,
     LatencyMs max_estimate_ms) const {
   std::unordered_map<NodeId, Candidate> best;
-  for (const UclEntry& entry : BuildUcl(topology, joiner, options_)) {
+  for (const UclEntry& entry : BuildUcl(topology, joiner)) {
     for (std::uint64_t value :
          map_->Get(static_cast<std::uint64_t>(entry.router), rng)) {
       const NodeId peer = DecodePeer(value);

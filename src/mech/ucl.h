@@ -16,11 +16,9 @@
 
 namespace np::mech {
 
-struct UclOptions {
-  /// Upstream routers tracked per peer ("a fixed number of hops, say
-  /// 5, or closer from the peer").
-  int max_routers = 5;
-};
+/// Upstream routers tracked per peer ("a fixed number of hops, say 5,
+/// or closer from the peer").
+inline constexpr int kUclMaxRouters = 5;
 
 struct UclEntry {
   RouterId router = kInvalidRouter;
@@ -30,22 +28,19 @@ struct UclEntry {
 
 /// The peer's UCL: its up-chain routers that answer traceroute probes
 /// (a peer can only learn routers that respond), nearest first, capped
-/// at max_routers.
-std::vector<UclEntry> BuildUcl(const net::Topology& topology, NodeId host,
-                               const UclOptions& options);
+/// at kUclMaxRouters.
+std::vector<UclEntry> BuildUcl(const net::Topology& topology, NodeId host);
 
 class UclDirectory {
  public:
   /// The map is borrowed and must outlive the directory.
-  UclDirectory(KeyValueMap& map, const UclOptions& options);
+  explicit UclDirectory(KeyValueMap& map) : map_(&map) {}
 
   /// Copy-rebind: duplicates `other`'s registration state on top of a
   /// different (typically freshly cloned) map. Used by snapshot clones,
   /// where the clone owns its own map copy.
   UclDirectory(const UclDirectory& other, KeyValueMap& map)
-      : map_(&map),
-        options_(other.options_),
-        registered_(other.registered_) {}
+      : map_(&map), registered_(other.registered_) {}
 
   /// Publishes the peer's UCL mappings. Idempotent: a repeated
   /// registration is a no-op (re-publishing would duplicate map
@@ -84,7 +79,6 @@ class UclDirectory {
 
  private:
   KeyValueMap* map_;
-  UclOptions options_;
   std::unordered_set<NodeId> registered_;
 };
 

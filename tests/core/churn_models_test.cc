@@ -136,9 +136,6 @@ TEST(ChurnModels, InvalidShapeParametersThrow) {
   config.diurnal.day_s = 100.0;
   config.diurnal.amplitude = 1.5;  // rate would go negative
   EXPECT_THROW(ChurnSchedule::Poisson(config), util::Error);
-  config.diurnal.amplitude = 0.5;
-  config.diurnal.multipliers = {1.0, -0.25};
-  EXPECT_THROW(ChurnSchedule::Poisson(config), util::Error);
 }
 
 // --- Diurnal modulation ----------------------------------------------------
@@ -168,23 +165,6 @@ TEST(ChurnModels, DiurnalSinusoidIntegratesToTheConfiguredMean) {
   }
   const int trough_half = static_cast<int>(schedule.size()) - peak_half;
   EXPECT_GT(peak_half, 3 * trough_half);
-}
-
-TEST(ChurnModels, DiurnalPiecewiseRespectsZeroRateSlots) {
-  ChurnScheduleConfig config;
-  config.duration_s = 3000.0;  // five days
-  config.events_per_s = 1.0;
-  config.diurnal.day_s = 600.0;
-  config.diurnal.multipliers = {2.0, 0.0};  // mean multiplier 1.0
-  config.seed = 6;
-  const ChurnSchedule schedule = ChurnSchedule::Poisson(config);
-  const double expected = config.duration_s * config.events_per_s;
-  EXPECT_NEAR(static_cast<double>(schedule.size()), expected,
-              0.07 * expected);
-  // A zero-rate slot admits no arrivals at all.
-  for (const ChurnEvent& event : schedule.events()) {
-    EXPECT_LT(DayFraction(event.time_s, config.diurnal.day_s), 0.5);
-  }
 }
 
 TEST(ChurnModels, DiurnalComposesWithSessionModels) {

@@ -38,8 +38,6 @@
 namespace np::core {
 namespace {
 
-constexpr LatencyMs kTieEpsilon = 1e-9;
-
 /// Forwards to `inner` and counts every call. Single-threaded use only.
 class CountingSpace final : public LatencySpace {
  public:
@@ -77,7 +75,6 @@ QueryBatch MakeBatch(const LatencySpace& space,
   batch.members = &members;
   batch.pool = &pool;
   batch.zipf_cdf = &zipf_cdf;
-  batch.tie_epsilon_ms = kTieEpsilon;
   batch.epoch = epoch;
   const auto e = static_cast<std::uint64_t>(epoch);
   batch.query_base = util::Mix64(0x51ULL ^ e);
@@ -187,7 +184,7 @@ void ExpectMatchesBruteForce(const QueryBatch& batch,
     EXPECT_EQ(out.truth_latency, space.Latency(truth, out.target));
     if (!out.failed) {
       EXPECT_EQ(out.exact,
-                out.found_latency <= out.truth_latency + kTieEpsilon);
+                out.found_latency <= out.truth_latency + kTieEpsilonMs);
     }
     if (batch.active_window == nullptr) {
       EXPECT_EQ(out.exact_reachable, out.exact);
@@ -202,7 +199,7 @@ void ExpectMatchesBruteForce(const QueryBatch& batch,
       expected = out.failed;
     } else if (!out.failed && matrix::ComponentOf(window, out.found) == side) {
       const LatencyMs rtruth_latency = space.Latency(rtruth, out.target);
-      expected = out.found_latency <= rtruth_latency + kTieEpsilon;
+      expected = out.found_latency <= rtruth_latency + kTieEpsilonMs;
     }
     EXPECT_EQ(out.exact_reachable, expected);
   }

@@ -227,10 +227,8 @@ TEST(Serving, HybridMatchesSerialReplay) {
         mech::Mechanism::kRegistry}) {
     SCOPED_TRACE(MechanismName(mechanism));
     const auto make = [&]() -> std::unique_ptr<NearestPeerAlgorithm> {
-      mech::HybridConfig hconfig;
-      hconfig.mechanism = mechanism;
       return std::make_unique<mech::HybridNearest>(
-          topology, hconfig,
+          topology, mechanism,
           std::make_unique<meridian::MeridianOverlay>(
               meridian::MeridianConfig{}));
     };

@@ -91,9 +91,7 @@ TEST(HybridPipeline, UclHybridDominatesPlainMeridianOnLanTargets) {
   meridian::MeridianOverlay plain{meridian::MeridianConfig{}};
   const double plain_rate = same_net_rate(plain, 600);
 
-  mech::HybridConfig hconfig;
-  hconfig.mechanism = mech::Mechanism::kUcl;
-  mech::HybridNearest hybrid(w.topology, hconfig,
+  mech::HybridNearest hybrid(w.topology, mech::Mechanism::kUcl,
                              std::make_unique<meridian::MeridianOverlay>(
                                  meridian::MeridianConfig{}));
   const double hybrid_rate = same_net_rate(hybrid, 601);
@@ -113,8 +111,8 @@ TEST(HybridPipeline, ChordBackedDirectoryMatchesPerfectMap) {
 
   mech::PerfectMap perfect_map;
   mech::ChordMap chord_map(split.members, /*id_salt=*/0xFACE);
-  mech::UclDirectory perfect_dir(perfect_map, mech::UclOptions{});
-  mech::UclDirectory chord_dir(chord_map, mech::UclOptions{});
+  mech::UclDirectory perfect_dir(perfect_map);
+  mech::UclDirectory chord_dir(chord_map);
   util::Rng rng(504);
   for (NodeId peer : split.members) {
     perfect_dir.RegisterPeer(w.topology, peer, rng);
@@ -145,10 +143,7 @@ TEST(HybridPipeline, MechanismsComposeWithExperimentRunnerMetrics) {
   PipelineWorld w;
   const mech::TopologySpace space(w.topology);
 
-  mech::HybridConfig hconfig;
-  hconfig.mechanism = mech::Mechanism::kPrefix;
-  hconfig.prefix_bits = 20;
-  mech::HybridNearest hybrid(w.topology, hconfig,
+  mech::HybridNearest hybrid(w.topology, mech::Mechanism::kPrefix,
                              std::make_unique<core::RandomNearest>());
   core::ExperimentConfig run;
   run.overlay_size = static_cast<NodeId>(w.topology.hosts().size()) - 50;
@@ -162,29 +157,32 @@ TEST(HybridPipeline, MechanismsComposeWithExperimentRunnerMetrics) {
 }
 
 TEST(HybridPipeline, RegistryDeploymentControlsCoverage) {
+  // The hybrid deploys at its fixed probability; the registry takes
+  // any, so coverage is checked at the two extremes.
   PipelineWorld w;
-  const mech::TopologySpace space(w.topology);
   const Split split = MakeSplit(w.topology, 100, 507);
 
-  double hit_rate_none = 0.0;
-  double hit_rate_full = 0.0;
+  int answered_none = 0;
+  int answered_full = 0;
   for (const double deploy : {0.0, 1.0}) {
-    mech::HybridConfig hconfig;
-    hconfig.mechanism = mech::Mechanism::kRegistry;
-    hconfig.registry_deploy_prob = deploy;
-    mech::HybridNearest hybrid(w.topology, hconfig, nullptr);
     util::Rng rng(508);
-    util::Rng build_rng(509);
-    hybrid.Build(space, split.members, build_rng);
-    const core::MeteredSpace metered(space);
-    for (NodeId target : split.targets) {
-      (void)hybrid.FindNearest(target, metered, rng);
+    mech::EndNetworkRegistry registry(
+        w.topology, deploy, mech::HybridNearest::kRegistryLargeNetworkHosts,
+        rng);
+    for (NodeId peer : split.members) {
+      registry.RegisterPeer(peer);
     }
-    (deploy == 0.0 ? hit_rate_none : hit_rate_full) =
-        hybrid.mechanism_hit_rate();
+    int answered = 0;
+    for (NodeId target : split.targets) {
+      answered += registry.Query(target).empty() ? 0 : 1;
+    }
+    (deploy == 0.0 ? answered_none : answered_full) = answered;
+    if (deploy == 0.0) {
+      EXPECT_EQ(registry.deployed_count(), 0);
+    }
   }
-  EXPECT_DOUBLE_EQ(hit_rate_none, 0.0);
-  EXPECT_GT(hit_rate_full, hit_rate_none);
+  EXPECT_EQ(answered_none, 0);
+  EXPECT_GT(answered_full, answered_none);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Pins what the world generators, the measurement tools and the
-// condition analyzers produce at their fixed calibration: every draw of
-// a small topology, a fixed sequence of tool calls, the clustered and
-// King-like matrices and both analyzer reports are folded into FNV-1a
-// digests. Moving a calibration value, or reordering a draw, changes a
-// digest; the paper-figure gate is the only other check of these
-// outputs and it runs outside the test suite.
+// Pins what the world generators, the measurement tools, the condition
+// analyzers, the churn generator, the paper's §3 studies and the §5
+// hybrids produce at their fixed calibration: every draw of a small
+// topology, a fixed sequence of tool calls, the clustered, King-like
+// and Euclidean matrices, both analyzer reports, a diurnal Poisson
+// schedule, the DNS and Azureus studies, the close-peer sets and the
+// prefix and registry hybrids' answers are folded into FNV-1a digests.
+// Moving a calibration value or a fixed threshold, or reordering a
+// draw, changes a digest; the paper-figure gate is the only other
+// check of these outputs and it runs outside the test suite.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,10 +15,18 @@
 #include <ios>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "core/churn.h"
 #include "core/condition_analyzer.h"
 #include "core/latency_space.h"
 #include "matrix/generators.h"
+#include "measure/azureus_study.h"
+#include "measure/dns_study.h"
+#include "measure/heuristic_eval.h"
+#include "measure/path_graph.h"
+#include "mech/hybrid.h"
+#include "mech/topology_space.h"
 #include "net/tools.h"
 #include "net/topology.h"
 
@@ -226,6 +237,161 @@ TEST(WorldDigest, AnalyzerReportsArePinned) {
   }
   EXPECT_EQ(d.value(), 0x9715f4822260719cULL)
       << std::hex << "digest 0x" << d.value();
+}
+
+TEST(WorldDigest, EuclideanWorldIsPinned) {
+  matrix::EuclideanConfig config;
+  config.dimensions = 2;
+  util::Rng rng(73);
+  const matrix::EuclideanWorld world =
+      matrix::GenerateEuclidean(80, config, rng);
+  Fnv1a d;
+  FoldMatrix(world.matrix, d);
+  for (const double c : world.coordinates) {
+    d.Fold(c);
+  }
+  d.Fold(world.dimensions);
+  EXPECT_EQ(d.value(), 0x78d755200184e8c2ULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+TEST(WorldDigest, DiurnalPoissonScheduleIsPinned) {
+  core::ChurnScheduleConfig config;
+  config.duration_s = 400.0;
+  config.events_per_s = 2.0;
+  config.mean_session_s = 60.0;
+  config.crash_fraction = 0.2;
+  config.diurnal.day_s = 100.0;
+  config.diurnal.amplitude = 0.6;
+  config.diurnal.peak_frac = 0.25;
+  config.seed = 79;
+  const core::ChurnSchedule schedule = core::ChurnSchedule::Poisson(config);
+  Fnv1a d;
+  for (const core::ChurnEvent& event : schedule.events()) {
+    d.Fold(event.time_s);
+    d.Fold(static_cast<int>(event.type));
+    d.Fold(static_cast<std::uint64_t>(event.join_of));
+    d.Fold(event.node);
+  }
+  EXPECT_EQ(d.value(), 0xeefe35cee6024b6aULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+/// SmallTestConfig with deeper aggregation trees over more cities, so
+/// that some DNS server pairs sit beyond the study's hop and latency
+/// caps.
+net::Topology DnsTopology() {
+  net::TopologyConfig config = net::SmallTestConfig();
+  config.num_cities = 40;
+  config.agg_levels = 7;
+  util::Rng rng(41);
+  return net::Topology::Generate(config, rng);
+}
+
+TEST(WorldDigest, DnsStudyIsPinned) {
+  const net::Topology t = DnsTopology();
+  net::Tools tools(t, util::Rng(83));
+  util::Rng rng(89);
+  const measure::DnsStudyResult result =
+      measure::RunDnsStudy(t, tools, rng);
+  Fnv1a d;
+  d.Fold(result.num_clusters);
+  d.Fold(result.num_servers_traced);
+  for (const measure::DnsPairRecord& pair : result.pairs) {
+    d.Fold(pair.server_a);
+    d.Fold(pair.server_b);
+    d.Fold(static_cast<int>(pair.exclusion));
+    d.Fold(pair.predicted_ms);
+    d.Fold(pair.measured_ms);
+    d.Fold(pair.ratio);
+    d.Fold(pair.via_common_router);
+    d.Fold(pair.hops_a);
+    d.Fold(pair.hops_b);
+  }
+  EXPECT_EQ(d.value(), 0x1e41a167f6fc842eULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+TEST(WorldDigest, AzureusStudyIsPinned) {
+  const net::Topology t = SmallTopology();
+  net::Tools tools(t, util::Rng(97));
+  const measure::AzureusStudyResult result = measure::RunAzureusStudy(t, tools);
+  Fnv1a d;
+  d.Fold(result.total_ips);
+  d.Fold(result.responsive);
+  d.Fold(result.unique_upstream);
+  for (const measure::AzureusCluster& cluster : result.clusters) {
+    d.Fold(cluster.hub);
+    for (const NodeId peer : cluster.peers) {
+      d.Fold(peer);
+    }
+    for (const LatencyMs latency : cluster.hub_latencies) {
+      d.Fold(latency);
+    }
+    for (const NodeId peer : cluster.pruned_peers) {
+      d.Fold(peer);
+    }
+    for (const LatencyMs latency : cluster.pruned_latencies) {
+      d.Fold(latency);
+    }
+  }
+  EXPECT_EQ(d.value(), 0x01e1f01b7787b6c7ULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+TEST(WorldDigest, CloseSetsArePinned) {
+  const net::Topology t = SmallTopology();
+  net::Tools tools(t, util::Rng(101));
+  const measure::PathGraph graph = measure::PathGraph::Build(
+      t, tools, t.HostsOfKind(net::HostKind::kAzureusPeer));
+  const measure::CloseSets sets = measure::ComputeCloseSets(graph);
+  Fnv1a d;
+  for (std::size_t i = 0; i < sets.peers.size(); ++i) {
+    d.Fold(sets.peers[i]);
+    for (const measure::PathGraph::Reach& reach : sets.close[i]) {
+      d.Fold(reach.peer);
+      d.Fold(reach.latency_ms);
+      d.Fold(reach.router_hops);
+    }
+  }
+  EXPECT_EQ(d.value(), 0x3f75b30adf854759ULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+/// Folds a mechanism-only hybrid's answers: two thirds of the small
+/// topology's peers join, the rest are queried.
+std::uint64_t HybridDigest(mech::Mechanism mechanism) {
+  const net::Topology t = SmallTopology();
+  const mech::TopologySpace space(t);
+  std::vector<NodeId> peers = t.HostsOfKind(net::HostKind::kAzureusPeer);
+  util::Rng rng(103);
+  rng.Shuffle(peers);
+  const std::size_t joined = peers.size() * 2 / 3;
+  mech::HybridNearest hybrid(t, mechanism, nullptr);
+  hybrid.Build(space, {peers.begin(), peers.begin() + joined}, rng);
+  const core::MeteredSpace metered(space);
+  Fnv1a d;
+  for (std::size_t i = joined; i < peers.size(); ++i) {
+    const core::QueryResult result =
+        hybrid.FindNearest(peers[i], metered, rng);
+    d.Fold(result.found);
+    d.Fold(result.found_latency_ms);
+    d.Fold(result.probes);
+  }
+  d.Fold(hybrid.mechanism_hit_rate());
+  return d.value();
+}
+
+TEST(WorldDigest, HybridPrefixOutcomesArePinned) {
+  const std::uint64_t digest = HybridDigest(mech::Mechanism::kPrefix);
+  EXPECT_EQ(digest, 0xb94d7823761a6f8bULL)
+      << std::hex << "digest 0x" << digest;
+}
+
+TEST(WorldDigest, HybridRegistryOutcomesArePinned) {
+  const std::uint64_t digest = HybridDigest(mech::Mechanism::kRegistry);
+  EXPECT_EQ(digest, 0x8450f5881d041f7aULL)
+      << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

@@ -268,9 +268,6 @@ TEST(Clustered, InvalidConfigThrows) {
   bad = SmallConfig();
   bad.peers_per_net = 0;
   EXPECT_THROW(GenerateClustered(bad, rng), util::Error);
-  bad = SmallConfig();
-  bad.same_net_latency_ms = -1.0;
-  EXPECT_THROW(GenerateClustered(bad, rng), util::Error);
 }
 
 TEST(Clustered, NetMatesExcludesSelf) {
@@ -289,7 +286,6 @@ TEST(Clustered, NetMatesExcludesSelf) {
 TEST(Euclidean, MatrixMatchesCoordinates) {
   EuclideanConfig config;
   config.dimensions = 2;
-  config.jitter = 0.0;
   util::Rng rng(12);
   const auto world = GenerateEuclidean(30, config, rng);
   for (NodeId i = 0; i < 30; ++i) {
@@ -314,24 +310,9 @@ TEST(Euclidean, NoJitterIsMetric) {
   EXPECT_NEAR(world.matrix.MaxTriangleViolation(), 0.0, 1e-9);
 }
 
-TEST(Euclidean, JitterStaysBounded) {
-  EuclideanConfig config;
-  config.dimensions = 2;
-  config.jitter = 0.1;
-  util::Rng rng_plain(14);
-  util::Rng rng_jitter(14);
-  const auto plain = GenerateEuclidean(20, EuclideanConfig{.dimensions = 2},
-                                       rng_plain);
-  (void)plain;
-  const auto jittered = GenerateEuclidean(20, config, rng_jitter);
-  EXPECT_TRUE(jittered.matrix.IsValid());
-}
-
 TEST(Euclidean, InvalidConfigThrows) {
   util::Rng rng(15);
   EXPECT_THROW(GenerateEuclidean(10, EuclideanConfig{.dimensions = 0}, rng),
-               util::Error);
-  EXPECT_THROW(GenerateEuclidean(10, EuclideanConfig{.jitter = 1.0}, rng),
                util::Error);
   EXPECT_THROW(GenerateEuclidean(0, EuclideanConfig{}, rng), util::Error);
 }

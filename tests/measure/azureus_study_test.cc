@@ -56,8 +56,7 @@ TEST(BoundedWindow, RequiresSortedInput) {
 
 TEST(AzureusStudy, FiltersFollowThePaperPipeline) {
   StudyFixture f(1);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   EXPECT_EQ(result.total_ips, 2000);
   // Responsiveness screen keeps a strict subset; unique-upstream keeps
   // a subset of that.
@@ -80,8 +79,7 @@ TEST(AzureusStudy, FiltersFollowThePaperPipeline) {
 
 TEST(AzureusStudy, HubLatenciesArePositiveAndPlausible) {
   StudyFixture f(2);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   for (const auto& c : result.clusters) {
     for (LatencyMs l : c.hub_latencies) {
       EXPECT_GT(l, 0.0);
@@ -92,9 +90,7 @@ TEST(AzureusStudy, HubLatenciesArePositiveAndPlausible) {
 
 TEST(AzureusStudy, PrunedClustersRespectFactorBound) {
   StudyFixture f(3);
-  AzureusStudyOptions options;
-  options.prune_factor = 1.5;
-  const auto result = RunAzureusStudy(f.topology, f.tools, options);
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   int nontrivial = 0;
   for (const auto& c : result.clusters) {
     ASSERT_LE(c.pruned_peers.size(), c.peers.size());
@@ -102,7 +98,7 @@ TEST(AzureusStudy, PrunedClustersRespectFactorBound) {
     if (c.pruned_latencies.size() >= 2) {
       const auto [min_it, max_it] = std::minmax_element(
           c.pruned_latencies.begin(), c.pruned_latencies.end());
-      EXPECT_LE(*max_it, options.prune_factor * *min_it + 1e-9);
+      EXPECT_LE(*max_it, kPruneFactor * *min_it + 1e-9);
       ++nontrivial;
     }
   }
@@ -111,8 +107,7 @@ TEST(AzureusStudy, PrunedClustersRespectFactorBound) {
 
 TEST(AzureusStudy, ClusterMembersShareTheHubRouter) {
   StudyFixture f(4);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   // The inferred hub must be a router on each member's up-chain most
   // of the time (trace noise can in rare cases hide the true last
   // hop, promoting an upstream router to hub).
@@ -133,8 +128,7 @@ TEST(AzureusStudy, ClusterMembersShareTheHubRouter) {
 
 TEST(AzureusStudy, SizeSummariesAreConsistent) {
   StudyFixture f(5);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   const auto unpruned = result.UnprunedSizes();
   const auto pruned = result.PrunedSizes();
   ASSERT_EQ(unpruned.size(), pruned.size());
@@ -150,8 +144,7 @@ TEST(AzureusStudy, SizeSummariesAreConsistent) {
 
 TEST(AzureusStudy, LargestPrunedReturnsDescending) {
   StudyFixture f(6);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   const auto top = result.LargestPruned(5);
   ASSERT_LE(top.size(), 5u);
   for (std::size_t i = 1; i < top.size(); ++i) {
@@ -164,8 +157,7 @@ TEST(AzureusStudy, ConcentratorsProduceMultiPeerClusters) {
   // concentrator must serve several responsive peers — the clustering
   // condition's raw material.
   StudyFixture f(7);
-  const auto result =
-      RunAzureusStudy(f.topology, f.tools, AzureusStudyOptions{});
+  const auto result = RunAzureusStudy(f.topology, f.tools);
   const auto sizes = result.UnprunedSizes();
   ASSERT_FALSE(sizes.empty());
   EXPECT_GE(sizes.front(), 3);

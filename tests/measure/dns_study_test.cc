@@ -28,7 +28,7 @@ struct StudyFixture {
 TEST(DnsStudy, ProducesPairsAndClusters) {
   StudyFixture f(1);
   util::Rng rng(2);
-  const auto result = RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   EXPECT_GT(result.num_servers_traced, 300);
   EXPECT_GT(result.num_clusters, 2);
   EXPECT_GT(result.pairs.size(), 100u);
@@ -38,9 +38,7 @@ TEST(DnsStudy, ProducesPairsAndClusters) {
 TEST(DnsStudy, EachServerInAboutConfiguredPairs) {
   StudyFixture f(3);
   util::Rng rng(4);
-  DnsStudyOptions options;
-  options.pairs_per_server = 4;
-  const auto result = RunDnsStudy(f.topology, f.tools, options, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   std::map<NodeId, int> degree;
   for (const auto& p : result.pairs) {
     degree[p.server_a]++;
@@ -50,11 +48,11 @@ TEST(DnsStudy, EachServerInAboutConfiguredPairs) {
   for (const auto& [server, d] : degree) {
     mean += d;
     // "About 4": pairing rounds plus same-domain extras bound this.
-    EXPECT_LE(d, options.pairs_per_server + 2);
+    EXPECT_LE(d, kPairsPerServer + 2);
   }
   mean /= static_cast<double>(degree.size());
   EXPECT_GT(mean, 1.5);
-  EXPECT_LE(mean, options.pairs_per_server + 1.0);
+  EXPECT_LE(mean, kPairsPerServer + 1.0);
 }
 
 /// Regression test for the cluster-iteration fix (np_lint NPL001):
@@ -68,7 +66,7 @@ TEST(DnsStudy, ReportIsBitIdenticalAcrossIndependentRuns) {
   auto run = [] {
     StudyFixture f(5);
     util::Rng rng(6);
-    return RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+    return RunDnsStudy(f.topology, f.tools, rng);
   };
   const auto a = run();
   const auto b = run();
@@ -88,7 +86,7 @@ TEST(DnsStudy, MostPredictionsNearTruth) {
   // King measurement — most included pairs within [0.5, 2].
   StudyFixture f(5);
   util::Rng rng(6);
-  const auto result = RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   ASSERT_GT(result.IncludedRatios().size(), 50u);
   EXPECT_GT(result.FractionWithin(0.5, 2.0), 0.5);
 }
@@ -96,7 +94,7 @@ TEST(DnsStudy, MostPredictionsNearTruth) {
 TEST(DnsStudy, SameDomainPairsExcludedFromRatios) {
   StudyFixture f(7);
   util::Rng rng(8);
-  const auto result = RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   int same_domain = 0;
   for (const auto& p : result.pairs) {
     const bool same = f.topology.host(p.server_a).domain_id ==
@@ -126,7 +124,7 @@ TEST(DnsStudy, IntraDomainLatenciesAreOrderOfMagnitudeSmaller) {
   const auto topology = net::Topology::Generate(config, world_rng);
   net::Tools tools(topology, util::Rng(99));
   util::Rng rng(10);
-  const auto result = RunDnsStudy(topology, tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(topology, tools, rng);
   const auto intra = result.IntraDomainLatencies(10);
   const auto inter = result.InterDomainMeasured();
   ASSERT_GT(intra.size(), 15u);
@@ -141,7 +139,7 @@ TEST(DnsStudy, PredictedTracksMeasuredForInterDomain) {
   // distribution matches the measured one reasonably well.
   StudyFixture f(11);
   util::Rng rng(12);
-  const auto result = RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   const auto measured = result.InterDomainMeasured();
   const auto predicted = result.InterDomainPredicted();
   ASSERT_EQ(measured.size(), predicted.size());
@@ -153,24 +151,36 @@ TEST(DnsStudy, PredictedTracksMeasuredForInterDomain) {
 }
 
 TEST(DnsStudy, HopFilterExcludesDistantPairs) {
-  StudyFixture f(13);
-  util::Rng rng(14);
-  DnsStudyOptions options;
-  options.max_hops_from_common = 1;  // extreme: nearly all excluded
-  const auto strict = RunDnsStudy(f.topology, f.tools, options, rng);
+  // Deep aggregation trees put some servers beyond the hop cap.
+  util::Rng world_rng(13);
+  net::TopologyConfig config = net::SmallTestConfig();
+  config.num_cities = 40;
+  config.agg_levels = 8;
+  const auto topology = net::Topology::Generate(config, world_rng);
+  net::Tools tools(topology, util::Rng(14));
+  util::Rng rng(15);
+  const auto result = RunDnsStudy(topology, tools, rng);
   int excluded = 0;
-  for (const auto& p : strict.pairs) {
+  int included = 0;
+  for (const auto& p : result.pairs) {
+    const bool distant =
+        p.hops_a > kMaxHopsFromCommon || p.hops_b > kMaxHopsFromCommon;
     if (p.exclusion == PairExclusion::kTooManyHops) {
+      EXPECT_TRUE(distant);
       ++excluded;
+    } else if (p.exclusion == PairExclusion::kIncluded) {
+      EXPECT_FALSE(distant);
+      ++included;
     }
   }
   EXPECT_GT(excluded, 0);
+  EXPECT_GT(included, 0);
 }
 
 TEST(DnsStudy, RatioVsPredictedBinsCoverIncludedPairs) {
   StudyFixture f(15);
   util::Rng rng(16);
-  const auto result = RunDnsStudy(f.topology, f.tools, DnsStudyOptions{}, rng);
+  const auto result = RunDnsStudy(f.topology, f.tools, rng);
   const auto scatter = result.RatioVsPredicted();
   EXPECT_EQ(scatter.sample_count(), result.IncludedRatios().size());
   EXPECT_FALSE(scatter.Bins().empty());
@@ -181,8 +191,8 @@ TEST(DnsStudy, DeterministicGivenSeeds) {
   StudyFixture f2(17);
   util::Rng rng1(18);
   util::Rng rng2(18);
-  const auto a = RunDnsStudy(f1.topology, f1.tools, DnsStudyOptions{}, rng1);
-  const auto b = RunDnsStudy(f2.topology, f2.tools, DnsStudyOptions{}, rng2);
+  const auto a = RunDnsStudy(f1.topology, f1.tools, rng1);
+  const auto b = RunDnsStudy(f2.topology, f2.tools, rng2);
   ASSERT_EQ(a.pairs.size(), b.pairs.size());
   EXPECT_DOUBLE_EQ(a.FractionWithin(0.5, 2.0), b.FractionWithin(0.5, 2.0));
 }

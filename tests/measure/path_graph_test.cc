@@ -124,7 +124,7 @@ TEST(PathGraphDijkstra, HopCountsMatchTopologyForClosePairs) {
 TEST(HeuristicEval, CloseSetsPopulationConsistent) {
   GraphFixture f(6);
   const auto graph = f.Build();
-  const auto sets = ComputeCloseSets(graph, HeuristicEvalOptions{});
+  const auto sets = ComputeCloseSets(graph);
   ASSERT_EQ(sets.peers.size(), sets.close.size());
   EXPECT_GT(sets.PopulationSize(), 0);
   EXPECT_LE(sets.PopulationSize(), static_cast<int>(sets.peers.size()));
@@ -135,7 +135,7 @@ TEST(HeuristicEval, HopLengthGrowsWithLatency) {
   // routers.
   GraphFixture f(7, 3000);
   const auto graph = f.Build();
-  const auto sets = ComputeCloseSets(graph, HeuristicEvalOptions{});
+  const auto sets = ComputeCloseSets(graph);
   const auto scatter = HopLengthVsLatency(sets);
   const auto bins = scatter.Bins();
   ASSERT_GE(bins.size(), 3u);
@@ -147,7 +147,7 @@ TEST(HeuristicEval, PrefixRatesMoveInOppositeDirections) {
   // Fig 11: FP falls and FN rises with longer prefixes.
   GraphFixture f(8, 3000);
   const auto graph = f.Build();
-  const auto sets = ComputeCloseSets(graph, HeuristicEvalOptions{});
+  const auto sets = ComputeCloseSets(graph);
   const auto rates = EvaluatePrefixHeuristic(f.topology, sets, 8, 24);
   ASSERT_EQ(rates.size(), 17u);
   EXPECT_GE(rates.front().median_false_positive,
@@ -168,10 +168,7 @@ TEST(HeuristicEval, PrefixRatesMoveInOppositeDirections) {
 TEST(HeuristicEval, InvalidOptionsThrow) {
   GraphFixture f(9, 400);
   const auto graph = f.Build();
-  HeuristicEvalOptions bad;
-  bad.close_ms = 0.0;
-  EXPECT_THROW(ComputeCloseSets(graph, bad), util::Error);
-  const auto sets = ComputeCloseSets(graph, HeuristicEvalOptions{});
+  const auto sets = ComputeCloseSets(graph);
   EXPECT_THROW(EvaluatePrefixHeuristic(f.topology, sets, 8, 40), util::Error);
   EXPECT_THROW(EvaluatePrefixHeuristic(f.topology, sets, 0, 8), util::Error);
   EXPECT_THROW(EvaluatePrefixHeuristic(f.topology, sets, 24, 8), util::Error);

@@ -60,7 +60,7 @@ TEST(Composite, SharedRouterGivesUclEstimate) {
   // A shared-router estimate never reads coordinates: PredictedLatency
   // of this unbuilt overlay would throw for every peer.
   const algos::CoordNearest untrained(algos::CoordConfig{});
-  CompositeProximity composite(f.topology, untrained, UclOptions{});
+  CompositeProximity composite(f.topology, untrained);
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -96,7 +96,7 @@ TEST(Composite, SharedRouterGivesUclEstimate) {
 TEST(Composite, FallsBackToCoordinatesOtherwise) {
   const CompositeWorld& f = World();
   const algos::CoordNearest& coordinates = TrainedCoordinates();
-  CompositeProximity composite(f.topology, coordinates, UclOptions{});
+  CompositeProximity composite(f.topology, coordinates);
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -124,7 +124,7 @@ TEST(Composite, ResolvesLanMatesWhereCoordinatesCannot) {
   // composite address does.
   const CompositeWorld& f = World();
   const algos::CoordNearest& coordinates = TrainedCoordinates();
-  CompositeProximity composite(f.topology, coordinates, UclOptions{});
+  CompositeProximity composite(f.topology, coordinates);
   for (NodeId p : f.peers) {
     composite.RegisterPeer(p);
   }
@@ -193,7 +193,7 @@ TEST(Composite, ResolvesLanMatesWhereCoordinatesCannot) {
 TEST(Composite, UnregisteredPeerThrows) {
   const CompositeWorld& f = World();
   const algos::CoordNearest untrained(algos::CoordConfig{});
-  CompositeProximity composite(f.topology, untrained, UclOptions{});
+  CompositeProximity composite(f.topology, untrained);
   composite.RegisterPeer(f.peers[0]);
   EXPECT_FALSE(composite.IsRegistered(f.peers[1]));
   EXPECT_THROW(composite.EstimateLatency(f.peers[0], f.peers[1]),

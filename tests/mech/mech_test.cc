@@ -94,12 +94,10 @@ TEST(Maps, ChordMapMatchesPerfectMapContents) {
 TEST(Ucl, BuildUclWalksUpChain) {
   MechFixture f(3);
   const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
-  UclOptions options;
-  options.max_routers = 3;
   int nonempty = 0;
   for (std::size_t i = 0; i < 50 && i < peers.size(); ++i) {
-    const auto ucl = BuildUcl(f.topology, peers[i], options);
-    EXPECT_LE(ucl.size(), 3u);
+    const auto ucl = BuildUcl(f.topology, peers[i]);
+    EXPECT_LE(ucl.size(), static_cast<std::size_t>(kUclMaxRouters));
     const auto chain = f.topology.UpChain(peers[i]);
     LatencyMs prev = 0.0;
     for (const UclEntry& entry : ucl) {
@@ -122,7 +120,7 @@ TEST(Ucl, DirectoryFindsSharedRouterPeers) {
   MechFixture f(4);
   const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
   PerfectMap map;
-  UclDirectory dir(map, UclOptions{});
+  UclDirectory dir(map);
   util::Rng rng(5);
   // Register all but the last peer; the last one joins.
   for (std::size_t i = 0; i + 1 < peers.size(); ++i) {
@@ -134,14 +132,14 @@ TEST(Ucl, DirectoryFindsSharedRouterPeers) {
 
   // Ground truth: peers sharing at least one responding up-chain
   // router with the joiner.
-  const auto joiner_ucl = BuildUcl(f.topology, joiner, UclOptions{});
+  const auto joiner_ucl = BuildUcl(f.topology, joiner);
   std::set<RouterId> joiner_routers;
   for (const auto& e : joiner_ucl) {
     joiner_routers.insert(e.router);
   }
   std::set<NodeId> expected;
   for (std::size_t i = 0; i + 1 < peers.size(); ++i) {
-    for (const auto& e : BuildUcl(f.topology, peers[i], UclOptions{})) {
+    for (const auto& e : BuildUcl(f.topology, peers[i])) {
       if (joiner_routers.count(e.router) > 0) {
         expected.insert(peers[i]);
       }
@@ -160,7 +158,7 @@ TEST(Ucl, EstimateUpperBoundsTrueLatency) {
   MechFixture f(6);
   const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
   PerfectMap map;
-  UclDirectory dir(map, UclOptions{});
+  UclDirectory dir(map);
   util::Rng rng(7);
   for (std::size_t i = 0; i + 1 < peers.size(); ++i) {
     dir.RegisterPeer(f.topology, peers[i], rng);
@@ -179,7 +177,7 @@ TEST(Ucl, EstimateFilterDropsFarCandidates) {
   MechFixture f(8);
   const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
   PerfectMap map;
-  UclDirectory dir(map, UclOptions{});
+  UclDirectory dir(map);
   util::Rng rng(9);
   for (std::size_t i = 0; i + 1 < peers.size(); ++i) {
     dir.RegisterPeer(f.topology, peers[i], rng);
@@ -325,9 +323,7 @@ TEST(Hybrid, UclMechanismBeatsNoMechanismOnLanTargets) {
   std::vector<NodeId> members(peers.begin(), peers.end() - 30);
   std::vector<NodeId> targets(peers.end() - 30, peers.end());
 
-  HybridConfig config;
-  config.mechanism = Mechanism::kUcl;
-  HybridNearest hybrid(f.topology, config, /*fallback=*/nullptr);
+  HybridNearest hybrid(f.topology, Mechanism::kUcl, /*fallback=*/nullptr);
   util::Rng rng(20);
   hybrid.Build(space, members, rng);
 
@@ -357,10 +353,9 @@ TEST(Hybrid, FallbackNeverWorseThanMechanismAlone) {
   std::vector<NodeId> members(peers.begin(), peers.end() - 20);
   std::vector<NodeId> targets(peers.end() - 20, peers.end());
 
-  HybridConfig config;
-  config.mechanism = Mechanism::kMulticast;  // weak mechanism
-  HybridNearest alone(f.topology, config, nullptr);
-  HybridNearest with_fallback(f.topology, config,
+  const Mechanism weak = Mechanism::kMulticast;
+  HybridNearest alone(f.topology, weak, nullptr);
+  HybridNearest with_fallback(f.topology, weak,
                               std::make_unique<core::OracleNearest>());
   util::Rng rng_a(22);
   util::Rng rng_b(22);
@@ -382,11 +377,9 @@ TEST(Hybrid, FallbackNeverWorseThanMechanismAlone) {
 
 TEST(Hybrid, NamesDescribeComposition) {
   MechFixture f(26, 200);
-  HybridConfig config;
-  config.mechanism = Mechanism::kPrefix;
-  HybridNearest alone(f.topology, config, nullptr);
+  HybridNearest alone(f.topology, Mechanism::kPrefix, nullptr);
   EXPECT_EQ(alone.name(), "hybrid-prefix");
-  HybridNearest with_fallback(f.topology, config,
+  HybridNearest with_fallback(f.topology, Mechanism::kPrefix,
                               std::make_unique<core::RandomNearest>());
   EXPECT_EQ(with_fallback.name(), "hybrid-prefix+random");
 }
@@ -440,7 +433,7 @@ TEST(Ucl, UnregisterWithdrawsACandidatesEntries) {
   MechFixture f(33);
   const auto peers = f.topology.HostsOfKind(net::HostKind::kAzureusPeer);
   PerfectMap map;
-  UclDirectory dir(map, UclOptions{});
+  UclDirectory dir(map);
   util::Rng rng(34);
   for (std::size_t i = 0; i + 1 < peers.size(); ++i) {
     dir.RegisterPeer(f.topology, peers[i], rng);
@@ -547,9 +540,7 @@ TEST(Hybrid, IncrementalChurnTracksMembershipAndDirectories) {
   for (const Mechanism mechanism :
        {Mechanism::kUcl, Mechanism::kPrefix, Mechanism::kMulticast,
         Mechanism::kRegistry}) {
-    HybridConfig config;
-    config.mechanism = mechanism;
-    HybridNearest hybrid(f.topology, config,
+    HybridNearest hybrid(f.topology, mechanism,
                          std::make_unique<core::OracleNearest>());
     ASSERT_TRUE(hybrid.SupportsChurn());
     std::vector<NodeId> members(peers.begin(), peers.end() - 50);

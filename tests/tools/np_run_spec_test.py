@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Rejection suite for `np_run --validate`.
 
-Every case starts from a small valid spec, applies one mutation, runs
-`np_run <spec> --validate`, and asserts the exit code plus a regex on
-stderr. Unknown-key cases also compare the printed "allowed:" list, as a
-set, against the keys that section accepts, so the print order is free
-to change but the accepted key set is pinned. Flag cases pass extra
-command-line flags; --validate returns before any thread starts.
+Every case starts from a small valid spec (or a committed scenario),
+applies one mutation, runs `np_run <spec> --validate`, and asserts the
+exit code plus a regex on stderr. Unknown-key cases also compare the
+printed "allowed:" list, as a set, against the keys that section
+accepts, so the print order is free to change but the accepted key set
+is pinned. Flag cases pass extra command-line flags; --validate returns
+before any thread starts. No message may name the checkout directory.
 
 Run directly (python3 tests/tools/np_run_spec_test.py path/to/np_run)
 or via ctest (tools_np_run_spec).
@@ -20,6 +21,8 @@ import subprocess
 import sys
 import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 WORLDS = {
     "clustered": {"type": "clustered", "seed": 7, "num_clusters": 4,
                   "nets_per_cluster": 5, "peers_per_net": 2, "delta": 0.9},
@@ -51,9 +54,9 @@ ALLOWED = {
     "the scenario spec": {"name", "description", "world", "churn",
                           "scenario", "algorithms"},
     "world (clustered)": {"type", "seed", "num_clusters", "nets_per_cluster",
-                          "peers_per_net", "delta", "same_net_latency_ms"},
+                          "peers_per_net", "delta"},
     "world (euclidean)": {"type", "seed", "num_nodes", "dimensions",
-                          "side_ms", "jitter"},
+                          "side_ms"},
     "world (embedded)": {"type", "seed", "num_nodes", "dimensions",
                          "side_ms", "distortion"},
     "world (sparse)": {"type", "seed", "num_nodes", "extra_edges_per_node",
@@ -65,13 +68,12 @@ ALLOWED = {
                         "lognormal_sigma", "pareto_alpha", "crash_frac",
                         "diurnal", "blackouts", "seed"},
     "churn (trace)": {"mode", "trace", "blackouts"},
-    "churn.trace entry": {"t", "op", "join_of", "node"},
-    "churn.diurnal": {"day_s", "amplitude", "peak_frac", "multipliers"},
+    "churn.trace entry": {"t", "op"},
+    "churn.diurnal": {"day_s", "amplitude", "peak_frac"},
     "churn.blackouts entry": {"t", "cluster"},
     "scenario": {"initial_overlay", "epochs", "queries_per_epoch",
-                 "num_threads", "tie_epsilon_ms", "measurement_noise_frac",
-                 "measurement_noise_floor_ms", "fault", "query_zipf_s",
-                 "mode", "reader_threads", "check_replay", "seed"},
+                 "num_threads", "fault", "query_zipf_s", "mode",
+                 "reader_threads", "check_replay", "seed"},
     "scenario.fault": {"loss_rate", "retry", "track_load", "partitions",
                        "grey_nodes", "asymmetric_loss", "suspicion"},
     "fault.partitions entry": {"start_epoch", "end_epoch", "groups"},
@@ -85,6 +87,16 @@ SIMPLE_ALGORITHMS = {
 
 ALLOWED_RE = re.compile(
     r'unknown key "bogus" in (.*) \(allowed: ([^)]*)\)')
+
+
+def scenario(name):
+    """The mutation swaps the base spec for scenarios/<name>.json."""
+    def mutate(spec):
+        path = os.path.join(ROOT, "scenarios", name + ".json")
+        with open(path, encoding="utf-8") as f:
+            spec.clear()
+            spec.update(json.load(f))
+    return mutate
 
 
 def world(spec, kind):
@@ -273,13 +285,6 @@ def other_cases():
         set_key(["world", "delta"], 2.0), r"delta must be in \[0, 1\]")
     cases["clustered without clusters"] = rejects(
         set_key(["world", "num_clusters"], 0), r"need at least one cluster")
-    cases["clustered negative same_net_latency_ms"] = rejects(
-        set_key(["world", "same_net_latency_ms"], -1),
-        r"same_net_latency_ms must be non-negative")
-    cases["euclidean jitter above 1"] = rejects(
-        then(lambda spec: world(spec, "euclidean"),
-             set_key(["world", "jitter"], 1.5)),
-        r"jitter must be in \[0, 1\)")
     cases["embedded negative distortion"] = rejects(
         then(lambda spec: world(spec, "embedded"),
              set_key(["world", "distortion"], -1)),
@@ -292,6 +297,62 @@ def other_cases():
         then(lambda spec: world(spec, "topology"),
              set_key(["world", "num_cities"], 0)),
         r"need at least one city")
+    cases.update(engine_cases())
+    return cases
+
+
+def engine_cases():
+    """The scenario section's values the engines reject, from committed
+    specs: --validate runs the engines' own checks, with their
+    messages."""
+    cases = {}
+    fault = ["scenario", "fault"]
+    suspicion = fault + ["suspicion"]
+    grey = fault + ["grey_nodes"]
+    grey_range = (r"grey_node_frac must be in \[0, 1\], "
+                  r"grey_loss_rate in \[0, 1\)")
+    heal = [
+        ("probation_backoff below 1", suspicion + ["probation_backoff"], 0.5,
+         r"SuspicionConfig probation_backoff must be >= 1"),
+        ("probation_epochs 0", suspicion + ["probation_epochs"], 0,
+         r"SuspicionConfig probation_epochs must be >= 1"),
+        ("negative strikes", suspicion + ["strikes"], -1,
+         r"SuspicionConfig strikes must be >= 0"),
+        ("retry 0", fault + ["retry"], 0,
+         r"ProbePolicy needs at least one attempt"),
+        ("loss_rate 1", fault + ["loss_rate"], 1.0,
+         r"FaultySpace loss_rate must be in \[0, 1\)"),
+        ("partition ending before it starts",
+         fault + ["partitions", 0, "end_epoch"], 2,
+         r"partition window needs 0 <= start_epoch < end_epoch"),
+        ("partition group outside the world",
+         fault + ["partitions", 0, "groups", 1], [2, 99],
+         r"partition group names a cluster outside the world"),
+    ]
+    grey_failure = [
+        ("grey frac above 1", grey + ["frac"], 1.5, grey_range),
+        ("grey loss_rate above 1", grey + ["loss_rate"], 1.5, grey_range),
+        ("asymmetric_loss above 1", fault + ["asymmetric_loss"], 1.5,
+         r"asymmetric_frac must be in \[0, 1\)"),
+        ("negative loss_rate", fault + ["loss_rate"], -0.1,
+         r"FaultySpace loss_rate must be in \[0, 1\)"),
+        ("negative query_zipf_s", ["scenario", "query_zipf_s"], -1,
+         r"zipf exponent must be >= 0"),
+        ("epochs 0", ["scenario", "epochs"], 0, r"need at least one epoch"),
+        ("queries_per_epoch 0", ["scenario", "queries_per_epoch"], 0,
+         r"need queries per epoch"),
+        ("initial_overlay 0", ["scenario", "initial_overlay"], 0,
+         r"overlay must be non-empty"),
+        ("initial_overlay beyond the world",
+         ["scenario", "initial_overlay"], 10000000,
+         r"need at least one node left over as a target"),
+    ]
+    for name, rows in (("partition_heal", heal),
+                       ("grey_failure", grey_failure)):
+        cases["valid scenario: " + name] = accepts(scenario(name))
+        for label, path, value, pattern in rows:
+            cases["%s: %s" % (name, label)] = rejects(
+                then(scenario(name), set_key(path, value)), pattern)
     return cases
 
 
@@ -345,6 +406,8 @@ def run_case(np_run, workdir, name, case):
                 sorted(ALLOWED[section] - report[1])))
     elif not re.search(pattern, proc.stderr):
         errors.append("stderr does not match /%s/" % pattern)
+    if ROOT in proc.stderr:
+        errors.append("stderr names the checkout directory")
     if errors:
         print("FAIL %s: %s\n  stderr: %s" % (
             name, "; ".join(errors), proc.stderr.strip()))

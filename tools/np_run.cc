@@ -12,9 +12,11 @@
 //
 // Every run starts with ParseSpec, which reads each key of the spec
 // exactly once into plain structs and rejects any key it did not read,
-// so the parser is the schema. `--validate` stops after that pass (plus
-// a cheap churn-schedule construction); tests/tools/spec_docs_test.py
-// checks docs/SCENARIOS.md's key tables against it.
+// so the parser is the schema. It then runs the world generator's and
+// the engines' own range checks on the values it read. `--validate`
+// stops after that pass (plus a cheap churn-schedule construction);
+// tests/tools/spec_docs_test.py checks docs/SCENARIOS.md's key tables
+// against it.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -285,14 +287,11 @@ WorldSpec ParseWorld(const JsonValue& json) {
         in.Int("nets_per_cluster", config.nets_per_cluster);
     config.peers_per_net = in.Int("peers_per_net", config.peers_per_net);
     config.delta = in.Double("delta", config.delta);
-    config.same_net_latency_ms =
-        in.Double("same_net_latency_ms", config.same_net_latency_ms);
   } else if (world.type == "euclidean") {
     np::matrix::EuclideanConfig& config = world.euclidean;
     world.num_nodes = in.Int("num_nodes", world.num_nodes);
     config.dimensions = in.Int("dimensions", config.dimensions);
     config.side_ms = in.Double("side_ms", config.side_ms);
-    config.jitter = in.Double("jitter", config.jitter);
   } else if (world.type == "embedded") {
     // Implicit backend: O(n * d) memory, latencies recomputed per
     // probe — the world type the 10^3..10^5 scale sweep runs on.
@@ -372,8 +371,6 @@ ChurnSpec ParseChurn(const JsonValue& json, bool clustered,
       ChurnEvent& event = churn.events.emplace_back();
       event.time_s = item.Double("t", 0.0);
       event.type = Lookup(kTraceOps, item.String("op", ""), "trace op");
-      event.join_of = item.Int("join_of", event.join_of);
-      event.node = item.Int("node", event.node);
       item.Done();
     }
   } else {
@@ -394,11 +391,6 @@ ChurnSpec ParseChurn(const JsonValue& json, bool clustered,
       wave.day_s = diurnal.Double("day_s", wave.day_s);
       wave.amplitude = diurnal.Double("amplitude", wave.amplitude);
       wave.peak_frac = diurnal.Double("peak_frac", wave.peak_frac);
-      if (const JsonValue* multipliers = diurnal.Array("multipliers")) {
-        for (const JsonValue& multiplier : multipliers->items()) {
-          wave.multipliers.push_back(multiplier.AsDouble());
-        }
-      }
       diurnal.Done();
     }
     config.seed = in.Int("seed", config.seed);
@@ -467,11 +459,6 @@ void ParseEngine(const JsonValue& json, bool clustered, Spec& spec) {
   config.queries_per_epoch =
       in.Int("queries_per_epoch", config.queries_per_epoch);
   config.num_threads = in.Int("num_threads", config.num_threads);
-  config.tie_epsilon_ms = in.Double("tie_epsilon_ms", config.tie_epsilon_ms);
-  config.measurement_noise_frac =
-      in.Double("measurement_noise_frac", config.measurement_noise_frac);
-  config.measurement_noise_floor_ms = in.Double(
-      "measurement_noise_floor_ms", config.measurement_noise_floor_ms);
   if (const JsonValue* fault = in.Object("fault")) {
     config.fault = ParseFault(*fault, clustered);
   }
@@ -510,6 +497,28 @@ AlgorithmSpec ParseAlgorithm(const std::string& name, bool topology) {
   return algo;
 }
 
+/// Overlay-eligible nodes of the world the spec describes: every node,
+/// or a topology world's Azureus peers. 0 (unknown) for a topology
+/// world without Azureus peers, whose population is every host.
+std::size_t Population(const WorldSpec& world) {
+  if (world.type == "clustered") {
+    const np::matrix::ClusteredConfig& c = world.clustered;
+    return static_cast<std::size_t>(c.num_clusters) *
+           static_cast<std::size_t>(c.nets_per_cluster) *
+           static_cast<std::size_t>(c.peers_per_net);
+  }
+  if (world.type == "euclidean") {
+    return static_cast<std::size_t>(world.num_nodes);
+  }
+  if (world.type == "embedded") {
+    return static_cast<std::size_t>(world.embedded.num_nodes);
+  }
+  if (world.type == "sparse") {
+    return static_cast<std::size_t>(world.sparse.num_nodes);
+  }
+  return static_cast<std::size_t>(std::max(world.topology.azureus_hosts, 0));
+}
+
 /// Reads the whole spec once and runs every cross-section check; the
 /// build steps below take the result and never touch JSON.
 Spec ParseSpec(const JsonValue& json) {
@@ -527,6 +536,11 @@ Spec ParseSpec(const JsonValue& json) {
   const bool clustered = spec.world.type == "clustered";
   spec.churn = ParseChurn(churn, clustered, spec.scenario.blackouts);
   ParseEngine(engine, clustered, spec);
+  // The engines' own workload checks, over the world the spec states,
+  // so that --validate rejects every scenario value the run would.
+  np::core::ValidateScenarioConfig(
+      spec.scenario, Population(spec.world),
+      clustered ? spec.world.clustered.num_clusters : 0);
   for (const JsonValue& entry : algorithms.items()) {
     spec.algorithms.push_back(
         ParseAlgorithm(entry.AsString(), spec.world.type == "topology"));
@@ -599,10 +613,8 @@ std::unique_ptr<NearestPeerAlgorithm> MakeAlgorithm(const AlgorithmSpec& algo,
   if (algo.registered != nullptr) {
     return algo.registered->make();
   }
-  np::mech::HybridConfig config;
-  config.mechanism = algo.mechanism;
   return std::make_unique<np::mech::HybridNearest>(
-      *world.topology, config,
+      *world.topology, algo.mechanism,
       std::make_unique<np::meridian::MeridianOverlay>(
           np::meridian::MeridianConfig{}));
 }
