@@ -44,9 +44,14 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
   // probe multiset as a fully serial pass — a member measures every
   // representative that exists when it is processed, full clusters
   // included (a joiner cannot know a cluster is full without talking
-  // to it).
+  // to it). One worker gains nothing from a chunk (ParallelFor runs
+  // inline) and loses on a row-caching backend: both phases read the
+  // member's row, and the rows loaded in between can evict it. So one
+  // worker takes members one at a time — the plain serial pass.
   constexpr std::size_t kChunk = 128;
-  std::vector<std::vector<LatencyMs>> scratch(kChunk);
+  const std::size_t chunk =
+      util::ResolveThreadCount(num_threads) == 1 ? 1 : kChunk;
+  std::vector<std::vector<LatencyMs>> scratch(chunk);
 
   // A lost probe reads as kInfiniteLatency: the rep looks out of
   // radius, so the member founds its own cluster — exactly how a real
@@ -67,9 +72,8 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
     // existing representative joins it, otherwise it becomes one.
     rng.Shuffle(level_members);
     for (std::size_t start = 0; start < level_members.size();
-         start += kChunk) {
-      const std::size_t count =
-          std::min(kChunk, level_members.size() - start);
+         start += chunk) {
+      const std::size_t count = std::min(chunk, level_members.size() - start);
       const std::size_t reps_at_start = reps.size();
       util::ParallelFor(0, count, num_threads, [&](std::size_t k) {
         const NodeId m = level_members[start + k];

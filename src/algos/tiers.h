@@ -55,13 +55,15 @@ class TiersNearest final : public core::NearestPeerAlgorithm {
   /// The greedy cover at each level is sequential in spirit (whether a
   /// member founds a cluster depends on every earlier decision), but
   /// its cost is the latency probes, and those parallelize: members
-  /// are processed in fixed-size chunks, each chunk's probes against
-  /// the representatives known at chunk start fan out under
-  /// ParallelFor, and the (cheap) assignment decisions then replay
-  /// serially in member order — consulting the precomputed distances,
-  /// plus direct probes to any representative founded mid-chunk. The
-  /// decision sequence is identical to the serial pass, so the build
-  /// is bit-identical for every thread count.
+  /// are processed in chunks of 128, each chunk's probes against the
+  /// representatives known at chunk start fan out under ParallelFor,
+  /// and the (cheap) assignment decisions then replay serially in
+  /// member order — consulting the precomputed distances, plus direct
+  /// probes to any representative founded mid-chunk. One worker takes
+  /// chunks of one member, so it probes every representative back to
+  /// back and a row-caching backend loads each member's row once per
+  /// level. The decision sequence is identical to the serial pass, so
+  /// the build is bit-identical for every thread count.
   bool SupportsParallelBuild() const override { return true; }
   void ParallelBuild(const core::LatencySpace& space,
                      std::vector<NodeId> members, util::Rng& rng,

@@ -15,6 +15,8 @@ void ValidateScenarioConfig(const ScenarioConfig& config,
   NP_ENSURE(config.epochs >= 1, "need at least one epoch");
   NP_ENSURE(config.queries_per_epoch >= 1, "need queries per epoch");
   NP_ENSURE(config.query_zipf_s >= 0.0, "zipf exponent must be >= 0");
+  NP_ENSURE(config.num_threads >= 0,
+            "num_threads must be >= 0 (0 = hardware concurrency)");
   NP_ENSURE(config.blackouts.empty() || num_clusters > 0,
             "blackouts need a clustered layout");
   ValidateOverlaySplit(

@@ -7,7 +7,10 @@ exit code plus a regex on stderr. Unknown-key cases also compare the
 printed "allowed:" list, as a set, against the keys that section
 accepts, so the print order is free to change but the accepted key set
 is pinned. Flag cases pass extra command-line flags; --validate returns
-before any thread starts. No message may name the checkout directory.
+before any thread starts. Both-path cases also run the spec (the base
+spec runs in well under a second) and require the run to exit and
+print exactly as --validate does. No message may name the checkout
+directory.
 
 Run directly (python3 tests/tools/np_run_spec_test.py path/to/np_run)
 or via ctest (tools_np_run_spec).
@@ -368,9 +371,23 @@ def flag_cases():
     return cases
 
 
-def validate(np_run, workdir, mutate, args=(), text=None):
+def both_paths_cases():
+    """(mutate, args, exit code, stderr regex): --threads replaces
+    scenario.num_threads before either path checks it."""
+    threads = set_key(["scenario", "num_threads"], -3)
+    return {
+        "num_threads -3": (threads, (), 1,
+                           r"num_threads must be >= 0 "
+                           r"\(0 = hardware concurrency\)"),
+        "num_threads -3 --threads 2": (threads, ("--threads", "2"), 0,
+                                       r"^$"),
+    }
+
+
+def validate(np_run, workdir, mutate, args=(), text=None, run=False):
     """Runs np_run --validate plus `args` on the base spec after
-    `mutate`, or on `text` verbatim when given."""
+    `mutate`, or on `text` verbatim when given; with `run`, runs the
+    spec instead, writing the report into `workdir`."""
     if text is None:
         spec = copy.deepcopy(BASE)
         mutate(spec)
@@ -378,7 +395,9 @@ def validate(np_run, workdir, mutate, args=(), text=None):
     path = os.path.join(workdir, "spec.json")
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
-    return subprocess.run([np_run, path, "--validate", *args],
+    mode = (["--out", os.path.join(workdir, "report.json")] if run
+            else ["--validate"])
+    return subprocess.run([np_run, path, *mode, *args],
                           capture_output=True, text=True, encoding="utf-8")
 
 
@@ -413,6 +432,30 @@ def run_case(np_run, workdir, name, case):
             name, "; ".join(errors), proc.stderr.strip()))
         return False
     print("ok   %s" % name)
+    return True
+
+
+def both_paths_case(np_run, workdir, name, case):
+    """--validate and the run exit with `want_code` and print the same
+    stderr, matching `pattern`."""
+    mutate, args, want_code, pattern = case
+    procs = {"--validate": validate(np_run, workdir, mutate, args),
+             "run": validate(np_run, workdir, mutate, args, run=True)}
+    errors = []
+    for label, proc in procs.items():
+        if proc.returncode != want_code:
+            errors.append("%s exit %d, want %d" % (label, proc.returncode,
+                                                   want_code))
+        if not re.search(pattern, proc.stderr):
+            errors.append("%s stderr does not match /%s/" % (label, pattern))
+    if procs["--validate"].stderr != procs["run"].stderr:
+        errors.append("--validate and the run print different errors")
+    if errors:
+        print("FAIL both paths: %s: %s\n  stderr: %s" % (
+            name, "; ".join(errors),
+            " | ".join(p.stderr.strip() for p in procs.values())))
+        return False
+    print("ok   both paths: %s" % name)
     return True
 
 
@@ -455,10 +498,13 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         for name, case in cases.items():
             failures += not run_case(np_run, workdir, name, case)
+        both_paths = both_paths_cases()
+        for name, case in both_paths.items():
+            failures += not both_paths_case(np_run, workdir, name, case)
         failures += not unknown_algorithm_case(np_run, workdir)
         failures += not deep_nesting_case(np_run, workdir)
     print("np_run_spec_test: %d case(s), %d failure(s)" % (
-        len(cases) + 2, failures))
+        len(cases) + len(both_paths) + 2, failures))
     return 1 if failures else 0
 
 

@@ -520,8 +520,11 @@ std::size_t Population(const WorldSpec& world) {
 }
 
 /// Reads the whole spec once and runs every cross-section check; the
-/// build steps below take the result and never touch JSON.
-Spec ParseSpec(const JsonValue& json) {
+/// build steps below take the result and never touch JSON. A
+/// `threads_override` of 0 or more (--threads) replaces
+/// scenario.num_threads before the checks, so --validate and the run
+/// judge the same value.
+Spec ParseSpec(const JsonValue& json, int threads_override) {
   SpecReader in(json, "the scenario spec");
   Spec spec;
   spec.name = in.String("name", "scenario");
@@ -536,6 +539,9 @@ Spec ParseSpec(const JsonValue& json) {
   const bool clustered = spec.world.type == "clustered";
   spec.churn = ParseChurn(churn, clustered, spec.scenario.blackouts);
   ParseEngine(engine, clustered, spec);
+  if (threads_override >= 0) {
+    spec.scenario.num_threads = threads_override;
+  }
   // The engines' own workload checks, over the world the spec states,
   // so that --validate rejects every scenario value the run would.
   np::core::ValidateScenarioConfig(
@@ -868,7 +874,8 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  const Spec spec = ParseSpec(JsonValue::Parse(ReadFile(spec_path)));
+  const Spec spec =
+      ParseSpec(JsonValue::Parse(ReadFile(spec_path)), threads_override);
 
   if (validate_only) {
     // Schema passed; constructing the schedule additionally checks the
@@ -884,10 +891,7 @@ int Run(int argc, char** argv) {
   const World world = BuildWorld(spec.world);
   const ChurnSchedule schedule = BuildSchedule(spec.churn);
 
-  ScenarioConfig config = spec.scenario;
-  if (threads_override >= 0) {
-    config.num_threads = threads_override;
-  }
+  const ScenarioConfig& config = spec.scenario;
   // --mode lets CI drive one spec both ways (t1/t2/t8 scenario
   // byte-diffs AND serving replay) without duplicating the file.
   const bool serving_mode =
