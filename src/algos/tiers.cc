@@ -6,7 +6,6 @@
 
 #include "util/contract.h"
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace np::algos {
 
@@ -20,38 +19,10 @@ double TiersNearest::RadiusAt(int level) const {
 
 void TiersNearest::Build(const core::LatencySpace& space,
                          std::vector<NodeId> members, util::Rng& rng) {
-  BuildImpl(space, std::move(members), rng, 1);
-}
-
-void TiersNearest::ParallelBuild(const core::LatencySpace& space,
-                                 std::vector<NodeId> members, util::Rng& rng,
-                                 int num_threads) {
-  BuildImpl(space, std::move(members), rng, num_threads);
-}
-
-void TiersNearest::BuildImpl(const core::LatencySpace& space,
-                             std::vector<NodeId> members, util::Rng& rng,
-                             int num_threads) {
   NP_ENSURE(!members.empty(), "requires members");
   space_ = &space;
   members_.Reset(std::move(members));
   levels_.clear();
-
-  // Members probe the representative set in chunks: the probes against
-  // the reps known at chunk start run under ParallelFor, then the
-  // greedy decisions replay serially in member order (probing only the
-  // few reps founded mid-chunk directly). Same decision sequence and
-  // probe multiset as a fully serial pass — a member measures every
-  // representative that exists when it is processed, full clusters
-  // included (a joiner cannot know a cluster is full without talking
-  // to it). One worker gains nothing from a chunk (ParallelFor runs
-  // inline) and loses on a row-caching backend: both phases read the
-  // member's row, and the rows loaded in between can evict it. So one
-  // worker takes members one at a time — the plain serial pass.
-  constexpr std::size_t kChunk = 128;
-  const std::size_t chunk =
-      util::ResolveThreadCount(num_threads) == 1 ? 1 : kChunk;
-  std::vector<std::vector<LatencyMs>> scratch(chunk);
 
   // A lost probe reads as kInfiniteLatency: the rep looks out of
   // radius, so the member founds its own cluster — exactly how a real
@@ -69,45 +40,32 @@ void TiersNearest::BuildImpl(const core::LatencySpace& space,
     Level built;
     std::vector<NodeId> reps;
     // Greedy cover in random order: first member within `radius` of an
-    // existing representative joins it, otherwise it becomes one.
+    // existing representative joins it, otherwise it becomes one. A
+    // member measures every representative that exists when it is
+    // processed, full clusters included (a joiner cannot know a cluster
+    // is full without talking to it).
     rng.Shuffle(level_members);
-    for (std::size_t start = 0; start < level_members.size();
-         start += chunk) {
-      const std::size_t count = std::min(chunk, level_members.size() - start);
-      const std::size_t reps_at_start = reps.size();
-      util::ParallelFor(0, count, num_threads, [&](std::size_t k) {
-        const NodeId m = level_members[start + k];
-        auto& row = scratch[k];
-        row.resize(reps_at_start);
+    for (const NodeId m : level_members) {
+      NodeId best_rep = kInvalidNode;
+      LatencyMs best_distance = radius;
+      for (const NodeId rep : reps) {
         // `m` rides second so row-caching backends reuse its row.
-        for (std::size_t r = 0; r < reps_at_start; ++r) {
-          row[r] = probe_or_inf(space, reps[r], m);
+        const LatencyMs d = probe_or_inf(space, rep, m);
+        if (static_cast<int>(built.clusters[rep].size()) >= kMaxClusterSize) {
+          continue;  // full cluster stops absorbing
         }
-      });
-      for (std::size_t k = 0; k < count; ++k) {
-        const NodeId m = level_members[start + k];
-        NodeId best_rep = kInvalidNode;
-        LatencyMs best_distance = radius;
-        for (std::size_t r = 0; r < reps.size(); ++r) {
-          const NodeId rep = reps[r];
-          const LatencyMs d =
-              r < reps_at_start ? scratch[k][r] : probe_or_inf(space, rep, m);
-          if (static_cast<int>(built.clusters[rep].size()) >= kMaxClusterSize) {
-            continue;  // full cluster stops absorbing
-          }
-          if (d <= best_distance) {
-            best_distance = d;
-            best_rep = rep;
-          }
+        if (d <= best_distance) {
+          best_distance = d;
+          best_rep = rep;
         }
-        if (best_rep == kInvalidNode) {
-          reps.push_back(m);
-          built.clusters[m].push_back(m);
-          built.rep_of[m] = m;
-        } else {
-          built.clusters[best_rep].push_back(m);
-          built.rep_of[m] = best_rep;
-        }
+      }
+      if (best_rep == kInvalidNode) {
+        reps.push_back(m);
+        built.clusters[m].push_back(m);
+        built.rep_of[m] = m;
+      } else {
+        built.clusters[best_rep].push_back(m);
+        built.rep_of[m] = best_rep;
       }
     }
     levels_.push_back(std::move(built));

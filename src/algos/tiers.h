@@ -52,22 +52,14 @@ class TiersNearest final : public core::NearestPeerAlgorithm {
   void Build(const core::LatencySpace& space, std::vector<NodeId> members,
              util::Rng& rng) override;
 
-  /// The greedy cover at each level is sequential in spirit (whether a
-  /// member founds a cluster depends on every earlier decision), but
-  /// its cost is the latency probes, and those parallelize: members
-  /// are processed in chunks of 128, each chunk's probes against the
-  /// representatives known at chunk start fan out under ParallelFor,
-  /// and the (cheap) assignment decisions then replay serially in
-  /// member order — consulting the precomputed distances, plus direct
-  /// probes to any representative founded mid-chunk. One worker takes
-  /// chunks of one member, so it probes every representative back to
-  /// back and a row-caching backend loads each member's row once per
-  /// level. The decision sequence is identical to the serial pass, so
-  /// the build is bit-identical for every thread count.
+  /// The greedy cover at each level is sequential (whether a member
+  /// founds a cluster depends on every earlier decision), so
+  /// ParallelBuild is the base fallback: the serial Build for every
+  /// thread count. Each member probes the representatives back to back,
+  /// so a row-caching backend loads its row once per level. Reported
+  /// as supported so batch-build timing and billing checks (the
+  /// scale-sweep bench) still cover it.
   bool SupportsParallelBuild() const override { return true; }
-  void ParallelBuild(const core::LatencySpace& space,
-                     std::vector<NodeId> members, util::Rng& rng,
-                     int num_threads) override;
 
   /// Incremental membership. A joiner descends from the top cluster,
   /// probing each visited cluster's members (metered through the
@@ -126,11 +118,6 @@ class TiersNearest final : public core::NearestPeerAlgorithm {
 
   /// Cluster radius at a level: base_radius_ms * kRadiusGrowth^level.
   double RadiusAt(int level) const;
-
-  /// Shared construction path (Build = serial reference, num_threads
-  /// = 1).
-  void BuildImpl(const core::LatencySpace& space, std::vector<NodeId> members,
-                 util::Rng& rng, int num_threads);
 
   /// Re-elects a representative among `cluster` (the old rep already
   /// removed): the member minimizing the summed latency to the others,

@@ -66,8 +66,9 @@ class NearestPeerAlgorithm {
   virtual void Build(const LatencySpace& space, std::vector<NodeId> members,
                      util::Rng& rng) = 0;
 
-  /// True when ParallelBuild actually fans construction out over
-  /// worker threads (the base falls back to the serial Build).
+  /// True for the structured overlays whose one-shot build is worth
+  /// timing and billing against Build; most of them fan ParallelBuild
+  /// out over worker threads (the base falls back to the serial Build).
   virtual bool SupportsParallelBuild() const { return false; }
 
   /// Batch-parallel construction. Same contract as Build plus a

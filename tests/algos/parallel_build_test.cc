@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "algos/beaconing.h"
@@ -89,15 +88,16 @@ void ExpectSameQueries(const std::vector<QueryResult>& a,
   }
 }
 
-/// Builds one serial reference over `space` and one ParallelBuild
-/// instance per thread count, checks billed build probes and query
-/// metrics match bitwise, and lets `compare_state` pin
-/// algorithm-specific state.
+/// Builds one serial reference and one ParallelBuild instance per
+/// thread count, checks billed build probes and query metrics match
+/// bitwise, and lets `compare_state` pin algorithm-specific state.
 template <typename Algo>
-void CheckParallelBuildEquivalenceOn(
-    const core::LatencySpace& space, const std::vector<int>& thread_counts,
+void CheckParallelBuildEquivalence(
     std::function<std::unique_ptr<Algo>()> make,
     std::function<void(const Algo&, const Algo&)> compare_state) {
+  const auto world = ControlWorld(77);
+  const MatrixSpace space(world.matrix);
+
   const auto serial = make();
   const MeteredSpace serial_metered(space);
   {
@@ -106,7 +106,7 @@ void CheckParallelBuildEquivalenceOn(
   }
   const auto serial_queries = RunQueries(space, *serial);
 
-  for (const int threads : thread_counts) {
+  for (const int threads : {1, 2, 8}) {
     const auto parallel = make();
     const MeteredSpace parallel_metered(space);
     {
@@ -122,59 +122,16 @@ void CheckParallelBuildEquivalenceOn(
   }
 }
 
-/// The same check on the Euclidean control world at threads {1, 2, 8}.
-template <typename Algo>
-void CheckParallelBuildEquivalence(
-    std::function<std::unique_ptr<Algo>()> make,
-    std::function<void(const Algo&, const Algo&)> compare_state) {
-  const auto world = ControlWorld(77);
-  const MatrixSpace space(world.matrix);
-  CheckParallelBuildEquivalenceOn<Algo>(space, {1, 2, 8}, std::move(make),
-                                        std::move(compare_state));
-}
-
-/// A shortest-path world whose row cache holds 16 rows, far fewer than
-/// the overlay's members.
-matrix::SparseTopologyConfig SmallCacheSparse() {
+/// Row misses of one one-worker ParallelBuild of the first
+/// kOverlaySize nodes on a shortest-path world whose row cache holds 16
+/// rows, far fewer than the overlay's members. The space dies with the
+/// call, so `algo` may only be inspected, not probed, after.
+std::uint64_t OneWorkerBuildMisses(NearestPeerAlgorithm& algo) {
   matrix::SparseTopologyConfig config;
   config.num_nodes = kWorldSize;
   config.row_cache_capacity = 16;
   config.seed = 5;
-  return config;
-}
-
-std::unique_ptr<TiersNearest> MakeTiers() {
-  return std::make_unique<TiersNearest>(TiersConfig{});
-}
-
-void ExpectSameTiers(const TiersNearest& a, const TiersNearest& b) {
-  ASSERT_EQ(a.num_levels(), b.num_levels());
-  a.CheckInvariants();
-  b.CheckInvariants();
-  for (int level = 0; level < a.num_levels(); ++level) {
-    const auto level_members = a.LevelMembers(level);
-    EXPECT_EQ(level_members, b.LevelMembers(level)) << level;
-    // Reps are cluster-map keys; compare every rep's cluster.
-    for (const NodeId rep : level_members) {
-      std::vector<NodeId> ca;
-      std::vector<NodeId> cb;
-      try {
-        ca = a.ClusterOf(level, rep);
-      } catch (const util::Error&) {
-        EXPECT_THROW(b.ClusterOf(level, rep), util::Error);
-        continue;
-      }
-      cb = b.ClusterOf(level, rep);
-      EXPECT_EQ(ca, cb) << "level " << level << " rep " << rep;
-    }
-  }
-}
-
-/// Row misses of one one-worker ParallelBuild of the first
-/// kOverlaySize nodes on a fresh SmallCacheSparse world. The space dies
-/// with the call, so `algo` may only be inspected, not probed, after.
-std::uint64_t OneWorkerBuildMisses(NearestPeerAlgorithm& algo) {
-  const matrix::SparseTopologySpace space(SmallCacheSparse());
+  const matrix::SparseTopologySpace space(config);
   util::Rng rng(1234);
   algo.ParallelBuild(space, FirstN(kOverlaySize), rng, 1);
   return space.cache_stats().misses;
@@ -212,21 +169,36 @@ TEST(ParallelBuild, TapestryMatchesSerialBitwise) {
 }
 
 TEST(ParallelBuild, TiersMatchesSerialBitwise) {
-  CheckParallelBuildEquivalence<TiersNearest>(MakeTiers, ExpectSameTiers);
-}
-
-TEST(ParallelBuild, TiersMatchesSerialBitwiseOnASmallRowCache) {
-  // Tiers' build chunk depends on the worker count; the cover must not.
-  const matrix::SparseTopologySpace space(SmallCacheSparse());
-  CheckParallelBuildEquivalenceOn<TiersNearest>(space, {1, 2, 3, 8},
-                                                MakeTiers, ExpectSameTiers);
+  CheckParallelBuildEquivalence<TiersNearest>(
+      [] { return std::make_unique<TiersNearest>(TiersConfig{}); },
+      [](const TiersNearest& a, const TiersNearest& b) {
+        ASSERT_EQ(a.num_levels(), b.num_levels());
+        a.CheckInvariants();
+        b.CheckInvariants();
+        for (int level = 0; level < a.num_levels(); ++level) {
+          const auto level_members = a.LevelMembers(level);
+          EXPECT_EQ(level_members, b.LevelMembers(level)) << level;
+          // Reps are cluster-map keys; compare every rep's cluster.
+          for (const NodeId rep : level_members) {
+            std::vector<NodeId> ca;
+            std::vector<NodeId> cb;
+            try {
+              ca = a.ClusterOf(level, rep);
+            } catch (const util::Error&) {
+              EXPECT_THROW(b.ClusterOf(level, rep), util::Error);
+              continue;
+            }
+            cb = b.ClusterOf(level, rep);
+            EXPECT_EQ(ca, cb) << "level " << level << " rep " << rep;
+          }
+        }
+      });
 }
 
 TEST(ParallelBuild, OneWorkerBuildsLoadEachRowOncePerLevel) {
   // Tiers probes each level's members against that level's reps, so a
-  // member's row is needed once per level it belongs to; its probe
-  // chunk must not let the cache evict the row between the probes
-  // against the reps known at chunk start and the replay.
+  // member's row is needed once per level it belongs to; no other row
+  // may be loaded between two probes of one member.
   TiersNearest tiers(TiersConfig{});
   const std::uint64_t tiers_misses = OneWorkerBuildMisses(tiers);
   std::uint64_t level_members = 0;
