@@ -4,9 +4,9 @@
 // 10^5 spot point; quick scale n = 2000 for the CI smoke).
 //
 // Not a paper figure: the paper's simulations are one-shot and
-// offline. This is the serving axis — RCU-style immutable snapshots
-// let N reader threads answer queries lock-free while a single writer
-// churns the live overlay toward the next epoch, so the question
+// offline. This is the serving axis — immutable per-epoch snapshots
+// let N reader threads answer queries without a per-query lock while a
+// single writer churns the live overlay toward the next epoch, so the question
 // becomes what a deployed lookup service would ask: how does qps scale
 // with readers, and what does churn pressure do to the tail?
 //

@@ -19,20 +19,23 @@ void ValidateScenarioConfig(const ScenarioConfig& config,
             "num_threads must be >= 0 (0 = hardware concurrency)");
   NP_ENSURE(config.blackouts.empty() || num_clusters > 0,
             "blackouts need a clustered layout");
+  for (const ScenarioConfig::Blackout& b : config.blackouts) {
+    NP_ENSURE(b.cluster >= 0 && b.cluster < num_clusters,
+              "blackout names a cluster outside the world");
+  }
   ValidateOverlaySplit(
       population > 0 ? population : std::numeric_limits<std::size_t>::max(),
       config.initial_overlay);
-  // Each fault component's check, in build order. The PartitionedSpace
-  // layer, and so its rate check, exists only under some pathology.
+  // Each fault component's check, in build order. The pathology rates
+  // are checked even when no PartitionedSpace layer is built, so a
+  // value out of range fails whether or not it would take effect.
   const FaultConfig& fault = config.fault;
   ValidatePartitions(fault.partitions, num_clusters);
   matrix::PartitionSchedule pathologies;
   pathologies.grey_node_frac = fault.grey_node_frac;
   pathologies.grey_loss_rate = fault.grey_loss_rate;
   pathologies.asymmetric_frac = fault.asymmetric_loss;
-  if (!fault.partitions.empty() || pathologies.Any()) {
-    matrix::ValidatePathologies(pathologies);
-  }
+  matrix::ValidatePathologies(pathologies);
   matrix::ValidateLossRate(fault.loss_rate);
   ValidateSuspicionConfig(fault.suspicion);
   ValidateMaxAttempts(fault.max_attempts);

@@ -4,15 +4,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "core/engine_setup.h"
-#include "core/overlay_snapshot.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
 #include "util/contract.h"
@@ -23,10 +25,22 @@ namespace np::core {
 
 namespace {
 
+/// Immutable view of the overlay at one epoch boundary. Everything a
+/// reader needs is copied in: the membership/pool/crashed sets evolve
+/// under the writer's churn while the snapshot serves, so sharing them
+/// would race. The algorithm clone is deep (Clone() contract) and is
+/// only mutated through its query path, which RunServing requires to
+/// be ParallelQuerySafe for >1 reader.
+struct OverlaySnapshot {
+  std::unique_ptr<NearestPeerAlgorithm> algo;
+  std::vector<NodeId> members;
+  std::vector<NodeId> pool;
+  std::unordered_set<NodeId> crashed;
+};
+
 /// Everything one epoch's readers and the post-run reduction need.
 /// The writer fills a slot completely before publishing the epoch's
-/// snapshot; the publisher's mutex/condvar hand-off makes the writes
-/// visible to readers.
+/// snapshot; the rendezvous mutex makes the writes visible to readers.
 struct EpochSlot {
   /// Churn/maintenance fields, filled by the writer.
   EpochReport er;
@@ -103,139 +117,165 @@ ServingReport RunServing(const LatencySpace& space,
   // Reader t runs query chunk t.
   const auto chunks = static_cast<std::size_t>(n_readers);
   std::vector<EpochSlot> slots(static_cast<std::size_t>(sc.epochs));
-  SnapshotPublisher publisher;
 
-  // Pin accounting: the writer publishes epoch k+1 only after every
-  // reader pinned epoch k. A reader pins k only after dropping k-1, so
-  // this bounds the retired chain (at most the snapshot being
-  // superseded stays transiently alive) and keeps writer and readers
-  // at most one epoch apart.
-  std::mutex pin_mu;
-  std::condition_variable pin_cv;
-  std::vector<int> pinned(static_cast<std::size_t>(sc.epochs), 0);
-  bool reader_failed = false;
-  std::string reader_error;
+  // The one hand-off point, in both directions. The writer publishes
+  // epoch k+1 only after every reader pinned epoch k, and a reader pins
+  // k only after dropping k-1, so writer and readers stay at most one
+  // epoch apart and at most the snapshot being superseded stays alive
+  // past a publish. A failure on either side wakes every waiter.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::shared_ptr<const OverlaySnapshot> current;
+  int published = -1;
+  int pinned = 0;  // readers that pinned `published`
+  std::string failure;
+  const auto fail = [&](const char* who, const std::exception& e) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (failure.empty()) {
+        failure = std::string(who) + " failed: " + e.what();
+      }
+    }
+    cv.notify_all();
+  };
 
   NP_LINT_SUPPRESS("banned-call", "wall_* quarantine: qps/p99 only");
   auto serve_start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> readers;
   readers.reserve(static_cast<std::size_t>(n_readers));
-  for (int t = 0; t < n_readers; ++t) {
-    readers.emplace_back([&, t] {
-      try {
-        for (int epoch = 0; epoch < sc.epochs; ++epoch) {
-          // Pinned for the whole epoch; dropped (and so reclaimable)
-          // when the loop iteration ends.
-          const std::shared_ptr<const OverlaySnapshot> snap =
-              publisher.WaitForEpoch(epoch);
-          NP_ENSURE(snap != nullptr, "publisher closed mid-run");
-          {
-            std::lock_guard<std::mutex> lock(pin_mu);
-            ++pinned[static_cast<std::size_t>(epoch)];
+  // Every superseded snapshot, watched for the reclamation stat.
+  std::vector<std::weak_ptr<const OverlaySnapshot>> retired;
+  try {
+    for (int t = 0; t < n_readers; ++t) {
+      readers.emplace_back([&, t] {
+        try {
+          for (int epoch = 0; epoch < sc.epochs; ++epoch) {
+            // Pinned for the whole epoch; dropped (and so reclaimable)
+            // when the loop iteration ends.
+            std::shared_ptr<const OverlaySnapshot> snap;
+            bool all_pinned = false;
+            {
+              std::unique_lock<std::mutex> lock(mu);
+              // Epoch k+1 waits for this reader's pin of k, so the
+              // published epoch cannot skip past `epoch`.
+              cv.wait(lock,
+                      [&] { return !failure.empty() || published == epoch; });
+              if (!failure.empty()) {
+                return;
+              }
+              snap = current;
+              all_pinned = ++pinned == n_readers;
+            }
+            if (all_pinned) {
+              cv.notify_all();
+            }
+
+            EpochSlot& slot = slots[static_cast<std::size_t>(epoch)];
+            // Static partition into disjoint outcome slots; the serial
+            // post-join reduction in query order restores thread-count
+            // invariance.
+            const auto chunk = static_cast<std::size_t>(t);
+            NP_LINT_SUPPRESS("banned-call",
+                             "wall_* quarantine: qps/p99 only");
+            auto q_start = std::chrono::steady_clock::now();
+            const auto time_query = [&](std::size_t q) {
+              slot.latency_us[q] = LapUs(q_start);
+            };
+            // This reader filled the previous epoch's memo for its chunk
+            // itself, so carrying from it races no one.
+            const TruthMemo* prev =
+                epoch > 0 ? &slots[static_cast<std::size_t>(epoch - 1)]
+                                 .memos[chunk]
+                          : nullptr;
+            RunQueryChunk(slot.batch, *snap->algo, chunk, chunks,
+                          slot.memos[chunk], slot.outcomes, time_query, prev);
           }
-          pin_cv.notify_all();
-
-          EpochSlot& slot = slots[static_cast<std::size_t>(epoch)];
-          // Static partition into disjoint outcome slots; the serial
-          // post-join reduction in query order restores thread-count
-          // invariance.
-          const auto chunk = static_cast<std::size_t>(t);
-          NP_LINT_SUPPRESS("banned-call", "wall_* quarantine: qps/p99 only");
-          auto q_start = std::chrono::steady_clock::now();
-          const auto time_query = [&](std::size_t q) {
-            slot.latency_us[q] = LapUs(q_start);
-          };
-          // This reader filled the previous epoch's memo for its chunk
-          // itself, so carrying from it races no one.
-          const TruthMemo* prev =
-              epoch > 0 ? &slots[static_cast<std::size_t>(epoch - 1)]
-                               .memos[chunk]
-                        : nullptr;
-          RunQueryChunk(slot.batch, *snap->algo, chunk, chunks,
-                        slot.memos[chunk], slot.outcomes, time_query, prev);
+        } catch (const std::exception& e) {
+          fail("serving reader", e);
         }
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(pin_mu);
-        if (!reader_failed) {
-          reader_failed = true;
-          reader_error = e.what();
-        }
-        pin_cv.notify_all();
-      }
-    });
-  }
-
-  // --- Writer loop (this thread) -----------------------------------------
-  // Window k+1 is applied to the live overlay while readers still
-  // query snapshot k — the concurrency the mode exists to exercise.
-  bool writer_aborted = false;
-  for (int epoch = 0; epoch < sc.epochs; ++epoch) {
-    EpochSlot& slot = slots[static_cast<std::size_t>(epoch)];
-    setup.RunWindow(epoch, slot.er);
-    slot.maint_faults = setup.TakeFaultDeltas();
-
-    auto snap = std::make_shared<OverlaySnapshot>();
-    snap->epoch = epoch;
-    snap->algo = algo.Clone();
-    snap->members = driver.members();
-    snap->pool = driver.pool();
-    snap->crashed = driver.crashed();
-
-    slot.members = snap->members;
-    slot.zipf_cdf = setup.TargetCdf(snap->pool);
-    slot.reader_counter = std::make_unique<ProbeCounter>();
-    if (report.suspicion_mode) {
-      // Copied after the window closed, so the frozen quarantine set is
-      // exactly what serial replay's queries consult.
-      slot.reader_suspicion =
-          std::make_unique<SuspicionLedger>(setup.suspicion());
-      slot.reader_suspicion->set_recording(false);
-    }
-    slot.reader_policy = std::make_unique<ProbePolicy>(
-        sc.fault.max_attempts, slot.reader_counter.get(),
-        slot.reader_suspicion.get());
-    snap->algo->AttachProbeCounter(slot.reader_counter.get());
-    snap->algo->AttachProbePolicy(slot.reader_policy.get());
-
-    slot.memos.resize(chunks);
-    slot.outcomes.resize(queries);
-    slot.latency_us.resize(queries);
-    slot.batch = setup.Batch(epoch, snap->members, snap->pool, snap->crashed,
-                             slot.zipf_cdf);
-    const std::vector<NodeId> none;
-    slot.delta.emplace(
-        epoch > 0 ? slots[static_cast<std::size_t>(epoch - 1)].members : none,
-        slot.members, space.size());
-    slot.batch.delta = &*slot.delta;
-
-    if (epoch > 0) {
-      // Epoch rendezvous: don't outrun readers by more than one epoch.
-      std::unique_lock<std::mutex> lock(pin_mu);
-      pin_cv.wait(lock, [&] {
-        return reader_failed ||
-               pinned[static_cast<std::size_t>(epoch - 1)] == n_readers;
       });
-      if (reader_failed) {
-        writer_aborted = true;
-        break;
-      }
     }
-    publisher.Publish(std::shared_ptr<const OverlaySnapshot>(std::move(snap)));
-    sr.max_retired_alive =
-        std::max(sr.max_retired_alive, publisher.retired_alive());
+
+    // --- Writer loop (this thread) ---------------------------------------
+    // Window k+1 is applied to the live overlay while readers still
+    // query snapshot k — the concurrency the mode exists to exercise.
+    for (int epoch = 0; epoch < sc.epochs; ++epoch) {
+      EpochSlot& slot = slots[static_cast<std::size_t>(epoch)];
+      setup.RunWindow(epoch, slot.er);
+      slot.maint_faults = setup.TakeFaultDeltas();
+
+      auto snap = std::make_shared<OverlaySnapshot>();
+      snap->algo = algo.Clone();
+      snap->members = driver.members();
+      snap->pool = driver.pool();
+      snap->crashed = driver.crashed();
+
+      slot.members = snap->members;
+      slot.zipf_cdf = setup.TargetCdf(snap->pool);
+      slot.reader_counter = std::make_unique<ProbeCounter>();
+      if (report.suspicion_mode) {
+        // Copied after the window closed, so the frozen quarantine set
+        // is exactly what serial replay's queries consult.
+        slot.reader_suspicion =
+            std::make_unique<SuspicionLedger>(setup.suspicion());
+        slot.reader_suspicion->set_recording(false);
+      }
+      slot.reader_policy = std::make_unique<ProbePolicy>(
+          sc.fault.max_attempts, slot.reader_counter.get(),
+          slot.reader_suspicion.get());
+      snap->algo->AttachProbeCounter(slot.reader_counter.get());
+      snap->algo->AttachProbePolicy(slot.reader_policy.get());
+
+      slot.memos.resize(chunks);
+      slot.outcomes.resize(queries);
+      slot.latency_us.resize(queries);
+      slot.batch = setup.Batch(epoch, snap->members, snap->pool,
+                               snap->crashed, slot.zipf_cdf);
+      const std::vector<NodeId> none;
+      slot.delta.emplace(
+          epoch > 0 ? slots[static_cast<std::size_t>(epoch - 1)].members
+                    : none,
+          slot.members, space.size());
+      slot.batch.delta = &*slot.delta;
+
+      std::shared_ptr<const OverlaySnapshot> superseded;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+          return !failure.empty() || epoch == 0 || pinned == n_readers;
+        });
+        if (!failure.empty()) {
+          break;
+        }
+        superseded = std::exchange(current, std::move(snap));
+        published = epoch;
+        pinned = 0;
+      }
+      cv.notify_all();
+      if (superseded != nullptr) {
+        // The writer's reference goes at this publish; from here the
+        // readers' pins decide when the snapshot is freed.
+        retired.emplace_back(superseded);
+        superseded.reset();
+      }
+      sr.max_retired_alive = std::max(
+          sr.max_retired_alive,
+          static_cast<std::size_t>(std::count_if(
+              retired.begin(), retired.end(),
+              [](const auto& w) { return !w.expired(); })));
+      ++sr.snapshots_published;
+    }
+  } catch (const std::exception& e) {
+    fail("serving writer", e);
   }
-  publisher.Close();
   for (std::thread& reader : readers) {
     reader.join();
   }
   sr.wall_ms = LapUs(serve_start) / 1000.0;
-  {
-    std::lock_guard<std::mutex> lock(pin_mu);
-    NP_ENSURE(!reader_failed && !writer_aborted,
-              ("serving reader failed: " + reader_error).c_str());
+  if (!failure.empty()) {
+    throw util::Error(failure);
   }
-  sr.snapshots_published = publisher.published_count();
 
   // --- Serial reduction, in epoch and query order ------------------------
   std::vector<double> all_latency_us;

@@ -1,13 +1,19 @@
-// Concurrent serving mode: lock-free snapshot queries racing churn.
+// Concurrent serving mode: snapshot queries racing churn.
 //
 // The deterministic scenario engine interleaves churn and queries in
 // one loop, so its results say nothing about throughput or tail
 // latency under live membership change. RunServing runs the same
 // workload service-shaped: a single writer thread applies each epoch's
-// churn window to the live overlay and publishes an immutable
-// OverlaySnapshot at the boundary, while N reader threads answer the
-// epoch's queries against their pinned snapshot — concurrently with
-// the writer mutating the live overlay toward the next epoch.
+// churn window to the live overlay and publishes an immutable snapshot
+// (a deep clone of the algorithm plus the membership it answers
+// against) at the boundary, while N reader threads answer the epoch's
+// queries against their pinned snapshot — concurrently with the writer
+// mutating the live overlay toward the next epoch. Writer and readers
+// meet once per epoch, under one mutex; a query takes no lock.
+//
+// Failure: an exception on the writer or on any reader wakes every
+// waiter; RunServing joins the readers and throws util::Error naming
+// the side that failed first.
 //
 // Determinism contract: every per-query stream is the same pure
 // function of (seed, epoch, query index) the scenario engine uses, the
@@ -75,8 +81,8 @@ struct ServingReport {
   // gated on exact values).
 
   /// Max superseded-but-alive snapshots observed after any publish.
-  /// The pin rendezvous bounds it at a small constant, but the value
-  /// observed depends on when readers drop pins relative to publish.
+  /// The pin rendezvous bounds it at 1, but the value observed depends
+  /// on when readers drop pins relative to publish.
   std::size_t max_retired_alive = 0;
   double wall_ms = 0.0;
   double qps = 0.0;

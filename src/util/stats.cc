@@ -159,30 +159,6 @@ std::vector<ScatterBin> BinnedScatter::Bins() const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  NP_ENSURE(hi > lo, "Histogram requires lo < hi");
-  NP_ENSURE(buckets >= 1, "Histogram requires at least one bucket");
-}
-
-void Histogram::Add(double value) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((value - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket + 1);
-}
-
 double KolmogorovSmirnov(std::vector<double> a, std::vector<double> b) {
   NP_ENSURE(!a.empty() && !b.empty(), "KS distance of an empty sample");
   std::sort(a.begin(), a.end());

@@ -1,6 +1,6 @@
 // Descriptive statistics used by the measurement pipelines and the
-// figure benches: percentile summaries, empirical CDFs, histograms and
-// the paper's "binned scatter plots" (Figs 4 and 10 group sample points
+// figure benches: percentile summaries, empirical CDFs and the
+// paper's "binned scatter plots" (Figs 4 and 10 group sample points
 // by x into bins and report per-bin percentiles).
 #pragma once
 
@@ -100,27 +100,6 @@ class BinnedScatter {
   bool log_spaced_ = false;
   std::vector<std::vector<double>> bin_values_;
   std::size_t sample_count_ = 0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into
-/// the boundary buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double value);
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Gini coefficient of a non-negative sample, in [0, 1]. 0 = perfectly

@@ -2,14 +2,18 @@
 // reproduce the deterministic scenario engine bit for bit — for every
 // structured scheme and the §5 hybrids, for every reader count, under
 // lognormal session churn and under probe loss — plus the staleness
-// metrics' deterministic invariants, the post-run algorithm state, and
-// the serving-mode precondition checks.
+// metrics' deterministic invariants, the post-run algorithm state, the
+// serving-mode precondition checks, the snapshot reclamation bound,
+// failures on either side of the writer/reader hand-off, and the
+// algorithm Clone() contract the snapshots are built from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/beaconing.h"
@@ -17,6 +21,7 @@
 #include "algos/tapestry.h"
 #include "algos/tiers.h"
 #include "core/churn.h"
+#include "core/probe_counter.h"
 #include "core/scenario.h"
 #include "core/serving.h"
 #include "matrix/generators.h"
@@ -300,7 +305,7 @@ class PlainNearest : public NearestPeerAlgorithm {
   }
   const std::vector<NodeId>& members() const override { return members_; }
 
- private:
+ protected:
   std::vector<NodeId> members_;
 };
 
@@ -344,6 +349,160 @@ TEST(Serving, RejectsMultipleReadersWithoutParallelQuerySafety) {
       RunServing(space, &world.layout, algo, schedule, serving);
   EXPECT_EQ(report.snapshots_published,
             static_cast<std::size_t>(serving.scenario.epochs));
+}
+
+// --- Reclamation --------------------------------------------------------
+
+TEST(Serving, RetiredSnapshotsStayBoundedAtEightReaders) {
+  // A reader drops epoch k-1 before it pins k, and the writer publishes
+  // k+1 only after every reader pinned k: after any publish, at most
+  // the snapshot just superseded is still alive.
+  const auto world = SmallClusteredWorld(3);
+  const MatrixSpace space(world.matrix);
+  ServingConfig serving;
+  serving.scenario = BaseScenario();
+  serving.scenario.epochs = 8;
+  serving.reader_threads = 8;
+  const auto algo = MakeAlgo("karger-ruhl");
+  const ServingReport report =
+      RunServing(space, &world.layout, *algo, LognormalSchedule(), serving);
+  EXPECT_EQ(report.snapshots_published,
+            static_cast<std::size_t>(serving.scenario.epochs));
+  EXPECT_LE(report.max_retired_alive, 1u);
+}
+
+// --- Failures on either side of the hand-off -----------------------------
+
+/// Snapshot-capable, parallel-query-safe and churn-capable, with one
+/// planted failure: the writer's `fail_add`-th AddMember throws, or
+/// every query on the clone published at epoch `fail_clone` throws.
+class FailingNearest final : public PlainNearest {
+ public:
+  FailingNearest(int fail_add, int fail_clone)
+      : fail_add_(fail_add), fail_clone_(fail_clone) {}
+  bool SupportsChurn() const override { return true; }
+  bool ParallelQuerySafe() const override { return true; }
+  bool SupportsSnapshot() const override { return true; }
+  void AddMember(NodeId node, util::Rng& rng) override {
+    (void)rng;
+    if (++adds_ == fail_add_) {
+      throw util::Error("planted writer failure");
+    }
+    members_.push_back(node);
+  }
+  void RemoveMember(NodeId node) override {
+    members_.erase(std::find(members_.begin(), members_.end(), node));
+  }
+  QueryResult FindNearest(NodeId target, const MeteredSpace& metered,
+                          util::Rng& rng) override {
+    if (fail_queries_) {
+      throw util::Error("planted reader failure");
+    }
+    return PlainNearest::FindNearest(target, metered, rng);
+  }
+  std::unique_ptr<NearestPeerAlgorithm> Clone() const override {
+    auto clone = std::make_unique<FailingNearest>(*this);
+    clone->fail_queries_ = clones_++ == fail_clone_;
+    return DetachedClone(std::move(clone));
+  }
+
+ private:
+  int fail_add_;
+  int fail_clone_;
+  int adds_ = 0;
+  mutable int clones_ = 0;
+  bool fail_queries_ = false;
+};
+
+/// Runs `algo` in serving mode and returns the util::Error message.
+std::string ServingError(NearestPeerAlgorithm& algo, int readers) {
+  const auto world = SmallClusteredWorld(3);
+  const MatrixSpace space(world.matrix);
+  ServingConfig serving;
+  serving.scenario = BaseScenario();
+  serving.reader_threads = readers;
+  try {
+    (void)RunServing(space, &world.layout, algo, LognormalSchedule(),
+                     serving);
+  } catch (const util::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "RunServing did not throw";
+  return "";
+}
+
+TEST(Serving, WriterFailureThrowsAfterJoiningReaders) {
+  for (const int readers : {1, 4}) {
+    SCOPED_TRACE(readers);
+    FailingNearest algo(/*fail_add=*/4, /*fail_clone=*/-1);
+    const std::string what = ServingError(algo, readers);
+    EXPECT_NE(what.find("serving writer failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("planted writer failure"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Serving, ReaderFailureThrows) {
+  for (const int readers : {1, 4}) {
+    SCOPED_TRACE(readers);
+    FailingNearest algo(/*fail_add=*/-1, /*fail_clone=*/1);
+    const std::string what = ServingError(algo, readers);
+    EXPECT_NE(what.find("serving reader failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("planted reader failure"), std::string::npos)
+        << what;
+  }
+}
+
+// --- The Clone() contract ------------------------------------------------
+
+TEST(CloneContract, CloneIsDeepDetachedAndBitIdentical) {
+  matrix::ClusteredConfig wconfig;
+  wconfig.num_clusters = 3;
+  wconfig.nets_per_cluster = 10;
+  wconfig.peers_per_net = 2;
+  util::Rng wrng(11);
+  const auto world = matrix::GenerateClustered(wconfig, wrng);
+  const MatrixSpace space(world.matrix);
+
+  algos::KargerRuhlNearest algo{algos::KargerRuhlConfig{}};
+  std::vector<NodeId> members;
+  for (NodeId node = 0; node < 40; ++node) members.push_back(node);
+  util::Rng build_rng(13);
+  algo.Build(space, members, build_rng);
+
+  ProbeCounter counter;
+  algo.AttachProbeCounter(&counter);
+  ASSERT_TRUE(algo.SupportsSnapshot());
+  const auto clone = algo.Clone();
+
+  // Detached: the clone never bills the original's counter (the
+  // serving engine attaches its own per-snapshot pair).
+  EXPECT_EQ(clone->probe_counter(), nullptr);
+  const MeteredSpace metered(space);
+  const NodeId target = 55;
+  util::Rng qrng_clone(17);
+  const QueryResult before = clone->Query(target, metered, qrng_clone);
+  EXPECT_EQ(counter.Read().queries, 0u);
+
+  // Bit-identical at clone time: same target, same rng stream, same
+  // answer as the original.
+  util::Rng qrng_orig(17);
+  const QueryResult original = algo.Query(target, metered, qrng_orig);
+  EXPECT_EQ(original.found, before.found);
+  EXPECT_EQ(original.probes, before.probes);
+  EXPECT_EQ(counter.Read().queries, 1u);
+
+  // Deep: mutating the original (removing the found member) must not
+  // change what the clone answers.
+  ASSERT_TRUE(algo.SupportsChurn());
+  algo.RemoveMember(before.found);
+  util::Rng qrng_after(17);
+  const QueryResult after = clone->Query(target, metered, qrng_after);
+  EXPECT_EQ(after.found, before.found);
+  util::Rng qrng_mutated(17);
+  EXPECT_NE(algo.Query(target, metered, qrng_mutated).found, before.found);
+
+  algo.AttachProbeCounter(nullptr);
 }
 
 // --- The identity oracle ----------------------------------------------------

@@ -373,14 +373,24 @@ def flag_cases():
 
 def both_paths_cases():
     """(mutate, args, exit code, stderr regex): --threads replaces
-    scenario.num_threads before either path checks it."""
+    scenario.num_threads before either path checks it; a blackout of a
+    cluster the world lacks and an out-of-range grey fraction fail even
+    though neither would crash or grey any peer."""
     threads = set_key(["scenario", "num_threads"], -3)
+    blackout = set_key(["churn", "blackouts"], [{"t": 5, "cluster": 99}])
+    grey = set_key(["scenario", "fault"],
+                   {"grey_nodes": {"frac": -0.5, "loss_rate": 0}})
     return {
         "num_threads -3": (threads, (), 1,
                            r"num_threads must be >= 0 "
                            r"\(0 = hardware concurrency\)"),
         "num_threads -3 --threads 2": (threads, ("--threads", "2"), 0,
                                        r"^$"),
+        "blackout cluster 99": (blackout, (), 1,
+                                r"blackout names a cluster outside the "
+                                r"world\n$"),
+        "grey_nodes.frac -0.5, loss_rate 0": (
+            grey, (), 1, r"grey_node_frac must be in \[0, 1\]"),
     }
 
 

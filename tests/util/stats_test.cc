@@ -123,20 +123,6 @@ TEST(BinnedScatterStats, InvalidConstructionThrows) {
   EXPECT_THROW(BinnedScatter::LinearBins(5.0, 1.0, 2), Error);
 }
 
-TEST(HistogramStats, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);
-  h.Add(1.0);  // falls in bucket 0 boundary? 1.0/2 = bucket 0? width=2 -> idx 0
-  h.Add(9.9);
-  h.Add(-100.0);
-  h.Add(+100.0);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u + 1u);  // 0.5, 1.0 (at boundary of bucket 0), -100 clamped
-  EXPECT_EQ(h.count(4), 2u);       // 9.9 and +100 clamped
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
 TEST(KsStats, IdenticalSamplesHaveZeroDistance) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(KolmogorovSmirnov(v, v), 0.0);
