@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -369,6 +373,131 @@ TEST(Serving, RetiredSnapshotsStayBoundedAtEightReaders) {
   EXPECT_EQ(report.snapshots_published,
             static_cast<std::size_t>(serving.scenario.epochs));
   EXPECT_LE(report.max_retired_alive, 1u);
+}
+
+/// Snapshot lifetimes as seen from the clones themselves. Clone g is
+/// the snapshot published at epoch g; the first query on each clone
+/// below `hold_below` holds its reader (and so its pin) until the
+/// writer has published epoch g+1, then records which clones are
+/// alive.
+struct Generations {
+  std::mutex mu;
+  std::condition_variable cv;
+  int hold_below = 0;
+  int made = 0;
+  std::set<int> live;
+  struct Hold {
+    int generation = 0;
+    bool next_published = false;
+    std::set<int> live;
+  };
+  std::vector<Hold> holds;
+};
+
+class PinWatchNearest final : public PlainNearest {
+ public:
+  explicit PinWatchNearest(std::shared_ptr<Generations> gens)
+      : gens_(std::move(gens)) {}
+  PinWatchNearest(const PinWatchNearest&) = default;
+  ~PinWatchNearest() override {
+    if (generation_ >= 0) {
+      std::lock_guard<std::mutex> lock(gens_->mu);
+      gens_->live.erase(generation_);
+    }
+  }
+  bool SupportsChurn() const override { return true; }
+  bool SupportsSnapshot() const override { return true; }
+  void AddMember(NodeId node, util::Rng& rng) override {
+    (void)rng;
+    members_.push_back(node);
+  }
+  void RemoveMember(NodeId node) override {
+    members_.erase(std::find(members_.begin(), members_.end(), node));
+  }
+  QueryResult FindNearest(NodeId target, const MeteredSpace& metered,
+                          util::Rng& rng) override {
+    if (generation_ >= 0 && generation_ < gens_->hold_below && !held_) {
+      held_ = true;
+      std::unique_lock<std::mutex> lock(gens_->mu);
+      // The writer clones epoch g+2's snapshot only after publishing
+      // g+1, and cannot publish g+2 while this reader still holds g.
+      Generations::Hold hold;
+      hold.generation = generation_;
+      hold.next_published =
+          gens_->cv.wait_for(lock, std::chrono::seconds(30), [&] {
+            return gens_->made > generation_ + 2;
+          });
+      hold.live = gens_->live;
+      gens_->holds.push_back(std::move(hold));
+    }
+    return PlainNearest::FindNearest(target, metered, rng);
+  }
+  std::unique_ptr<NearestPeerAlgorithm> Clone() const override {
+    auto clone = std::make_unique<PinWatchNearest>(*this);
+    {
+      std::lock_guard<std::mutex> lock(gens_->mu);
+      clone->generation_ = gens_->made++;
+      gens_->live.insert(clone->generation_);
+    }
+    gens_->cv.notify_all();
+    return DetachedClone(std::move(clone));
+  }
+
+ private:
+  std::shared_ptr<Generations> gens_;
+  int generation_ = -1;  // the live overlay itself is not a snapshot
+  bool held_ = false;
+};
+
+/// Serves `epochs` epochs with one reader, holding the first query on
+/// each snapshot below `hold_below`.
+ServingReport ServeHolding(const std::shared_ptr<Generations>& gens,
+                           int epochs, int hold_below) {
+  gens->hold_below = hold_below;
+  const auto world = SmallClusteredWorld(3);
+  const MatrixSpace space(world.matrix);
+  ServingConfig serving;
+  serving.scenario = BaseScenario();
+  serving.scenario.epochs = epochs;
+  PinWatchNearest algo(gens);
+  return RunServing(space, &world.layout, algo, LognormalSchedule(),
+                    serving);
+}
+
+TEST(SnapshotPublisher, RetiredSnapshotStaysAliveWhilePinned) {
+  const auto gens = std::make_shared<Generations>();
+  const ServingReport report = ServeHolding(gens, /*epochs=*/3,
+                                            /*hold_below=*/1);
+  ASSERT_EQ(gens->holds.size(), 1u);
+  const Generations::Hold& hold = gens->holds.front();
+  EXPECT_EQ(hold.generation, 0);
+  ASSERT_TRUE(hold.next_published);
+  // Epoch 0 is superseded but must stay alive: the reader still holds
+  // it. Alongside it: the current snapshot and the writer's next one.
+  EXPECT_EQ(hold.live, (std::set<int>{0, 1, 2}));
+  EXPECT_EQ(report.max_retired_alive, 1u);
+  // Every pin dropped: every snapshot is reclaimed.
+  EXPECT_TRUE(gens->live.empty());
+  EXPECT_EQ(gens->made, 3);
+}
+
+TEST(SnapshotPublisher, RetiredChainTracksEveryPinnedGeneration) {
+  const auto gens = std::make_shared<Generations>();
+  const ServingReport report = ServeHolding(gens, /*epochs=*/5,
+                                            /*hold_below=*/3);
+  ASSERT_EQ(gens->holds.size(), 3u);
+  for (int g = 0; g < 3; ++g) {
+    SCOPED_TRACE(g);
+    const Generations::Hold& hold = gens->holds[static_cast<std::size_t>(g)];
+    EXPECT_EQ(hold.generation, g);
+    ASSERT_TRUE(hold.next_published);
+    // Each pinned generation outlives its publish; the one before it,
+    // unpinned when the reader moved on, is already gone.
+    EXPECT_EQ(hold.live, (std::set<int>{g, g + 1, g + 2}));
+  }
+  EXPECT_EQ(report.max_retired_alive, 1u);
+  EXPECT_EQ(report.snapshots_published, 5u);
+  EXPECT_TRUE(gens->live.empty());
 }
 
 // --- Failures on either side of the hand-off -----------------------------
