@@ -270,7 +270,7 @@ int main() {
       np::core::ReduceQueryOutcomes(
           np::core::RunQueryBatch(qbatch, *batch_algo, sconfig.num_threads,
                                   static_cast<std::size_t>(queries)),
-          qstats, nullptr);
+          qstats, nullptr, nullptr);
       reporter.Derive(key + "_batch_p_exact", qstats.p_exact_closest);
       reporter.Derive(key + "_batch_msgs_per_query", qstats.messages_per_query);
 

@@ -138,7 +138,6 @@ core::QueryResult BeaconingNearest::FindNearest(
   std::vector<char> beacon_ok(beacons_.size(), 0);
   for (std::size_t b = 0; b < beacons_.size(); ++b) {
     const auto measured = policy.Probe(metered, beacons_[b], target);
-    ++result.probes;
     if (measured) {
       beacon_to_target[b] = *measured;
       beacon_ok[b] = 1;
@@ -182,7 +181,6 @@ core::QueryResult BeaconingNearest::FindNearest(
 
   for (const auto& [score, candidate] : candidates) {
     const auto measured = policy.Probe(metered, candidate, target);
-    ++result.probes;
     if (!measured) {
       continue;  // unreachable candidate: route around it
     }

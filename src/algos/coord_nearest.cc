@@ -699,11 +699,9 @@ void CoordNearest::BuildLinks(std::uint64_t base, int num_threads) {
   }
 }
 
-bool CoordNearest::PlaceTarget(NodeId target,
-                               const core::MeteredSpace& metered,
+bool CoordNearest::PlaceTarget(NodeId target, const core::MeteredSpace& metered,
                                util::Rng& rng,
-                               std::vector<double>& coordinate,
-                               std::uint64_t& probes) const {
+                               std::vector<double>& coordinate) const {
   const std::vector<NodeId>& ids = members_.members();
   const std::size_t n = ids.size();
   const core::ProbePolicy& policy = probe_policy();
@@ -713,7 +711,6 @@ bool CoordNearest::PlaceTarget(NodeId target,
     measured.reserve(landmarks_.size());
     for (NodeId lm : landmarks_) {
       const auto rtt = policy.Probe(metered, lm, target);
-      ++probes;
       if (rtt) {
         measured.push_back({members_.PositionOf(lm), *rtt});
       }
@@ -724,7 +721,6 @@ bool CoordNearest::PlaceTarget(NodeId target,
     measured.reserve(k);
     for (std::size_t slot : rng.Sample(n, k)) {
       const auto rtt = policy.Probe(metered, ids[slot], target);
-      ++probes;
       if (rtt) {
         measured.push_back({slot, *rtt});
       }
@@ -756,7 +752,7 @@ core::QueryResult CoordNearest::FindNearest(NodeId target,
   const core::ProbePolicy& policy = probe_policy();
 
   std::vector<double> target_coord;
-  if (!PlaceTarget(target, metered, rng, target_coord, result.probes)) {
+  if (!PlaceTarget(target, metered, rng, target_coord)) {
     return result;  // unplaceable target: the query fails honestly
   }
 
@@ -834,7 +830,6 @@ core::QueryResult CoordNearest::FindNearest(NodeId target,
   for (std::size_t t = 0; t < keep; ++t) {
     const NodeId candidate = candidates[t].second;
     const auto measured = policy.Probe(metered, candidate, target);
-    ++result.probes;
     if (!measured) {
       continue;  // unreachable candidate: route around it
     }

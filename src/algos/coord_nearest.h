@@ -199,11 +199,9 @@ class CoordNearest final : public core::NearestPeerAlgorithm {
 
   /// Positions a non-member coordinate from billed probes through
   /// `metered`. Returns false (and leaves `coordinate` meaningless)
-  /// when every placement probe was lost. Charges one probe per
-  /// attempt to `probes`.
+  /// when every placement probe was lost.
   bool PlaceTarget(NodeId target, const core::MeteredSpace& metered,
-                   util::Rng& rng, std::vector<double>& coordinate,
-                   std::uint64_t& probes) const;
+                   util::Rng& rng, std::vector<double>& coordinate) const;
 
   /// `kPlacementPasses` local relaxation sweeps of `self` against the
   /// measured (slot, rtt) pairs — spring updates for the Vivaldi

@@ -348,7 +348,7 @@ core::QueryResult KargerRuhlNearest::FindNearest(
   NP_ENSURE(!members_.empty(), "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  // Member ids, billed on first sighting. One table per thread, kept
+  // Member ids already probed this query. One table per thread, kept
   // across queries so that a query allocates only while the table grows.
   NP_LINT_SUPPRESS("static-state",
                    "query scratch only: cleared on entry, so no value "
@@ -356,11 +356,8 @@ core::QueryResult KargerRuhlNearest::FindNearest(
   thread_local util::FlatCountTable probed;
   probed.Clear();
   const auto probe = [&](NodeId node) {
-    const auto d = policy.Probe(metered, node, target);
-    if (probed.Insert(static_cast<std::uint64_t>(node))) {
-      ++result.probes;
-    }
-    return d;
+    probed.Insert(static_cast<std::uint64_t>(node));
+    return policy.Probe(metered, node, target);
   };
 
   // Under faults the start peer may be unreachable; redraw a few times

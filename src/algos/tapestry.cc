@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/error.h"
-#include "util/flat_count_table.h"
 #include "util/parallel.h"
 
 namespace np::algos {
@@ -274,22 +273,14 @@ core::QueryResult TapestryNearest::FindNearest(
   NP_ENSURE(!members_.empty(), "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  util::FlatCountTable probed;  // member ids, billed on first sighting
-  const auto probe = [&](NodeId node) {
-    const auto d = policy.Probe(metered, node, target);
-    if (probed.Insert(static_cast<std::uint64_t>(node))) {
-      ++result.probes;
-    }
-    return d;
-  };
 
   // Under faults the start peer may be unreachable; redraw a few times
   // before giving the query up (zero extra rng at zero loss).
   std::size_t current = rng.Index(members_.size());
-  auto start = probe(members_.at(current));
+  auto start = policy.Probe(metered, members_.at(current), target);
   for (int redraw = 0; !start && redraw < core::kStartRedraws; ++redraw) {
     current = rng.Index(members_.size());
-    start = probe(members_.at(current));
+    start = policy.Probe(metered, members_.at(current), target);
   }
   if (!start) {
     return result;  // found stays kInvalidNode: give-up
@@ -313,7 +304,7 @@ core::QueryResult TapestryNearest::FindNearest(
       if (candidate == kInvalidNode) {
         continue;
       }
-      const auto measured = probe(candidate);
+      const auto measured = policy.Probe(metered, candidate, target);
       if (!measured) {
         continue;  // stale/dead table entry: route around it
       }

@@ -336,10 +336,6 @@ core::QueryResult TiersNearest::FindNearest(NodeId target,
   NP_ENSURE(space_ != nullptr, "Build must run before FindNearest");
   core::QueryResult result;
   const core::ProbePolicy& policy = probe_policy();
-  const auto probe = [&](NodeId node) {
-    ++result.probes;
-    return policy.Probe(metered, node, target);
-  };
 
   // Probe the top cluster, then descend through the chosen rep's
   // clusters level by level. An unreachable rep is skipped; if a whole
@@ -351,7 +347,7 @@ core::QueryResult TiersNearest::FindNearest(NodeId target,
     NodeId best = kInvalidNode;
     LatencyMs best_distance = kInfiniteLatency;
     for (const NodeId candidate : *candidates) {
-      const auto measured = probe(candidate);
+      const auto measured = policy.Probe(metered, candidate, target);
       if (!measured) {
         continue;
       }
@@ -376,7 +372,7 @@ core::QueryResult TiersNearest::FindNearest(NodeId target,
   }
   // Bottom cluster: probe its members for the final answer.
   for (const NodeId candidate : *candidates) {
-    const auto measured = probe(candidate);
+    const auto measured = policy.Probe(metered, candidate, target);
     if (!measured) {
       continue;
     }

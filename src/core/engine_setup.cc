@@ -105,7 +105,6 @@ EngineSetup::EngineSetup(const LatencySpace& space,
              ProbeSeeds{rng_(), util::Mix64(fault_root_ ^ 0x6),
                         util::Mix64(fault_root_ ^ 0x1)},
              nullptr, config.fault.track_load ? &ledger_ : nullptr),
-      attach_counter_(algo, counter_),
       suspicion_(config.fault.suspicion),
       policy_(config.fault.max_attempts, &counter_,
               config.fault.suspicion.Enabled() ? &suspicion_ : nullptr),

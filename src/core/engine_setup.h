@@ -64,8 +64,8 @@ class EngineSetup {
  public:
   /// Validates the workload, splits the population, builds the overlay
   /// through the maintenance stack and arms the churn windows. The
-  /// engine's probe counter and policy stay attached to `algo` until
-  /// the setup is destroyed. Borrows every argument.
+  /// engine's probe policy stays attached to `algo` until the setup is
+  /// destroyed. Borrows every argument.
   EngineSetup(const LatencySpace& space, const matrix::ClusterLayout* layout,
               NearestPeerAlgorithm& algo, const ChurnSchedule& schedule,
               const ScenarioConfig& config,
@@ -132,7 +132,6 @@ class EngineSetup {
   /// one meter is race-free.
   ProbeStack maint_;
   ProbeCounter counter_;
-  const ScopedProbeCounter attach_counter_;
   SuspicionLedger suspicion_;
   const ProbePolicy policy_;
   const ScopedProbePolicy attach_policy_;

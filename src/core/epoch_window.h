@@ -1,6 +1,6 @@
 // The pieces EngineSetup (core/engine_setup) assembles for the
 // scenario and serving engines: the partition schedule and the scoped
-// probe-counter/policy attachments. The population split is
+// probe-policy attachment. The population split is
 // SplitNodes (core/experiment); the per-epoch churn window itself is
 // EngineSetup::RunWindow.
 #pragma once
@@ -38,25 +38,10 @@ matrix::PartitionSchedule BuildPartitionSchedule(
     const FaultConfig& fault, const matrix::ClusterLayout* layout,
     NodeId space_size, std::uint64_t fault_root);
 
-/// Detaches the algorithm's probe counter on every exit path — the
-/// counter is a stack local in the engines, and leaving it attached
+/// Detaches the algorithm's probe policy on every exit path — the
+/// policy is a stack local in the engines, and leaving it attached
 /// past a thrown NP_ENSURE would hand the caller an algorithm holding
 /// a dangling pointer.
-class ScopedProbeCounter {
- public:
-  ScopedProbeCounter(NearestPeerAlgorithm& algo, ProbeCounter& counter)
-      : algo_(algo) {
-    algo_.AttachProbeCounter(&counter);
-  }
-  ~ScopedProbeCounter() { algo_.AttachProbeCounter(nullptr); }
-  ScopedProbeCounter(const ScopedProbeCounter&) = delete;
-  ScopedProbeCounter& operator=(const ScopedProbeCounter&) = delete;
-
- private:
-  NearestPeerAlgorithm& algo_;
-};
-
-/// Same exit-path guarantee for the probe policy (also a stack local).
 class ScopedProbePolicy {
  public:
   ScopedProbePolicy(NearestPeerAlgorithm& algo, const ProbePolicy& policy)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/probe_counter.h"
-#include "util/contract.h"
 #include "util/error.h"
 
 namespace np::core {
@@ -43,19 +41,6 @@ void NearestPeerAlgorithm::ParallelBuild(const LatencySpace& space,
   Build(space, std::move(members), rng);
 }
 
-QueryResult NearestPeerAlgorithm::Query(NodeId target,
-                                        const MeteredSpace& metered,
-                                        util::Rng& rng) {
-  NP_REPORT_AFFECTING();
-  const std::uint64_t before = metered.probes();
-  QueryResult result = FindNearest(target, metered, rng);
-  if (probe_counter_ != nullptr) {
-    probe_counter_->AddQueries(1);
-    probe_counter_->AddQueryProbes(metered.probes() - before);
-  }
-  return result;
-}
-
 void OracleNearest::Build(const LatencySpace& space,
                           std::vector<NodeId> members, util::Rng& rng) {
   (void)rng;
@@ -73,7 +58,6 @@ QueryResult OracleNearest::FindNearest(NodeId target,
   const ProbePolicy& policy = probe_policy();
   for (NodeId member : members_.members()) {
     const auto latency = policy.Probe(metered, member, target);
-    ++result.probes;
     if (!latency) {
       continue;  // unreachable member: skip, keep scanning
     }
@@ -133,7 +117,6 @@ QueryResult RandomNearest::FindNearest(NodeId target,
   // and probe count match the pre-fault behavior exactly.
   for (int draw = 0; draw < kMaxRandomDraws; ++draw) {
     const NodeId pick = members_.at(rng.Index(members_.size()));
-    ++result.probes;
     const auto latency = policy.Probe(metered, pick, target);
     if (latency) {
       result.found = pick;

@@ -7,7 +7,6 @@
 // closest peer."
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,8 +19,6 @@
 
 namespace np::core {
 
-class ProbeCounter;
-
 /// Outcome of a single closest-peer query.
 struct QueryResult {
   /// The overlay member the algorithm returned (kInvalidNode if the
@@ -31,8 +28,6 @@ struct QueryResult {
   LatencyMs found_latency_ms = kInfiniteLatency;
   /// Overlay forwarding hops the query traversed.
   int hops = 0;
-  /// Latency probes issued while resolving this query.
-  std::uint64_t probes = 0;
 };
 
 class NearestPeerAlgorithm {
@@ -60,9 +55,11 @@ class NearestPeerAlgorithm {
   virtual bool ParallelQuerySafe() const { return false; }
 
   /// Builds overlay state over `members` (ids into `space`). The space
-  /// must outlive the algorithm. Build-time probing is not metered —
-  /// the paper's cost argument concerns query-time probes against a
-  /// *new* target whose latencies cannot have been measured before.
+  /// must outlive the algorithm. The engines pass their maintenance
+  /// meter here and bill what it counts as build_messages, apart from
+  /// the per-query cost: the paper's cost argument concerns query-time
+  /// probes against a *new* target whose latencies cannot have been
+  /// measured before.
   virtual void Build(const LatencySpace& space, std::vector<NodeId> members,
                      util::Rng& rng) = 0;
 
@@ -88,24 +85,11 @@ class NearestPeerAlgorithm {
 
   /// Finds the member closest to `target`. `target` is usually not a
   /// member (the paper keeps 100 targets out of the overlay). Probes
-  /// issued against the target must go through `metered` so they are
-  /// charged to the query.
+  /// issued against the target must go through `metered`: its count
+  /// (every message, including re-probes of the same pair and retry
+  /// attempts) is the query's cost, which the callers read off it.
   virtual QueryResult FindNearest(NodeId target, const MeteredSpace& metered,
                                   util::Rng& rng) = 0;
-
-  /// FindNearest plus probe accounting: the metered-probe delta of the
-  /// query (every message, including re-probes of the same pair) and
-  /// the query itself are charged to the attached ProbeCounter. All
-  /// experiment runners issue queries through this wrapper; algorithms
-  /// override FindNearest only.
-  QueryResult Query(NodeId target, const MeteredSpace& metered,
-                    util::Rng& rng);
-
-  /// Attaches (or detaches, with nullptr) the ledger charged by
-  /// Query(). The counter must outlive the algorithm or be detached
-  /// first; it is shared, thread-safe state owned by the caller.
-  void AttachProbeCounter(ProbeCounter* counter) { probe_counter_ = counter; }
-  ProbeCounter* probe_counter() const { return probe_counter_; }
 
   /// Attaches (or detaches, with nullptr) the retry policy every
   /// build/join/repair/query probe is routed through. With none
@@ -130,9 +114,9 @@ class NearestPeerAlgorithm {
   /// those are immutable for the overlay's lifetime).
   virtual bool SupportsSnapshot() const { return false; }
 
-  /// Deep copy of the built overlay state, with the probe counter and
-  /// probe policy DETACHED (those are caller-owned wiring, not overlay
-  /// state; the serving engine attaches its own per-snapshot pair).
+  /// Deep copy of the built overlay state, with the probe policy
+  /// DETACHED (it is caller-owned wiring, not overlay state; the
+  /// serving engine attaches its own per-snapshot policy).
   /// Queries against the clone answer bit-identically to queries
   /// against the original at clone time, and mutations of either side
   /// never affect the other. The default refuses; callers test with
@@ -140,16 +124,14 @@ class NearestPeerAlgorithm {
   virtual std::unique_ptr<NearestPeerAlgorithm> Clone() const;
 
  private:
-  ProbeCounter* probe_counter_ = nullptr;
   const ProbePolicy* probe_policy_ = nullptr;
 };
 
 /// Clone() helper: a copy-constructed clone inherits the original's
-/// counter/policy pointers; per the Clone contract those are detached
-/// before the clone is handed out.
+/// policy pointer; per the Clone contract it is detached before the
+/// clone is handed out.
 inline std::unique_ptr<NearestPeerAlgorithm> DetachedClone(
     std::unique_ptr<NearestPeerAlgorithm> clone) {
-  clone->AttachProbeCounter(nullptr);
   clone->AttachProbePolicy(nullptr);
   return clone;
 }

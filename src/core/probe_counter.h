@@ -7,8 +7,9 @@
 // every experiment can report messages/query and maintenance
 // messages/churn-event alongside accuracy.
 //
-// Thread-safety: all mutators are lock-free atomic adds, so the
-// parallel query loop can charge probes from many worker threads.
+// Thread-safety: all mutators are lock-free atomic adds, so the probe
+// policies of many query workers can charge fault tallies at once (the
+// engines charge queries and query probes in their serial reduce).
 // Totals are sums of per-query deterministic quantities, which makes
 // them invariant under thread count and execution order.
 //
@@ -36,7 +37,7 @@ class ProbeCounter {
     /// Probes issued maintaining overlay state under churn (joins,
     /// leaves, repairs, epoch rebuilds).
     std::uint64_t maintenance_probes = 0;
-    /// Churn events (joins + leaves) charged to this ledger.
+    /// Churn events (joins, leaves and crashes) charged to this ledger.
     std::uint64_t churn_events = 0;
     /// Probes issued by the initial Build (reported separately from
     /// maintenance: every deployment pays it exactly once).

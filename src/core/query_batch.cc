@@ -167,7 +167,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
       memo.Get(*batch.space, *batch.members, target, batch.active_window, prev,
                batch.delta);
 
-  const QueryResult result = algo.Query(target, metered, qrng);
+  const QueryResult result = algo.FindNearest(target, metered, qrng);
   if (!batch.fault_mode) {
     NP_ENSURE(result.found != kInvalidNode, "algorithm returned no peer");
   }
@@ -262,7 +262,8 @@ std::vector<QueryOutcome> RunQueryBatch(const QueryBatch& batch,
 }
 
 void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,
-                         EpochReport& er, std::uint64_t* failed_queries) {
+                         EpochReport& er, std::uint64_t* failed_queries,
+                         ProbeCounter* counter) {
   std::int64_t exact = 0;
   std::int64_t exact_reachable = 0;
   std::int64_t correct_cluster = 0;
@@ -303,6 +304,10 @@ void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,
   er.p_query_failed = static_cast<double>(queries - answered) / n;
   if (failed_queries != nullptr) {
     *failed_queries += static_cast<std::uint64_t>(queries - answered);
+  }
+  if (counter != nullptr) {
+    counter->AddQueries(static_cast<std::uint64_t>(queries));
+    counter->AddQueryProbes(total_probes);
   }
   // Divisor: with no faults answered == n, so these stay bit-equal
   // to the historical divide-by-n.

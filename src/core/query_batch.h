@@ -38,6 +38,8 @@ namespace np::core {
 struct QueryOutcome {
   LatencyMs found_latency = 0.0;
   LatencyMs truth_latency = 0.0;
+  /// Messages the query sent: its probe stack's meter count, retry
+  /// attempts and re-probes included. The one per-query cost count.
   std::uint64_t probes = 0;
   int hops = 0;
   bool exact = false;
@@ -187,8 +189,8 @@ class TruthMemo {
   std::vector<NodeId> scratch_;
 };
 
-/// Runs query `q` of the batch against `algo` (charging its attached
-/// probe counter/policy) and returns the scored outcome, reading the
+/// Runs query `q` of the batch against `algo` (through its attached
+/// probe policy) and returns the scored outcome, reading the
 /// target's truth through `memo` (carried from `prev` across
 /// batch.delta when both are set). `stack` is built from the batch
 /// (its faults, crashed set, ledger and epoch); the call first reseeds
@@ -237,10 +239,12 @@ std::vector<QueryOutcome> RunQueryBatch(
 
 /// Serially reduces a batch's outcomes — in query order — into the
 /// query-section fields of `er` (accuracy, latency tail, messages per
-/// query). Adds this epoch's failed-query count to `failed_queries`
-/// when non-null.
+/// query). Adds this epoch's failed-query count to `failed_queries`,
+/// and charges the queries and their metered probes to `counter`, when
+/// non-null: the engines' one account of query traffic.
 void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,
-                         EpochReport& er, std::uint64_t* failed_queries);
+                         EpochReport& er, std::uint64_t* failed_queries,
+                         ProbeCounter* counter);
 
 /// Per-component membership/query split for one partitioned epoch,
 /// ordered by component id (deterministic). Load Gini is left zero for

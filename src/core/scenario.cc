@@ -49,7 +49,7 @@ ScenarioReport RunScenario(const LatencySpace& space,
         static_cast<std::size_t>(config.queries_per_epoch), &memos);
     prev_members = members;
 
-    ReduceQueryOutcomes(outcomes, er, &report.failed_queries);
+    ReduceQueryOutcomes(outcomes, er, &report.failed_queries, &setup.counter());
     if (batch.active_window != nullptr) {
       er.components = SplitByComponent(outcomes, members, *batch.active_window);
     }

@@ -14,11 +14,11 @@
 // latency measurement issued by Build/AddMember/RemoveMember is
 // counted as a maintenance message — Tiers' join descents and
 // representative re-elections included. Algorithms without
-// incremental churn support (the hybrids; Tiers with
-// TiersConfig::incremental = false) are rebuilt from scratch at every
-// epoch whose window saw churn — their (large) rebuild cost is
-// charged as maintenance, which is exactly the deployment economics
-// the fault-tolerance literature cares about.
+// incremental churn support (Tiers with TiersConfig::incremental =
+// false, and a hybrid whose fallback is such a Tiers) are rebuilt from
+// scratch at every epoch whose window saw churn — their (large)
+// rebuild cost is charged as maintenance, which is exactly the
+// deployment economics the fault-tolerance literature cares about.
 //
 // Determinism: epoch e's query q derives its RNG and noise streams
 // from per-epoch bases xor'ed with q (the PR-1 `base ^ index` idiom),
@@ -247,8 +247,8 @@ struct ScenarioReport {
 /// clustered accuracy metrics and may be null (generic spaces).
 /// `population` restricts overlay/pool nodes to a subset of the space
 /// (e.g. the Azureus peers of a synthetic topology); empty means every
-/// node. The algorithm's probe counter is attached for the duration of
-/// the run and detached before returning.
+/// node. The engine's probe policy is attached for the duration of the
+/// run and detached before returning.
 ScenarioReport RunScenario(const LatencySpace& space,
                            const matrix::ClusterLayout* layout,
                            NearestPeerAlgorithm& algo,

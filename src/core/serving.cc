@@ -50,8 +50,9 @@ struct EpochSlot {
   /// Membership copy for post-run staleness scoring (kept out of the
   /// snapshot so holding it does not extend snapshot lifetime).
   std::vector<NodeId> members;
-  /// Per-epoch query-side ledger, shared by all readers of the epoch
-  /// and merged into the main counter at reduction.
+  /// Per-epoch query-side fault ledger, shared by all readers of the
+  /// epoch through reader_policy and merged into the main counter at
+  /// reduction.
   std::unique_ptr<ProbeCounter> reader_counter;
   /// Frozen copy of the suspicion ledger at this epoch's window end:
   /// readers consult the quarantine set without racing the writer's
@@ -224,7 +225,6 @@ ServingReport RunServing(const LatencySpace& space,
       slot.reader_policy = std::make_unique<ProbePolicy>(
           sc.fault.max_attempts, slot.reader_counter.get(),
           slot.reader_suspicion.get());
-      snap->algo->AttachProbeCounter(slot.reader_counter.get());
       snap->algo->AttachProbePolicy(slot.reader_policy.get());
 
       slot.memos.resize(chunks);
@@ -282,7 +282,8 @@ ServingReport RunServing(const LatencySpace& space,
   all_latency_us.reserve(slots.size() * queries);
   for (std::size_t k = 0; k < slots.size(); ++k) {
     EpochSlot& slot = slots[k];
-    ReduceQueryOutcomes(slot.outcomes, slot.er, &report.failed_queries);
+    ReduceQueryOutcomes(slot.outcomes, slot.er, &report.failed_queries,
+                        &counter);
     if (slot.batch.active_window != nullptr) {
       slot.er.components =
           SplitByComponent(slot.outcomes, slot.members,
@@ -290,8 +291,6 @@ ServingReport RunServing(const LatencySpace& space,
     }
 
     const ProbeCounter::Snapshot reader_snap = slot.reader_counter->Read();
-    counter.AddQueries(reader_snap.queries);
-    counter.AddQueryProbes(reader_snap.query_probes);
     counter.AddFailedProbes(reader_snap.failed_probes);
     counter.AddRetries(reader_snap.retries);
     counter.AddSuspicionSkips(reader_snap.suspicion_skips);

@@ -197,7 +197,6 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
   const core::ProbePolicy& policy = probe_policy();
   for (NodeId candidate : candidates) {
     const auto measured = policy.Probe(metered, candidate, target);
-    ++result.probes;
     if (!measured) {
       continue;  // unreachable candidate: route around it
     }
@@ -223,7 +222,6 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
       for (int draw = 0; draw <= core::kStartRedraws; ++draw) {
         const NodeId pick = members_.at(rng.Index(members_.size()));
         const auto measured = policy.Probe(metered, pick, target);
-        ++result.probes;
         if (measured) {
           result.found = pick;
           result.found_latency_ms = *measured;
@@ -235,7 +233,6 @@ core::QueryResult HybridNearest::FindNearest(NodeId target,
   }
 
   core::QueryResult fb = fallback_->FindNearest(target, metered, rng);
-  fb.probes += result.probes;
   if (result.found != kInvalidNode &&
       result.found_latency_ms < fb.found_latency_ms) {
     fb.found = result.found;

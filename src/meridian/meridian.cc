@@ -401,7 +401,6 @@ TracedResult MeridianOverlay::FindNearestTraced(
     }
     const auto d = policy.Probe(metered, node, target);
     probed.emplace(node, d);
-    ++result.probes;
     return d;
   };
 

@@ -1,15 +1,14 @@
 // Flat open-addressing table from 64-bit keys to 64-bit counts.
 //
 // The probe path's per-pair and per-id bookkeeping: util::PairStream's
-// per-pair probe counts and the per-query "probed" sets of the routing
-// algorithms. One array of {key, count} slots, a power of two long,
-// linear probing from a Fibonacci hash of the key; the all-ones word
-// marks an empty slot, so it is the one key the table cannot hold (no
-// PairKey of two NodeIds and no single NodeId equals it). The array is
-// allocated on the first insert and doubles whenever an insert would
-// take the load past 3/4, so past its first array a table of N keys
-// holds between 4N/3 and 8N/3 slots of 16 bytes (2^20 keys: 2^21
-// slots, 32 MB).
+// per-pair probe counts and Karger-Ruhl's per-query probed set. One
+// array of {key, count} slots, a power of two long, linear probing
+// from a Fibonacci hash of the key; the all-ones word marks an empty
+// slot, so it is the one key the table cannot hold (no PairKey of two
+// NodeIds and no single NodeId equals it). The array is allocated on
+// the first insert and doubles whenever an insert would take the load
+// past 3/4, so past its first array a table of N keys holds between
+// 4N/3 and 8N/3 slots of 16 bytes (2^20 keys: 2^21 slots, 32 MB).
 //
 // There is no erase and no iteration: lookups and counts never depend
 // on slot order, and Clear() empties every slot while keeping the

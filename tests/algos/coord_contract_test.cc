@@ -14,7 +14,7 @@
 
 #include "algos/coord_nearest.h"
 #include "core/churn.h"
-#include "core/probe_counter.h"
+#include "core/probe_policy.h"
 #include "core/scenario.h"
 #include "core/serving.h"
 #include "matrix/generators.h"
@@ -159,34 +159,31 @@ TEST(CoordContract, CloneIsDeepAndDetached) {
   const MatrixSpace space(world.matrix);
   for (const CoordScheme scheme : kSchemes) {
     SCOPED_TRACE(CoordSchemeName(scheme));
+    const core::ProbePolicy policy(2);
     CoordNearest original(FastConfig(scheme));
-    core::ProbeCounter counter;
-    original.AttachProbeCounter(&counter);
     {
       util::Rng rng(55);
       original.Build(space, FirstN(90), rng);
     }
+    original.AttachProbePolicy(&policy);
     const auto clone = original.Clone();
     ASSERT_EQ(clone->members(), original.members());
+    // Detached: the clone probes through the default policy, not the
+    // original's.
+    EXPECT_EQ(&clone->probe_policy(), &core::ProbePolicy::Default());
 
     // Same rng, same target: the clone answers bit-identically.
     const MeteredSpace metered(space);
+    const MeteredSpace clone_metered(space);
     util::Rng rng_a(91);
     util::Rng rng_b(91);
     const QueryResult from_original =
         original.FindNearest(NodeId{95}, metered, rng_a);
     const QueryResult from_clone =
-        clone->FindNearest(NodeId{95}, metered, rng_b);
+        clone->FindNearest(NodeId{95}, clone_metered, rng_b);
     EXPECT_EQ(from_original.found, from_clone.found);
     EXPECT_EQ(from_original.found_latency_ms, from_clone.found_latency_ms);
-    EXPECT_EQ(from_original.probes, from_clone.probes);
-
-    // Detached: querying through the clone's charging wrapper must not
-    // touch the original's counter.
-    const std::uint64_t queries_before = counter.Read().queries;
-    util::Rng rng_c(92);
-    (void)clone->Query(NodeId{96}, metered, rng_c);
-    EXPECT_EQ(counter.Read().queries, queries_before);
+    EXPECT_EQ(metered.probes(), clone_metered.probes());
 
     // Deep: churning the original leaves the clone's membership and
     // answers untouched.

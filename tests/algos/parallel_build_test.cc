@@ -61,30 +61,35 @@ std::vector<NodeId> FirstN(NodeId n) {
   return v;
 }
 
+/// One query's answer and its metered probe count.
+struct MeteredQuery {
+  QueryResult result;
+  std::uint64_t probes = 0;
+};
+
 /// Identical fixed-seed query set against one overlay instance.
-std::vector<QueryResult> RunQueries(const core::LatencySpace& space,
-                                    NearestPeerAlgorithm& algo) {
-  std::vector<QueryResult> results;
+std::vector<MeteredQuery> RunQueries(const core::LatencySpace& space,
+                                     NearestPeerAlgorithm& algo) {
+  std::vector<MeteredQuery> results;
   for (NodeId target = kOverlaySize; target < kWorldSize; ++target) {
     util::Rng qrng(util::Mix64(static_cast<std::uint64_t>(target)));
     const MeteredSpace metered(space);
-    QueryResult r = algo.FindNearest(target, metered, qrng);
-    r.probes = metered.probes();
-    results.push_back(r);
+    const QueryResult r = algo.FindNearest(target, metered, qrng);
+    results.push_back({r, metered.probes()});
   }
   return results;
 }
 
-void ExpectSameQueries(const std::vector<QueryResult>& a,
-                       const std::vector<QueryResult>& b,
+void ExpectSameQueries(const std::vector<MeteredQuery>& a,
+                       const std::vector<MeteredQuery>& b,
                        const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].found, b[i].found) << label << " query " << i;
-    EXPECT_EQ(a[i].found_latency_ms, b[i].found_latency_ms)
+    EXPECT_EQ(a[i].result.found, b[i].result.found) << label << " query " << i;
+    EXPECT_EQ(a[i].result.found_latency_ms, b[i].result.found_latency_ms)
         << label << " query " << i;
     EXPECT_EQ(a[i].probes, b[i].probes) << label << " query " << i;
-    EXPECT_EQ(a[i].hops, b[i].hops) << label << " query " << i;
+    EXPECT_EQ(a[i].result.hops, b[i].result.hops) << label << " query " << i;
   }
 }
 

@@ -2,11 +2,13 @@
 // (crash_fraction 0 == pre-fault schedules, byte for byte), driver
 // crash semantics (no pool return, pending repairs, ForceCrash),
 // completion of every algorithm class at 30% probe loss, thread-count
-// invariance of fault-mode metrics, delayed crash-repair billing, the
-// Zipf query-skew determinism, and the load ledger's no-perturbation
-// contract.
+// invariance of fault-mode metrics, totals that sum the epochs, delayed
+// crash-repair billing, the Zipf query-skew determinism, and the load
+// ledger's no-perturbation contract.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,6 +75,37 @@ ChurnSchedule CrashSchedule() {
   config.crash_fraction = 0.5;
   config.seed = 5;
   return ChurnSchedule::Poisson(config);
+}
+
+/// The whole-run totals are the sums of the epochs: every query, every
+/// metered query probe and every fault tally is charged exactly once.
+/// Asserts that the run lost, retried and skipped probes, so the fault
+/// sums are not vacuous.
+void ExpectTotalsMatchEpochs(const ScenarioReport& report,
+                             const ScenarioConfig& config) {
+  ASSERT_EQ(report.epochs.size(), static_cast<std::size_t>(config.epochs));
+  std::uint64_t query_probes = 0;
+  std::uint64_t failed_probes = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t suspicion_skips = 0;
+  for (const EpochReport& er : report.epochs) {
+    query_probes += static_cast<std::uint64_t>(
+        std::llround(er.messages_per_query * config.queries_per_epoch));
+    failed_probes += er.failed_probes;
+    retries += er.retries;
+    suspicion_skips += er.suspicion_skips;
+  }
+  EXPECT_EQ(report.totals.queries,
+            static_cast<std::uint64_t>(config.epochs) *
+                static_cast<std::uint64_t>(config.queries_per_epoch));
+  EXPECT_EQ(report.totals.query_probes, query_probes);
+  EXPECT_EQ(report.totals.failed_probes, failed_probes);
+  EXPECT_EQ(report.totals.retries, retries);
+  EXPECT_EQ(report.totals.suspicion_skips, suspicion_skips);
+  EXPECT_GT(query_probes, 0u);
+  EXPECT_GT(failed_probes, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(suspicion_skips, 0u);
 }
 
 // --- Schedule gating -------------------------------------------------------
@@ -234,6 +267,27 @@ TEST(FaultScenario, FaultMetricsAreThreadCountInvariant) {
       EXPECT_EQ(a.epochs[e].retries, b.epochs[e].retries);
       EXPECT_EQ(a.epochs[e].load_max, b.epochs[e].load_max);
       EXPECT_EQ(a.epochs[e].load_gini, b.epochs[e].load_gini);
+    }
+  }
+}
+
+TEST(FaultScenario, TotalsMatchEpochsAtEveryThreadCount) {
+  const auto world = SmallClusteredWorld(13);
+  const MatrixSpace space(world.matrix);
+  const ChurnSchedule schedule = CrashSchedule();
+  for (const int threads : {1, 8}) {
+    ScenarioConfig config = FaultScenario(threads);
+    config.fault.suspicion.strikes = 2;
+    FaultConfig::Partition window;
+    window.start_epoch = 1;
+    window.end_epoch = 2;
+    window.groups = {{0, 1}, {2, 3}};
+    config.fault.partitions.push_back(window);
+    for (const std::string name : {"karger-ruhl", "tiers"}) {
+      SCOPED_TRACE(name + " at " + std::to_string(threads) + " threads");
+      const auto algo = MakeAlgo(name);
+      ExpectTotalsMatchEpochs(
+          RunScenario(space, &world.layout, *algo, schedule, config), config);
     }
   }
 }

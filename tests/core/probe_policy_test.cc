@@ -112,7 +112,7 @@ TEST(ProbePolicy, StartRedrawExhaustionReturnsHonestFailure) {
   util::Rng rng(7);
   algo.Build(inner, {0, 1, 2, 3}, rng);
   algo.AttachProbePolicy(&policy);
-  const QueryResult result = algo.Query(/*target=*/6, metered, rng);
+  const QueryResult result = algo.FindNearest(/*target=*/6, metered, rng);
   EXPECT_EQ(result.found, kInvalidNode);
   // Every draw burned its full attempt budget on the wire.
   EXPECT_GE(metered.probes(), 2u * 8u);
@@ -127,7 +127,7 @@ TEST(ProbePolicy, StartRedrawExhaustionReturnsHonestFailure) {
   const MeteredSpace half_metered(half, nullptr);
   int answered = 0;
   for (int trial = 0; trial < 32; ++trial) {
-    const QueryResult r = algo.Query(/*target=*/6, half_metered, rng);
+    const QueryResult r = algo.FindNearest(/*target=*/6, half_metered, rng);
     if (r.found != kInvalidNode) {
       ++answered;
       EXPECT_TRUE(r.found == 2 || r.found == 3);

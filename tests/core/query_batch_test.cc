@@ -372,7 +372,7 @@ TEST(TruthMemo, LossyChunksMatchAFreshStackPerQuery) {
     util::Rng qrng(batch.query_base ^ qi);
     const NodeId target = pool[ZipfIndex(zipf, qrng.NextDouble())];
     const std::unique_ptr<ProbeStack> stack = FreshStack(batch, q);
-    const QueryResult direct = algo.Query(target, stack->metered(), qrng);
+    const QueryResult direct = algo.FindNearest(target, stack->metered(), qrng);
     EXPECT_EQ(outcomes[q].target, target);
     EXPECT_EQ(outcomes[q].found, direct.found);
     EXPECT_EQ(outcomes[q].probes, stack->metered().probes());

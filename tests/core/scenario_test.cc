@@ -312,13 +312,13 @@ TEST(Scenario, ExcessLatencyPercentilesTrackTailQuality) {
   EXPECT_TRUE(any_tail);
 }
 
-TEST(Scenario, ProbeCounterIsDetachedAfterTheRun) {
+TEST(Scenario, ProbePolicyIsDetachedAfterTheRun) {
   const auto world = SmallClusteredWorld(6);
   const MatrixSpace space(world.matrix);
   meridian::MeridianOverlay algo(SmallMeridian());
   RunScenario(space, &world.layout, algo, SmallSchedule(),
               SmallScenario(1));
-  EXPECT_EQ(algo.probe_counter(), nullptr);
+  EXPECT_EQ(&algo.probe_policy(), &ProbePolicy::Default());
 }
 
 }  // namespace

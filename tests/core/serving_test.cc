@@ -2,15 +2,18 @@
 // reproduce the deterministic scenario engine bit for bit — for every
 // structured scheme and the §5 hybrids, for every reader count, under
 // lognormal session churn and under probe loss — plus the staleness
-// metrics' deterministic invariants, the post-run algorithm state, the
-// serving-mode precondition checks, the snapshot reclamation bound,
-// failures on either side of the writer/reader hand-off, and the
-// algorithm Clone() contract the snapshots are built from.
+// metrics' deterministic invariants, totals that sum the epochs, the
+// post-run algorithm state, the serving-mode precondition checks, the
+// snapshot reclamation bound, failures on either side of the
+// writer/reader hand-off, and the algorithm Clone() contract the
+// snapshots are built from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -92,6 +95,37 @@ ScenarioConfig BaseScenario() {
 }
 
 const std::vector<int> kReaderCounts = {1, 2, 8};
+
+/// The whole-run totals are the sums of the epochs: every query, every
+/// metered query probe and every fault tally is charged exactly once.
+/// Asserts that the run lost, retried and skipped probes, so the fault
+/// sums are not vacuous.
+void ExpectTotalsMatchEpochs(const ScenarioReport& report,
+                             const ScenarioConfig& config) {
+  ASSERT_EQ(report.epochs.size(), static_cast<std::size_t>(config.epochs));
+  std::uint64_t query_probes = 0;
+  std::uint64_t failed_probes = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t suspicion_skips = 0;
+  for (const EpochReport& er : report.epochs) {
+    query_probes += static_cast<std::uint64_t>(
+        std::llround(er.messages_per_query * config.queries_per_epoch));
+    failed_probes += er.failed_probes;
+    retries += er.retries;
+    suspicion_skips += er.suspicion_skips;
+  }
+  EXPECT_EQ(report.totals.queries,
+            static_cast<std::uint64_t>(config.epochs) *
+                static_cast<std::uint64_t>(config.queries_per_epoch));
+  EXPECT_EQ(report.totals.query_probes, query_probes);
+  EXPECT_EQ(report.totals.failed_probes, failed_probes);
+  EXPECT_EQ(report.totals.retries, retries);
+  EXPECT_EQ(report.totals.suspicion_skips, suspicion_skips);
+  EXPECT_GT(query_probes, 0u);
+  EXPECT_GT(failed_probes, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(suspicion_skips, 0u);
+}
 
 /// Runs serving at each reader count against a fresh serial replay
 /// and asserts bit-identity plus the deterministic staleness
@@ -213,6 +247,35 @@ TEST(Serving, MatchesSerialReplayWithRepeatTargetsUnderFaults) {
   }
 }
 
+// --- Totals: the reduce charges every epoch's queries once ---------------
+
+TEST(Serving, TotalsMatchEpochsUnderFaults) {
+  const auto world = SmallClusteredWorld(4);
+  const MatrixSpace space(world.matrix);
+  const ChurnSchedule schedule = LognormalSchedule();
+  ScenarioConfig config = BaseScenario();
+  config.fault.loss_rate = 0.1;
+  config.fault.max_attempts = 2;
+  config.fault.suspicion.strikes = 2;
+  FaultConfig::Partition window;
+  window.start_epoch = 1;
+  window.end_epoch = 2;
+  window.groups = {{0, 1}, {2, 3}};
+  config.fault.partitions.push_back(window);
+  for (const int readers : {1, 8}) {
+    ServingConfig serving;
+    serving.scenario = config;
+    serving.reader_threads = readers;
+    for (const std::string name : {"karger-ruhl", "tiers"}) {
+      SCOPED_TRACE(name + " with " + std::to_string(readers) + " readers");
+      const auto algo = MakeAlgo(name);
+      ExpectTotalsMatchEpochs(
+          RunServing(space, &world.layout, *algo, schedule, serving).scenario,
+          config);
+    }
+  }
+}
+
 // --- Equivalence: the §5 hybrids -----------------------------------------
 
 TEST(Serving, HybridMatchesSerialReplay) {
@@ -304,7 +367,6 @@ class PlainNearest : public NearestPeerAlgorithm {
     QueryResult result;
     result.found = members_.front();
     result.found_latency_ms = metered.Latency(target, result.found);
-    result.probes = 1;
     return result;
   }
   const std::vector<NodeId>& members() const override { return members_; }
@@ -599,39 +661,40 @@ TEST(CloneContract, CloneIsDeepDetachedAndBitIdentical) {
   util::Rng build_rng(13);
   algo.Build(space, members, build_rng);
 
-  ProbeCounter counter;
-  algo.AttachProbeCounter(&counter);
+  const ProbePolicy policy(/*max_attempts=*/2);
+  algo.AttachProbePolicy(&policy);
   ASSERT_TRUE(algo.SupportsSnapshot());
   const auto clone = algo.Clone();
 
-  // Detached: the clone never bills the original's counter (the
-  // serving engine attaches its own per-snapshot pair).
-  EXPECT_EQ(clone->probe_counter(), nullptr);
-  const MeteredSpace metered(space);
+  // Detached: the clone does not probe through the original's policy
+  // (the serving engine attaches its own per-snapshot one).
+  EXPECT_EQ(&clone->probe_policy(), &ProbePolicy::Default());
+  const MeteredSpace clone_metered(space);
   const NodeId target = 55;
   util::Rng qrng_clone(17);
-  const QueryResult before = clone->Query(target, metered, qrng_clone);
-  EXPECT_EQ(counter.Read().queries, 0u);
+  const QueryResult before =
+      clone->FindNearest(target, clone_metered, qrng_clone);
 
   // Bit-identical at clone time: same target, same rng stream, same
-  // answer as the original.
+  // answer and metered bill as the original.
+  const MeteredSpace metered(space);
   util::Rng qrng_orig(17);
-  const QueryResult original = algo.Query(target, metered, qrng_orig);
+  const QueryResult original = algo.FindNearest(target, metered, qrng_orig);
   EXPECT_EQ(original.found, before.found);
-  EXPECT_EQ(original.probes, before.probes);
-  EXPECT_EQ(counter.Read().queries, 1u);
+  EXPECT_EQ(metered.probes(), clone_metered.probes());
 
   // Deep: mutating the original (removing the found member) must not
   // change what the clone answers.
   ASSERT_TRUE(algo.SupportsChurn());
   algo.RemoveMember(before.found);
   util::Rng qrng_after(17);
-  const QueryResult after = clone->Query(target, metered, qrng_after);
+  const QueryResult after = clone->FindNearest(target, metered, qrng_after);
   EXPECT_EQ(after.found, before.found);
   util::Rng qrng_mutated(17);
-  EXPECT_NE(algo.Query(target, metered, qrng_mutated).found, before.found);
+  EXPECT_NE(algo.FindNearest(target, metered, qrng_mutated).found,
+            before.found);
 
-  algo.AttachProbeCounter(nullptr);
+  algo.AttachProbePolicy(nullptr);
 }
 
 // --- The identity oracle ----------------------------------------------------

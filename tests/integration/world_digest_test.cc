@@ -372,11 +372,12 @@ std::uint64_t HybridDigest(mech::Mechanism mechanism) {
   const core::MeteredSpace metered(space);
   Fnv1a d;
   for (std::size_t i = joined; i < peers.size(); ++i) {
+    const std::uint64_t before = metered.probes();
     const core::QueryResult result =
         hybrid.FindNearest(peers[i], metered, rng);
     d.Fold(result.found);
     d.Fold(result.found_latency_ms);
-    d.Fold(result.probes);
+    d.Fold(metered.probes() - before);
   }
   d.Fold(hybrid.mechanism_hit_rate());
   return d.value();
